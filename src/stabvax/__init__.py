@@ -4,14 +4,14 @@ from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     EpidemicState, InfeasibleRateError, NetworkInstance,
                     StabilityCertificate, build_demographic_coupling,
                     build_flow_matrix, calibrate_transmission,
-                    check_decay_certificate, compute_b1,
-                    effective_reproduction_number, intrinsic_connectivity,
-                    is_positive_definite, project_contact_matrix)
-from .allocator import (AllocationProblem, AllocationResult, BilinearIterate,
-                        InfeasibleAllocationError, NotPositiveDefiniteError,
-                        SolverError, build_problem, lmi_box_maximize,
-                        max_decay_binary_search, solve_allocation,
-                        solve_bilinear, solve_diagonal_lmi,
+                    check_decay_certificate, cholesky_factor, compute_b1,
+                    coupling_gram_factor, effective_reproduction_number,
+                    intrinsic_connectivity, project_contact_matrix)
+from .allocator import (AllocationProblem, AllocationResult, CutPool,
+                        InfeasibleAllocationError,
+                        NotPositiveDefiniteError, SolverError, build_problem,
+                        lmi_box_maximize, max_decay_binary_search,
+                        solve_allocation, solve_bilinear, solve_diagonal_lmi,
                         spectral_box_minimize)
 from .dynamics import (Trajectory, VaccinationSchedule,
                        apply_vaccination_event, integrate, rhs_covid,

@@ -1,27 +1,36 @@
 """Optimal stabilizing allocation solvers.
 
-Two engines back every allocation problem:
+Allocation v certifies decay at rate alpha when diag(b1 (s0 - psi v)) K
+diag(N) has spectral radius at most 1. The model layer supplies a Gram factor
+of the symmetric coupling, K = F F' (``model.coupling_gram_factor``), and
+with u = N b1 (s0 - psi v) the condition is lambda_max(F' diag(u) F) <= 1: a
+diagonal LMI that needs no inverse and no definiteness test.
 
-* ``lmi_box_maximize`` solves  max c'u  s.t.  diag(u) <= B,  l <= u <= h
-  for symmetric positive-definite B by eigenvector cutting planes: the
-  most-violated eigenvector w of B - diag(u) yields the valid cut
-  sum_i w_i^2 u_i <= w'Bw, and the relaxation is re-solved as a linear
-  program until the matrix constraint holds. Because the LP bound equals the
-  final feasible objective, the relative optimality gap at termination is 0.
+* ``lmi_box_maximize`` solves  max w'u  s.t.  lambda_max(F' diag(u) F) <= 1,
+  l <= u <= h  by Kelley cuts: the top eigenvector z at the LP point gives
+  the valid cut sum_i (F z)_i^2 u_i <= 1. As lambda_max is convex, the point
+  at s = (lambda - 1) / (lambda - lambda_lo) on the segment from the LP point
+  to the feasible lower corner is feasible, which bounds the gap in closed
+  form. Cuts depend on F alone, so one ``CutPool`` serves all probes of an
+  alpha bisection, and a probe stops once it settles the budget question.
 
-* ``spectral_box_minimize`` handles the nonconvex route
+* ``spectral_box_minimize`` serves couplings without a Gram factor (an
+  indefinite or asymmetric contact structure):
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
-  (built from the left and right Perron vectors), with a feasibility-restore
-  step that rescales the diagonal back onto the rho = 1 surface, and
+  (left and right Perron vectors), with a restore step onto rho = 1 and
   multistart from random positive directions.
+
+``solve_allocation`` takes the Gram route whenever the problem has a factor.
+Every result is re-certified on the full infection block; an unsatisfied
+certificate raises ``SolverError``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -30,9 +39,9 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, StabilityCertificate,
-                    build_demographic_coupling, build_flow_matrix,
-                    check_decay_certificate, compute_b1, max_certificate_rate)
+                    NetworkInstance, StabilityCertificate, build_flow_matrix,
+                    cell_b1, check_decay_certificate, coupling_gram_factor,
+                    max_certificate_rate)
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -40,33 +49,45 @@ class InfeasibleAllocationError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The solver failed to converge; distinct from provable infeasibility."""
+    """The solver failed to converge or to certify its answer; distinct from
+    provable infeasibility."""
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Coupling matrix is not positive definite; use the bilinear path."""
+    """Coupling matrix has no Gram factor; use the bilinear path."""
 
 
 @dataclass
 class SolverStats:
     iterations: int = 0
     cuts: int = 0
-    min_eigenvalue: float = np.nan
     spectral_radius: float = np.nan
     gap: float = 0.0
     restarts: int = 0
     converged: bool = True
     method: str = ""
+    lp_calls: int = 0
+
+
+@dataclass
+class CutPool:
+    """Kelley cut rows for one factor F, and the LP calls made on them. A row
+    (F z)^2, |z| = 1, stays valid whatever the box and weights."""
+
+    rows: list = field(default_factory=list)
+    lp_calls: int = 0
 
 
 @dataclass
 class AllocationProblem:
     """Stabilizing-allocation data in reduced form.
 
-    coupling is the symmetric mobility Gram matrix (or its Kronecker product
-    with the intrinsic connectivity); b1 collapses the infection chain at the
-    target decay rate; the transformed variable u = N b1 (s0 - psi v) lives in
-    the box [(1-psi) s0 N b1, s0 N b1].
+    coupling is the mobility Gram matrix Abar, or Abar (x) Gamma with the
+    intrinsic connectivity; factor is F with F F' = coupling, or None when
+    Gamma has no Cholesky factor (the bilinear route). b1 collapses the
+    infection chain at the target decay rate. The Gram route solves for
+    u = b1 (s0 - psi v) / s0 in the box [(1 - psi) b1, b1] on the factor
+    diag(sqrt(s0 N)) F, which does not depend on alpha.
     """
 
     coupling: np.ndarray
@@ -75,6 +96,7 @@ class AllocationProblem:
     populations: np.ndarray
     psi: float
     alpha: float
+    factor: Optional[np.ndarray] = None
     state: Optional[EpidemicState] = None
     net: Optional[NetworkInstance] = None
     params: Optional[DiseaseParams] = None
@@ -90,23 +112,13 @@ class AllocationProblem:
         if self.psi <= 0:
             raise ValueError("a zero-efficacy vaccine cannot stabilize anything")
 
-    @property
-    def size(self) -> int:
-        return self.s0.shape[0]
-
-    def box_lower(self) -> np.ndarray:
-        return (1 - self.psi) * self.s0 * self.populations * self.b1
-
     def box_upper(self) -> np.ndarray:
         return self.s0 * self.populations * self.b1
 
-
-@dataclass
-class BilinearIterate:
-    """Allocation plus the positive direction certifying discrete stability."""
-
-    v: np.ndarray
-    d: np.ndarray
+    def at_rate(self, alpha: float) -> "AllocationProblem":
+        """The same problem at another decay rate."""
+        return replace(self, alpha=alpha,
+                       b1=cell_b1(self.params, self.net.n, alpha))
 
 
 @dataclass
@@ -125,94 +137,84 @@ class AllocationResult:
 # LMI engine
 # ---------------------------------------------------------------------------
 
-def lmi_box_maximize(bound: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                     weights: np.ndarray, *, violation_tol: float = 1e-9,
-                     max_iter: int = 5000) -> tuple[np.ndarray, SolverStats]:
-    """Maximize weights'u subject to diag(u) <= bound and lower <= u <= upper.
+def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                     weights: np.ndarray, *, pool: Optional[CutPool] = None,
+                     max_shortfall: Optional[float] = None,
+                     gap_tol: float = 1e-8, max_iter: int = 5000,
+                     ) -> tuple[np.ndarray, SolverStats]:
+    """Maximize weights'u subject to lambda_max(factor' diag(u) factor) <= 1
+    (diag(u) <= (factor factor')^{-1}, uninverted) and lower <= u <= upper.
 
-    bound must be symmetric. The violation tolerance is relative to the
-    spectral norm of bound. Raises InfeasibleAllocationError when even the
-    lower box corner violates the matrix constraint.
+    Returns the best feasible point once within gap_tol (relative) of the LP
+    bound. pool lends cuts from earlier calls on the same factor and keeps
+    the new ones. Given max_shortfall, returns the first feasible point with
+    weights'(upper - u) <= max_shortfall, and raises InfeasibleAllocationError
+    once the LP bound rules one out, as it does for an infeasible lower corner.
     """
-    bound = 0.5 * (bound + bound.T)
+    factor = np.asarray(factor, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(scipy.linalg.eigvalsh(bound)))))
-    tol_abs = violation_tol * scale
+    pool = CutPool() if pool is None else pool
+    top = factor.shape[1] - 1
 
-    floor_eig = scipy.linalg.eigvalsh(bound - np.diag(lower))[0]
-    if floor_eig < -tol_abs:
+    def top_eig(u: np.ndarray) -> tuple[float, np.ndarray]:
+        vals, vecs = scipy.linalg.eigh(factor.T @ (u[:, None] * factor),
+                                       subset_by_index=[top, top])
+        return float(vals[0]), factor @ vecs[:, 0]
+
+    lam_lo, _ = top_eig(lower)
+    if lam_lo > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation violates the matrix constraint; "
             "the requested decay rate is unachievable")
 
-    def min_eig(u: np.ndarray) -> tuple[float, np.ndarray]:
-        evals, evecs = scipy.linalg.eigh(bound - np.diag(u),
-                                         subset_by_index=[0, 0])
-        return float(evals[0]), evecs[:, 0]
-
-    cut_rows: list[np.ndarray] = []
-    cut_rhs: list[float] = []
-    u = upper.copy()
-    bounds = list(zip(lower, upper))
     objective = -weights / max(1.0, float(np.abs(weights).max()))
+    bounds = np.column_stack([lower, upper])
     lp_options = {"primal_feasibility_tolerance": 1e-9,
                   "dual_feasibility_tolerance": 1e-9}
-    stalled = False
-    iteration = 0
+    best, best_obj = lower, float(weights @ lower)
+    cuts_before, lp_before = len(pool.rows), pool.lp_calls
+    gap = np.inf
     for iteration in range(1, max_iter + 1):
-        lam, w = min_eig(u)
-        if lam >= -tol_abs:
-            return u, SolverStats(iterations=iteration, cuts=len(cut_rows),
-                                  min_eigenvalue=lam, gap=0.0,
-                                  converged=True, method="lmi-cutting-plane")
-        row = w * w
-        rhs = float(w @ bound @ w)
-        # the known-feasible lower corner must stay inside every cut
-        rhs = max(rhs, float(row @ lower))
-        cut_rows.append(row)
-        cut_rhs.append(rhs)
-        res = scipy.optimize.linprog(objective, A_ub=np.array(cut_rows),
-                                     b_ub=np.array(cut_rhs), bounds=bounds,
-                                     method="highs", options=lp_options)
-        if res.status == 2:
-            raise InfeasibleAllocationError("cut system infeasible within the box")
-        if not res.success:
-            raise SolverError(f"inner linear program failed: {res.message}")
-        if np.max(np.abs(res.x - u)) < 1e-13 * max(1.0, float(np.abs(u).max())):
-            stalled = True
+        if pool.rows:
+            rows = np.array(pool.rows)
+            # the feasible lower corner stays inside every cut
+            res = scipy.optimize.linprog(
+                objective, A_ub=rows, b_ub=np.maximum(1.0, rows @ lower),
+                bounds=bounds, method="highs", options=lp_options)
+            pool.lp_calls += 1
+            if not res.success:
+                raise SolverError(f"inner linear program failed: {res.message}")
             u = res.x
+        else:  # the LP without cuts is solved by the upper corner
+            u = upper.copy()
+        bound_obj = float(weights @ u)
+        lam, fz = top_eig(u)
+        point = u if lam <= 1.0 else \
+            u + min(1.0, (lam - 1.0) / max(lam - lam_lo, 1e-300)) * (lower - u)
+        if float(weights @ point) > best_obj:
+            best, best_obj = point, float(weights @ point)
+        gap = (bound_obj - best_obj) / max(abs(bound_obj), 1e-300)
+        if max_shortfall is not None:
+            if weights @ (upper - u) > max_shortfall:
+                raise InfeasibleAllocationError(
+                    "the LP bound already exceeds the allowed shortfall")
+            if weights @ (upper - best) <= max_shortfall:
+                break
+        if gap <= gap_tol:
             break
-        u = res.x
-    if not stalled and iteration == max_iter:
+        pool.rows.append(fz * fz)
+    else:
         raise SolverError(
             f"cutting-plane loop did not converge in {max_iter} iterations")
-
-    # The LP vertex satisfies the cut model to solver precision but may sit
-    # a hair outside the matrix constraint. Restore exact feasibility by a
-    # line search toward the feasible lower corner (lambda_min is monotone
-    # along that segment), giving up an objective sliver recorded as the gap.
-    bound_obj = float(weights @ u)
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo_t + hi_t)
-        lam_mid, _ = min_eig(u + mid * (lower - u))
-        if lam_mid >= -tol_abs:
-            hi_t = mid
-        else:
-            lo_t = mid
-        if hi_t - lo_t < 1e-14:
-            break
-    u = u + hi_t * (lower - u)
-    lam, _ = min_eig(u)
-    achieved = float(weights @ u)
-    gap = (bound_obj - achieved) / max(1.0, abs(bound_obj))
-    if lam < -2 * tol_abs:
-        raise SolverError("polish step failed to restore matrix feasibility")
-    return u, SolverStats(iterations=iteration, cuts=len(cut_rows),
-                          min_eigenvalue=lam, gap=gap, converged=True,
-                          method="lmi-cutting-plane")
+    if max_shortfall is not None and weights @ (upper - best) > max_shortfall:
+        raise InfeasibleAllocationError("no feasible point within the shortfall")
+    return best, SolverStats(iterations=iteration,
+                             cuts=len(pool.rows) - cuts_before,
+                             gap=max(gap, 0.0),
+                             converged=True, method="lmi-cutting-plane",
+                             lp_calls=pool.lp_calls - lp_before)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,6 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                           weights: np.ndarray, vmax: np.ndarray, *,
                           max_iter: int = 500, tol: float = 1e-8,
                           restarts: int = 3, seed: int = 0,
-                          init_d: Optional[np.ndarray] = None,
                           ) -> tuple[np.ndarray, np.ndarray, SolverStats]:
     """Minimize weights'v subject to rho(diag(p0 - p1*v) K) <= 1 over the box.
 
@@ -289,6 +290,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
 
     rng = np.random.default_rng(seed)
     tiny = 1e-14
+    lp_calls = [0]
 
     def slp(v_start: np.ndarray) -> tuple[np.ndarray, int, bool]:
         v = restore(np.clip(v_start, 0.0, vmax))
@@ -310,6 +312,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                 weights, A_ub=grad[None, :],
                 b_ub=np.array([1.0 - rho + float(grad @ v)]),
                 bounds=list(zip(lo, hi)), method="highs")
+            lp_calls[0] += 1
             if not res.success:
                 break
             v_new = restore(np.clip(res.x, 0.0, vmax))
@@ -329,10 +332,6 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     starts: list[np.ndarray] = []
     v0 = direction_step(d0)
     starts.append(v0 if v0 is not None else vmax.copy())
-    if init_d is not None:
-        v_init = direction_step(np.asarray(init_d, dtype=float))
-        if v_init is not None:
-            starts.append(v_init)
     for _ in range(restarts):
         d_rand = rng.dirichlet(np.ones(m))
         v_r = direction_step(d_rand)
@@ -355,7 +354,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     rho_final, d_final = _perron((p0 - p1 * best_v)[:, None] * K)
     stats = SolverStats(iterations=total_iters, spectral_radius=rho_final,
                         restarts=len(starts) - 1, converged=any_converged,
-                        method="bilinear-slp")
+                        method="bilinear-slp", lp_calls=lp_calls[0])
     return best_v, d_final, stats
 
 
@@ -369,55 +368,30 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                   alpha: float) -> AllocationProblem:
     """Assemble the reduced allocation problem at decay rate alpha from the
     current susceptible profile."""
-    b1 = compute_b1(params, alpha)
-    if params.is_demographic:
-        coupling = np.kron(build_flow_matrix(net)[1], contacts.gamma)
-        b1_cells = np.tile(np.atleast_1d(b1), net.n)
-    else:
-        coupling = build_flow_matrix(net)[1]
-        b1_cells = np.full(net.n, float(b1))
-    return AllocationProblem(coupling=coupling, b1=b1_cells, s0=state.s.copy(),
+    coupling = build_flow_matrix(net)[1]
+    age_contacts = contacts if params.is_demographic else None
+    if age_contacts is not None:
+        coupling = np.kron(coupling, age_contacts.gamma)
+    return AllocationProblem(coupling=coupling,
+                             factor=coupling_gram_factor(net, age_contacts),
+                             b1=cell_b1(params, net.n, alpha),
+                             s0=state.s.copy(),
                              populations=net.cell_populations().copy(),
                              psi=params.psi, alpha=alpha, state=state, net=net,
                              params=params, contacts=contacts)
 
 
-def coupling_is_positive_definite(prob: AllocationProblem,
-                                  tol: float = 1e-10) -> bool:
-    """Scale-free PD routing check on the symmetric coupling matrix."""
-    evals = scipy.linalg.eigvalsh(0.5 * (prob.coupling + prob.coupling.T))
-    return bool(evals[0] > tol * max(1.0, evals[-1]) and evals[-1] > 0)
-
-
-def _certificate(prob: AllocationProblem, v: np.ndarray) -> StabilityCertificate:
-    return check_decay_certificate(prob.state, prob.net, prob.params,
-                                   prob.contacts, v, prob.alpha)
-
-
-def _radius_restore(prob: AllocationProblem, v: np.ndarray,
-                    margin: float = 1e-9) -> np.ndarray:
-    """Nudge v so the reduced discrete matrix has radius strictly below 1,
-    absorbing solver-tolerance slack (raises doses by an O(margin) sliver)."""
-    flow = prob.coupling * prob.populations[None, :]
-    p0 = prob.b1 * prob.s0
-    p1 = prob.psi * prob.b1
-    for _ in range(50):
-        radius = float(np.max(np.abs(np.linalg.eigvals(
-            (p0 - p1 * v)[:, None] * flow))))
-        if radius <= 1.0 - margin:
-            break
-        v = np.clip((p0 - (p0 - p1 * v) / (radius * (1 + 2 * margin))) / p1,
-                    0.0, prob.s0)
-    return v
-
-
 def _finish(prob: AllocationProblem, v: np.ndarray, stats: SolverStats,
             direction: Optional[np.ndarray] = None) -> AllocationResult:
+    """Certify v on the full infection block; raise SolverError if it fails."""
     v = np.clip(v, 0.0, prob.s0)
-    cert = _certificate(prob, v)
-    if not cert.satisfied and cert.spectral_radius < 1 + 1e-4:
-        v = _radius_restore(prob, v)
-        cert = _certificate(prob, v)
+    cert = check_decay_certificate(prob.state, prob.net, prob.params,
+                                   prob.contacts, v, prob.alpha)
+    if not cert.satisfied:
+        raise SolverError(
+            f"{stats.method} allocation fails its certificate at alpha="
+            f"{prob.alpha:.6g}: lambda_max={cert.lambda_max:.6g}, "
+            f"rho={cert.spectral_radius:.9f}")
     u = prob.populations * prob.b1 * (prob.s0 - prob.psi * v)
     dose_vec = prob.populations * v
     return AllocationResult(v=v, u=u, doses=float(dose_vec.sum()),
@@ -425,69 +399,51 @@ def _finish(prob: AllocationProblem, v: np.ndarray, stats: SolverStats,
                             stats=stats, alpha=prob.alpha, direction=direction)
 
 
-def solve_diagonal_lmi(prob: AllocationProblem) -> AllocationResult:
-    """SDP route: diag(u) <= coupling^{-1} with the diagonal variable scaled
-    to susceptibility units for conditioning."""
-    if not coupling_is_positive_definite(prob):
+def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
+                max_doses: Optional[float] = None,
+                ) -> tuple[np.ndarray, SolverStats]:
+    """Minimum-dose v on the Gram route, or with max_doses the first v found
+    within it (see lmi_box_maximize)."""
+    if prob.factor is None:
         raise NotPositiveDefiniteError(
-            "coupling matrix is not positive definite; use solve_bilinear")
-    scale = np.sqrt(prob.populations * prob.b1)
-    scaled = scale[:, None] * prob.coupling * scale[None, :]
-    bound = np.linalg.inv(scaled)
-    u_prime, stats = lmi_box_maximize(bound, (1 - prob.psi) * prob.s0, prob.s0,
-                                      prob.populations)
-    v = (prob.s0 - u_prime) / prob.psi
-    return _finish(prob, v, stats)
+            "coupling matrix has no Gram factor; use solve_bilinear")
+    mass = prob.s0 * prob.populations
+    u, stats = lmi_box_maximize(
+        np.sqrt(mass)[:, None] * prob.factor, (1 - prob.psi) * prob.b1,
+        prob.b1, mass / prob.b1, pool=pool,
+        max_shortfall=None if max_doses is None else prob.psi * max_doses)
+    return prob.s0 * (1 - u / prob.b1) / prob.psi, stats
 
 
-def solve_bilinear(prob: AllocationProblem,
-                   init: Optional[BilinearIterate] = None,
-                   seed: int = 0) -> AllocationResult:
+def solve_diagonal_lmi(prob: AllocationProblem,
+                       pool: Optional[CutPool] = None) -> AllocationResult:
+    """Gram route: the diagonal LMI on the coupling's factor."""
+    return _finish(prob, *_gram_solve(prob, pool))
+
+
+def solve_bilinear(prob: AllocationProblem, seed: int = 0) -> AllocationResult:
     """Perron-direction route; works for indefinite coupling matrices."""
     flow = prob.coupling * prob.populations[None, :]
     p0 = prob.b1 * prob.s0
     p1 = prob.psi * prob.b1
     v, d, stats = spectral_box_minimize(flow, p0, p1, prob.populations,
-                                        prob.s0, seed=seed,
-                                        init_d=init.d if init else None)
+                                        prob.s0, seed=seed)
     return _finish(prob, v, stats, direction=d)
 
 
-def solve_allocation(prob: AllocationProblem) -> AllocationResult:
-    """Route to the SDP path when the coupling is positive definite,
-    otherwise fall back to the bilinear path."""
-    if coupling_is_positive_definite(prob):
-        return solve_diagonal_lmi(prob)
+def solve_allocation(prob: AllocationProblem,
+                     pool: Optional[CutPool] = None) -> AllocationResult:
+    """Route by structure: the Gram route when the coupling has a factor,
+    otherwise the bilinear path."""
+    if prob.factor is not None:
+        return solve_diagonal_lmi(prob, pool)
     return solve_bilinear(prob)
 
 
-def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
-                            params: DiseaseParams,
-                            contacts: Optional[ContactStructure],
-                            budget: float,
-                            alpha_range: Optional[tuple[float, float]] = None,
-                            width: float = 1e-5,
-                            ) -> tuple[float, AllocationResult]:
-    """Largest decay rate whose minimum dose requirement fits the budget.
-
-    Bisects alpha; at each probe the min-dose problem is solved and declared
-    feasible when its dose total is within the budget.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if alpha_range is None:
-        alpha_range = (-2.0, max_certificate_rate(params) - 1e-4)
-    lo, hi = alpha_range
-    dose_eps = 1e-9 * (1.0 + budget)
-
-    def attempt(alpha: float) -> Optional[AllocationResult]:
-        try:
-            result = solve_allocation(build_problem(state, net, params,
-                                                    contacts, alpha))
-        except InfeasibleAllocationError:
-            return None
-        return result if result.doses <= budget + dose_eps else None
-
+def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
+                width: float) -> tuple[float, object]:
+    """Largest rate in [lo, hi], to width, at which attempt(rate) returns a
+    candidate rather than None; returns (rate, candidate)."""
     best = attempt(lo)
     if best is None:
         raise InfeasibleAllocationError(
@@ -503,6 +459,56 @@ def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
         else:
             hi = mid
     return lo, best
+
+
+def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
+                            params: DiseaseParams,
+                            contacts: Optional[ContactStructure],
+                            budget: float,
+                            alpha_range: Optional[tuple[float, float]] = None,
+                            width: float = 1e-5,
+                            ) -> tuple[float, AllocationResult]:
+    """Largest decay rate whose minimum dose requirement fits the budget.
+
+    Bisects alpha. On the Gram route the probes share one cut pool and stop
+    as soon as the LP bound exceeds the budget or a feasible point fits it;
+    the returned rate alone is solved to the gap, with the cuts and LP calls
+    of the whole search in its stats. Bilinear probes are full solves.
+    """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if alpha_range is None:
+        alpha_range = (-2.0, max_certificate_rate(params) - 1e-4)
+    lo, hi = alpha_range
+    cap = budget + 1e-9 * (1.0 + budget)
+    base = build_problem(state, net, params, contacts, lo)
+
+    if base.factor is None:
+        def attempt(alpha: float) -> Optional[AllocationResult]:
+            try:
+                result = solve_allocation(base.at_rate(alpha))
+            except InfeasibleAllocationError:
+                return None
+            return result if result.doses <= cap else None
+
+        return bisect_rate(attempt, lo, hi, width)
+
+    pool = CutPool()
+
+    def probe(alpha: float) -> Optional[np.ndarray]:
+        try:
+            return _gram_solve(base.at_rate(alpha), pool, cap)[0]
+        except InfeasibleAllocationError:
+            return None
+
+    alpha, v_fit = bisect_rate(probe, lo, hi, width)
+    prob = base.at_rate(alpha)
+    result = solve_allocation(prob, pool)
+    if result.doses > cap:
+        # the optimum is found to a relative gap; the probe's point fits
+        result = _finish(prob, v_fit, result.stats)
+    result.stats.cuts, result.stats.lp_calls = len(pool.rows), pool.lp_calls
+    return alpha, result
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +538,7 @@ def result_to_dict(result: AllocationResult) -> dict:
             "lambda_max": result.certificate.lambda_max,
             "spectral_radius": result.certificate.spectral_radius,
             "satisfied": result.certificate.satisfied,
+            "margin": -result.alpha - result.certificate.lambda_max,
         },
         "solver": {
             "method": result.stats.method,
@@ -539,6 +546,7 @@ def result_to_dict(result: AllocationResult) -> dict:
             "cuts": result.stats.cuts,
             "gap": result.stats.gap,
             "converged": result.stats.converged,
+            "lp_calls": result.stats.lp_calls,
         },
     }
     if result.direction is not None:

@@ -8,19 +8,17 @@ R, Rx, Rv, D. The x-subscript holds people vaccinated without protection
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from . import allocator
 from .allocator import (AllocationResult, InfeasibleAllocationError,
-                        SolverStats, lmi_box_maximize, spectral_box_minimize)
+                        SolverError, bisect_rate, lmi_box_maximize,
+                        spectral_box_minimize)
 from .dynamics import integrate
 from .ingest import ifr_by_age
-from .model import StabilityCertificate
+from .model import StabilityCertificate, cholesky_factor
 from .policies import proportional_fill
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
@@ -252,17 +250,6 @@ def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
                                 spectral_radius=radius, tol=tol)
 
 
-def contact_gram_is_positive_definite(state: BubarState, params: BubarParams,
-                                      tol: float = 1e-10) -> bool:
-    """PD (and symmetry) check of C diag(1/(N - Omega)) deciding the route."""
-    alive = params.populations - state.omega
-    gram = params.contacts / alive[None, :]
-    if not np.allclose(gram, gram.T, rtol=1e-10, atol=1e-12 * np.abs(gram).max()):
-        return False
-    evals = scipy.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return bool(evals[0] > tol * max(1.0, evals[-1]))
-
-
 def solve_bubar_allocation(state: BubarState, params: BubarParams,
                            alpha: Optional[float] = None,
                            supply: Optional[float] = None,
@@ -270,8 +257,9 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
     """Minimum-dose allocation at a fixed decay rate, or (given a dose supply
     in persons) the largest decay rate affordable via bisection.
 
-    Routes through the diagonal-LMI path when C diag(1/(N-Omega)) is
-    symmetric positive definite, otherwise through the bilinear path.
+    Routes through the diagonal-LMI path when C diag(1/(N-Omega)) has a
+    Cholesky factor (it is symmetric positive definite), otherwise through
+    the bilinear path.
     """
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
@@ -279,7 +267,6 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
         return alpha, _solve_bubar_at(state, params, alpha)
     if supply < 0:
         raise ValueError("supply must be nonnegative")
-    lo, hi = -2.0, min(1.0 / params.d_e, 1.0 / params.d_i) - 1e-4
     dose_eps = 1e-9 * (1.0 + supply)
 
     def attempt(a: float) -> Optional[AllocationResult]:
@@ -289,20 +276,8 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
             return None
         return result if result.doses <= supply + dose_eps else None
 
-    best = attempt(lo)
-    if best is None:
-        raise InfeasibleAllocationError("supply insufficient at the bracket low end")
-    top = attempt(hi)
-    if top is not None:
-        return hi, top
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        candidate = attempt(mid)
-        if candidate is not None:
-            lo, best = mid, candidate
-        else:
-            hi = mid
-    return lo, best
+    return bisect_rate(attempt, -2.0,
+                       min(1.0 / params.d_e, 1.0 / params.d_i) - 1e-4, width)
 
 
 def _solve_bubar_at(state: BubarState, params: BubarParams,
@@ -316,16 +291,17 @@ def _solve_bubar_at(state: BubarState, params: BubarParams,
         raise InfeasibleAllocationError("a group has no susceptibles to dose")
     vmax = np.ones(params.n_groups)
 
-    if contact_gram_is_positive_definite(state, params):
-        # scale the diagonal variable t = b1 u (S + Sx - psi v S) to person
-        # units for conditioning; the LMI bound is (diag(g) Abar)^{-1}-like
-        alive = params.populations - state.omega
-        gram = params.contacts / alive[None, :]
-        scale = np.sqrt(b1 * params.susceptibility)
-        bound = np.linalg.inv(scale[:, None] * gram * scale[None, :])
+    factor = cholesky_factor(
+        params.contacts / (params.populations - state.omega)[None, :])
+    if factor is not None:
+        # with t = S + Sx - psi v S (persons) and the contact gram
+        # C diag(1/(N - Omega)) = L L', the certificate reads
+        # lambda_max(L' diag(b1 susceptibility t) L) <= 1
         lower = state.Sx + (1 - params.psi) * state.S
         upper = state.S + state.Sx
-        t, stats = lmi_box_maximize(bound, lower, upper, weights / state.S)
+        t, stats = lmi_box_maximize(
+            np.sqrt(b1 * params.susceptibility)[:, None] * factor,
+            lower, upper, weights / state.S)
         v = np.clip((upper - t) / (params.psi * state.S), 0.0, 1.0)
         direction = None
         stats.method = "bubar-lmi"
@@ -333,16 +309,10 @@ def _solve_bubar_at(state: BubarState, params: BubarParams,
         v, direction, stats = spectral_box_minimize(flow, p0, p1, weights, vmax)
         stats.method = "bubar-bilinear"
     cert = bubar_certificate(state, params, v, alpha)
-    if not cert.satisfied and cert.spectral_radius < 1 + 1e-4:
-        # absorb solver-tolerance slack by rescaling onto the rho = 1 boundary
-        for _ in range(50):
-            radius = float(np.max(np.abs(np.linalg.eigvals(
-                (p0 - p1 * v)[:, None] * flow))))
-            if radius <= 1.0 - 1e-9:
-                break
-            v = np.clip((p0 - (p0 - p1 * v) / (radius * (1 + 2e-9))) / p1,
-                        0.0, 1.0)
-        cert = bubar_certificate(state, params, v, alpha)
+    if not cert.satisfied:
+        raise SolverError(
+            f"{stats.method} allocation fails its certificate at alpha="
+            f"{alpha:.6g}: lambda_max={cert.lambda_max:.6g}")
     dose_vec = v * weights
     return AllocationResult(
         v=v, u=b1 * params.susceptibility * (state.S + state.Sx

@@ -70,12 +70,10 @@ NY_TOTAL_POPULATION = 19_378_102.0
 # Per-group susceptibility-to-transmission weights.
 NY_BETA0 = np.array([0.400, 0.387, 0.790, 0.840, 0.830, 0.768])
 
-# Per-group mortality and symptomatic recovery rates (1/day). The derived
-# preset follows from the age-fatality regression with the canonical
-# symptomatic period; the alternate preset is an independently reported set.
+# Per-group mortality and symptomatic recovery rates (1/day), from the
+# age-fatality regression with the canonical symptomatic period.
 KAPPA_BY_GROUP = np.array([0.0000047, 0.000018, 0.000075, 0.00036, 0.0033, 0.0565])
 R_S_BY_GROUP = np.array([0.1601, 0.1600, 0.1600, 0.1597, 0.1568, 0.1035])
-KAPPA_BY_GROUP_ALT = np.array([0.0002, 0.00018, 0.00036, 0.0018, 0.0094, 0.0945])
 
 
 class IngestError(ValueError):
@@ -510,11 +508,3 @@ def read_trajectory_csv(path) -> list[dict]:
     return [{k: (v if k == "cell" else float(v)) for k, v in row.items()}
             for row in rows]
 
-
-def read_summary_csv(path) -> list[dict]:
-    rows = _read_table(path, ("policy", "final_cum_cases", "final_cum_deaths",
-                              "total_doses"))
-    return [{"policy": r["policy"],
-             "final_cum_cases": float(r["final_cum_cases"]),
-             "final_cum_deaths": float(r["final_cum_deaths"]),
-             "total_doses": float(r["total_doses"])} for r in rows]

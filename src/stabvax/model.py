@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 
 class InfeasibleRateError(ValueError):
@@ -189,8 +188,8 @@ class ContactStructure:
         """Intrinsic connectivity matrix for a rectangular demography."""
         return intrinsic_connectivity(self.contacts, self.reference_pop)
 
-    def gamma_is_positive_definite(self, tol: float = 1e-10) -> bool:
-        return is_positive_definite(self.gamma, tol=tol)
+    def gamma_is_positive_definite(self) -> bool:
+        return cholesky_factor(self.gamma) is not None
 
 
 @dataclass
@@ -283,10 +282,33 @@ def intrinsic_connectivity(contacts: np.ndarray, pop: np.ndarray) -> np.ndarray:
     return contacts * (pop.sum() / pop)[None, :]
 
 
-def is_positive_definite(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """Symmetric-part eigenvalue check: smallest eigenvalue above tol."""
-    sym = 0.5 * (mat + mat.T)
-    return bool(scipy.linalg.eigvalsh(sym)[0] > tol)
+def cholesky_factor(mat: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of mat, or None unless mat is symmetric (entrywise,
+    relative to its largest entry) and positive definite: unit-free tests."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12 * np.abs(mat).max()):
+        return None
+    try:
+        return np.linalg.cholesky(0.5 * (mat + mat.T))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def coupling_gram_factor(net: NetworkInstance,
+                         contacts: Optional[ContactStructure] = None,
+                         ) -> Optional[np.ndarray]:
+    """F with F F' = Abar = tau diag(1/m) tau', i.e. F = tau diag(m^-1/2);
+    given contacts, F (x) chol(Gamma) for Abar (x) Gamma, or None when Gamma
+    has no Cholesky factor."""
+    mass = net.tau.T @ net.populations
+    inv_sqrt = np.zeros_like(mass)
+    occupied = mass > 0
+    inv_sqrt[occupied] = mass[occupied] ** -0.5
+    factor = net.tau * inv_sqrt[None, :]
+    if contacts is None:
+        return factor
+    chol = cholesky_factor(contacts.gamma)
+    return None if chol is None else np.kron(factor, chol)
 
 
 def project_contact_matrix(contacts: np.ndarray, from_pop: np.ndarray,
@@ -366,6 +388,11 @@ def compute_b1(params: DiseaseParams, alpha: float) -> float | np.ndarray:
     return b1
 
 
+def cell_b1(params: DiseaseParams, n: int, alpha: float) -> np.ndarray:
+    """b1 per cell for n locations, tiled location-major."""
+    return np.tile(np.atleast_1d(compute_b1(params, alpha)), n)
+
+
 def max_certificate_rate(params: DiseaseParams) -> float:
     """Upper limit of achievable decay rates: min(eps + r_a, min(r_s + kappa))."""
     return float(min(params.eps + params.r_a,
@@ -402,10 +429,7 @@ def discrete_stability_matrix(s: np.ndarray, net: NetworkInstance,
     """Reduced one-stage matrix b1 * diag(s) * A whose spectral radius <= 1
     is equivalent to lambda_max(M) <= -alpha."""
     flow = flow_for_model(net, params, contacts)
-    b1 = compute_b1(params, alpha)
-    b1_cells = np.tile(np.atleast_1d(b1), net.n) if params.is_demographic \
-        else np.full(flow.shape[0], b1)
-    return (b1_cells * s)[:, None] * flow
+    return (cell_b1(params, net.n, alpha) * s)[:, None] * flow
 
 
 def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,

@@ -39,6 +39,8 @@ def indefinite_two_group_instance(target_rt=1.25, psi=0.95):
 
 
 class TestLmiEngine:
+    # each case gives a factor F with F F' = B^{-1} for the bound B of the
+    # constraint diag(u) <= B
     def test_identity_bound_forces_unit_diagonal(self):
         u, stats = sv.lmi_box_maximize(np.eye(3), np.zeros(3),
                                        np.full(3, 5.0), np.ones(3))
@@ -47,7 +49,7 @@ class TestLmiEngine:
 
     def test_decoupled_diagonal_bound(self):
         rates = np.array([2.0, 0.5, 4.0])
-        u, _ = sv.lmi_box_maximize(np.diag(1 / rates), np.zeros(3),
+        u, _ = sv.lmi_box_maximize(np.diag(np.sqrt(rates)), np.zeros(3),
                                    np.full(3, 100.0), np.ones(3))
         assert u == pytest.approx(1 / rates, abs=1e-8)
 
@@ -56,12 +58,12 @@ class TestLmiEngine:
         # objective weights the slack (a - u1) = (b - u2) = |offdiag|:
         # u = (200, 400), objective 600.
         abar = np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0
-        bound = np.linalg.inv(abar)
-        u, stats = sv.lmi_box_maximize(bound, np.zeros(2),
+        u, stats = sv.lmi_box_maximize(np.linalg.cholesky(abar), np.zeros(2),
                                        np.full(2, 1000.0), np.ones(2))
         assert u.sum() == pytest.approx(600.0, abs=1e-4)
         assert u == pytest.approx([200.0, 400.0], abs=0.05)
         # 1-D scan oracle along the analytic feasibility boundary
+        bound = np.linalg.inv(abar)
         a, b = bound[0, 0], bound[1, 1]
         off = bound[0, 1]
         grid = np.arange(0.0, min(a, 1000.0), 0.1)
@@ -75,8 +77,8 @@ class TestLmiEngine:
                                 np.ones(2))
 
     def test_weighted_objective(self):
-        bound = np.linalg.inv(np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0)
-        heavy_first, _ = sv.lmi_box_maximize(bound, np.zeros(2),
+        factor = np.linalg.cholesky(np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0)
+        heavy_first, _ = sv.lmi_box_maximize(factor, np.zeros(2),
                                              np.full(2, 1000.0),
                                              np.array([10.0, 1.0]))
         assert heavy_first[0] > 200.0  # weight shifts the optimum toward u1
@@ -95,7 +97,7 @@ class TestSolvePaths:
         inst = indefinite_two_group_instance()
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                        inst.contacts, 0.0)
-        assert not allocator.coupling_is_positive_definite(prob)
+        assert prob.factor is None  # Gamma has no Cholesky factor
         with pytest.raises(sv.NotPositiveDefiniteError):
             allocator.solve_diagonal_lmi(prob)
         res = allocator.solve_allocation(prob)
@@ -279,6 +281,76 @@ class TestAllocationProperties:
             allocator.solve_bilinear(prob)
 
 
+def cold_bisection(inst, budget, width=1e-5):
+    """Reference bisection: a full, certified solve at every probe."""
+    cap = budget + 1e-9 * (1.0 + budget)
+
+    def attempt(alpha):
+        try:
+            res = solve_via(inst, alpha)
+        except sv.InfeasibleAllocationError:
+            return None
+        return res if res.doses <= cap else None
+
+    top = model.max_certificate_rate(inst.params) - 1e-4
+    return allocator.bisect_rate(attempt, -2.0, top, width)
+
+
+class TestCertifiedOrRaise:
+    def test_nudged_allocation_raises(self, nudged_gram_route):
+        inst = sv.synthetic_instance(0, n=5)
+        with pytest.raises(sv.SolverError, match="certificate"):
+            solve_via(inst, 0.0)
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_gram_and_bilinear_agree(self, n):
+        for seed in range(5):
+            inst = sv.synthetic_instance(seed, n=n)
+            gram = solve_via(inst, 0.0, "lmi")
+            bil = solve_via(inst, 0.0, "bilinear")
+            assert gram.certificate.satisfied and bil.certificate.satisfied
+            assert gram.doses == pytest.approx(bil.doses, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_large_instances_take_gram_route(self, n):
+        res = solve_via(sv.synthetic_instance(0, n=n), 0.0)
+        assert res.stats.method == "lmi-cutting-plane"
+        assert res.certificate.satisfied
+
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_pooled_bisection_matches_cold(self, n):
+        inst = sv.synthetic_instance(0, n=n, groups=True)
+        budget = 0.05 * inst.net.total_population
+        alpha, res = sv.max_decay_binary_search(inst.state0, inst.net,
+                                                inst.params, inst.contacts,
+                                                budget)
+        cold_alpha, cold = cold_bisection(inst, budget)
+        assert res.certificate.satisfied and cold.certificate.satisfied
+        assert res.doses <= budget * (1 + 1e-9)
+        assert alpha >= cold_alpha - 1e-5
+        assert res.stats.lp_calls >= res.stats.cuts > 0
+
+    def test_route_does_not_depend_on_units(self):
+        inst = sv.synthetic_instance(0, n=3, groups=True)
+        scaled_cs = sv.ContactStructure(contacts=1e-6 * inst.contacts.contacts,
+                                        reference_pop=inst.contacts.reference_pop)
+        scaled_net = sv.NetworkInstance(
+            tau=inst.net.tau, populations=10 * inst.net.populations,
+            group_populations=10 * inst.net.group_populations)
+        for net, cs in ((inst.net, inst.contacts), (scaled_net, inst.contacts),
+                        (inst.net, scaled_cs)):
+            prob = allocator.build_problem(inst.state0, net, inst.params, cs, 0.0)
+            assert prob.factor is not None
+            assert prob.factor @ prob.factor.T == pytest.approx(
+                prob.coupling, rel=1e-9, abs=1e-12 * np.abs(prob.coupling).max())
+        indefinite = indefinite_two_group_instance()
+        tiny = sv.ContactStructure(contacts=1e-6 * indefinite.contacts.contacts,
+                                   reference_pop=indefinite.contacts.reference_pop)
+        assert sv.coupling_gram_factor(indefinite.net, tiny) is None
+
+
 class TestSerialization:
     def test_problem_and_result_round_trip_json(self):
         inst = sv.synthetic_instance(60, n=2, target_rt=1.2)
@@ -290,4 +362,7 @@ class TestSerialization:
         assert np.asarray(pd["coupling"]) == pytest.approx(prob.coupling)
         assert np.asarray(rd["v"]) == pytest.approx(res.v)
         assert rd["certificate"]["satisfied"] is True
+        assert rd["certificate"]["margin"] == pytest.approx(
+            -res.alpha - res.certificate.lambda_max)
+        assert rd["solver"]["lp_calls"] == res.stats.lp_calls
         assert rd["doses"] == pytest.approx(res.doses)

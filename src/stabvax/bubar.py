@@ -4,6 +4,11 @@ plus the stabilizing-allocation variants for it.
 Compartments per age group (persons): S, Sx, Sv, E, Ex, Ev, I, Ix, Iv,
 R, Rx, Rv, D. The x-subscript holds people vaccinated without protection
 (or never vaccinated by choice); the v-subscript holds the protected.
+
+Policies are simulated on the day loop of `dynamics.run_days`, all of one
+comparison side by side as a (13 * groups, K) state: this module supplies
+the right-hand side, the dosing hook (age tiers, the spectral greedy, then
+`apply_bubar_vaccination`) and the recorder of `BubarTrajectory` columns.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from .allocator import (AllocationResult, InfeasibleAllocationError,
                         SolverError, bisect_rate, lmi_box_maximize,
                         spectral_box_minimize)
-from .dynamics import integrate
+from .dynamics import VaccinationSchedule, run_days
 from .ingest import ifr_by_age
 from .model import StabilityCertificate, cholesky_factor
 from .policies import proportional_fill
@@ -92,9 +97,6 @@ class BubarState:
         """Cumulative dead per group."""
         return self.compartments[COMPARTMENTS.index("D")]
 
-    def group_totals(self) -> np.ndarray:
-        return self.compartments.sum(axis=0)
-
     def copy(self) -> "BubarState":
         return BubarState(self.compartments.copy(), self.t)
 
@@ -114,44 +116,29 @@ def initial_bubar_state(params: BubarParams, infected_frac: float = 0.001,
 # dynamics
 # ---------------------------------------------------------------------------
 
-def force_of_infection(state: BubarState, params: BubarParams) -> np.ndarray:
-    """lambda_i = u_i sum_j c_ij (I_j + Iv_j + Ix_j) / (N_j - Omega_j)."""
-    alive = params.populations - state.omega
-    if np.any(alive <= 0):
-        raise FloatingPointError("a group has been fully depleted")
-    infectious = state.I + state.Ix + state.Iv
-    return params.susceptibility * (params.contacts @ (infectious / alive))
-
-
-def rhs_bubar(state: BubarState, params: BubarParams) -> np.ndarray:
-    """Compartment derivatives, shape (13, n_groups)."""
-    lam = force_of_infection(state, params)
-    a, b = 1.0 / params.d_e, 1.0 / params.d_i
-    f = params.ifr
-    d = {name: state.compartments[k] for k, name in enumerate(COMPARTMENTS)}
-    out = np.zeros_like(state.compartments)
-    rows = {name: k for k, name in enumerate(COMPARTMENTS)}
-    out[rows["S"]] = -lam * d["S"]
-    out[rows["Sx"]] = -lam * d["Sx"]
-    out[rows["Sv"]] = 0.0
-    out[rows["E"]] = lam * d["S"] - a * d["E"]
-    out[rows["Ex"]] = lam * d["Sx"] - a * d["Ex"]
-    out[rows["Ev"]] = -a * d["Ev"]
-    out[rows["I"]] = a * d["E"] - b * d["I"]
-    out[rows["Ix"]] = a * d["Ex"] - b * d["Ix"]
-    out[rows["Iv"]] = a * d["Ev"] - b * d["Iv"]
-    out[rows["R"]] = b * (1 - f) * d["I"]
-    out[rows["Rx"]] = b * (1 - f) * d["Ix"]
-    out[rows["Rv"]] = b * (1 - f) * d["Iv"]
-    out[rows["D"]] = b * f * (d["I"] + d["Ix"] + d["Iv"])
-    return out
-
-
 def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    shape = (len(COMPARTMENTS), params.n_groups)
+    """Right-hand side over the flattened (13, groups) compartments, of
+    shape (13 g,) or, for K populations side by side, (13 g, K); the force
+    of infection is lambda_i = u_i sum_j c_ij (I + Ix + Iv)_j / (N - D)_j."""
+    g = params.n_groups
+    a, b = 1.0 / params.d_e, 1.0 / params.d_i
+    survive, die = b * (1 - params.ifr[:, None]), b * params.ifr[:, None]
+    pops, u = params.populations[:, None], params.susceptibility[:, None]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return rhs_bubar(BubarState(y.reshape(shape), t), params).reshape(-1)
+        S, Sx, _, E, Ex, Ev, I, Ix, Iv, _, _, _, D = y.reshape(13, g, -1)
+        alive = pops - D
+        if np.any(alive <= 0):
+            raise FloatingPointError("a group has been fully depleted")
+        infectious = I + Ix + Iv
+        lam = u * (params.contacts @ (infectious / alive))
+        out = np.empty((13,) + lam.shape)
+        out[0], out[1], out[2] = -lam * S, -lam * Sx, 0.0
+        out[3], out[4], out[5] = lam * S - a * E, lam * Sx - a * Ex, -a * Ev
+        out[6], out[7], out[8] = a * E - b * I, a * Ex - b * Ix, a * Ev - b * Iv
+        out[9], out[10], out[11] = survive * I, survive * Ix, survive * Iv
+        out[12] = die * infectious
+        return out.reshape(y.shape)
 
     return rhs
 
@@ -362,17 +349,81 @@ class BubarTrajectory:
     doses: np.ndarray            # (T+1, g) cumulative
     labels: Sequence[str] = field(default_factory=list)
 
-    def final_infected_fraction(self, populations: np.ndarray) -> float:
-        return float(self.cum_infected[-1].sum() / populations.sum())
+    def final_cumulative_cases(self) -> float:
+        return float(self.cum_infected[-1].sum())
 
-    def final_deaths(self) -> float:
+    def final_cumulative_deaths(self) -> float:
         return float(self.deaths[-1].sum())
 
+    def total_doses(self) -> float:
+        return float(self.doses[-1].sum())
 
-def _ever_infected(state: BubarState) -> np.ndarray:
-    rows = [COMPARTMENTS.index(name) for name in
-            ("E", "Ex", "Ev", "I", "Ix", "Iv", "R", "Rx", "Rv", "D")]
-    return state.compartments[rows].sum(axis=0)
+
+def simulate_bubar_policies(params: BubarParams, state0: BubarState,
+                            policies: Sequence, schedule: VaccinationSchedule,
+                            horizon: int, step: float = 0.25,
+                            extinction_threshold: float = 1.0,
+                            ) -> list[BubarTrajectory]:
+    """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
+    a priority preset name or an explicit tuple of group indices. A policy
+    whose count of exposed and infectious persons drops below the extinction
+    threshold doses by the schedule's leftover rule."""
+    g, n_cols = params.n_groups, len(policies)
+    tiers = [tuple(policy) if isinstance(policy, (tuple, list))
+             else PRIORITY_PRESETS.get(policy) for policy in policies]
+    administered = np.zeros((g, n_cols))
+    ys = np.empty((horizon + 1, len(COMPARTMENTS) * g, n_cols))
+    dose_days = np.empty((horizon + 1, g, n_cols))
+
+    def dose(k, col, supply, budget_left):
+        state = BubarState(col.reshape(len(COMPARTMENTS), g))
+        headroom = state.S
+        active = float((state.E + state.Ex + state.Ev + state.I
+                        + state.Ix + state.Iv).sum())
+        if active < extinction_threshold:
+            doses = (np.zeros(g) if schedule.leftover_rule == "none" else
+                     proportional_fill(np.ones(g), headroom, supply))
+        elif tiers[k] is not None:
+            doses = np.zeros(g)
+            left = supply
+            for tier in tiers[k]:
+                idx = np.atleast_1d(np.asarray(tier, dtype=int))
+                tier_doses = proportional_fill(headroom[idx], headroom[idx], left)
+                doses[idx] += tier_doses
+                left -= float(tier_doses.sum())
+                if left <= 1e-9:
+                    break
+        elif policies[k] == "optimal-stabilizing":
+            doses = _spectral_greedy_doses(state, params, supply)
+        else:
+            doses = np.zeros(g)
+        denom = state.S + state.I + state.R
+        v = np.zeros(g)
+        positive = denom > 0
+        v[positive] = np.clip(doses[positive] / denom[positive], 0.0, 1.0)
+        state, spent = apply_bubar_vaccination(state, v, params)
+        administered[:, k] += spent
+        return state.compartments.reshape(-1), float(spent.sum())
+
+    def record(day, y):
+        ys[day], dose_days[day] = y, administered
+
+    y0 = np.repeat(state0.compartments.reshape(-1, 1), n_cols, axis=1)
+    dosing = [k for k, policy in enumerate(policies) if policy != "no-vaccine"]
+    run_days(bubar_rhs_factory(params), y0, horizon, step, schedule,
+             float(params.populations.sum()), dosing, dose, record,
+             clamp=(0.0, None))
+
+    # (compartment, column, day, group)
+    comp = ys.reshape(horizon + 1, len(COMPARTMENTS), g, n_cols).transpose(1, 3, 0, 2)
+    track = dict(susceptible=comp[0] + comp[1],
+                 infectious=comp[6] + comp[7] + comp[8],
+                 cum_infected=comp[3:].sum(axis=0), deaths=comp[12],
+                 doses=dose_days.transpose(2, 0, 1))
+    times = np.arange(horizon + 1, dtype=float)
+    return [BubarTrajectory(times=times, labels=list(params.labels),
+                            **{name: arr[k] for name, arr in track.items()})
+            for k in range(n_cols)]
 
 
 def simulate_bubar(params: BubarParams, state0: BubarState, policy,
@@ -380,77 +431,12 @@ def simulate_bubar(params: BubarParams, state0: BubarState, policy,
                    step: float = 0.25, interval_days: int = 1,
                    leftover_rule: str = "even-split",
                    extinction_threshold: float = 1.0) -> BubarTrajectory:
-    """Run one dosing policy on the SEIR comparison model.
-
-    policy is either 'no-vaccine', 'optimal-stabilizing', or the name of a
-    priority preset / an explicit tuple of group indices.
-    """
-    total_pop = float(params.populations.sum())
-    budget_left = total_budget * total_pop
-    state = state0.copy()
-    g = params.n_groups
-    administered = np.zeros(g)
-    rhs = bubar_rhs_factory(params)
-
-    adaptive = policy == "optimal-stabilizing"
-
-    priority: Optional[tuple[int, ...]] = None
-    if isinstance(policy, (tuple, list)):
-        priority = tuple(policy)
-    elif policy in PRIORITY_PRESETS:
-        priority = PRIORITY_PRESETS[policy]
-
-    times = np.arange(horizon + 1, dtype=float)
-    track = {name: np.zeros((horizon + 1, g)) for name in
-             ("susceptible", "infectious", "cum_infected", "deaths", "doses")}
-
-    def record(day: int):
-        track["susceptible"][day] = state.S + state.Sx
-        track["infectious"][day] = state.I + state.Ix + state.Iv
-        track["cum_infected"][day] = _ever_infected(state)
-        track["deaths"][day] = state.omega
-        track["doses"][day] = administered
-
-    for day in range(horizon + 1):
-        if day % interval_days == 0 and day < horizon and policy != "no-vaccine":
-            supply = min(daily_rate * total_pop * interval_days, budget_left)
-            if supply > 0:
-                active = float((state.E + state.Ex + state.Ev + state.I
-                                + state.Ix + state.Iv).sum())
-                denom = state.S + state.I + state.R
-                headroom = state.S
-                if active < extinction_threshold:
-                    doses = (np.zeros(g) if leftover_rule == "none" else
-                             proportional_fill(np.ones(g), headroom, supply))
-                elif priority is not None:
-                    doses = np.zeros(g)
-                    left = supply
-                    for tier in priority:
-                        idx = np.atleast_1d(np.asarray(tier, dtype=int))
-                        tier_doses = proportional_fill(headroom[idx],
-                                                       headroom[idx], left)
-                        doses[idx] += tier_doses
-                        left -= float(tier_doses.sum())
-                        if left <= 1e-9:
-                            break
-                elif adaptive:
-                    doses = _spectral_greedy_doses(state, params, supply)
-                else:
-                    doses = np.zeros(g)
-                v = np.zeros(g)
-                positive = denom > 0
-                v[positive] = np.clip(doses[positive] / denom[positive], 0.0, 1.0)
-                state, spent = apply_bubar_vaccination(state, v, params)
-                administered = administered + spent
-                budget_left -= float(spent.sum())
-        record(day)
-        if day < horizon:
-            _, states, _ = integrate(rhs, state.compartments.reshape(-1),
-                                     (float(day), float(day + 1)), step,
-                                     clamp=(0.0, None))
-            state = BubarState(states[-1].reshape(len(COMPARTMENTS), g),
-                               t=float(day + 1))
-    return BubarTrajectory(times=times, labels=list(params.labels), **track)
+    """Run one dosing policy; see `simulate_bubar_policies`."""
+    return simulate_bubar_policies(
+        params, state0, [policy],
+        VaccinationSchedule(daily_rate, interval_days, total_budget,
+                            leftover_rule),
+        horizon, step, extinction_threshold)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,44 +184,38 @@ def cmd_allocate(config) -> int:
     return EXIT_OK
 
 
-def _run_covid_policy(inst, spec, sched, horizon, step, out: Path):
-    traj = dynamics.simulate_policy(inst, spec, sched, horizon, step=step)
-    traj.to_csv(out / f"trajectory_{spec.name}.csv")
-    return {"policy": spec.name,
-            "final_cum_cases": traj.final_cumulative_cases(),
-            "final_cum_deaths": traj.final_cumulative_deaths(),
-            "total_doses": traj.total_doses()}
+def _simulate_covid(config) -> tuple[list, list]:
+    specs = _policy_specs(config)
+    trajs = dynamics.simulate_policies(_build_instance(config), specs,
+                                       _schedule(config), int(config["horizon"]),
+                                       step=float(config["step"]))
+    return [spec.name for spec in specs], trajs
+
+
+def _summary_rows(names, trajs) -> list[dict]:
+    return [{"policy": name, "final_cum_cases": traj.final_cumulative_cases(),
+             "final_cum_deaths": traj.final_cumulative_deaths(),
+             "total_doses": traj.total_doses()}
+            for name, traj in zip(names, trajs)]
 
 
 def cmd_simulate(config) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    horizon = int(config["horizon"])
     if config.get("model") == "bubar":
         params, state0 = bubar.us_like_instance(
             r0=float(config.get("target_r0", 1.15)),
             seed=int(config.get("seed", 0)))
-        sched = _schedule(config)
-        rows = []
         names = config.get("bubar_policies",
                            ["optimal-stabilizing", *bubar.PRIORITY_PRESETS])
-        for name in names:
-            traj = bubar.simulate_bubar(params, state0, name,
-                                        daily_rate=sched.daily_rate,
-                                        total_budget=sched.total_budget,
-                                        horizon=horizon,
-                                        interval_days=sched.interval_days,
-                                        leftover_rule=sched.leftover_rule)
-            rows.append({"policy": name,
-                         "final_cum_cases": float(traj.cum_infected[-1].sum()),
-                         "final_cum_deaths": traj.final_deaths(),
-                         "total_doses": float(traj.doses[-1].sum())})
+        trajs = bubar.simulate_bubar_policies(params, state0, names,
+                                              _schedule(config),
+                                              int(config["horizon"]))
     else:
-        inst = _build_instance(config)
-        sched = _schedule(config)
-        rows = [_run_covid_policy(inst, spec, sched, horizon,
-                                  float(config["step"]), out)
-                for spec in _policy_specs(config)]
+        names, trajs = _simulate_covid(config)
+        for name, traj in zip(names, trajs):
+            traj.to_csv(out / f"trajectory_{name}.csv")
+    rows = _summary_rows(names, trajs)
     _write_summary(out / "summary.csv", rows)
     for row in rows:
         print(f"{row['policy']:24s} cases={row['final_cum_cases']:.1f} "
@@ -260,18 +254,8 @@ def _sweep_point(payload):
         config["schedule"] = sched
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
-    inst = _build_instance(config)
-    sched = _schedule(config)
-    horizon = int(config["horizon"])
-    rows = []
-    for spec in _policy_specs(config):
-        traj = dynamics.simulate_policy(inst, spec, sched, horizon,
-                                        step=float(config["step"]))
-        rows.append({"axis": axis, "value": value, "policy": spec.name,
-                     "final_cum_cases": traj.final_cumulative_cases(),
-                     "final_cum_deaths": traj.final_cumulative_deaths(),
-                     "total_doses": traj.total_doses()})
-    return rows
+    return [{"axis": axis, "value": value, **row}
+            for row in _summary_rows(*_simulate_covid(config))]
 
 
 def cmd_sweep(config) -> int:

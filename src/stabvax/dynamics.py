@@ -1,10 +1,17 @@
 """Forward integration of the epidemic models with discrete vaccination
 events and full case accounting.
+
+Policies are simulated side by side: the K policies of one comparison share
+one state array of shape (compartments * cells, K), one RK4 integration per
+day and one day loop (`run_days`), which also serves the SEIR comparison
+model. A model plugs into the loop with a dosing hook, which doses one
+column at the start of a supply interval, and a recorder, which stores the
+post-dosing state of every day; `simulate_policies` supplies both for the
+covid models and `bubar.simulate_bubar_policies` for the SEIR model.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -18,6 +25,10 @@ from .model import (ContactStructure, DiseaseParams, EpidemicState,
 log = logging.getLogger(__name__)
 
 DEFAULT_STEP = 0.05
+
+TRAJECTORY_HEADER = ("t,cell,s,xa,xs,e,h,new_cases,cum_cases,cum_deaths,"
+                     "doses\r\n")
+TRAJECTORY_ROW = "%.6g,%s" + ",%.12g" * 9 + "\r\n"
 
 
 @dataclass
@@ -70,77 +81,62 @@ class Trajectory:
         return float(self.doses[-1].sum())
 
     def to_csv(self, path) -> None:
-        cells = self.s.shape[1]
-        labels = (list(self.labels) if self.labels
-                  else [str(i) for i in range(cells)])
+        """One row per day and cell, the bytes csv.writer writes for them
+        (cell labels hold no comma, quote or line break)."""
+        labels = list(self.labels) or [str(i) for i in range(self.s.shape[1])]
+        values = np.stack([self.s, self.xa, self.xs, self.e, self.h,
+                           self.new_cases, self.cum_cases, self.cum_deaths,
+                           self.doses], axis=-1).tolist()
+        rows = [TRAJECTORY_ROW % (t, label, *row)
+                for t, day in zip(self.times.tolist(), values)
+                for label, row in zip(labels, day)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "cell", "s", "xa", "xs", "e", "h",
-                             "new_cases", "cum_cases", "cum_deaths", "doses"])
-            for k, t in enumerate(self.times):
-                for i in range(cells):
-                    writer.writerow([
-                        f"{t:.6g}", labels[i],
-                        f"{self.s[k, i]:.12g}", f"{self.xa[k, i]:.12g}",
-                        f"{self.xs[k, i]:.12g}", f"{self.e[k, i]:.12g}",
-                        f"{self.h[k, i]:.12g}", f"{self.new_cases[k, i]:.12g}",
-                        f"{self.cum_cases[k, i]:.12g}",
-                        f"{self.cum_deaths[k, i]:.12g}",
-                        f"{self.doses[k, i]:.12g}"])
+            fh.write(TRAJECTORY_HEADER + "".join(rows))
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _covid_derivative_blocks(s, xa, xs, flow, beta_a, beta_s, eps, r_a, r_s, kappa):
-    force = beta_s * (flow @ xs) + beta_a * (flow @ xa)
-    ds = -s * force
-    dxa = s * force - (eps + r_a) * xa
-    dxs = eps * xa - (r_s + kappa) * xs
-    de = kappa * xs
-    dh = r_a * xa + r_s * xs
-    return ds, dxa, dxs, de, dh
-
-
 def rhs_covid(state: EpidemicState, net: NetworkInstance,
-              params: DiseaseParams):
-    """Derivatives (ds, dxa, dxs, de, dh) of the homogeneous network model."""
-    flow = flow_for_model(net, params, None)
-    return _covid_derivative_blocks(state.s, state.xa, state.xs, flow,
-                                    params.beta_a, params.beta_s, params.eps,
-                                    params.r_a, params.r_s, params.kappa)
+              params: DiseaseParams,
+              contacts: Optional[ContactStructure] = None) -> tuple:
+    """Derivatives (ds, dxa, dxs, de, dh) at one state of the homogeneous
+    model or, given contacts, of the age-structured one; infection inflow
+    into the asymptomatic track is positive in both."""
+    rhs = covid_rhs_factory(net, params, contacts)
+    return tuple(rhs(state.t, _state_to_flat(state)).reshape(5, -1))
 
 
-def rhs_covid_demographic(state: EpidemicState, net: NetworkInstance,
-                          params: DiseaseParams, contacts: ContactStructure):
-    """Derivatives of the age-structured model; infection inflow into the
-    asymptomatic track is positive, mirroring the homogeneous equations."""
-    flow = flow_for_model(net, params, contacts)
-    beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
-    return _covid_derivative_blocks(state.s, state.xa, state.xs, flow,
-                                    beta_a, beta_s, params.eps, params.r_a,
-                                    r_s, kappa)
+rhs_covid_demographic = rhs_covid
 
 
 def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
                       contacts: Optional[ContactStructure] = None,
                       ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Flat right-hand side over y = [s | xa | xs | e | h]."""
+    """Right-hand side over y = [s | xa | xs | e | h], of shape (5m,) or,
+    for K scenarios side by side, (5m, K)."""
     flow = flow_for_model(net, params, contacts)
+    m = flow.shape[0]
     if params.is_demographic:
-        beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
+        beta_a, beta_s, r_s, kappa = (rate[:, None] for rate in
+                                      _cell_rates(net, params))
     else:
         beta_a, beta_s = params.beta_a, params.beta_s
         r_s, kappa = params.r_s, params.kappa
     eps, r_a = params.eps, params.r_a
-    m = flow.shape[0]
+    c1, d2 = eps + r_a, r_s + kappa
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        s, xa, xs = y[:m], y[m:2 * m], y[2 * m:3 * m]
-        blocks = _covid_derivative_blocks(s, xa, xs, flow, beta_a, beta_s,
-                                          eps, r_a, r_s, kappa)
-        return np.concatenate(blocks)
+        s, xa, xs = y.reshape(5, m, -1)[:3]
+        out = np.empty((5,) + s.shape)
+        np.multiply(s, beta_s * (flow @ xs) + beta_a * (flow @ xa), out=out[0])
+        np.subtract(out[0], c1 * xa, out=out[1])
+        np.negative(out[0], out=out[0])
+        np.subtract(eps * xa, d2 * xs, out=out[2])
+        np.multiply(kappa, xs, out=out[3])
+        np.add(r_a * xa, r_s * xs, out=out[4])
+        return out.reshape(y.shape)
 
     return rhs
 
@@ -152,12 +148,15 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: np.ndarray, t_span: tuple[float, float], step: float,
               clamp: Optional[tuple[float, Optional[float]]] = (0.0, 1.0),
-              ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Classical fixed-step fourth-order Runge-Kutta integration.
+              ) -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
+    """Classical fixed-step fourth-order Runge-Kutta integration of y0 of
+    shape (d,) or, for K systems side by side, (d, K).
 
     Returns (times, states, clamp_events) where states[k] is the state at
-    times[k]. States are clamped into the given bounds after every step;
-    clamps larger than 1e-12 are counted and logged.
+    times[k]. States are clamped into the given bounds after every step; a
+    step whose clamp moves an entry of a column by more than 1e-12 is one
+    clamp event of that column, and is logged. clamp_events is an int for
+    1-D y0 and a length-K int array for 2-D y0.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -165,30 +164,30 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     n_steps = int(round((t1 - t0) / step))
     if n_steps < 1 or abs(t0 + n_steps * step - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError("span must be a whole number of steps")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     times = t0 + step * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, y.size))
+    out = np.empty((n_steps + 1,) + y.shape)
     out[0] = y
-    clamp_events = 0
+    clamp_events = np.zeros(y.shape[1:], dtype=int)
+    half = 0.5 * step
     for k in range(n_steps):
         t = times[k]
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
         k4 = rhs(t + step, y + step * k3)
         if not np.all(np.isfinite(k4)):
             raise FloatingPointError(f"non-finite derivative at t={t + step}")
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if clamp is not None:
-            lo, hi = clamp
-            clipped = np.clip(y, lo, hi)
-            drift = float(np.max(np.abs(clipped - y))) if y.size else 0.0
-            if drift > 1e-12:
-                clamp_events += 1
-                log.debug("clamped state by %.3g at t=%.4f", drift, t + step)
+            clipped = np.clip(y, *clamp)
+            drift = np.abs(clipped - y).max(axis=0, initial=0.0)
+            if (drift > 1e-12).any():
+                clamp_events += drift > 1e-12
+                log.debug("clamped state by %.3g at t=%.4f", drift.max(), t + step)
             y = clipped
         out[k + 1] = y
-    return times, out, clamp_events
+    return times, out, int(clamp_events) if y.ndim == 1 else clamp_events
 
 
 def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
@@ -209,84 +208,116 @@ def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
 # policy simulation loop
 # ---------------------------------------------------------------------------
 
+def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
+             horizon: int, step: float, schedule: VaccinationSchedule,
+             total_pop: float, dosing: Sequence[int],
+             dose: Callable[[int, np.ndarray, float, float], tuple],
+             record: Callable[[int, np.ndarray], None],
+             clamp: Optional[tuple[float, Optional[float]]] = (0.0, 1.0),
+             ) -> np.ndarray:
+    """The day loop every model shares; y0 holds one scenario per column.
+
+    At the start of each supply interval, each column k in `dosing` with a
+    positive supply min(daily rate * population * interval, budget left)
+    is dosed: dose(k, copy of column k, supply, budget left) returns the new
+    column and the doses spent, charged to the column's budget. record(day,
+    y) sees every day's state after dosing; one `integrate` call then
+    advances all columns a day. Returns the clamp events per column."""
+    y = np.array(y0, dtype=float)
+    budget_left = np.full(y.shape[1], schedule.total_budget * total_pop)
+    epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
+    clamp_events = np.zeros(y.shape[1], dtype=int)
+    for day in range(horizon + 1):
+        if day % schedule.interval_days == 0 and day < horizon:
+            for k in dosing:
+                supply = min(epoch_supply, budget_left[k])
+                if supply > 0:
+                    y[:, k], spent = dose(k, y[:, k].copy(), supply,
+                                          budget_left[k])
+                    budget_left[k] -= spent
+        record(day, y)
+        if day < horizon:
+            _, states, clamps = integrate(rhs, y, (float(day), float(day + 1)),
+                                          step, clamp)
+            clamp_events += clamps
+            y = states[-1]
+    return clamp_events
+
+
+def simulate_policies(instance: EpidemicInstance, policies: Sequence,
+                      schedule: VaccinationSchedule, horizon: int,
+                      step: float = DEFAULT_STEP,
+                      extinction_threshold: float = 1.0) -> list[Trajectory]:
+    """Run several policies on one instance, one Trajectory per policy.
+
+    Every supply interval each policy converts that epoch's doses into a
+    vaccination event. New cases per day are the inflow into the infected
+    chain scaled by residents; a policy's dosing switches to the leftover
+    rule once its active infected persons drop below the extinction
+    threshold."""
+    from . import policies as policies_mod
+
+    planners = [policies_mod.DosePlanner(policy, instance, schedule)
+                for policy in policies]
+    params = instance.params
+    pops = instance.cell_populations()
+    m, n_cols = pops.shape[0], len(planners)
+    vax = np.repeat(instance.state0.vax[:, None], n_cols, axis=1)
+    administered = np.zeros((m, n_cols))
+    ys = np.empty((horizon + 1, 5 * m, n_cols))
+    vax_days, dose_days = np.empty((2, horizon + 1, m, n_cols))
+
+    def dose(k, col, supply, budget_left):
+        state = EpidemicState(*col.reshape(5, m), vax=vax[:, k])
+        if float(((state.xa + state.xs) * pops).sum()) < extinction_threshold:
+            doses = policies_mod.leftover_redistribute(
+                state, supply, schedule.leftover_rule, pops)
+        else:
+            doses = planners[k].epoch_doses(state, supply, budget_left)
+        doses = np.minimum(doses, state.s * pops)
+        if doses.sum() > supply * (1 + 1e-9):
+            raise RuntimeError("policy emitted more doses than supplied")
+        if doses.sum() > 0:
+            state = apply_vaccination_event(state, doses / pops, params.psi)
+            vax[:, k] = state.vax
+            administered[:, k] += doses
+        return _state_to_flat(state), float(doses.sum())
+
+    def record(day, y):
+        ys[day], vax_days[day], dose_days[day] = y, vax, administered
+
+    y0 = np.repeat(_state_to_flat(instance.state0)[:, None], n_cols, axis=1)
+    dosing = [k for k, policy in enumerate(policies)
+              if getattr(policy, "kind", None) != "no-vaccine"]
+    clamps = run_days(covid_rhs_factory(instance.net, params, instance.contacts),
+                      y0, horizon, step, schedule, float(pops.sum()), dosing,
+                      dose, record)
+
+    # (block, column, day, cell)
+    s, xa, xs, e, h = ys.reshape(horizon + 1, 5, m, n_cols).transpose(1, 3, 0, 2)
+    cum_cases = (xa + xs + e + h) * pops
+    new_cases = np.zeros_like(cum_cases)
+    new_cases[:, 1:] = np.clip(np.diff(cum_cases, axis=1), 0.0, None)
+    cols = dict(s=s, xa=xa, xs=xs, e=e, h=h, vax=vax_days.transpose(2, 0, 1),
+                new_cases=new_cases, cum_cases=cum_cases, cum_deaths=e * pops,
+                doses=dose_days.transpose(2, 0, 1))
+    times = np.arange(horizon + 1, dtype=float)
+    labels = _cell_labels(instance)
+    return [Trajectory(times=times, clamp_events=int(clamps[k]), labels=labels,
+                       **{name: arr[k] for name, arr in cols.items()})
+            for k in range(n_cols)]
+
+
 def simulate_policy(instance: EpidemicInstance, policy, schedule: VaccinationSchedule,
                     horizon: int, step: float = DEFAULT_STEP,
                     extinction_threshold: float = 1.0) -> Trajectory:
-    """Run one policy: every supply interval the policy converts that epoch's
-    doses into a vaccination event, then the model integrates to the next
-    epoch. New cases per day are the inflow into the infected chain scaled by
-    residents; dosing stops (or switches to the leftover rule) once the count
-    of active infected persons drops below the extinction threshold.
-    """
-    from . import policies as policies_mod
-
-    planner = policies_mod.DosePlanner(policy, instance, schedule)
-    net, params, contacts = instance.net, instance.params, instance.contacts
-    pops = instance.cell_populations()
-    total_pop = float(pops.sum())
-    rhs = covid_rhs_factory(net, params, contacts)
-    m = pops.shape[0]
-
-    state = instance.state0.copy()
-    budget_left = schedule.total_budget * total_pop
-    administered = np.zeros(m)
-    clamp_events = 0
-
-    times = np.arange(horizon + 1, dtype=float)
-    cols = {name: np.zeros((horizon + 1, m)) for name in
-            ("s", "xa", "xs", "e", "h", "vax", "new_cases", "cum_cases",
-             "cum_deaths", "doses")}
-
-    def record(day: int):
-        for name in ("s", "xa", "xs", "e", "h", "vax"):
-            cols[name][day] = getattr(state, name)
-        cols["cum_cases"][day] = (state.xa + state.xs + state.e + state.h) * pops
-        cols["cum_deaths"][day] = state.e * pops
-        cols["doses"][day] = administered
-        if day > 0:
-            cols["new_cases"][day] = np.clip(
-                cols["cum_cases"][day] - cols["cum_cases"][day - 1], 0.0, None)
-
-    dosing_policy = getattr(policy, "kind", None) != "no-vaccine"
-    for day in range(horizon + 1):
-        if day % schedule.interval_days == 0 and day < horizon and dosing_policy:
-            epoch_supply = min(schedule.daily_rate * total_pop
-                               * schedule.interval_days, budget_left)
-            if epoch_supply > 0:
-                active_persons = float(((state.xa + state.xs) * pops).sum())
-                headroom = state.s * pops
-                if active_persons < extinction_threshold:
-                    doses = policies_mod.leftover_redistribute(
-                        state, epoch_supply, schedule.leftover_rule, pops)
-                else:
-                    doses = planner.epoch_doses(state, epoch_supply, budget_left)
-                doses = np.minimum(doses, headroom)
-                if doses.sum() > epoch_supply * (1 + 1e-9):
-                    raise RuntimeError("policy emitted more doses than supplied")
-                if doses.sum() > 0:
-                    state = apply_vaccination_event(state, doses / pops, params.psi)
-                    administered = administered + doses
-                    budget_left -= float(doses.sum())
-        record(day)
-        if day < horizon:
-            _, states, clamps = integrate(rhs, _state_to_flat(state),
-                                          (float(day), float(day + 1)), step)
-            clamp_events += clamps
-            state = _flat_to_state(states[-1], state, t=float(day + 1))
-
-    return Trajectory(times=times, clamp_events=clamp_events,
-                      labels=_cell_labels(instance), **cols)
+    """Run one policy; see `simulate_policies`."""
+    return simulate_policies(instance, [policy], schedule, horizon, step,
+                             extinction_threshold)[0]
 
 
 def _state_to_flat(state: EpidemicState) -> np.ndarray:
     return np.concatenate([state.s, state.xa, state.xs, state.e, state.h])
-
-
-def _flat_to_state(y: np.ndarray, template: EpidemicState, t: float) -> EpidemicState:
-    m = template.size
-    return EpidemicState(s=y[:m], xa=y[m:2 * m], xs=y[2 * m:3 * m],
-                         e=y[3 * m:4 * m], h=y[4 * m:5 * m],
-                         vax=template.vax.copy(), t=t)
 
 
 def _cell_labels(instance: EpidemicInstance) -> list[str]:

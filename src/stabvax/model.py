@@ -436,19 +436,17 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
                                   params: DiseaseParams,
                                   contacts: Optional[ContactStructure] = None) -> float:
     """Rt as the top eigenvalue of L D^{-1} from the next-generation split
-    of the infection block."""
+    of the infection block. L D^{-1} is block upper-triangular with a zero
+    lower block row, so Rt is the top eigenvalue of its m x m top-left block
+    diag(beta_a / c1) W + diag(beta_s) W diag(eps / (c1 d2)), W = diag(s) A,
+    c1 = eps + r_a, d2 = r_s + kappa per cell: no inverse is formed."""
     flow = flow_for_model(net, params, contacts)
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
-    m = flow.shape[0]
+    c1 = params.eps + params.r_a
     weighted = state.s[:, None] * flow
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    lin = np.block([[beta_a[:, None] * weighted, beta_s[:, None] * weighted],
-                    [zero, zero]])
-    dmat = np.block([[(params.eps + params.r_a) * eye, zero],
-                     [-params.eps * eye, np.diag(r_s + kappa)]])
-    rt = _largest_real_eig(lin @ np.linalg.inv(dmat))
-    return max(rt, 0.0)
+    gen = ((beta_a / c1)[:, None] * weighted
+           + beta_s[:, None] * weighted * (params.eps / (c1 * (r_s + kappa)))[None, :])
+    return max(_largest_real_eig(gen), 0.0)
 
 
 def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stabvax import bubar
+from stabvax.dynamics import VaccinationSchedule
 
 
 def symmetric_fixture():
@@ -32,3 +34,26 @@ class TestAllocationRoutes:
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.0)
         assert res.stats.method == "bubar-bilinear"
         assert res.certificate.satisfied
+
+
+SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+
+
+class TestBatchedSimulation:
+    def test_columns_match_single_runs(self):
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        batch = bubar.simulate_bubar_policies(params, state0, SEIR_POLICIES,
+                                              sched, horizon=60)
+        assert len(batch) == len(SEIR_POLICIES) == 6
+        for name, traj in zip(SEIR_POLICIES, batch):
+            single = bubar.simulate_bubar(params, state0, name,
+                                          daily_rate=0.0033,
+                                          total_budget=0.05, horizon=60)
+            for field in ("susceptible", "infectious", "cum_infected",
+                          "deaths", "doses"):
+                a, b = getattr(traj, field), getattr(single, field)
+                assert a.shape == b.shape == (61, params.n_groups)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field
+            assert traj.total_doses() == pytest.approx(
+                0.05 * params.populations.sum(), rel=1e-9)

@@ -45,3 +45,68 @@ class TestAllocate:
                                                          nudged_gram_route):
         assert allocate(tmp_path, "--alpha", "0") == cli.EXIT_SOLVER
         assert not (tmp_path / "allocation.json").exists()
+
+
+# summary.csv values of `compare` at horizon 30, seed 0, pinned before the
+# policies were simulated as one batch
+COVID_COMPARE_30 = {
+    "optimal-stabilizing": (91607.160112, 1610.884320, 15431.406226),
+    "population-weighted": (94371.511385, 1643.851820, 15858.700000),
+    "infection-weighted": (93976.162003, 1638.855297, 15858.700000),
+    "no-vaccine": (101199.866735, 1724.401806, 0.0),
+}
+SEIR_COMPARE_30 = {
+    "optimal-stabilizing": (9989.868818, 55.861677, 50000.0),
+    "under-20": (10918.184019, 57.068341, 50000.0),
+    "adults-20-49": (10052.728076, 55.906048, 50000.0),
+    "adults-20-plus": (10318.453769, 54.784163, 50000.0),
+    "seniors-60-plus": (10904.119927, 52.637394, 50000.0),
+    "all-ages": (10461.864290, 55.344529, 50000.0),
+}
+SWEEP_BUDGET_30 = [
+    ("0.01", "population-weighted", (99252.578189, 1698.270349, 3171.74)),
+    ("0.01", "optimal-stabilizing", (98280.860261, 1685.446783, 3169.999540)),
+    ("0.05", "population-weighted", (94371.511385, 1643.851820, 15858.7)),
+    ("0.05", "optimal-stabilizing", (91607.160112, 1610.884320, 15431.406226)),
+]
+
+
+def read_rows(path):
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+class TestCompareGolden:
+    @pytest.mark.parametrize("model,golden", [("covid", COVID_COMPARE_30),
+                                              ("bubar", SEIR_COMPARE_30)])
+    def test_summary_matches_pinned_values(self, tmp_path, model, golden):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",
+                         model, "--horizon", "30", "compare"]) == cli.EXIT_OK
+        rows = read_rows(tmp_path / "summary.csv")
+        assert [row[0] for row in rows] == list(golden)
+        for name, *values in rows:
+            assert [float(x) for x in values] == pytest.approx(
+                golden[name], rel=1e-9)
+
+    def test_covid_writes_one_trajectory_per_policy(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--horizon",
+                         "30", "compare"]) == cli.EXIT_OK
+        for name in COVID_COMPARE_30:
+            lines = (tmp_path / f"trajectory_{name}.csv").read_text().splitlines()
+            assert lines[0].startswith("t,cell,s,xa,xs,e,h")
+            assert len(lines) == 1 + 31 * 5
+
+
+class TestSweepGolden:
+    def test_budget_sweep_rows(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--horizon",
+                         "30", "--axis", "budget", "--range", "0.01:0.05:2",
+                         "--workers", "1", "--policy", "population-weighted",
+                         "--policy", "optimal-stabilizing",
+                         "sweep"]) == cli.EXIT_OK
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 2 * 2
+        for row, (value, policy, golden) in zip(rows, SWEEP_BUDGET_30):
+            assert row[:3] == ["budget", value, policy]
+            assert [float(x) for x in row[3:]] == pytest.approx(golden,
+                                                                rel=1e-9)

@@ -277,3 +277,89 @@ class TestSimulatePolicy:
         assert rows[0]["s"] == pytest.approx(traj.s[0, 0], rel=1e-10)
         assert rows[-1]["cum_cases"] == pytest.approx(traj.cum_cases[-1, -1],
                                                       rel=1e-10)
+
+
+TRAJECTORY_FIELDS = ("s", "xa", "xs", "e", "h", "vax", "new_cases",
+                     "cum_cases", "cum_deaths", "doses")
+DEFAULT_SPECS = [sv.PolicySpec(kind=kind) for kind in
+                 ("optimal-stabilizing", "population-weighted",
+                  "infection-weighted", "no-vaccine")]
+
+
+def assert_same_column(batched, single, fields):
+    for name in fields:
+        a, b = getattr(batched, name), getattr(single, name)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+class TestBatchedSimulation:
+    """Each column of a batched run against the K=1 run of its policy."""
+
+    @pytest.mark.parametrize("groups,horizon,extra", [
+        (False, 30, []),
+        (True, 5, [sv.PolicySpec(kind="age-priority",
+                                 priority_groups=(5, 4, 3, 2, 1, 0)),
+                   sv.PolicySpec(kind="optimal-stabilizing",
+                                 resolve_mode="daily-resolve")]),
+    ])
+    def test_columns_match_single_runs(self, groups, horizon, extra):
+        inst = sv.synthetic_instance(0, n=5, groups=groups)
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        specs = DEFAULT_SPECS + extra
+        batch = dynamics.simulate_policies(inst, specs, sched, horizon)
+        assert len(batch) == len(specs)
+        for spec, traj in zip(specs, batch):
+            single = sv.simulate_policy(inst, spec, sched, horizon)
+            assert_same_column(traj, single, TRAJECTORY_FIELDS)
+            assert traj.clamp_events == single.clamp_events
+            assert list(traj.labels) == list(single.labels)
+            assert (traj.total_doses() > 0) == (spec.kind != "no-vaccine")
+
+    def test_integrate_columns_match_one_dimensional_runs(self):
+        # a rotation drives the first column below zero, so it gets clamped
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        rhs = lambda t, y: rot @ y  # noqa: E731
+        y0 = np.array([[0.5, 0.0, 0.2], [0.5, 0.0, 0.0]])
+        _, states, clamps = sv.integrate(rhs, y0, (0.0, 3.0), 0.1)
+        assert states.shape == (31, 2, 3)
+        assert clamps.shape == (3,) and clamps[0] > 0 and clamps[1] == 0
+        for k in range(3):
+            _, single, single_clamps = sv.integrate(rhs, y0[:, k], (0.0, 3.0),
+                                                    0.1)
+            assert isinstance(single_clamps, int)
+            assert np.abs(states[:, :, k] - single).max() <= 1e-15
+            assert clamps[k] == single_clamps
+
+    def test_nonfinite_derivative_in_one_column_raises(self):
+        def rhs(t, y):
+            dy = -y
+            dy[:, 1] = np.inf
+            return dy
+
+        with pytest.raises(FloatingPointError):
+            sv.integrate(rhs, np.ones((3, 2)), (0.0, 1.0), 0.5)
+
+
+class TestTrajectoryCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        import csv
+
+        inst = sv.synthetic_instance(2, n=2, groups=True)
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
+        traj = sv.simulate_policy(inst, sv.PolicySpec(kind="infection-weighted"),
+                                  sched, horizon=4)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "cell", "s", "xa", "xs", "e", "h",
+                             "new_cases", "cum_cases", "cum_deaths", "doses"])
+            for k, t in enumerate(traj.times):
+                for i, label in enumerate(traj.labels):
+                    writer.writerow([f"{t:.6g}", label] + [
+                        f"{getattr(traj, name)[k, i]:.12g}" for name in
+                        ("s", "xa", "xs", "e", "h", "new_cases", "cum_cases",
+                         "cum_deaths", "doses")])
+        out = tmp_path / "traj.csv"
+        traj.to_csv(out)
+        assert out.read_bytes() == ref.read_bytes()

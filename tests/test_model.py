@@ -247,6 +247,42 @@ class TestReproductionNumber:
         assert rt == pytest.approx(radius, rel=1e-9)
 
 
+    @staticmethod
+    def full_next_generation_rt(state, net, params, contacts):
+        """Top eigenvalue of L D^{-1} with the 2m x 2m inverse formed."""
+        flow = model.flow_for_model(net, params, contacts)
+        beta_a, beta_s, r_s, kappa = model._cell_rates(net, params)
+        m = flow.shape[0]
+        weighted = state.s[:, None] * flow
+        eye, zero = np.eye(m), np.zeros((m, m))
+        lin = np.block([[beta_a[:, None] * weighted, beta_s[:, None] * weighted],
+                        [zero, zero]])
+        dmat = np.block([[(params.eps + params.r_a) * eye, zero],
+                         [-params.eps * eye, np.diag(r_s + kappa)]])
+        return np.max(np.linalg.eigvals(lin @ np.linalg.inv(dmat)).real)
+
+    def test_matches_full_formula_with_group_outflows(self):
+        # r_s + kappa differs by group by O(1); contacts are not reciprocal
+        eps, r_a, _, _ = ingest.derive_disease_params(5.0, 6.0, 0.01)
+        params = sv.DiseaseParams(eps=eps, r_a=r_a, r_s=np.array([0.1, 0.9]),
+                                  kappa=np.array([0.05, 0.6]), beta=0.004,
+                                  beta0=np.array([0.7, 1.3]), alpha_hat=0.4)
+        s = np.array([0.95, 0.6, 0.8, 0.7])
+        state = sv.EpidemicState(s=s, xa=np.zeros(4), xs=np.zeros(4),
+                                 e=np.zeros(4), h=1 - s)
+        net, cs = two_group_network(), toy_contacts([[20.0, 6.0], [2.0, 4.0]])
+        assert sv.effective_reproduction_number(state, net, params, cs) == (
+            pytest.approx(self.full_next_generation_rt(state, net, params, cs),
+                          rel=1e-12))
+
+    @pytest.mark.parametrize("seed,groups", [(0, False), (3, False), (0, True),
+                                             (5, True)])
+    def test_matches_full_formula_on_synthetic(self, seed, groups):
+        inst = ingest.synthetic_instance(seed, n=4, groups=groups)
+        args = (inst.state0, inst.net, inst.params, inst.contacts)
+        assert sv.effective_reproduction_number(*args) == pytest.approx(
+            self.full_next_generation_rt(*args), rel=1e-12)
+
 class TestCalibration:
     def test_zero_target(self):
         inst = ingest.two_node_case(1)

@@ -1,10 +1,11 @@
-"""Optimal stabilizing allocation solvers.
+"""Optimal stabilizing allocation solvers, shared by every model.
 
-Allocation v certifies decay at rate alpha when diag(b1 (s0 - psi v)) K
-diag(N) has spectral radius at most 1. The model layer supplies a Gram factor
-of the symmetric coupling, K = F F' (``model.coupling_gram_factor``), and
-with u = N b1 (s0 - psi v) the condition is lambda_max(F' diag(u) F) <= 1: a
-diagonal LMI that needs no inverse and no definiteness test.
+Each model states an ``AllocationProblem``: allocation 0 <= v <= vmax, which
+costs weights'v doses, certifies decay at rate alpha when
+rho(diag(b1 (s0 - q v)) K) <= 1, b1 = b1_at(alpha). With an alpha-free
+factor F and scale such that rho(diag(p) K) = lambda_max(F' diag(scale p) F),
+the condition on u = b1 (s0 - q v) / s0 is the diagonal LMI
+lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
 
 * ``lmi_box_maximize`` solves  max w'u  s.t.  lambda_max(F' diag(u) F) <= 1,
   l <= u <= h  by Kelley cuts: the top eigenvector z at the LP point gives
@@ -14,16 +15,17 @@ diagonal LMI that needs no inverse and no definiteness test.
   form. Cuts depend on F alone, so one ``CutPool`` serves all probes of an
   alpha bisection, and a probe stops once it settles the budget question.
 
-* ``spectral_box_minimize`` serves couplings without a Gram factor (an
-  indefinite or asymmetric contact structure):
+* ``spectral_box_minimize`` serves problems without a factor (an indefinite
+  or asymmetric contact structure):
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
   (left and right Perron vectors), with a restore step onto rho = 1 and
   multistart from random positive directions.
 
-``solve_allocation`` takes the Gram route whenever the problem has a factor.
-Every result is re-certified on the full infection block; an unsatisfied
-certificate raises ``SolverError``.
+``solve_allocation`` takes the Gram route whenever the problem has a factor
+and ``max_decay`` bisects alpha under a budget. Every result is re-certified
+by the model's certify(v, alpha); an unsatisfied certificate raises
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, StabilityCertificate, build_flow_matrix,
-                    cell_b1, check_decay_certificate, coupling_gram_factor,
-                    max_certificate_rate)
+                    NetworkInstance, StabilityCertificate, cell_b1,
+                    check_decay_certificate, coupling_gram_factor,
+                    flow_for_model, max_certificate_rate)
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -80,45 +82,37 @@ class CutPool:
 
 @dataclass
 class AllocationProblem:
-    """Stabilizing-allocation data in reduced form.
+    """One model's stabilizing-allocation problem at decay rate alpha (see
+    the module docstring); b1 = b1_at(alpha) per cell.
 
-    coupling is the mobility Gram matrix Abar, or Abar (x) Gamma with the
-    intrinsic connectivity; factor is F with F F' = coupling, or None when
-    Gamma has no Cholesky factor (the bilinear route). b1 collapses the
-    infection chain at the target decay rate. The Gram route solves for
-    u = b1 (s0 - psi v) / s0 in the box [(1 - psi) b1, b1] on the factor
-    diag(sqrt(s0 N)) F, which does not depend on alpha.
+    factor is None when the flow has no Gram form (the bilinear route).
     """
 
-    coupling: np.ndarray
-    b1: np.ndarray
+    flow: np.ndarray
+    factor: Optional[np.ndarray]
+    scale: np.ndarray
     s0: np.ndarray
-    populations: np.ndarray
-    psi: float
+    q: np.ndarray
+    vmax: np.ndarray
+    weights: np.ndarray
+    max_rate: float
+    b1_at: Callable[[float], np.ndarray]
+    certify: Callable[[np.ndarray, float], StabilityCertificate]
     alpha: float
-    factor: Optional[np.ndarray] = None
-    state: Optional[EpidemicState] = None
-    net: Optional[NetworkInstance] = None
-    params: Optional[DiseaseParams] = None
-    contacts: Optional[ContactStructure] = None
+    b1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.coupling = np.asarray(self.coupling, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.s0 = np.asarray(self.s0, dtype=float)
-        self.populations = np.asarray(self.populations, dtype=float)
+        for name in ("flow", "scale", "s0", "q", "vmax", "weights"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        self.b1 = np.asarray(self.b1_at(self.alpha), dtype=float)
         if np.any(self.b1 <= 0):
             raise ValueError("b1 must be positive (no transmission path?)")
-        if self.psi <= 0:
+        if np.any(self.q <= 0):
             raise ValueError("a zero-efficacy vaccine cannot stabilize anything")
-
-    def box_upper(self) -> np.ndarray:
-        return self.s0 * self.populations * self.b1
 
     def at_rate(self, alpha: float) -> "AllocationProblem":
         """The same problem at another decay rate."""
-        return replace(self, alpha=alpha,
-                       b1=cell_b1(self.params, self.net.n, alpha))
+        return replace(self, alpha=alpha)
 
 
 @dataclass
@@ -366,34 +360,36 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                   params: DiseaseParams,
                   contacts: Optional[ContactStructure],
                   alpha: float) -> AllocationProblem:
-    """Assemble the reduced allocation problem at decay rate alpha from the
-    current susceptible profile."""
-    coupling = build_flow_matrix(net)[1]
+    """The covid model's problem at decay rate alpha from the current
+    susceptible profile: v is the vaccinated fraction of each cell, and the
+    flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram factor
+    F of Abar (or Abar (x) Gamma) with scale N."""
     age_contacts = contacts if params.is_demographic else None
-    if age_contacts is not None:
-        coupling = np.kron(coupling, age_contacts.gamma)
-    return AllocationProblem(coupling=coupling,
-                             factor=coupling_gram_factor(net, age_contacts),
-                             b1=cell_b1(params, net.n, alpha),
-                             s0=state.s.copy(),
-                             populations=net.cell_populations().copy(),
-                             psi=params.psi, alpha=alpha, state=state, net=net,
-                             params=params, contacts=contacts)
+    populations = net.cell_populations().copy()
+    return AllocationProblem(
+        flow=flow_for_model(net, params, contacts),
+        factor=coupling_gram_factor(net, age_contacts), scale=populations,
+        s0=state.s.copy(), q=np.full(populations.shape, params.psi),
+        vmax=state.s.copy(), weights=populations,
+        max_rate=max_certificate_rate(params),
+        b1_at=lambda rate: cell_b1(params, net.n, rate),
+        certify=lambda v, rate: check_decay_certificate(
+            state, net, params, contacts, v, rate),
+        alpha=alpha)
 
 
 def _finish(prob: AllocationProblem, v: np.ndarray, stats: SolverStats,
             direction: Optional[np.ndarray] = None) -> AllocationResult:
-    """Certify v on the full infection block; raise SolverError if it fails."""
-    v = np.clip(v, 0.0, prob.s0)
-    cert = check_decay_certificate(prob.state, prob.net, prob.params,
-                                   prob.contacts, v, prob.alpha)
+    """Certify v through the model; raise SolverError if it fails."""
+    v = np.clip(v, 0.0, prob.vmax)
+    cert = prob.certify(v, prob.alpha)
     if not cert.satisfied:
         raise SolverError(
             f"{stats.method} allocation fails its certificate at alpha="
             f"{prob.alpha:.6g}: lambda_max={cert.lambda_max:.6g}, "
             f"rho={cert.spectral_radius:.9f}")
-    u = prob.populations * prob.b1 * (prob.s0 - prob.psi * v)
-    dose_vec = prob.populations * v
+    u = prob.scale * prob.b1 * (prob.s0 - prob.q * v)
+    dose_vec = prob.weights * v
     return AllocationResult(v=v, u=u, doses=float(dose_vec.sum()),
                             dose_vector=dose_vec, certificate=cert,
                             stats=stats, alpha=prob.alpha, direction=direction)
@@ -403,37 +399,41 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
                 max_doses: Optional[float] = None,
                 ) -> tuple[np.ndarray, SolverStats]:
     """Minimum-dose v on the Gram route, or with max_doses the first v found
-    within it (see lmi_box_maximize)."""
+    within it (see lmi_box_maximize). The LMI variable u = b1 (s0 - q v) / s0
+    keeps the factor sqrt(scale s0) F free of alpha, and its objective
+    weights make the shortfall from the box top equal the doses."""
     if prob.factor is None:
         raise NotPositiveDefiniteError(
             "coupling matrix has no Gram factor; use solve_bilinear")
-    mass = prob.s0 * prob.populations
+    mass = prob.s0 * prob.scale
+    # a cell without susceptibles has a zero factor row and stays undosed
+    reach = np.divide(prob.vmax, prob.s0, out=np.ones_like(prob.s0),
+                      where=prob.s0 > 0)
     u, stats = lmi_box_maximize(
-        np.sqrt(mass)[:, None] * prob.factor, (1 - prob.psi) * prob.b1,
-        prob.b1, mass / prob.b1, pool=pool,
-        max_shortfall=None if max_doses is None else prob.psi * max_doses)
-    return prob.s0 * (1 - u / prob.b1) / prob.psi, stats
+        np.sqrt(mass)[:, None] * prob.factor,
+        prob.b1 * (1 - prob.q * reach), prob.b1,
+        prob.weights * prob.s0 / (prob.b1 * prob.q), pool=pool,
+        max_shortfall=max_doses)
+    return prob.s0 * (1 - u / prob.b1) / prob.q, stats
 
 
 def solve_diagonal_lmi(prob: AllocationProblem,
                        pool: Optional[CutPool] = None) -> AllocationResult:
-    """Gram route: the diagonal LMI on the coupling's factor."""
+    """Gram route: the diagonal LMI on the problem's factor."""
     return _finish(prob, *_gram_solve(prob, pool))
 
 
 def solve_bilinear(prob: AllocationProblem, seed: int = 0) -> AllocationResult:
-    """Perron-direction route; works for indefinite coupling matrices."""
-    flow = prob.coupling * prob.populations[None, :]
-    p0 = prob.b1 * prob.s0
-    p1 = prob.psi * prob.b1
-    v, d, stats = spectral_box_minimize(flow, p0, p1, prob.populations,
-                                        prob.s0, seed=seed)
+    """Perron-direction route; works for any nonnegative flow matrix."""
+    v, d, stats = spectral_box_minimize(prob.flow, prob.b1 * prob.s0,
+                                        prob.b1 * prob.q, prob.weights,
+                                        prob.vmax, seed=seed)
     return _finish(prob, v, stats, direction=d)
 
 
 def solve_allocation(prob: AllocationProblem,
                      pool: Optional[CutPool] = None) -> AllocationResult:
-    """Route by structure: the Gram route when the coupling has a factor,
+    """Route by structure: the Gram route when the problem has a factor,
     otherwise the bilinear path."""
     if prob.factor is not None:
         return solve_diagonal_lmi(prob, pool)
@@ -461,14 +461,10 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
     return lo, best
 
 
-def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
-                            params: DiseaseParams,
-                            contacts: Optional[ContactStructure],
-                            budget: float,
-                            alpha_range: Optional[tuple[float, float]] = None,
-                            width: float = 1e-5,
-                            ) -> tuple[float, AllocationResult]:
-    """Largest decay rate whose minimum dose requirement fits the budget.
+def max_decay(prob: AllocationProblem, budget: float,
+              width: float = 1e-5) -> tuple[float, AllocationResult]:
+    """Largest decay rate in [-2, max_rate - 1e-4] whose minimum dose
+    requirement fits the budget.
 
     Bisects alpha. On the Gram route the probes share one cut pool and stop
     as soon as the LP bound exceeds the budget or a feasible point fits it;
@@ -477,16 +473,13 @@ def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if alpha_range is None:
-        alpha_range = (-2.0, max_certificate_rate(params) - 1e-4)
-    lo, hi = alpha_range
+    lo, hi = -2.0, prob.max_rate - 1e-4
     cap = budget + 1e-9 * (1.0 + budget)
-    base = build_problem(state, net, params, contacts, lo)
 
-    if base.factor is None:
+    if prob.factor is None:
         def attempt(alpha: float) -> Optional[AllocationResult]:
             try:
-                result = solve_allocation(base.at_rate(alpha))
+                result = solve_allocation(prob.at_rate(alpha))
             except InfeasibleAllocationError:
                 return None
             return result if result.doses <= cap else None
@@ -497,34 +490,34 @@ def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
 
     def probe(alpha: float) -> Optional[np.ndarray]:
         try:
-            return _gram_solve(base.at_rate(alpha), pool, cap)[0]
+            return _gram_solve(prob.at_rate(alpha), pool, cap)[0]
         except InfeasibleAllocationError:
             return None
 
     alpha, v_fit = bisect_rate(probe, lo, hi, width)
-    prob = base.at_rate(alpha)
-    result = solve_allocation(prob, pool)
+    at_alpha = prob.at_rate(alpha)
+    result = solve_allocation(at_alpha, pool)
     if result.doses > cap:
         # the optimum is found to a relative gap; the probe's point fits
-        result = _finish(prob, v_fit, result.stats)
+        result = _finish(at_alpha, v_fit, result.stats)
     result.stats.cuts, result.stats.lp_calls = len(pool.rows), pool.lp_calls
     return alpha, result
+
+
+def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
+                            params: DiseaseParams,
+                            contacts: Optional[ContactStructure],
+                            budget: float, width: float = 1e-5,
+                            ) -> tuple[float, AllocationResult]:
+    """Largest decay rate of the covid model that the budget buys; see
+    `max_decay`."""
+    return max_decay(build_problem(state, net, params, contacts, -2.0),
+                     budget, width)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def problem_to_dict(prob: AllocationProblem) -> dict:
-    return {
-        "coupling": prob.coupling.tolist(),
-        "b1": prob.b1.tolist(),
-        "s0": prob.s0.tolist(),
-        "populations": prob.populations.tolist(),
-        "psi": prob.psi,
-        "alpha": prob.alpha,
-    }
-
 
 def result_to_dict(result: AllocationResult) -> dict:
     doc = {

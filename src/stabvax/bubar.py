@@ -1,14 +1,15 @@
-"""Age-stratified SEIR comparison model with an all-or-nothing vaccine,
-plus the stabilizing-allocation variants for it.
+"""Age-stratified SEIR comparison model with an all-or-nothing vaccine.
 
 Compartments per age group (persons): S, Sx, Sv, E, Ex, Ev, I, Ix, Iv,
 R, Rx, Rv, D. The x-subscript holds people vaccinated without protection
 (or never vaccinated by choice); the v-subscript holds the protected.
 
-Policies are simulated on the day loop of `dynamics.run_days`, all of one
-comparison side by side as a (13 * groups, K) state: this module supplies
-the right-hand side, the dosing hook (age tiers, the spectral greedy, then
-`apply_bubar_vaccination`) and the recorder of `BubarTrajectory` columns.
+Only model definitions live here: `bubar_problem` states the model's
+`allocator.AllocationProblem`, which the shared solvers solve. Policies run
+on the day loop of `dynamics.run_days`, all of one comparison side by side
+as a (13 * groups, K) state; this module supplies the right-hand side, the
+dosing hook (age tiers, the spectral greedy, `apply_bubar_vaccination`) and
+the recorder of `BubarTrajectory` columns.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .allocator import (AllocationResult, InfeasibleAllocationError,
-                        SolverError, bisect_rate, lmi_box_maximize,
-                        spectral_box_minimize)
+from .allocator import (AllocationProblem, AllocationResult,
+                        InfeasibleAllocationError, _perron, max_decay,
+                        solve_allocation)
 from .dynamics import VaccinationSchedule, run_days
 from .ingest import ifr_by_age
 from .model import StabilityCertificate, cholesky_factor
-from .policies import proportional_fill
+from .policies import _priority_fill, proportional_fill
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
                 "R", "Rx", "Rv", "D")
@@ -237,75 +238,40 @@ def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
                                 spectral_radius=radius, tol=tol)
 
 
+def bubar_problem(state: BubarState, params: BubarParams,
+                  alpha: float) -> AllocationProblem:
+    """The model's allocation problem at decay rate alpha.
+
+    v is doses over (S + I + R) and moves v S out of S, so the unprotected
+    susceptibles are S + Sx - psi v S. The Gram route applies when
+    C diag(1/(N - Omega)) has a Cholesky factor L: the flow is then
+    diag(susceptibility) L L'.
+    """
+    g = params.n_groups
+    return AllocationProblem(
+        flow=bubar_flow_matrix(state, params),
+        factor=cholesky_factor(
+            params.contacts / (params.populations - state.omega)[None, :]),
+        scale=params.susceptibility, s0=state.S + state.Sx,
+        q=params.psi * state.S, vmax=np.ones(g),
+        weights=state.S + state.I + state.R,
+        max_rate=min(1.0 / params.d_e, 1.0 / params.d_i),
+        b1_at=lambda rate: np.full(g, bubar_b1(params, rate)),
+        certify=lambda v, rate: bubar_certificate(state, params, v, rate),
+        alpha=alpha)
+
+
 def solve_bubar_allocation(state: BubarState, params: BubarParams,
                            alpha: Optional[float] = None,
                            supply: Optional[float] = None,
                            width: float = 1e-5) -> tuple[float, AllocationResult]:
     """Minimum-dose allocation at a fixed decay rate, or (given a dose supply
-    in persons) the largest decay rate affordable via bisection.
-
-    Routes through the diagonal-LMI path when C diag(1/(N-Omega)) has a
-    Cholesky factor (it is symmetric positive definite), otherwise through
-    the bilinear path.
-    """
+    in persons) the largest decay rate affordable via bisection."""
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
     if alpha is not None:
-        return alpha, _solve_bubar_at(state, params, alpha)
-    if supply < 0:
-        raise ValueError("supply must be nonnegative")
-    dose_eps = 1e-9 * (1.0 + supply)
-
-    def attempt(a: float) -> Optional[AllocationResult]:
-        try:
-            result = _solve_bubar_at(state, params, a)
-        except InfeasibleAllocationError:
-            return None
-        return result if result.doses <= supply + dose_eps else None
-
-    return bisect_rate(attempt, -2.0,
-                       min(1.0 / params.d_e, 1.0 / params.d_i) - 1e-4, width)
-
-
-def _solve_bubar_at(state: BubarState, params: BubarParams,
-                    alpha: float) -> AllocationResult:
-    b1 = bubar_b1(params, alpha)
-    flow = bubar_flow_matrix(state, params)
-    weights = state.S + state.I + state.R
-    p0 = b1 * (state.S + state.Sx)
-    p1 = b1 * params.psi * state.S
-    if np.any(p1 <= 0):
-        raise InfeasibleAllocationError("a group has no susceptibles to dose")
-    vmax = np.ones(params.n_groups)
-
-    factor = cholesky_factor(
-        params.contacts / (params.populations - state.omega)[None, :])
-    if factor is not None:
-        # with t = S + Sx - psi v S (persons) and the contact gram
-        # C diag(1/(N - Omega)) = L L', the certificate reads
-        # lambda_max(L' diag(b1 susceptibility t) L) <= 1
-        lower = state.Sx + (1 - params.psi) * state.S
-        upper = state.S + state.Sx
-        t, stats = lmi_box_maximize(
-            np.sqrt(b1 * params.susceptibility)[:, None] * factor,
-            lower, upper, weights / state.S)
-        v = np.clip((upper - t) / (params.psi * state.S), 0.0, 1.0)
-        direction = None
-        stats.method = "bubar-lmi"
-    else:
-        v, direction, stats = spectral_box_minimize(flow, p0, p1, weights, vmax)
-        stats.method = "bubar-bilinear"
-    cert = bubar_certificate(state, params, v, alpha)
-    if not cert.satisfied:
-        raise SolverError(
-            f"{stats.method} allocation fails its certificate at alpha="
-            f"{alpha:.6g}: lambda_max={cert.lambda_max:.6g}")
-    dose_vec = v * weights
-    return AllocationResult(
-        v=v, u=b1 * params.susceptibility * (state.S + state.Sx
-                                             - params.psi * v * state.S),
-        doses=float(dose_vec.sum()), dose_vector=dose_vec,
-        certificate=cert, stats=stats, alpha=alpha, direction=direction)
+        return alpha, solve_allocation(bubar_problem(state, params, alpha))
+    return max_decay(bubar_problem(state, params, -2.0), supply, width)
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +285,13 @@ def _spectral_greedy_doses(state: BubarState, params: BubarParams,
     of the reduced infection matrix) and fill greedily."""
     flow = bubar_flow_matrix(state, params)
     P = (state.S + state.Sx)[:, None] * flow
-    vals, vecs = np.linalg.eig(P)
-    k = int(np.argmax(vals.real))
-    d = np.abs(vecs[:, k].real)
-    vals_t, vecs_t = np.linalg.eig(P.T)
-    kt = int(np.argmax(vals_t.real))
-    w = np.abs(vecs_t[:, kt].real)
+    _, d = _perron(P)
+    _, w = _perron(P.T)
     denom = state.S + state.I + state.R
     per_dose = np.where(denom > 0, state.S / np.maximum(denom, 1e-300), 0.0)
     benefit = per_dose * w * (flow @ d)
-    doses = np.zeros(params.n_groups)
-    left = supply
-    for idx in np.argsort(-benefit):
-        give = min(left, state.S[idx])
-        doses[idx] = give
-        left -= give
-        if left <= 1e-9:
-            break
-    return doses
+    return _priority_fill(np.argsort(-benefit), state.S, supply,
+                          params.n_groups)
 
 
 @dataclass
@@ -384,15 +339,7 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
             doses = (np.zeros(g) if schedule.leftover_rule == "none" else
                      proportional_fill(np.ones(g), headroom, supply))
         elif tiers[k] is not None:
-            doses = np.zeros(g)
-            left = supply
-            for tier in tiers[k]:
-                idx = np.atleast_1d(np.asarray(tier, dtype=int))
-                tier_doses = proportional_fill(headroom[idx], headroom[idx], left)
-                doses[idx] += tier_doses
-                left -= float(tier_doses.sum())
-                if left <= 1e-9:
-                    break
+            doses = _priority_fill(tiers[k], headroom, supply, g)
         elif policies[k] == "optimal-stabilizing":
             doses = _spectral_greedy_doses(state, params, supply)
         else:

@@ -220,18 +220,21 @@ def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     At the start of each supply interval, each column k in `dosing` with a
     positive supply min(daily rate * population * interval, budget left)
     is dosed: dose(k, copy of column k, supply, budget left) returns the new
-    column and the doses spent, charged to the column's budget. record(day,
-    y) sees every day's state after dosing; one `integrate` call then
-    advances all columns a day. Returns the clamp events per column."""
+    column and the doses spent, charged to the column's budget. A budget
+    left of at most 1e-12 of the total is a rounding residual and counts as
+    spent. record(day, y) sees every day's state after dosing; one
+    `integrate` call then advances all columns a day. Returns the clamp
+    events per column."""
     y = np.array(y0, dtype=float)
-    budget_left = np.full(y.shape[1], schedule.total_budget * total_pop)
+    budget = schedule.total_budget * total_pop
+    budget_left = np.full(y.shape[1], budget)
     epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
     clamp_events = np.zeros(y.shape[1], dtype=int)
     for day in range(horizon + 1):
         if day % schedule.interval_days == 0 and day < horizon:
             for k in dosing:
                 supply = min(epoch_supply, budget_left[k])
-                if supply > 0:
+                if supply > 0 and budget_left[k] > 1e-12 * budget:
                     y[:, k], spent = dose(k, y[:, k].copy(), supply,
                                           budget_left[k])
                     budget_left[k] -= spent

@@ -40,7 +40,6 @@ DEFAULT_MEAN_IFR = 0.0242
 
 DEFAULT_EFFICACY = 0.95
 
-AGE_GROUPS = ("0-4", "5-19", "20-29", "30-44", "45-64", "65+")
 AGE_GROUP_RANGES = ((0, 4), (5, 19), (20, 29), (30, 44), (45, 64), (65, 89))
 
 # Reported per-period (asymptomatic, symptomatic) literature estimates.

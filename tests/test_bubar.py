@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stabvax import bubar
+from stabvax import allocator, bubar
 from stabvax.dynamics import VaccinationSchedule
 
 
@@ -18,22 +18,53 @@ def symmetric_fixture():
 
 class TestAllocationRoutes:
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
-    def test_lmi_and_bilinear_agree_on_symmetric_contacts(self, alpha,
-                                                          monkeypatch):
+    def test_lmi_and_bilinear_agree_on_symmetric_contacts(self, alpha):
         params, state = symmetric_fixture()
-        _, lmi = bubar.solve_bubar_allocation(state, params, alpha=alpha)
-        monkeypatch.setattr(bubar, "cholesky_factor", lambda mat: None)
-        _, bil = bubar.solve_bubar_allocation(state, params, alpha=alpha)
-        assert lmi.stats.method == "bubar-lmi"
-        assert bil.stats.method == "bubar-bilinear"
+        prob = bubar.bubar_problem(state, params, alpha)
+        lmi = allocator.solve_diagonal_lmi(prob)
+        bil = allocator.solve_bilinear(prob)
+        assert lmi.stats.method == "lmi-cutting-plane"
+        assert bil.stats.method == "bilinear-slp"
         assert lmi.certificate.satisfied and bil.certificate.satisfied
         assert lmi.doses == pytest.approx(bil.doses, rel=1e-6)
+        _, routed = bubar.solve_bubar_allocation(state, params, alpha=alpha)
+        assert routed.stats.method == "lmi-cutting-plane"
 
     def test_default_fixture_routes_to_bilinear(self):
         params, state = bubar.us_like_instance(1.15, seed=0)
+        assert bubar.bubar_problem(state, params, 0.0).factor is None
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.0)
-        assert res.stats.method == "bubar-bilinear"
+        assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied
+
+    def test_budgeted_bisection_shares_one_cut_pool(self, monkeypatch):
+        params, state = symmetric_fixture()
+        supply = 0.05 * params.populations.sum()
+        cap = supply + 1e-9 * (1.0 + supply)
+
+        def cold(rate):
+            try:
+                _, res = bubar.solve_bubar_allocation(state, params, alpha=rate)
+            except allocator.InfeasibleAllocationError:
+                return None
+            return res if res.doses <= cap else None
+
+        cold_alpha, cold_res = allocator.bisect_rate(
+            cold, -2.0, min(1 / params.d_e, 1 / params.d_i) - 1e-4, 1e-5)
+        real_pool, pools = allocator.CutPool, []
+
+        def tracked_pool():
+            pools.append(real_pool())
+            return pools[-1]
+
+        monkeypatch.setattr(allocator, "CutPool", tracked_pool)
+        alpha, res = bubar.solve_bubar_allocation(state, params, supply=supply)
+        assert len(pools) == 1
+        assert res.stats.cuts == len(pools[0].rows) > 0
+        assert res.stats.lp_calls == pools[0].lp_calls >= res.stats.cuts
+        assert res.certificate.satisfied and cold_res.certificate.satisfied
+        assert res.doses <= cap
+        assert abs(alpha - cold_alpha) <= 1e-5
 
 
 SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]

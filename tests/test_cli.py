@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stabvax as sv
-from stabvax import cli, model
+from stabvax import bubar, cli, model
 
 
 def allocate(tmp_path, *flags):
@@ -45,6 +45,65 @@ class TestAllocate:
                                                          nudged_gram_route):
         assert allocate(tmp_path, "--alpha", "0") == cli.EXIT_SOLVER
         assert not (tmp_path / "allocation.json").exists()
+
+
+# allocate output at seed 0: (achieved alpha, doses, dose vector), pinned
+# before the SEIR model was solved through the shared allocation problem
+ALLOCATE_GOLDEN = {
+    ("bubar", "--budget", "0.05"): (
+        -0.006760222625732417, 49978.549381717305,
+        [2.07149335875e-05, 2.2073298396e-05, 6878.52149583, 31840.90293,
+         11259.1248537, 2.22430837543e-05, 1.9356568779e-05, 1.12064482134e-05,
+         6.62199088453e-06]),
+    ("bubar", "--alpha", "0"): (
+        0.0, 83376.79839614738,
+        [0.000179880277444, 0.000191675695285, 17779.6209078, 40608.2864997,
+         19998.1258055, 4990.76448872, 0.000168084833708, 9.73122748724e-05,
+         5.75027072906e-05]),
+    ("covid", "--budget", "0.05"): (
+        -0.013133677369873708, 15851.05887226149,
+        [2.73027489789e-05, 13535.6331536, 2200.89454122, 114.531141378,
+         8.78749722878e-06]),
+    ("covid-demographic", "--budget", "0.05"): (
+        -0.009575490951538078, 15854.11767286719,
+        [2.68470853972e-05, 6.94537526864e-05, 5.88308356827e-05,
+         6.9653524866e-05, 0.000114392383993, 5.86251963324e-05,
+         2.87197848473e-06, 1.09140157459e-05, 1764.82062488, 2713.2507397,
+         3338.1126635, 6.89304674598e-06, 5.71986607152e-07, 1.51976657765e-06,
+         296.876530018, 467.333578137, 571.906842703, 1.03490653963e-06,
+         2.81009320618e-05, 8.11515776048e-05, 6337.59268269, 8.26745852245e-05,
+         0.000134506149379, 5.91328961328e-05, 6.55127698327e-06,
+         2.42943642238e-05, 364.223095827, 2.41664860561e-05, 3.65449212855e-05,
+         1.66881273348e-05]),
+}
+
+
+class TestAllocateGolden:
+    @pytest.mark.parametrize("case", list(ALLOCATE_GOLDEN), ids=[
+        "bubar-budget", "bubar-alpha0", "covid-budget", "age-budget"])
+    def test_allocation_matches_pinned_values(self, tmp_path, case):
+        model_name, *flags = case
+        assert allocate(tmp_path, "--model", model_name, *flags) == cli.EXIT_OK
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        alpha, doses, dose_vector = ALLOCATE_GOLDEN[case]
+        assert doc["achieved_alpha"] == pytest.approx(alpha, rel=1e-9, abs=1e-15)
+        assert doc["doses"] == pytest.approx(doses, rel=1e-9)
+        assert doc["dose_vector"] == pytest.approx(
+            dose_vector, rel=1e-9, abs=1e-9 * max(dose_vector))
+
+    @pytest.mark.parametrize("flags", [("--budget", "0.05"), ("--alpha", "0")],
+                             ids=["budget", "alpha0"])
+    def test_bubar_allocation_recertifies(self, tmp_path, flags):
+        assert allocate(tmp_path, "--model", "bubar", *flags) == cli.EXIT_OK
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        params, state = bubar.us_like_instance(1.15, seed=0)
+        v = np.asarray(doc["v"])
+        cert = bubar.bubar_certificate(state, params, v, doc["achieved_alpha"])
+        assert cert.satisfied
+        doses = float((v * (state.S + state.I + state.R)).sum())
+        assert doses == pytest.approx(doc["doses"], rel=1e-12)
+        if flags[0] == "--budget":
+            assert doses <= 0.05 * params.populations.sum() * (1 + 1e-9)
 
 
 # summary.csv values of `compare` at horizon 30, seed 0, pinned before the

@@ -20,7 +20,8 @@ lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
   (left and right Perron vectors), with a restore step onto rho = 1 and
-  multistart from random positive directions.
+  multistart from random positive directions. Each step's one-row LP is
+  solved exactly in closed form, as a fractional knapsack.
 
 ``solve_allocation`` takes the Gram route whenever the problem has a factor
 and ``max_decay`` bisects alpha under a budget. Every result is re-certified
@@ -226,6 +227,26 @@ def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return max(rho, 0.0), d
 
 
+def _knapsack(cost: np.ndarray, gain: np.ndarray, need: float,
+              lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """Exact argmin of cost'x s.t. gain'x >= need, lo <= x <= hi, cost >= 0,
+    by the fractional-knapsack greedy (Dantzig 1957); None if infeasible."""
+    x = lo.copy()
+    short = need - float(gain @ lo)
+    if short <= 0:
+        return x
+    useful = np.flatnonzero(gain > 0)
+    order = useful[np.argsort(cost[useful] / gain[useful], kind="stable")]
+    filled = np.cumsum(gain[order] * (hi[order] - lo[order]))
+    k = int(np.searchsorted(filled, short))
+    if k == order.size:
+        return None
+    x[order[:k + 1]] = hi[order[:k + 1]]
+    j = order[k]
+    x[j] = max(lo[j], hi[j] - (filled[k] - short) / gain[j])
+    return x
+
+
 def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                           weights: np.ndarray, vmax: np.ndarray, *,
                           max_iter: int = 500, tol: float = 1e-8,
@@ -233,8 +254,9 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                           ) -> tuple[np.ndarray, np.ndarray, SolverStats]:
     """Minimize weights'v subject to rho(diag(p0 - p1*v) K) <= 1 over the box.
 
-    Returns (v, d, stats) where d is the Perron direction certifying
-    (diag(p0 - p1 v) K) d <= d at the solution.
+    Each SLP step solves its one-row LP exactly by `_knapsack`; lp_calls
+    counts the steps. Returns (v, d, stats) where d is the Perron direction
+    certifying (diag(p0 - p1 v) K) d <= d at the solution.
     """
     K = np.asarray(K, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -302,14 +324,13 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
             grad = -p1 * w * (K @ d) / denom
             lo = np.maximum(0.0, v - trust)
             hi = np.minimum(vmax, v + trust)
-            res = scipy.optimize.linprog(
-                weights, A_ub=grad[None, :],
-                b_ub=np.array([1.0 - rho + float(grad @ v)]),
-                bounds=list(zip(lo, hi)), method="highs")
+            # the step LP: min weights'x  s.t.  grad'x <= 1 - rho + grad'v
+            step = _knapsack(weights, -grad, rho - 1.0 - float(grad @ v),
+                             lo, hi)
             lp_calls[0] += 1
-            if not res.success:
+            if step is None:
                 break
-            v_new = restore(np.clip(res.x, 0.0, vmax))
+            v_new = restore(step)
             doses_new = float(weights @ v_new)
             if doses_new < doses - tol * max(1.0, abs(doses)):
                 v, doses = v_new, doses_new
@@ -469,7 +490,8 @@ def max_decay(prob: AllocationProblem, budget: float,
     Bisects alpha. On the Gram route the probes share one cut pool and stop
     as soon as the LP bound exceeds the budget or a feasible point fits it;
     the returned rate alone is solved to the gap, with the cuts and LP calls
-    of the whole search in its stats. Bilinear probes are full solves.
+    of the whole search in its stats. Bilinear probes are full solves; the
+    returned stats sum the SLP iterations and step LPs of every probe.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -477,14 +499,21 @@ def max_decay(prob: AllocationProblem, budget: float,
     cap = budget + 1e-9 * (1.0 + budget)
 
     if prob.factor is None:
+        work = SolverStats()
+
         def attempt(alpha: float) -> Optional[AllocationResult]:
             try:
                 result = solve_allocation(prob.at_rate(alpha))
             except InfeasibleAllocationError:
                 return None
+            work.iterations += result.stats.iterations
+            work.lp_calls += result.stats.lp_calls
             return result if result.doses <= cap else None
 
-        return bisect_rate(attempt, lo, hi, width)
+        alpha, result = bisect_rate(attempt, lo, hi, width)
+        result.stats = replace(result.stats, iterations=work.iterations,
+                               lp_calls=work.lp_calls)
+        return alpha, result
 
     pool = CutPool()
 

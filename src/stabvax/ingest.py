@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, calibrate_transmission,
-                    intrinsic_connectivity)
+                    NetworkInstance, calibrate_transmission)
 
 MINUTES_PER_DAY = 1440.0
 

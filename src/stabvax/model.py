@@ -8,7 +8,7 @@ group ``b`` at location ``i`` sits at flat index ``i * n_groups + b``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np

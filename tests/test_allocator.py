@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.optimize
 
 import stabvax as sv
 from stabvax import allocator, ingest, model
@@ -176,7 +176,6 @@ class TestProblemAssembly:
         assert prob.flow == pytest.approx(expected_aprime, abs=1e-12)
 
     def test_box_respects_later_state(self):
-        from stabvax import dynamics, policies
         inst = sv.synthetic_instance(3, n=3, target_rt=1.3)
         sched = sv.VaccinationSchedule(daily_rate=0.005, total_budget=0.05)
         traj = sv.simulate_policy(inst, sv.PolicySpec(kind="population-weighted"),
@@ -364,3 +363,45 @@ class TestSerialization:
             -res.alpha - res.certificate.lambda_max)
         assert rd["solver"]["lp_calls"] == res.stats.lp_calls
         assert rd["doses"] == pytest.approx(res.doses)
+
+
+def random_knapsack(rng, m, grid):
+    """A one-row LP min cost'x s.t. gain'x >= need, lo <= x <= hi. On the
+    grid, costs and gains take few values: zeros and tied ratios abound."""
+    if grid:
+        cost, gain = rng.integers(0, 3, m) / 2.0, rng.integers(0, 3, m) / 2.0
+    else:
+        cost, gain = rng.uniform(0, 2, m), rng.uniform(0, 1, m)
+        cost[rng.random(m) < 0.2] = 0.0
+        gain[rng.random(m) < 0.2] = 0.0
+    lo = rng.uniform(0, 1, m)
+    hi = lo + rng.uniform(0, 1, m) * (rng.random(m) < 0.9)
+    need = gain @ lo + rng.uniform(-0.3, 1.3) * (gain @ (hi - lo))
+    return cost, gain, need, lo, hi
+
+
+class TestKnapsackStep:
+    @pytest.mark.parametrize("m", [1, 5, 9, 40])
+    def test_matches_highs(self, m):
+        outcomes = {"lower corner": 0, "raised": 0, "infeasible": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            cost, gain, need, lo, hi = random_knapsack(rng, m, grid=seed % 2)
+            x = allocator._knapsack(cost, gain, need, lo, hi)
+            res = scipy.optimize.linprog(cost, A_ub=-gain[None, :],
+                                         b_ub=[-need], bounds=np.c_[lo, hi],
+                                         method="highs")
+            if res.status == 2:
+                assert x is None, seed
+                outcomes["infeasible"] += 1
+                continue
+            assert res.success and x is not None, seed
+            assert cost @ x == pytest.approx(res.fun, rel=1e-9, abs=1e-12)
+            assert np.all(lo <= x) and np.all(x <= hi)
+            assert gain @ x >= need - 1e-12 * max(1.0, abs(need))
+            if gain @ lo >= need:
+                assert np.array_equal(x, lo)
+                outcomes["lower corner"] += 1
+            else:
+                outcomes["raised"] += 1
+        assert min(outcomes.values()) > 0, outcomes

@@ -1,6 +1,3 @@
-import json
-import warnings
-
 import numpy as np
 import pytest
 

@@ -15,7 +15,7 @@ from .allocator import (AllocationProblem, AllocationResult, CutPool,
                         spectral_box_minimize)
 from .dynamics import (Trajectory, VaccinationSchedule,
                        apply_vaccination_event, integrate, rhs_covid,
-                       rhs_covid_demographic, simulate_policy)
+                       simulate_policy)
 from .ingest import (EpidemicInstance, RawCases, RawMobility,
                      aggregate_contact_groups, build_travel_rates,
                      derive_disease_params, derive_initial_state, ifr_by_age,

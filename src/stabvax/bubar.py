@@ -22,7 +22,7 @@ import numpy as np
 from .allocator import (AllocationProblem, AllocationResult,
                         InfeasibleAllocationError, _perron, max_decay,
                         solve_allocation)
-from .dynamics import VaccinationSchedule, run_days
+from .dynamics import DEFAULT_STEP, VaccinationSchedule, run_days
 from .ingest import ifr_by_age
 from .model import StabilityCertificate, cholesky_factor
 from .policies import _priority_fill, proportional_fill
@@ -120,26 +120,33 @@ def initial_bubar_state(params: BubarParams, infected_frac: float = 0.001,
 def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.ndarray]:
     """Right-hand side over the flattened (13, groups) compartments, of
     shape (13 g,) or, for K populations side by side, (13 g, K); the force
-    of infection is lambda_i = u_i sum_j c_ij (I + Ix + Iv)_j / (N - D)_j."""
+    of infection is lambda_i = u_i sum_j c_ij (I + Ix + Iv)_j / (N - D)_j.
+
+    One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
+    rows of all 13 compartments; the infections lambda S and lambda Sx then
+    move from S and Sx into E and Ex."""
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
-    survive, die = b * (1 - params.ifr[:, None]), b * params.ifr[:, None]
     pops, u = params.populations[:, None], params.susceptibility[:, None]
+    eye3, zero3, infectious = np.eye(3), np.zeros((3, 3)), [[0, 0, 0, 1, 1, 1]]
+    mix = np.vstack([
+        np.kron(infectious, np.eye(g)),
+        np.zeros((3 * g, 6 * g)),
+        np.kron(np.block([[-a * eye3, zero3], [a * eye3, -b * eye3]]), np.eye(g)),
+        np.kron(np.hstack([zero3, eye3]), np.diag(b * (1 - params.ifr))),
+        np.kron(infectious, np.diag(b * params.ifr))])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        S, Sx, _, E, Ex, Ev, I, Ix, Iv, _, _, _, D = y.reshape(13, g, -1)
-        alive = pops - D
+        y2 = y.reshape(13 * g, -1)
+        alive = pops - y2[12 * g:]
         if np.any(alive <= 0):
             raise FloatingPointError("a group has been fully depleted")
-        infectious = I + Ix + Iv
-        lam = u * (params.contacts @ (infectious / alive))
-        out = np.empty((13,) + lam.shape)
-        out[0], out[1], out[2] = -lam * S, -lam * Sx, 0.0
-        out[3], out[4], out[5] = lam * S - a * E, lam * Sx - a * Ex, -a * Ev
-        out[6], out[7], out[8] = a * E - b * I, a * Ex - b * Ix, a * Ev - b * Iv
-        out[9], out[10], out[11] = survive * I, survive * Ix, survive * Iv
-        out[12] = die * infectious
-        return out.reshape(y.shape)
+        z = mix @ y2[3 * g:9 * g]
+        lam = u * (params.contacts @ (z[:g] / alive))
+        inf = (lam * y2[:2 * g].reshape(2, g, -1)).reshape(2 * g, -1)
+        z[g:3 * g] -= inf
+        z[4 * g:6 * g] += inf
+        return z[g:].reshape(y.shape)
 
     return rhs
 
@@ -316,7 +323,7 @@ class BubarTrajectory:
 
 def simulate_bubar_policies(params: BubarParams, state0: BubarState,
                             policies: Sequence, schedule: VaccinationSchedule,
-                            horizon: int, step: float = 0.25,
+                            horizon: int, step: float = DEFAULT_STEP,
                             extinction_threshold: float = 1.0,
                             ) -> list[BubarTrajectory]:
     """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
@@ -375,7 +382,7 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
 
 def simulate_bubar(params: BubarParams, state0: BubarState, policy,
                    daily_rate: float, total_budget: float, horizon: int,
-                   step: float = 0.25, interval_days: int = 1,
+                   step: float = DEFAULT_STEP, interval_days: int = 1,
                    leftover_rule: str = "even-split",
                    extinction_threshold: float = 1.0) -> BubarTrajectory:
     """Run one dosing policy; see `simulate_bubar_policies`."""

@@ -59,7 +59,10 @@ def _load_config(args) -> dict:
     config.setdefault("model", "covid")
     config.setdefault("out", ".")
     config.setdefault("horizon", 500)
-    config.setdefault("step", dynamics.DEFAULT_STEP)
+    step = config.setdefault("step", dynamics.DEFAULT_STEP)
+    per_day = 1.0 / step if isinstance(step, (int, float)) and step > 0 else 0.0
+    if per_day < 1 or abs(per_day - round(per_day)) > 1e-9:
+        raise InputError(f"step must be positive and divide one day, got {step!r}")
     return config
 
 
@@ -188,7 +191,7 @@ def _simulate_covid(config) -> tuple[list, list]:
     specs = _policy_specs(config)
     trajs = dynamics.simulate_policies(_build_instance(config), specs,
                                        _schedule(config), int(config["horizon"]),
-                                       step=float(config["step"]))
+                                       step=config["step"])
     return [spec.name for spec in specs], trajs
 
 
@@ -210,7 +213,8 @@ def cmd_simulate(config) -> int:
                            ["optimal-stabilizing", *bubar.PRIORITY_PRESETS])
         trajs = bubar.simulate_bubar_policies(params, state0, names,
                                               _schedule(config),
-                                              int(config["horizon"]))
+                                              int(config["horizon"]),
+                                              step=config["step"])
     else:
         names, trajs = _simulate_covid(config)
         for name, traj in zip(names, trajs):
@@ -298,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, help="target decay rate (1/day)")
     parser.add_argument("--target-rt", dest="target_rt", type=float)
     parser.add_argument("--horizon", type=int)
-    parser.add_argument("--step", type=float)
+    parser.add_argument("--step", type=float,
+                        help="RK4 step in days, dividing one day (default "
+                             f"{dynamics.DEFAULT_STEP}: final cases and deaths "
+                             "within 1e-10 relative of a quarter step for "
+                             "the covid models, 1e-9 for bubar)")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--policy", action="append",
                         help="policy kind (repeatable)")

@@ -169,3 +169,35 @@ class TestSweepGolden:
             assert row[:3] == ["budget", value, policy]
             assert [float(x) for x in row[3:]] == pytest.approx(golden,
                                                                 rel=1e-9)
+
+
+class TestStep:
+    def test_bubar_honours_step(self, tmp_path):
+        argv = ["--seed", "0", "--model", "bubar", "--horizon", "30"]
+        assert cli.main(["--out", str(tmp_path / "half"), *argv, "--step",
+                         "0.5", "compare"]) == cli.EXIT_OK
+        assert cli.main(["--out", str(tmp_path / "default"), *argv,
+                         "compare"]) == cli.EXIT_OK
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        names = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+        trajs = bubar.simulate_bubar_policies(params, state0, names,
+                                              cli._schedule({}), 30, step=0.5)
+        cli._write_summary(tmp_path / "library.csv",
+                           cli._summary_rows(names, trajs))
+        half = (tmp_path / "half" / "summary.csv").read_text()
+        assert half == (tmp_path / "library.csv").read_text()
+        assert half != (tmp_path / "default" / "summary.csv").read_text()
+
+    @pytest.mark.parametrize("step", ["0.3", "-1"])
+    def test_step_not_dividing_a_day_exits_input_error(self, tmp_path, step):
+        # rejected with the configuration, before the output directory exists
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--seed", "0", "--horizon", "5",
+                         "--step", step, "compare"]) == cli.EXIT_INPUT
+        assert not out.exists()
+
+    def test_step_that_is_no_number_exits_input_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"step": [0.25]}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                         "compare"]) == cli.EXIT_INPUT

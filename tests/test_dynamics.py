@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stabvax as sv
-from stabvax import dynamics, ingest, policies
+from stabvax import bubar, dynamics, ingest, model, policies
 
 
 def small_instance(seed=7, n=3, target_rt=1.3):
@@ -78,13 +78,13 @@ class TestDemographicRhs:
         net, cs, params, _ = self.fixture()
         state = sv.EpidemicState(s=np.ones(4), xa=np.zeros(4), xs=np.zeros(4),
                                  e=np.zeros(4), h=np.zeros(4))
-        for block in sv.rhs_covid_demographic(state, net, params, cs):
+        for block in sv.rhs_covid(state, net, params, cs):
             assert np.all(block == 0.0)
 
     def test_matrix_form_matches_triple_sum(self):
         # elementwise expansion over destinations, groups, and origins
         net, cs, params, state = self.fixture()
-        _, dxa, _, _, _ = sv.rhs_covid_demographic(state, net, params, cs)
+        _, dxa, _, _, _ = sv.rhs_covid(state, net, params, cs)
         n, g = 2, 2
         gamma = cs.gamma
         tau = net.tau
@@ -124,7 +124,7 @@ class TestDemographicRhs:
         state3 = sv.EpidemicState(s=np.full(3, 0.9), xa=np.full(3, 0.06),
                                   xs=np.full(3, 0.04), e=np.zeros(3),
                                   h=np.zeros(3))
-        blocks3 = sv.rhs_covid_demographic(state3, net, demo, cs)
+        blocks3 = sv.rhs_covid(state3, net, demo, cs)
 
         hom_net = sv.NetworkInstance(tau=[[0.6]], populations=[900.0])
         hom = sv.DiseaseParams(eps=eps, r_a=r_a, r_s=r_s, kappa=kappa,
@@ -377,6 +377,110 @@ class TestBatchedSimulation:
 
         with pytest.raises(FloatingPointError):
             sv.integrate(rhs, np.ones((3, 2)), (0.0, 1.0), 0.5)
+
+
+def reference_covid_rhs(inst, y):
+    """The elementwise covid right-hand side the fused matrix replaced."""
+    params = inst.params
+    flow = model.flow_for_model(inst.net, params, inst.contacts)
+    m = flow.shape[0]
+    if params.is_demographic:
+        beta_a, beta_s, r_s, kappa = (rate[:, None] for rate in
+                                      model._cell_rates(inst.net, params))
+    else:
+        beta_a, beta_s = params.beta_a, params.beta_s
+        r_s, kappa = params.r_s, params.kappa
+    s, xa, xs = y.reshape(5, m, -1)[:3]
+    inf = s * (beta_s * (flow @ xs) + beta_a * (flow @ xa))
+    out = [-inf, inf - (params.eps + params.r_a) * xa,
+           params.eps * xa - (r_s + kappa) * xs, kappa * xs,
+           params.r_a * xa + r_s * xs]
+    return np.stack(out).reshape(y.shape)
+
+
+def reference_bubar_rhs(params, y):
+    """The elementwise SEIR right-hand side the fused matrix replaced."""
+    g = params.n_groups
+    a, b = 1.0 / params.d_e, 1.0 / params.d_i
+    survive, die = b * (1 - params.ifr[:, None]), b * params.ifr[:, None]
+    S, Sx, _, E, Ex, Ev, I, Ix, Iv, _, _, _, D = y.reshape(13, g, -1)
+    infectious = I + Ix + Iv
+    lam = params.susceptibility[:, None] * (
+        params.contacts @ (infectious / (params.populations[:, None] - D)))
+    out = [-lam * S, -lam * Sx, 0.0 * S, lam * S - a * E, lam * Sx - a * Ex,
+           -a * Ev, a * E - b * I, a * Ex - b * Ix, a * Ev - b * Iv,
+           survive * I, survive * Ix, survive * Iv, die * infectious]
+    return np.stack(out).reshape(y.shape)
+
+
+def random_states(rng, scale, columns):
+    """One state with entries in [0, scale), or `columns` side by side."""
+    y = scale[:, None] * rng.uniform(0.0, 1.0, (scale.size, columns or 1))
+    return y if columns else y[:, 0]
+
+
+class TestFusedRhs:
+    """The fused right-hand sides against the elementwise formulas."""
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    @pytest.mark.parametrize("groups", [False, True],
+                             ids=["covid", "covid-demographic"])
+    def test_covid_matches_elementwise(self, groups, columns):
+        inst = sv.synthetic_instance(0, n=5, groups=groups)
+        rhs = dynamics.covid_rhs_factory(inst.net, inst.params, inst.contacts)
+        m = inst.cell_populations().shape[0]
+        y = random_states(np.random.default_rng(3), np.full(5 * m, 0.2),
+                          columns)
+        ref = reference_covid_rhs(inst, y)
+        got = rhs(0.0, y)
+        assert got.shape == y.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    def test_bubar_matches_elementwise(self, columns):
+        params, _ = bubar.us_like_instance(1.15, seed=0)
+        # persons: every compartment below a thirteenth of its group
+        y = random_states(np.random.default_rng(4),
+                          np.tile(params.populations, 13) / 13, columns)
+        ref = reference_bubar_rhs(params, y)
+        got = bubar.bubar_rhs_factory(params)(0.0, y)
+        assert got.shape == y.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+
+
+def assert_finals_close(coarse_runs, fine_runs, rel):
+    for coarse, fine in zip(coarse_runs, fine_runs):
+        for final in ("final_cumulative_cases", "final_cumulative_deaths"):
+            assert getattr(coarse, final)() == pytest.approx(
+                getattr(fine, final)(), rel=rel, abs=0), final
+
+
+class TestDefaultStepAccuracy:
+    """Final cumulative cases and deaths at DEFAULT_STEP against a run at a
+    quarter of it, over a 300-day horizon."""
+
+    SCHEDULE = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n,groups", [(5, False), (50, False), (5, True)],
+                             ids=["covid-n5", "covid-n50", "age-n5"])
+    def test_covid_models(self, n, groups, seed):
+        inst = sv.synthetic_instance(seed, n=n, groups=groups)
+        coarse, fine = (dynamics.simulate_policies(
+            inst, DEFAULT_SPECS, self.SCHEDULE, 300, step)
+            for step in (dynamics.DEFAULT_STEP, dynamics.DEFAULT_STEP / 4))
+        assert_finals_close(coarse, fine, 1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seir_model(self, seed):
+        params, state0 = bubar.us_like_instance(1.15, seed=seed)
+        coarse, fine = (bubar.simulate_bubar_policies(
+            params, state0, SEIR_POLICIES, self.SCHEDULE, 300, step)
+            for step in (dynamics.DEFAULT_STEP, dynamics.DEFAULT_STEP / 4))
+        assert_finals_close(coarse, fine, 1e-9)
 
 
 class TestTrajectoryCsv:

@@ -23,10 +23,15 @@ lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
   multistart from random positive directions. Each step's one-row LP is
   solved exactly in closed form, as a fractional knapsack.
 
-``solve_allocation`` takes the Gram route whenever the problem has a factor
-and ``max_decay`` bisects alpha under a budget. Every result is re-certified
-by the model's certify(v, alpha); an unsatisfied certificate raises
-``SolverError``.
+``solve_allocation`` takes the Gram route whenever the problem has a factor.
+``max_decay`` finds the largest alpha a budget buys. When b1_at returns one
+scalar (the homogeneous covid model, the SEIR model), rho(diag(b1 (s0 - q v))
+K) = b1(alpha) r(v) with r(v) = rho(diag(s0 - q v) K), so the search is
+direct: minimize r under the budget once (Kelley cuts on the epigraph of
+lambda_max on the Gram route, the SLP on the Perron gradient otherwise), then
+take alpha as the root of b1(alpha) r* = 1. Per-cell b1 (the age-structured
+model) bisects alpha. Every result is re-certified by the model's
+certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import scipy.sparse.csgraph
 
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, StabilityCertificate, cell_b1,
-                    check_decay_certificate, coupling_gram_factor,
+                    check_decay_certificate, compute_b1, coupling_gram_factor,
                     flow_for_model, max_certificate_rate)
 
 
@@ -70,6 +75,7 @@ class SolverStats:
     converged: bool = True
     method: str = ""
     lp_calls: int = 0
+    search: str = ""  # how max_decay found alpha: "direct" or "bisection"
 
 
 @dataclass
@@ -105,7 +111,9 @@ class AllocationProblem:
     def __post_init__(self):
         for name in ("flow", "scale", "s0", "q", "vmax", "weights"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.b1 = np.asarray(self.b1_at(self.alpha), dtype=float)
+        # b1_at may return one scalar for all cells
+        self.b1 = np.broadcast_to(np.asarray(self.b1_at(self.alpha),
+                                             dtype=float), self.s0.shape).copy()
         if np.any(self.b1 <= 0):
             raise ValueError("b1 must be positive (no transmission path?)")
         if np.any(self.q <= 0):
@@ -132,6 +140,18 @@ class AllocationResult:
 # LMI engine
 # ---------------------------------------------------------------------------
 
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
+               "dual_feasibility_tolerance": 1e-9}
+
+
+def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda_max(factor' diag(u) factor) and its cut direction factor z."""
+    top = factor.shape[1] - 1
+    vals, vecs = scipy.linalg.eigh(factor.T @ (u[:, None] * factor),
+                                   subset_by_index=[top, top])
+    return float(vals[0]), factor @ vecs[:, 0]
+
+
 def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                      weights: np.ndarray, *, pool: Optional[CutPool] = None,
                      max_shortfall: Optional[float] = None,
@@ -151,14 +171,7 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     upper = np.asarray(upper, dtype=float)
     weights = np.asarray(weights, dtype=float)
     pool = CutPool() if pool is None else pool
-    top = factor.shape[1] - 1
-
-    def top_eig(u: np.ndarray) -> tuple[float, np.ndarray]:
-        vals, vecs = scipy.linalg.eigh(factor.T @ (u[:, None] * factor),
-                                       subset_by_index=[top, top])
-        return float(vals[0]), factor @ vecs[:, 0]
-
-    lam_lo, _ = top_eig(lower)
+    lam_lo, _ = _top_eig(factor, lower)
     if lam_lo > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation violates the matrix constraint; "
@@ -166,8 +179,6 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
     objective = -weights / max(1.0, float(np.abs(weights).max()))
     bounds = np.column_stack([lower, upper])
-    lp_options = {"primal_feasibility_tolerance": 1e-9,
-                  "dual_feasibility_tolerance": 1e-9}
     best, best_obj = lower, float(weights @ lower)
     cuts_before, lp_before = len(pool.rows), pool.lp_calls
     gap = np.inf
@@ -177,7 +188,7 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             # the feasible lower corner stays inside every cut
             res = scipy.optimize.linprog(
                 objective, A_ub=rows, b_ub=np.maximum(1.0, rows @ lower),
-                bounds=bounds, method="highs", options=lp_options)
+                bounds=bounds, method="highs", options=_LP_OPTIONS)
             pool.lp_calls += 1
             if not res.success:
                 raise SolverError(f"inner linear program failed: {res.message}")
@@ -185,7 +196,7 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         else:  # the LP without cuts is solved by the upper corner
             u = upper.copy()
         bound_obj = float(weights @ u)
-        lam, fz = top_eig(u)
+        lam, fz = _top_eig(factor, u)
         point = u if lam <= 1.0 else \
             u + min(1.0, (lam - 1.0) / max(lam - lam_lo, 1e-300)) * (lower - u)
         if float(weights @ point) > best_obj:
@@ -216,15 +227,26 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 # bilinear engine
 # ---------------------------------------------------------------------------
 
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """A Perron vector made nonnegative with sum 1."""
+    d = np.abs(vec.real)
+    total = d.sum()
+    return d / total if total > 0 else np.full(d.size, 1.0 / d.size)
+
+
 def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Spectral radius and (nonnegative, sum-1) Perron vector."""
     vals, vecs = np.linalg.eig(mat)
     k = int(np.argmax(vals.real))
-    rho = float(vals[k].real)
-    d = np.abs(vecs[:, k].real)
-    total = d.sum()
-    d = d / total if total > 0 else np.full(mat.shape[0], 1.0 / mat.shape[0])
-    return max(rho, 0.0), d
+    return max(float(vals[k].real), 0.0), _unit(vecs[:, k])
+
+
+def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Spectral radius with the right and left Perron vectors, from one
+    eigen-decomposition."""
+    vals, left, right = scipy.linalg.eig(mat, left=True)
+    k = int(np.argmax(vals.real))
+    return max(float(vals[k].real), 0.0), _unit(right[:, k]), _unit(left[:, k])
 
 
 def _knapsack(cost: np.ndarray, gain: np.ndarray, need: float,
@@ -285,14 +307,16 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         raise InfeasibleAllocationError(
             "even the maximal allocation leaves the system unstable")
 
-    def restore(v: np.ndarray) -> np.ndarray:
-        """Scale the diagonal onto the rho = 1 surface (never decreases v)."""
+    def restore(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """Scale the diagonal onto the rho = 1 surface (never decreases v);
+        returns v and its radius."""
+        rho = radius(v)
         for _ in range(60):
-            rho = radius(v)
             if rho <= 1.0 + 1e-13:
-                return v
+                break
             v = np.minimum((p0 - (p0 - p1 * v) / rho) / p1, vmax)
-        return v
+            rho = radius(v)
+        return v, rho
 
     def direction_step(d: np.ndarray) -> Optional[np.ndarray]:
         """Min-dose v satisfying (diag(p0 - p1 v) K) d <= d for this d."""
@@ -308,20 +332,20 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     tiny = 1e-14
     lp_calls = [0]
 
-    def slp(v_start: np.ndarray) -> tuple[np.ndarray, int, bool]:
-        v = restore(np.clip(v_start, 0.0, vmax))
+    def slp(v_start: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+        v, rho = restore(np.clip(v_start, 0.0, vmax))
         doses = float(weights @ v)
         trust = max(float(vmax.max()), 1e-6) * 0.5
         converged = False
+        grad = None  # the Perron gradient at v, kept while v stays
         it = 0
         for it in range(1, max_iter + 1):
-            P = (p0 - p1 * v)[:, None] * K
-            rho, d = _perron(P)
-            _, w = _perron(P.T)
-            denom = float(w @ d)
-            if denom < tiny:
-                break
-            grad = -p1 * w * (K @ d) / denom
+            if grad is None:
+                _, d, w = _perron_pair((p0 - p1 * v)[:, None] * K)
+                denom = float(w @ d)
+                if denom < tiny:
+                    break
+                grad = -p1 * w * (K @ d) / denom
             lo = np.maximum(0.0, v - trust)
             hi = np.minimum(vmax, v + trust)
             # the step LP: min weights'x  s.t.  grad'x <= 1 - rho + grad'v
@@ -330,17 +354,17 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
             lp_calls[0] += 1
             if step is None:
                 break
-            v_new = restore(step)
+            v_new, rho_new = restore(step)
             doses_new = float(weights @ v_new)
             if doses_new < doses - tol * max(1.0, abs(doses)):
-                v, doses = v_new, doses_new
+                v, rho, doses, grad = v_new, rho_new, doses_new, None
                 trust = min(trust * 1.5, float(vmax.max()))
             else:
                 trust *= 0.5
                 if trust < 1e-12 * max(1.0, float(vmax.max())):
                     converged = True
                     break
-        return v, it, converged
+        return v, rho, it, converged
 
     # jumpstart from the Perron direction of the unvaccinated system,
     # then random positive directions
@@ -358,11 +382,11 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     total_iters = 0
     any_converged = False
     for v_start in starts:
-        v_cand, iters, conv = slp(v_start)
+        v_cand, rho_cand, iters, conv = slp(v_start)
         total_iters += iters
         any_converged = any_converged or conv
         doses_cand = float(weights @ v_cand)
-        if radius(v_cand) <= 1.0 + 1e-9 and doses_cand < best_doses:
+        if rho_cand <= 1.0 + 1e-9 and doses_cand < best_doses:
             best_v, best_doses = v_cand, doses_cand
     if best_v is None:
         raise SolverError("bilinear scheme found no feasible iterate")
@@ -393,7 +417,9 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
         s0=state.s.copy(), q=np.full(populations.shape, params.psi),
         vmax=state.s.copy(), weights=populations,
         max_rate=max_certificate_rate(params),
-        b1_at=lambda rate: cell_b1(params, net.n, rate),
+        b1_at=((lambda rate: cell_b1(params, net.n, rate))
+               if params.is_demographic else
+               (lambda rate: compute_b1(params, rate))),
         certify=lambda v, rate: check_decay_certificate(
             state, net, params, contacts, v, rate),
         alpha=alpha)
@@ -482,20 +508,140 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
     return lo, best
 
 
+def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
+                     gap_tol: float = 1e-9, max_iter: int = 5000,
+                     ) -> tuple[np.ndarray, float, SolverStats]:
+    """min r = lambda_max(Ft' diag(y) Ft), Ft = sqrt(scale s0) F, over
+    y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
+    the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
+    the best point evaluated, within gap_tol (relative) of the LP bound."""
+    factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
+    cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
+    total, m = max(float(cost.sum()), 1e-300), cost.size
+    reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
+    bounds = np.r_[np.c_[1 - prob.q * reach, np.ones(m)], [[0.0, np.inf]]]
+    r, fz = _top_eig(factor, np.ones(m))
+    best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
+    lp_tol = _LP_OPTIONS["primal_feasibility_tolerance"]
+    for iteration in range(1, max_iter + 1):
+        # stop at the gap, or (a guard) when the LP would not see the next
+        # cut: it is violated by less than the LP's feasibility tolerance
+        if best_r - bound <= gap_tol * best_r or r - bound <= lp_tol * unit:
+            break
+        pool.rows.append(fz * fz)
+        unit = best_r  # t in units of r*, so the LP resolves a relative gap
+        rows = np.array(pool.rows) / unit
+        res = scipy.optimize.linprog(
+            np.r_[np.zeros(m), 1.0],
+            A_ub=np.r_[np.c_[rows, -np.ones(len(rows))],
+                       [np.r_[-cost / total, 0.0]]],
+            b_ub=np.r_[np.zeros(len(rows)), budget / total - 1.0],
+            bounds=bounds, method="highs", options=_LP_OPTIONS)
+        pool.lp_calls += 1
+        if not res.success:
+            raise SolverError(f"inner linear program failed: {res.message}")
+        bound = res.x[-1] * unit
+        spent = 1 - np.clip(res.x[:-1], *bounds[:-1].T)  # 1 - y
+        # every evaluated point keeps within the budget
+        spent *= min(1.0, budget / max(float(cost @ spent), 1e-300))
+        r, fz = _top_eig(factor, 1 - spent)
+        if r < best_r:
+            best_v, best_r = prob.s0 * spent / prob.q, r
+    else:
+        raise SolverError(
+            f"cutting-plane loop did not converge in {max_iter} iterations")
+    return best_v, best_r, SolverStats(
+        iterations=iteration, cuts=len(pool.rows), method="lmi-cutting-plane",
+        gap=float(max(best_r - bound, 0.0) / max(best_r, 1e-300)),
+        lp_calls=pool.lp_calls)
+
+
+def _slp_min_radius(prob: AllocationProblem, budget: float,
+                    max_iter: int = 500, tol: float = 1e-8,
+                    ) -> tuple[np.ndarray, float, np.ndarray, SolverStats]:
+    """min r = rho(diag(s0 - q v) K) over weights'v <= budget and the box, by
+    SLP on the Perron gradient with the trust-region rule of
+    `spectral_box_minimize`. A step maximizes the linear gain g'x subject to
+    weights'x <= budget in the trust box: a fractional knapsack on the
+    complement hi - x. Returns (v, r, Perron direction, stats)."""
+    K, s0, q, weights = prob.flow, prob.s0, prob.q, prob.weights
+    top = float(prob.vmax.max())
+    v, trust = np.zeros_like(s0), 0.5 * max(top, 1e-6)
+    rho, d, w = _perron_pair(s0[:, None] * K)
+    for it in range(1, max_iter + 1):
+        if float(w @ d) < 1e-14:
+            break
+        lo, hi = np.maximum(0.0, v - trust), np.minimum(prob.vmax, v + trust)
+        spare = _knapsack(q * w * (K @ d) / float(w @ d), weights,
+                          float(weights @ hi) - budget, np.zeros_like(v),
+                          hi - lo)
+        if spare is None:
+            break
+        step = hi - spare
+        step *= min(1.0, budget / max(float(weights @ step), 1e-300))
+        candidate = _perron_pair((s0 - q * step)[:, None] * K)
+        if candidate[0] < rho - tol * rho:
+            v, (rho, d, w) = step, candidate
+            trust = min(trust * 1.5, top)
+        else:
+            trust *= 0.5
+            if trust < 1e-12 * max(1.0, top):
+                break
+    return v, rho, d, SolverStats(
+        iterations=it, method="bilinear-slp", lp_calls=it,
+        converged=trust < 1e-12 * max(1.0, top))
+
+
+def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
+                      hi: float) -> tuple[float, AllocationResult]:
+    """max_decay for a scalar b1: alpha solves b1(alpha) r* = 1 at the
+    budget's minimum radius r*, from the point that attains it."""
+    if prob.factor is None:
+        pool = None
+        v, radius, d, stats = _slp_min_radius(prob, budget)
+    else:
+        pool, d = CutPool(), None
+        v, radius, stats = _gram_min_radius(prob, budget, pool)
+    stats.search = "direct"
+    if radius * prob.b1_at(lo) > 1.0:
+        raise InfeasibleAllocationError(
+            f"budget insufficient even at the bracket low end alpha={lo}")
+    if radius * prob.b1_at(hi) > 1.0:
+        alpha = scipy.optimize.brentq(lambda a: radius * prob.b1_at(a) - 1.0,
+                                      lo, hi, xtol=1e-15)
+        return alpha, _finish(prob.at_rate(alpha), v, stats, direction=d)
+    # the budget reaches the bracket top: spend only what that rate needs
+    top = solve_allocation(prob.at_rate(hi), pool)
+    if top.doses > budget * (1 + 1e-9):  # solved to a gap; v fits
+        top = _finish(prob.at_rate(hi), v, top.stats, direction=d)
+    top.stats = replace(top.stats, search="direct",
+                        iterations=stats.iterations + top.stats.iterations,
+                        cuts=stats.cuts + top.stats.cuts,
+                        lp_calls=stats.lp_calls + top.stats.lp_calls)
+    return hi, top
+
+
 def max_decay(prob: AllocationProblem, budget: float,
               width: float = 1e-5) -> tuple[float, AllocationResult]:
     """Largest decay rate in [-2, max_rate - 1e-4] whose minimum dose
-    requirement fits the budget.
+    requirement fits the budget; stats.search names the search used.
 
-    Bisects alpha. On the Gram route the probes share one cut pool and stop
-    as soon as the LP bound exceeds the budget or a feasible point fits it;
-    the returned rate alone is solved to the gap, with the cuts and LP calls
-    of the whole search in its stats. Bilinear probes are full solves; the
-    returned stats sum the SLP iterations and step LPs of every probe.
+    When b1_at returns one scalar the search is direct (see the module
+    docstring): the budget's minimum radius r* comes from one Kelley solve
+    (Gram route) or one SLP solve (bilinear route), and alpha from the root
+    of b1(alpha) r* = 1; doses stay within budget (1 + 1e-9) and the stats
+    count that one solve. Otherwise it bisects alpha to width. On the Gram
+    route the probes share one cut pool and stop as soon as the LP bound
+    exceeds the budget or a feasible point fits it; the returned rate alone
+    is solved to the gap, with the cuts and LP calls of the whole search in
+    its stats. Bilinear probes are full solves; the returned stats sum the
+    SLP iterations and step LPs of every probe.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     lo, hi = -2.0, prob.max_rate - 1e-4
+    if np.ndim(prob.b1_at(prob.alpha)) == 0:
+        return _direct_max_decay(prob, budget, lo, hi)
     cap = budget + 1e-9 * (1.0 + budget)
 
     if prob.factor is None:
@@ -512,7 +658,7 @@ def max_decay(prob: AllocationProblem, budget: float,
 
         alpha, result = bisect_rate(attempt, lo, hi, width)
         result.stats = replace(result.stats, iterations=work.iterations,
-                               lp_calls=work.lp_calls)
+                               lp_calls=work.lp_calls, search="bisection")
         return alpha, result
 
     pool = CutPool()
@@ -530,6 +676,7 @@ def max_decay(prob: AllocationProblem, budget: float,
         # the optimum is found to a relative gap; the probe's point fits
         result = _finish(at_alpha, v_fit, result.stats)
     result.stats.cuts, result.stats.lp_calls = len(pool.rows), pool.lp_calls
+    result.stats.search = "bisection"
     return alpha, result
 
 
@@ -569,6 +716,7 @@ def result_to_dict(result: AllocationResult) -> dict:
             "gap": result.stats.gap,
             "converged": result.stats.converged,
             "lp_calls": result.stats.lp_calls,
+            "search": result.stats.search,
         },
     }
     if result.direction is not None:

@@ -263,7 +263,7 @@ def bubar_problem(state: BubarState, params: BubarParams,
         q=params.psi * state.S, vmax=np.ones(g),
         weights=state.S + state.I + state.R,
         max_rate=min(1.0 / params.d_e, 1.0 / params.d_i),
-        b1_at=lambda rate: np.full(g, bubar_b1(params, rate)),
+        b1_at=lambda rate: bubar_b1(params, rate),
         certify=lambda v, rate: bubar_certificate(state, params, v, rate),
         alpha=alpha)
 

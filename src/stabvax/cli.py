@@ -42,6 +42,38 @@ class InputError(ValueError):
     pass
 
 
+# numeric config keys per section ("" is the top level) and the type each is
+# read as; a null value counts as absent
+NUMERIC_KEYS = {
+    "": {"seed": int, "n": int, "horizon": int, "workers": int,
+         "budget": float, "alpha": float, "target_rt": float,
+         "target_r0": float, "psi": float, "alpha_hat": float},
+    "synthetic": {"seed": int, "n": int, "target_rt": float},
+    "schedule": {"daily_rate": float, "interval_days": int, "budget": float},
+}
+
+
+def _convert_numbers(config: dict) -> None:
+    """Convert the numeric keys in place, or raise InputError."""
+    for name, kinds in NUMERIC_KEYS.items():
+        section = config.get(name, {}) if name else config
+        if not isinstance(section, dict):
+            raise InputError(f"config key {name} must be a JSON object")
+        for key, kind in kinds.items():
+            value = section.pop(key, None)
+            where = f"{name}.{key}" if name else key
+            if value is None:
+                continue
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float, str)):
+                raise InputError(f"config key {where} must be a number, "
+                                 f"got {value!r}")
+            try:
+                section[key] = kind(value)
+            except ValueError as exc:
+                raise InputError(f"config key {where}: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     config = {}
     if args.config:
@@ -49,6 +81,8 @@ def _load_config(args) -> dict:
             config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config: {exc}") from exc
+        if not isinstance(config, dict):
+            raise InputError("config must be a JSON object")
     for key in ("out", "seed", "model", "budget", "alpha", "axis",
                 "range", "horizon", "target_rt", "workers", "step"):
         value = getattr(args, key, None)
@@ -56,6 +90,7 @@ def _load_config(args) -> dict:
             config[key] = value
     if getattr(args, "policy", None):
         config["policies"] = [{"kind": kind} for kind in args.policy]
+    _convert_numbers(config)
     config.setdefault("model", "covid")
     config.setdefault("out", ".")
     config.setdefault("horizon", 500)

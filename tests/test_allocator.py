@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 import stabvax as sv
-from stabvax import allocator, ingest, model
+from stabvax import allocator, bubar, ingest, model
 
 
 def solve_via(inst, alpha, path="auto"):
@@ -236,6 +236,136 @@ class TestBinarySearch:
             sv.max_decay_binary_search(inst.state0, inst.net, inst.params,
                                        None, budget=-1.0)
 
+    def test_bisection_stats_count_every_probe(self, monkeypatch):
+        steps, probes = [0], []
+        knapsack, minimize = allocator._knapsack, allocator.spectral_box_minimize
+
+        def counted_step(*args):
+            steps[0] += 1
+            return knapsack(*args)
+
+        def recorded_probe(*args, **kwargs):
+            v, d, stats = minimize(*args, **kwargs)
+            probes.append(stats)
+            return v, d, stats
+
+        monkeypatch.setattr(allocator, "_knapsack", counted_step)
+        monkeypatch.setattr(allocator, "spectral_box_minimize", recorded_probe)
+        inst = indefinite_two_group_instance()
+        _, res = sv.max_decay_binary_search(
+            inst.state0, inst.net, inst.params, inst.contacts,
+            0.05 * inst.net.total_population)
+        assert len(probes) > 1
+        assert res.stats.lp_calls == steps[0] > probes[-1].lp_calls
+        assert res.stats.lp_calls == sum(p.lp_calls for p in probes)
+        assert res.stats.iterations == sum(p.iterations for p in probes)
+
+
+def covid_problem(seed, n, **kwargs):
+    inst = sv.synthetic_instance(seed, n=n, **kwargs)
+    return (allocator.build_problem(inst.state0, inst.net, inst.params,
+                                    inst.contacts, -2.0),
+            inst.net.total_population)
+
+
+def seir_problem(r0, seed):
+    params, state = bubar.us_like_instance(r0, seed=seed)
+    return (bubar.bubar_problem(state, params, -2.0),
+            float(params.populations.sum()))
+
+
+class TestDirectSearch:
+    """max_decay on a scalar b1 against the cold bisection of its problem,
+    whose alpha is the low end of a 1e-5 bracket."""
+
+    @staticmethod
+    def assert_within_cold_bracket(prob, budget):
+        alpha, res = allocator.max_decay(prob, budget)
+        cold_alpha, cold = cold_problem_bisection(prob, budget)
+        assert res.stats.search == "direct"
+        assert res.certificate.satisfied and cold.certificate.satisfied
+        assert cold_alpha - 1e-9 <= alpha <= cold_alpha + 1e-5 + 1e-9
+        assert res.doses <= budget * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_covid_matches_cold_bisection(self, n):
+        for seed in range(4):
+            prob, population = covid_problem(seed, n)
+            assert prob.factor is not None
+            self.assert_within_cold_bracket(prob, 0.05 * population)
+
+    @pytest.mark.parametrize("r0", [1.05, 1.15, 1.5, 2.5])
+    def test_seir_matches_cold_bisection(self, r0):
+        for seed in range(4):
+            prob, population = seir_problem(r0, seed)
+            assert prob.factor is None
+            self.assert_within_cold_bracket(prob, 0.05 * population)
+
+    def test_converges_when_min_radius_is_far_below_start(self):
+        # r* is 0.14 of the unvaccinated radius: measured in that radius, the
+        # last 1e-9 of relative gap lay below the LP's feasibility tolerance
+        prob, _ = covid_problem(23, 2, target_rt=1.1)
+        self.assert_within_cold_bracket(prob,
+                                        0.9 * float(prob.weights @ prob.vmax))
+
+    def test_zero_budget_gives_unvaccinated_eigenvalue(self):
+        inst = sv.synthetic_instance(23, n=3, target_rt=1.2)
+        covid_lam = np.max(np.linalg.eigvals(model.infection_submatrix(
+            inst.state0.s, inst.net, inst.params)).real)
+        params, state = bubar.us_like_instance(1.15, seed=0)
+        seir_lam = np.max(np.linalg.eigvals(bubar.bubar_infection_submatrix(
+            state, params, np.zeros(params.n_groups))).real)
+        for prob, lam in ((covid_problem(23, 3, target_rt=1.2)[0], covid_lam),
+                          (seir_problem(1.15, 0)[0], seir_lam)):
+            alpha, res = allocator.max_decay(prob, 0.0)
+            assert res.stats.search == "direct"
+            assert alpha == pytest.approx(-lam, rel=0, abs=1e-9)
+            assert res.doses == 0.0
+
+    def test_budget_short_of_bracket_low_end_raises(self):
+        for prob, population in (covid_problem(0, 3, target_rt=100.0),
+                                 seir_problem(100.0, 0)):
+            with pytest.raises(sv.InfeasibleAllocationError):
+                allocator.max_decay(prob, 0.01 * population)
+
+    def test_stats_count_the_one_solve(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the direct search makes no bisection probe")
+
+        steps, lps, pools = [0], [0], []
+        knapsack, linprog = allocator._knapsack, scipy.optimize.linprog
+        real_pool = allocator.CutPool
+
+        def counted_step(*args):
+            steps[0] += 1
+            return knapsack(*args)
+
+        def counted_lp(*args, **kwargs):
+            lps[0] += 1
+            return linprog(*args, **kwargs)
+
+        def tracked_pool():
+            pools.append(real_pool())
+            return pools[-1]
+
+        monkeypatch.setattr(allocator, "spectral_box_minimize", no_probe)
+        monkeypatch.setattr(allocator, "lmi_box_maximize", no_probe)
+        monkeypatch.setattr(allocator, "_knapsack", counted_step)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_lp)
+        monkeypatch.setattr(allocator, "CutPool", tracked_pool)
+        prob, population = seir_problem(1.15, 0)
+        _, res = allocator.max_decay(prob, 0.05 * population)
+        assert res.stats.method == "bilinear-slp"
+        assert res.stats.lp_calls == res.stats.iterations == steps[0] > 0
+        assert lps[0] == 0 and not pools
+        prob, population = covid_problem(0, 20)
+        _, res = allocator.max_decay(prob, 0.05 * population)
+        assert res.stats.method == "lmi-cutting-plane"
+        assert len(pools) == 1
+        assert res.stats.lp_calls == lps[0] == pools[0].lp_calls > 1
+        assert res.stats.cuts == len(pools[0].rows) > 1
+        assert res.stats.iterations == res.stats.lp_calls + 1
+
 
 class TestAllocationProperties:
     def test_doses_monotone_in_alpha(self):
@@ -279,19 +409,24 @@ class TestAllocationProperties:
             allocator.solve_bilinear(prob)
 
 
-def cold_bisection(inst, budget, width=1e-5):
+def cold_problem_bisection(prob, budget, width=1e-5):
     """Reference bisection: a full, certified solve at every probe."""
     cap = budget + 1e-9 * (1.0 + budget)
 
     def attempt(alpha):
         try:
-            res = solve_via(inst, alpha)
+            res = allocator.solve_allocation(prob.at_rate(alpha))
         except sv.InfeasibleAllocationError:
             return None
         return res if res.doses <= cap else None
 
-    top = model.max_certificate_rate(inst.params) - 1e-4
-    return allocator.bisect_rate(attempt, -2.0, top, width)
+    return allocator.bisect_rate(attempt, -2.0, prob.max_rate - 1e-4, width)
+
+
+def cold_bisection(inst, budget, width=1e-5):
+    return cold_problem_bisection(
+        allocator.build_problem(inst.state0, inst.net, inst.params,
+                                inst.contacts, -2.0), budget, width)
 
 
 class TestCertifiedOrRaise:

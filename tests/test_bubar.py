@@ -68,45 +68,29 @@ class TestAllocationRoutes:
         assert abs(alpha - cold_alpha) <= 1e-5
 
 
-# budgeted SEIR bisection at a 5% supply: (alpha, doses, dose vector) for
-# (r0, seed), pinned while each SLP step was still solved by linprog
+# budgeted SEIR max-decay at a 5% supply, for (r0, seed): the alpha of the
+# earlier alpha bisection (the low end of its 1e-5 bracket), then alpha,
+# doses and the groups' doses (every other group gets none) of the direct
+# search, which minimizes the radius under the supply and solves for alpha
 BILINEAR_GOLDEN = {
-    (1.05, 0): (0.004661224746704107, 49986.57581587254,
-                [2.55691791067e-05, 2.72458380036e-05, 6879.58702374,
-                 31846.3838822, 11260.6047837, 2.74554234831e-05,
-                 2.3892495271e-05, 1.38325044813e-05, 8.17375264802e-06]),
-    (1.05, 1): (0.005399716567993169, 49987.91881295879,
-                [3.91437903014e-05, 4.17106076012e-05, 35201.0854196,
-                 13172.3159807, 1614.51721949, 4.20314473694e-05,
-                 3.65769977903e-05, 2.11761559631e-05, 1.25131785621e-05]),
-    (1.05, 2): (0.004711576461791997, 49974.5897866447,
-                [8.66185855491e-05, 9.22985009715e-05, 20468.5334685,
-                 6453.30919434, 23052.7466964, 9.30084903993e-05,
-                 8.09386950552e-05, 4.68592399135e-05, 2.76895502914e-05]),
-    (1.5, 0): (-0.04343305511474609, 49988.84952494703,
-               [4.54557974554e-05, 4.84365049012e-05, 6878.99070288,
-                31847.8199876, 11262.0386101, 4.88090888786e-05,
-                4.24750900095e-05, 2.4590836428e-05, 1.45309532517e-05]),
-    (1.5, 1): (-0.042543508148193354, 49982.61265562682,
-               [3.96823755365e-05, 4.22844831383e-05, 35199.0704293,
-                13171.9019654, 1611.6400651, 4.26097488018e-05,
-                3.70802502283e-05, 2.14675072326e-05, 1.26853431708e-05]),
-    (1.5, 2): (-0.04337431144714356, 49968.47580507953,
-               [8.82002000599e-05, 9.3983819736e-05, 20474.194465,
-                6447.26315621, 23047.0177487, 9.47067721955e-05,
-                8.24165803839e-05, 4.77148623275e-05, 2.81951459208e-05]),
-    (2.5, 0): (-0.12995408554077148, 49983.68513759606,
-               [1.91805606871e-05, 2.04383121056e-05, 6877.02626266,
-                31844.6582072, 11262.0005731, 2.05955161884e-05,
-                1.79228241131e-05, 1.03763749801e-05, 6.13149363169e-06]),
-    (2.5, 1): (-0.12879599609375003, 49974.247987494884,
-               [3.96814023419e-05, 4.22834755417e-05, 35195.3329162,
-                13169.9958133, 1608.91906221, 4.26087162473e-05,
-                3.70793438976e-05, 2.14669932319e-05, 1.26850367603e-05]),
-    (2.5, 2): (-0.129870166015625, 49986.62003277435,
-               [8.82017878762e-05, 9.39855364826e-05, 20482.2122873,
-                6452.55555483, 23051.8517554, 9.47084790917e-05,
-                8.2418068946e-05, 4.77157256885e-05, 2.8195659461e-05]),
+    (1.05, 0): (0.004661224746704107, 0.004663839015887456,
+                50000.0, [6883.75462652, 31861.4477794, 11254.7975941]),
+    (1.05, 1): (0.005399716567993169, 0.0054021848404272365,
+                49999.99999999999, [35184.5700784, 13184.2888892, 1631.14103235]),
+    (1.05, 2): (0.004711576461791997, 0.004716730577160908,
+                50000.0, [20472.5987462, 6468.65172136, 23058.7495324]),
+    (1.5, 0): (-0.04343305511474609, -0.04343043417128143,
+                50000.0, [6883.75462652, 31861.4477794, 11254.7975941]),
+    (1.5, 1): (-0.042543508148193354, -0.0425392197368291,
+                49999.99999999999, [35184.5700784, 13184.2888892, 1631.14103235]),
+    (1.5, 2): (-0.04337431144714356, -0.04336659349369287,
+                50000.0, [20472.5987462, 6468.65172136, 23058.7495324]),
+    (2.5, 0): (-0.12995408554077148, -0.12994908812698477,
+                50000.0, [6883.75462652, 31861.4477794, 11254.7975941]),
+    (2.5, 1): (-0.12879599609375003, -0.12878771841626885,
+                49999.99999999999, [35184.5700784, 13184.2888892, 1631.14103235]),
+    (2.5, 2): (-0.129870166015625, -0.12986589741830934,
+                50000.0, [20472.5987462, 6468.65172136, 23058.7495324]),
 }
 
 
@@ -120,36 +104,17 @@ class TestBilinearRoute:
         params, state = bubar.us_like_instance(r0, seed=seed)
         alpha, res = bubar.solve_bubar_allocation(
             state, params, supply=0.05 * params.populations.sum())
-        golden_alpha, golden_doses, golden_vec = BILINEAR_GOLDEN[r0, seed]
+        bisected, golden_alpha, golden_doses, golden_groups = \
+            BILINEAR_GOLDEN[r0, seed]
+        golden_vec = np.zeros(params.n_groups)
+        golden_vec[2:5] = golden_groups
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied
+        assert bisected <= alpha <= bisected + 1e-5 + 1e-9
         assert alpha == pytest.approx(golden_alpha, rel=0, abs=1e-12)
         assert res.doses == pytest.approx(golden_doses, rel=1e-9)
         assert np.abs(res.dose_vector - golden_vec).max() <= \
             1e-9 * max(golden_vec)
-
-    def test_bisection_stats_count_every_probe(self, monkeypatch):
-        steps, probes = [0], []
-        knapsack, minimize = allocator._knapsack, allocator.spectral_box_minimize
-
-        def counted_step(*args):
-            steps[0] += 1
-            return knapsack(*args)
-
-        def recorded_probe(*args, **kwargs):
-            v, d, stats = minimize(*args, **kwargs)
-            probes.append(stats)
-            return v, d, stats
-
-        monkeypatch.setattr(allocator, "_knapsack", counted_step)
-        monkeypatch.setattr(allocator, "spectral_box_minimize", recorded_probe)
-        params, state = bubar.us_like_instance(1.15, seed=0)
-        _, res = bubar.solve_bubar_allocation(
-            state, params, supply=0.05 * params.populations.sum())
-        assert len(probes) > 1
-        assert res.stats.lp_calls == steps[0] > probes[-1].lp_calls
-        assert res.stats.lp_calls == sum(p.lp_calls for p in probes)
-        assert res.stats.iterations == sum(p.iterations for p in probes)
 
 
 SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]

@@ -46,24 +46,45 @@ class TestAllocate:
         assert allocate(tmp_path, "--alpha", "0") == cli.EXIT_SOLVER
         assert not (tmp_path / "allocation.json").exists()
 
+    @pytest.mark.parametrize("model_name, flags, search", [
+        ("covid", ("--budget", "0.05"), "direct"),
+        ("covid-demographic", ("--budget", "0.05"), "bisection"),
+        ("covid", ("--alpha", "0"), "")])
+    def test_solver_reports_search(self, tmp_path, model_name, flags, search):
+        assert allocate(tmp_path, "--model", model_name, *flags) == cli.EXIT_OK
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        assert doc["solver"]["search"] == search
+
+    @pytest.mark.parametrize("command, config, output", [
+        ("compare", {"horizon": [3]}, "summary.csv"),
+        ("allocate", {"synthetic": {"seed": [0]}}, "allocation.json")])
+    def test_number_of_wrong_type_exits_input_error(self, tmp_path, command,
+                                                    config, output):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         command]) == cli.EXIT_INPUT
+        assert not (out / output).exists()
+
 
 # allocate output at seed 0: (achieved alpha, doses, dose vector), pinned
-# before the SEIR model was solved through the shared allocation problem
+# before the SEIR model was solved through the shared allocation problem;
+# the budgeted bubar and covid cases since max-decay searches directly when
+# b1 is one scalar
 ALLOCATE_GOLDEN = {
     ("bubar", "--budget", "0.05"): (
-        -0.006760222625732417, 49978.549381717305,
-        [2.07149335875e-05, 2.2073298396e-05, 6878.52149583, 31840.90293,
-         11259.1248537, 2.22430837543e-05, 1.9356568779e-05, 1.12064482134e-05,
-         6.62199088453e-06]),
+        -0.006755838254284464, 50000.0,
+        [0.0, 0.0, 6883.75462652, 31861.4477794, 11254.7975941, 0.0, 0.0,
+         0.0, 0.0]),
     ("bubar", "--alpha", "0"): (
         0.0, 83376.79839614738,
         [0.000179880277444, 0.000191675695285, 17779.6209078, 40608.2864997,
          19998.1258055, 4990.76448872, 0.000168084833708, 9.73122748724e-05,
          5.75027072906e-05]),
     ("covid", "--budget", "0.05"): (
-        -0.013133677369873708, 15851.05887226149,
-        [2.73027489789e-05, 13535.6331536, 2200.89454122, 114.531141378,
-         8.78749722878e-06]),
+        -0.013128709001423999, 15858.7,
+        [0.0, 13535.6331536, 2200.89454122, 122.172305206, 0.0]),
     ("covid-demographic", "--budget", "0.05"): (
         -0.009575490951538078, 15854.11767286719,
         [2.68470853972e-05, 6.94537526864e-05, 5.88308356827e-05,
@@ -107,9 +128,10 @@ class TestAllocateGolden:
 
 
 # summary.csv values of `compare` at horizon 30, seed 0, pinned before the
-# policies were simulated as one batch
+# policies were simulated as one batch; the covid optimal-stabilizing rows
+# since max-decay searches directly when b1 is one scalar
 COVID_COMPARE_30 = {
-    "optimal-stabilizing": (91607.160112, 1610.884320, 15431.406226),
+    "optimal-stabilizing": (91605.785554, 1610.875234, 15438.454726),
     "population-weighted": (94371.511385, 1643.851820, 15858.700000),
     "infection-weighted": (93976.162003, 1638.855297, 15858.700000),
     "no-vaccine": (101199.866735, 1724.401806, 0.0),
@@ -124,9 +146,9 @@ SEIR_COMPARE_30 = {
 }
 SWEEP_BUDGET_30 = [
     ("0.01", "population-weighted", (99252.578189, 1698.270349, 3171.74)),
-    ("0.01", "optimal-stabilizing", (98280.860261, 1685.446783, 3169.999540)),
+    ("0.01", "optimal-stabilizing", (98279.446508, 1685.428766, 3171.74)),
     ("0.05", "population-weighted", (94371.511385, 1643.851820, 15858.7)),
-    ("0.05", "optimal-stabilizing", (91607.160112, 1610.884320, 15431.406226)),
+    ("0.05", "optimal-stabilizing", (91605.785554, 1610.875234, 15438.454726)),
 ]
 
 

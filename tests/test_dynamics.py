@@ -259,25 +259,6 @@ class TestSimulatePolicy:
         assert traj.total_doses() == pytest.approx(
             0.05 * inst.net.total_population, rel=1e-9)
 
-    def test_spent_budget_stops_dosing(self, monkeypatch):
-        # 5% of the population at 0.33% a day is spent in 16 epochs; the
-        # rounding residual left in the budget must not keep the policy on
-        real = policies.emit_doses
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(policies, "emit_doses", counted)
-        inst = sv.synthetic_instance(0, n=5)
-        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-        traj = sv.simulate_policy(inst, sv.PolicySpec(kind="infection-weighted"),
-                                  sched, horizon=300)
-        assert len(calls) == 16
-        assert traj.total_doses() == pytest.approx(
-            0.05 * inst.net.total_population, rel=1e-9)
-
     def test_supply_interval_delivers_at_epoch_start(self):
         inst = small_instance()
         sched = sv.VaccinationSchedule(daily_rate=0.001, interval_days=7,

@@ -1,4 +1,9 @@
-"""Stabilizing vaccine allocation for networked epidemic models."""
+"""Stabilizing vaccine allocation for networked epidemic models.
+
+Importing the package loads numpy but no scipy submodule: the solvers import
+scipy.linalg and scipy.optimize when they first run. Building instances and
+simulating policies that solve nothing never load scipy.
+"""
 
 from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     EpidemicState, InfeasibleRateError, NetworkInstance,
@@ -8,10 +13,10 @@ from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     coupling_gram_factor, effective_reproduction_number,
                     intrinsic_connectivity, project_contact_matrix)
 from .allocator import (AllocationProblem, AllocationResult, CutPool,
-                        InfeasibleAllocationError,
-                        NotPositiveDefiniteError, SolverError, build_problem,
-                        lmi_box_maximize, max_decay_binary_search,
-                        solve_allocation, solve_bilinear, solve_diagonal_lmi,
+                        InfeasibleAllocationError, NoGramFactorError,
+                        SolverError, build_problem, lmi_box_maximize,
+                        max_decay_binary_search, solve_allocation,
+                        solve_bilinear, solve_diagonal_lmi,
                         spectral_box_minimize)
 from .dynamics import (Trajectory, VaccinationSchedule,
                        apply_vaccination_event, integrate, rhs_covid,

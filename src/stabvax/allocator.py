@@ -32,6 +32,9 @@ lambda_max on the Gram route, the SLP on the Perron gradient otherwise), then
 take alpha as the root of b1(alpha) r* = 1. Per-cell b1 (the age-structured
 model) bisects alpha. Every result is re-certified by the model's
 certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
+
+scipy is imported inside the functions that call it, so that importing the
+package (and every command that solves nothing) stays free of its load time.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, StabilityCertificate, cell_b1,
@@ -61,7 +60,7 @@ class SolverError(RuntimeError):
     provable infeasibility."""
 
 
-class NotPositiveDefiniteError(ValueError):
+class NoGramFactorError(ValueError):
     """Coupling matrix has no Gram factor; use the bilinear path."""
 
 
@@ -146,6 +145,7 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
 
 def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
     """lambda_max(factor' diag(u) factor) and its cut direction factor z."""
+    import scipy.linalg
     top = factor.shape[1] - 1
     vals, vecs = scipy.linalg.eigh(factor.T @ (u[:, None] * factor),
                                    subset_by_index=[top, top])
@@ -166,6 +166,7 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     weights'(upper - u) <= max_shortfall, and raises InfeasibleAllocationError
     once the LP bound rules one out, as it does for an infeasible lower corner.
     """
+    import scipy.optimize
     factor = np.asarray(factor, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -244,9 +245,25 @@ def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
 def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Spectral radius with the right and left Perron vectors, from one
     eigen-decomposition."""
+    import scipy.linalg
     vals, left, right = scipy.linalg.eig(mat, left=True)
     k = int(np.argmax(vals.real))
     return max(float(vals[k].real), 0.0), _unit(right[:, k]), _unit(left[:, k])
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether the digraph with an edge i -> j wherever adj[i, j] is strongly
+    connected: a forward and a backward reachability sweep from node 0 both
+    reach every node."""
+    for graph in (adj, adj.T):
+        seen = np.arange(graph.shape[0]) == 0
+        frontier = seen
+        while frontier.any():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def _knapsack(cost: np.ndarray, gain: np.ndarray, need: float,
@@ -289,9 +306,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     if np.any(K < 0):
         warnings.warn("coupling matrix has negative entries; Perron certificates "
                       "may be invalid", stacklevel=2)
-    n_comp, _ = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(K > 0), connection="strong")
-    if n_comp > 1:
+    if not _strongly_connected(K > 0):
         warnings.warn("coupling matrix is reducible; the bilinear scheme may "
                       "return a conservative allocation", stacklevel=2)
 
@@ -356,7 +371,9 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                 break
             v_new, rho_new = restore(step)
             doses_new = float(weights @ v_new)
-            if doses_new < doses - tol * max(1.0, abs(doses)):
+            # a step restore could not bring back to rho <= 1 is no step
+            if (rho_new <= 1.0 + 1e-9
+                    and doses_new < doses - tol * max(1.0, abs(doses))):
                 v, rho, doses, grad = v_new, rho_new, doses_new, None
                 trust = min(trust * 1.5, float(vmax.max()))
             else:
@@ -450,7 +467,7 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
     keeps the factor sqrt(scale s0) F free of alpha, and its objective
     weights make the shortfall from the box top equal the doses."""
     if prob.factor is None:
-        raise NotPositiveDefiniteError(
+        raise NoGramFactorError(
             "coupling matrix has no Gram factor; use solve_bilinear")
     mass = prob.s0 * prob.scale
     # a cell without susceptibles has a zero factor row and stays undosed
@@ -515,6 +532,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
     the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
     the best point evaluated, within gap_tol (relative) of the LP bound."""
+    import scipy.optimize
     factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
     total, m = max(float(cost.sum()), 1e-300), cost.size
@@ -607,6 +625,7 @@ def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
         raise InfeasibleAllocationError(
             f"budget insufficient even at the bracket low end alpha={lo}")
     if radius * prob.b1_at(hi) > 1.0:
+        import scipy.optimize
         alpha = scipy.optimize.brentq(lambda a: radius * prob.b1_at(a) - 1.0,
                                       lo, hi, xtol=1e-15)
         return alpha, _finish(prob.at_rate(alpha), v, stats, direction=d)

@@ -1,9 +1,11 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.csgraph
 
 import stabvax as sv
 from stabvax import allocator, bubar, ingest, model
@@ -98,7 +100,7 @@ class TestSolvePaths:
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                        inst.contacts, 0.0)
         assert prob.factor is None  # Gamma has no Cholesky factor
-        with pytest.raises(sv.NotPositiveDefiniteError):
+        with pytest.raises(sv.NoGramFactorError):
             allocator.solve_diagonal_lmi(prob)
         res = allocator.solve_allocation(prob)
         assert res.stats.method == "bilinear-slp"
@@ -540,3 +542,51 @@ class TestKnapsackStep:
             else:
                 outcomes["raised"] += 1
         assert min(outcomes.values()) > 0, outcomes
+
+
+def strongly_connected_oracle(adj: np.ndarray) -> bool:
+    n_comp, _ = scipy.sparse.csgraph.connected_components(adj,
+                                                          connection="strong")
+    return n_comp <= 1
+
+
+def named_digraphs():
+    cycle = np.roll(np.eye(6, dtype=bool), 1, axis=1)
+    blocks = np.zeros((6, 6), dtype=bool)
+    blocks[:3, :3] = blocks[3:, 3:] = True
+    dag = np.triu(np.ones((6, 6), dtype=bool), k=1)
+    return {"cycle": cycle, "two blocks": blocks, "dag": dag,
+            "one node": np.zeros((1, 1), dtype=bool)}
+
+
+class TestReducibility:
+    @pytest.mark.parametrize("name", sorted(named_digraphs()))
+    def test_named_graphs_match_scipy(self, name):
+        adj = named_digraphs()[name]
+        assert allocator._strongly_connected(adj) == \
+            strongly_connected_oracle(adj)
+        assert allocator._strongly_connected(adj) == (name in ("cycle",
+                                                              "one node"))
+
+    def test_random_sparse_graphs_match_scipy(self):
+        outcomes = {True: 0, False: 0}
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 30))
+            adj = rng.random((m, m)) < rng.uniform(0.02, 0.3)
+            verdict = allocator._strongly_connected(adj)
+            assert verdict == strongly_connected_oracle(adj), seed
+            outcomes[verdict] += 1
+        assert min(outcomes.values()) > 20, outcomes
+
+    @pytest.mark.parametrize("K, reducible", [
+        ([[2.0, 1.0], [0.0, 2.0]], True),
+        ([[2.0, 1.0], [1.0, 2.0]], False)])
+    def test_bilinear_route_warns_on_reducible_coupling(self, K, reducible):
+        args = (np.array(K), np.ones(2), np.ones(2), np.ones(2), np.ones(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v, _, stats = allocator.spectral_box_minimize(*args)
+        assert [("reducible" in str(w.message)) for w in caught] == \
+            ([True] if reducible else [])
+        assert stats.spectral_radius <= 1.0 + 1e-9 and np.all(v > 0)

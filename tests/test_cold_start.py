@@ -1,0 +1,74 @@
+"""Start-up cost of the CLI: importing it, building instances and running
+commands that solve nothing load no scipy submodule (each case runs in a fresh
+interpreter, since this test process has scipy loaded already)."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+
+
+def run_fresh(code: str, tmp_path) -> dict:
+    """Run code in a fresh interpreter; it leaves its findings in `report`,
+    returned with the heavy modules it loaded under "loaded"."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    probe = textwrap.dedent(code) + textwrap.dedent(f"""
+        import json, sys
+        report["loaded"] = sorted(m for m in sys.modules for h in {HEAVY!r}
+                                  if m == h or m.startswith(h + "."))
+        print(json.dumps(report))
+        """)
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_commands_that_never_solve_load_no_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"policies": [{"kind": "population-weighted"},
+                                               {"kind": "no-vaccine"}]}))
+    report = run_fresh(f"""
+        import contextlib, io
+        import stabvax.cli as cli
+        from stabvax import bubar, ingest
+        ingest.synthetic_instance(0, n=5)
+        ingest.synthetic_instance(0, n=5, groups=True)
+        bubar.us_like_instance(1.15, seed=0)
+        report = {{}}
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            report["covid"] = cli.main(["--config", {str(config)!r},
+                                        "--out", "covid", "--horizon", "20",
+                                        "compare"])
+            report["seir"] = cli.main(["--model", "bubar", "--out", "seir",
+                                       "--horizon", "20", "compare"])
+            report["bad config"] = cli.main(["--config", "missing.json",
+                                             "compare"])
+        """, tmp_path)
+    assert report.pop("loaded") == []
+    assert report == {"covid": 0, "seir": 0, "bad config": 3}
+    assert (tmp_path / "covid" / "summary.csv").is_file()
+    assert (tmp_path / "seir" / "summary.csv").is_file()
+
+
+def test_allocate_loads_scipy_on_first_solve(tmp_path):
+    report = run_fresh("""
+        import contextlib, io
+        import stabvax.cli as cli
+        report = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            report["allocate"] = cli.main(["--out", "alloc", "--budget", "0.05",
+                                           "allocate"])
+        """, tmp_path)
+    assert report["allocate"] == 0
+    assert "scipy.optimize" in report["loaded"]
+    doc = json.loads((tmp_path / "alloc" / "allocation.json").read_text())
+    assert doc["certificate"]["satisfied"]

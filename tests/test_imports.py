@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module (a stand-in
-for pyflakes' unused-import check), for the package and its tests."""
+for pyflakes' unused-import check), for the package and its tests; and no
+package module imports a slow-loading module at import time."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(ROOT.glob("src/stabvax/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/stabvax/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+# loaded by the functions that use them, so that start-up stays fast
+LAZY = ("scipy", "concurrent.futures")
 
 
 def _annotations(tree: ast.AST):
@@ -68,3 +72,46 @@ def test_scan_finds_unused_and_respects_all():
               "print(sys.maxsize)\n")
     assert unused_imports(source) == ["line 2: os", "line 3: scipy"]
     assert unused_imports(source, reexport=True) == []
+
+
+def eager_imports(source: str, lazy=LAZY) -> list[str]:
+    """Imports of the lazy modules (or their submodules) that run when the
+    module is imported: those outside any function body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        found.extend(f"line {node.lineno}: {name}" for name in names
+                     if any(name == mod or name.startswith(mod + ".")
+                            for mod in lazy))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_eager_slow_imports(path):
+    assert eager_imports(path.read_text()) == []
+
+
+def test_scan_finds_eager_imports_only():
+    source = ("import scipy.linalg\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "import scipyx, concurrent\n"
+              "from . import scipy\n"
+              "class Solver:\n"
+              "    from scipy import optimize\n"
+              "def solve():\n"
+              "    import scipy.optimize\n"
+              "    return scipy.optimize\n")
+    assert eager_imports(source) == ["line 1: scipy.linalg",
+                                     "line 2: concurrent.futures",
+                                     "line 6: scipy"]

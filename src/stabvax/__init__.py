@@ -2,7 +2,8 @@
 
 Importing the package loads numpy but no scipy submodule: the solvers import
 scipy.linalg and scipy.optimize when they first run. Building instances and
-simulating policies that solve nothing never load scipy.
+simulating policies that solve nothing never load scipy. ``cli sweep``
+loads both before it forks its worker pool, so the workers inherit them.
 """
 
 from .model import (CalibrationError, ContactStructure, DiseaseParams,

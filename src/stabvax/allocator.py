@@ -32,9 +32,6 @@ lambda_max on the Gram route, the SLP on the Perron gradient otherwise), then
 take alpha as the root of b1(alpha) r* = 1. Per-cell b1 (the age-structured
 model) bisects alpha. Every result is re-certified by the model's
 certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
-
-scipy is imported inside the functions that call it, so that importing the
-package (and every command that solves nothing) stays free of its load time.
 """
 
 from __future__ import annotations
@@ -141,6 +138,13 @@ class AllocationResult:
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                "dual_feasibility_tolerance": 1e-9}
+
+
+def import_solver_modules() -> None:
+    """Load the scipy modules the solvers import on their first call, e.g.
+    before forking workers that will solve, so each inherits them."""
+    import scipy.linalg
+    import scipy.optimize
 
 
 def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:

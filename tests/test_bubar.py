@@ -116,12 +116,11 @@ class TestBilinearRoute:
         assert np.abs(res.dose_vector - golden_vec).max() <= \
             1e-9 * max(golden_vec)
 
-    @pytest.mark.parametrize("alpha", [0.1556, 0.15565, 0.1557, 0.15575])
-    def test_step_restore_cannot_certify_is_rejected(self, alpha):
+    def test_step_restore_cannot_certify_is_rejected(self):
         # near this fixture's largest rate, restore gives up above rho = 1 on
         # some SLP steps; accepting one used to end in "no feasible iterate"
         params, state = bubar.us_like_instance(1.18, seed=42)
-        _, res = bubar.solve_bubar_allocation(state, params, alpha=alpha)
+        _, res = bubar.solve_bubar_allocation(state, params, alpha=0.1556)
         assert res.certificate.satisfied
         assert res.stats.spectral_radius <= 1.0 + 1e-9
 

@@ -1,6 +1,16 @@
 """Core network-epidemic model: coupling matrices, reproduction numbers,
 and spectral decay certificates.
 
+Spectra of the homogeneous model come from one symmetric eigensolve. Every
+cell shares beta_a, beta_s, c1 = eps + r_a and d2 = r_s + kappa, and
+W = diag(s) A = diag(s) Abar diag(N) has the eigenvalues of the symmetric
+positive semidefinite D Abar D, D = diag(sqrt(s N)). The infection block M is
+block-similar to one 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] per
+eigenvalue w of W, and the top root of a block rises with w, so Rt,
+lambda_max(M) and the reduced radius all follow from the top w. The
+age-structured model, whose per-group outflows break the 2 x 2 reduction
+and whose Gamma may have no Cholesky factor, takes dense `eigvals`.
+
 Index convention for age-structured quantities: flattened vectors and the
 coupling matrix are ordered location-major, group-minor, i.e. the entry for
 group ``b`` at location ``i`` sits at flat index ``i * n_groups + b``.
@@ -8,6 +18,7 @@ group ``b`` at location ``i`` sits at flat index ``i * n_groups + b``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -418,6 +429,29 @@ def _largest_real_eig(mat: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(mat).real))
 
 
+def _top_weighted_flow_eig(s: np.ndarray, net: NetworkInstance) -> float:
+    """Top eigenvalue w of W = diag(s) A, as lambda_max of the similar
+    symmetric D Abar D, D = diag(sqrt(s N)): real and nonnegative."""
+    _, abar = build_flow_matrix(net)
+    d = np.sqrt(np.maximum(s, 0.0) * net.populations)
+    return max(float(np.linalg.eigvalsh(d[:, None] * abar * d[None, :])[-1]), 0.0)
+
+
+def _top_block_root(params: DiseaseParams, w: float) -> float:
+    """Top eigenvalue of [[beta_a w - c1, beta_s w], [eps, -d2]]. Its
+    discriminant (beta_a w - c1 + d2)^2 + 4 beta_s eps w is a sum of squares
+    and products of nonnegative terms, so both roots are real; a negative
+    trace takes the root as det / (smaller root), which cancels nothing."""
+    d2 = float(params.outflow_symptomatic())
+    a = params.beta_a * w - (params.eps + params.r_a)
+    trace = a - d2
+    det = -a * d2 - params.beta_s * w * params.eps
+    root = math.sqrt((a + d2) ** 2 + 4.0 * params.beta_s * params.eps * w)
+    if trace >= 0:
+        return 0.5 * (trace + root)
+    return 2.0 * det / (trace - root)
+
+
 def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
@@ -439,7 +473,17 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     of the infection block. L D^{-1} is block upper-triangular with a zero
     lower block row, so Rt is the top eigenvalue of its m x m top-left block
     diag(beta_a / c1) W + diag(beta_s) W diag(eps / (c1 d2)), W = diag(s) A,
-    c1 = eps + r_a, d2 = r_s + kappa per cell: no inverse is formed."""
+    c1 = eps + r_a, d2 = r_s + kappa per cell: no inverse is formed.
+
+    With scalar rates (the homogeneous model) that block is
+    (beta_a / c1 + beta_s eps / (c1 d2)) W, and Rt is that factor times the
+    top eigenvalue of W from one symmetric eigensolve; the age-structured
+    model takes dense `eigvals` of the block."""
+    if not params.is_demographic:
+        c1 = params.eps + params.r_a
+        gain = (params.beta_a / c1
+                + params.beta_s * params.eps / (c1 * params.outflow_symptomatic()))
+        return max(float(gain) * _top_weighted_flow_eig(state.s, net), 0.0)
     flow = flow_for_model(net, params, contacts)
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
     c1 = params.eps + params.r_a
@@ -488,16 +532,30 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
 
     Evaluates both the continuous form lambda_max(M(t0)) <= -alpha on the
     post-vaccination susceptibles and the reduced discrete radius; the
-    boolean comes from the continuous form.
+    boolean comes from the continuous form. The radius is inf when alpha is
+    at or above `max_certificate_rate`.
+
+    For the homogeneous model both come from the top eigenvalue w of
+    W = diag(s_post) A (one symmetric eigensolve): lambda_max is the top
+    root of the 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] and the
+    radius is b1(alpha) w. The age-structured model takes dense `eigvals`
+    of M and of the reduced matrix.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > state.s + 1e-9):
         raise ValueError("allocation must satisfy 0 <= v_i <= s_i")
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
-    lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
+    if params.is_demographic:
+        lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
+    else:
+        w = _top_weighted_flow_eig(s_post, net)
+        lam = _top_block_root(params, w)
     try:
-        radius = spectral_radius(
-            discrete_stability_matrix(s_post, net, params, contacts, alpha))
+        if params.is_demographic:
+            radius = spectral_radius(
+                discrete_stability_matrix(s_post, net, params, contacts, alpha))
+        else:
+            radius = compute_b1(params, alpha) * w
     except InfeasibleRateError:
         radius = np.inf
     return StabilityCertificate(alpha=alpha, lambda_max=lam,

@@ -1,6 +1,7 @@
 """Start-up cost of the CLI: importing it, building instances and running
-commands that solve nothing load no scipy submodule (each case runs in a fresh
-interpreter, since this test process has scipy loaded already)."""
+commands that solve nothing, calibrate among them, load no scipy submodule
+(each case runs in a fresh interpreter, since this test process has scipy
+loaded already)."""
 
 import json
 import os
@@ -50,11 +51,15 @@ def test_commands_that_never_solve_load_no_scipy(tmp_path):
                                         "compare"])
             report["seir"] = cli.main(["--model", "bubar", "--out", "seir",
                                        "--horizon", "20", "compare"])
+            report["calibrate"] = cli.main(["--out", "cal", "calibrate"])
+            report["calibrate age"] = cli.main(["--model", "covid-demographic",
+                                                "--out", "cal-age", "calibrate"])
             report["bad config"] = cli.main(["--config", "missing.json",
                                              "compare"])
         """, tmp_path)
     assert report.pop("loaded") == []
-    assert report == {"covid": 0, "seir": 0, "bad config": 3}
+    assert report == {"covid": 0, "seir": 0, "calibrate": 0,
+                      "calibrate age": 0, "bad config": 3}
     assert (tmp_path / "covid" / "summary.csv").is_file()
     assert (tmp_path / "seir" / "summary.csv").is_file()
 

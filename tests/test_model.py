@@ -395,3 +395,113 @@ class TestSpectralEquivalences:
             except sv.InfeasibleRateError:
                 discrete = lmi = False
             assert continuous == discrete == lmi
+
+
+def dense_certificate(state, net, params, v, alpha):
+    """(lambda_max, radius) from dense eigvals of M and of the reduced matrix."""
+    s_post = np.clip(state.s - params.psi * v, 0.0, None)
+    lam = np.max(np.linalg.eigvals(model.infection_submatrix(s_post, net, params)).real)
+    try:
+        radius = np.max(np.abs(np.linalg.eigvals(
+            model.discrete_stability_matrix(s_post, net, params, None, alpha))))
+    except sv.InfeasibleRateError:
+        radius = np.inf
+    return lam, radius
+
+
+def dense_rt(state, net, params):
+    """Top eigenvalue of diag(beta_a / c1) W + diag(beta_s) W diag(eps / (c1 d2))."""
+    c1, d2 = params.eps + params.r_a, params.r_s + params.kappa
+    weighted = state.s[:, None] * sv.build_flow_matrix(net)[0]
+    gen = (params.beta_a / c1) * weighted + params.beta_s * weighted * (params.eps / (c1 * d2))
+    return max(np.max(np.linalg.eigvals(gen).real), 0.0)
+
+
+def assert_matches_dense(state, net, params, v, alpha):
+    cert = sv.check_decay_certificate(state, net, params, None, v, alpha)
+    lam, radius = dense_certificate(state, net, params, v, alpha)
+    assert abs(cert.lambda_max - lam) <= 1e-12
+    if np.isinf(radius):
+        assert cert.spectral_radius == np.inf
+    else:
+        assert cert.spectral_radius == pytest.approx(radius, rel=1e-12, abs=1e-300)
+    return cert
+
+
+class TestSymmetricSpectra:
+    """The homogeneous model's Rt, lambda_max and reduced radius, from one
+    symmetric eigensolve, against dense eigvals."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 30])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_eigvals(self, seed, n):
+        from dataclasses import replace
+        rng = np.random.default_rng(seed)
+        inst = ingest.synthetic_instance(seed, n=n)
+        state, net, params = inst.state0, inst.net, inst.params
+        s = state.s
+        some = rng.uniform(size=n) < 0.5
+        perfect = replace(params, psi=1.0)
+        for alpha in (-0.05, 0.0, 0.02):
+            for v in (np.zeros(n), rng.uniform(0, 1, n) * s, s):
+                assert_matches_dense(state, net, params, v, alpha)
+            # cells with s_post = 0
+            assert_matches_dense(state, net, perfect, np.where(some, s, 0.0), alpha)
+        rt = sv.effective_reproduction_number(state, net, params)
+        assert rt == pytest.approx(dense_rt(state, net, params), rel=1e-12)
+
+    def test_all_cells_immunized(self):
+        from dataclasses import replace
+        inst = ingest.synthetic_instance(2, n=6)
+        params = replace(inst.params, psi=1.0)
+        cert = assert_matches_dense(inst.state0, inst.net, params,
+                                    inst.state0.s, 0.01)
+        assert cert.lambda_max == pytest.approx(
+            max(-(params.eps + params.r_a), -(params.r_s + params.kappa)), abs=1e-15)
+        assert cert.spectral_radius == 0.0
+
+    def test_zero_transmission(self):
+        inst = ingest.synthetic_instance(4, n=5)
+        params = inst.params.with_transmission_scale(0.0)
+        assert sv.effective_reproduction_number(inst.state0, inst.net, params) == 0.0
+        cert = assert_matches_dense(inst.state0, inst.net, params, np.zeros(5), 0.0)
+        assert cert.lambda_max == pytest.approx(
+            max(-(params.eps + params.r_a), -(params.r_s + params.kappa)), abs=1e-15)
+
+    def test_rate_at_or_above_limit_has_infinite_radius(self):
+        inst = ingest.synthetic_instance(1, n=4)
+        limit = model.max_certificate_rate(inst.params)
+        for alpha in (limit, limit + 0.1):
+            cert = assert_matches_dense(inst.state0, inst.net, inst.params,
+                                        0.5 * inst.state0.s, alpha)
+            assert cert.spectral_radius == np.inf and not cert.satisfied
+
+    def test_homogeneous_model_calls_no_dense_eigvals(self, monkeypatch):
+        inst = ingest.synthetic_instance(0, n=8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigvals on the homogeneous model")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        sv.check_decay_certificate(inst.state0, inst.net, inst.params, None,
+                                   0.3 * inst.state0.s, 0.01)
+        sv.effective_reproduction_number(inst.state0, inst.net, inst.params)
+        sv.calibrate_transmission(inst.net, inst.params, inst.state0, 1.1)
+
+    def test_demographic_model_takes_dense_path(self, monkeypatch):
+        inst = ingest.synthetic_instance(0, n=3, groups=True)
+        sizes = []
+        real = np.linalg.eigvals
+
+        def counted(mat):
+            sizes.append(mat.shape[0])
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        m = inst.state0.s.shape[0]
+        sv.check_decay_certificate(inst.state0, inst.net, inst.params,
+                                   inst.contacts, 0.3 * inst.state0.s, 0.01)
+        assert sizes == [2 * m, m]
+        sv.effective_reproduction_number(inst.state0, inst.net, inst.params,
+                                         inst.contacts)
+        assert sizes == [2 * m, m, m]

@@ -121,6 +121,8 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     """Right-hand side over the flattened (13, groups) compartments, of
     shape (13 g,) or, for K populations side by side, (13 g, K); the force
     of infection is lambda_i = u_i sum_j c_ij (I + Ix + Iv)_j / (N - D)_j.
+    It does not check that N - D stays positive: `simulate_bubar_policies`
+    does, once a day.
 
     One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
     rows of all 13 compartments; the infections lambda S and lambda Sx then
@@ -139,8 +141,6 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         y2 = y.reshape(13 * g, -1)
         alive = pops - y2[12 * g:]
-        if np.any(alive <= 0):
-            raise FloatingPointError("a group has been fully depleted")
         z = mix @ y2[3 * g:9 * g]
         lam = u * (params.contacts @ (z[:g] / alive))
         inf = (lam * y2[:2 * g].reshape(2, g, -1)).reshape(2 * g, -1)
@@ -360,6 +360,8 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
         return state.compartments.reshape(-1), float(spent.sum())
 
     def record(day, y):
+        if np.any(params.populations[:, None] - y[12 * g:] <= 0):
+            raise FloatingPointError("a group has been fully depleted")
         ys[day], dose_days[day] = y, administered
 
     y0 = np.repeat(state0.compartments.reshape(-1, 1), n_cols, axis=1)

@@ -168,6 +168,70 @@ class TestIntegrator:
             sv.integrate(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), -0.1)
 
 
+def reference_integrate(rhs, y0, t_span, step, clamp=(0.0, 1.0)):
+    """The plain RK4 loop: finite check, clip and drift on every step."""
+    n_steps = int(round((t_span[1] - t_span[0]) / step))
+    times = t_span[0] + step * np.arange(n_steps + 1)
+    y = np.array(y0, dtype=float)
+    states, events = [y], np.zeros(y.shape[1:], dtype=int)
+    for t in times[:-1]:
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = rhs(t + step, y + step * k3)
+        if not np.all(np.isfinite(k4)):
+            raise FloatingPointError
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if clamp is not None:
+            clipped = np.clip(y, *clamp)
+            events += np.abs(clipped - y).max(axis=0, initial=0.0) > 1e-12
+            y = clipped
+        states.append(y)
+    return np.array(states), events
+
+
+class TestStepBookkeeping:
+    """integrate checks bounds with one min and max per step and clips only
+    when they are crossed: bit for bit the plain loop, clamp events too."""
+
+    ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Y0 = np.array([[0.5, 0.0, 0.2, 0.9], [0.5, 0.0, 0.0, -0.1]])
+
+    @pytest.mark.parametrize("clamp", [(0.0, 1.0), (0.0, None), None],
+                             ids=["unit", "nonnegative", "none"])
+    def test_matches_plain_loop(self, clamp):
+        rhs = lambda t, y: self.ROT @ y  # noqa: E731
+        _, states, events = sv.integrate(rhs, self.Y0, (0.0, 6.0), 0.1, clamp)
+        ref_states, ref_events = reference_integrate(rhs, self.Y0, (0.0, 6.0),
+                                                     0.1, clamp)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(events, ref_events)
+        assert (events.sum() > 0) == (clamp is not None)
+
+    def test_rhs_returning_its_input(self):
+        _, states, _ = sv.integrate(lambda t, y: y, self.Y0, (0.0, 1.0), 0.25,
+                                    None)
+        ref_states, _ = reference_integrate(lambda t, y: y, self.Y0,
+                                            (0.0, 1.0), 0.25, None)
+        assert np.array_equal(states, ref_states)
+
+    def test_covid_columns_match_plain_loop(self):
+        inst = small_instance()
+        rhs = dynamics.covid_rhs_factory(inst.net, inst.params)
+        y0 = random_states(np.random.default_rng(5), np.full(15, 0.3), 4)
+        _, states, events = sv.integrate(rhs, y0, (0.0, 10.0), 0.25)
+        ref_states, ref_events = reference_integrate(rhs, y0, (0.0, 10.0), 0.25)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(events, ref_events)
+
+    def test_depleted_seir_group_raises(self):
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        state0.compartments[:, 3] = 0.0
+        state0.compartments[12, 3] = params.populations[3]
+        with pytest.raises(FloatingPointError, match="fully depleted"):
+            bubar.simulate_bubar(params, state0, "all-ages", 0.01, 0.1, 5)
+
+
 class TestVaccinationEvent:
     def test_perfect_vaccine_empties_susceptibles(self):
         state = sv.EpidemicState(s=[0.8], xa=[0.1], xs=[0.0], e=[0.0], h=[0.1])

@@ -208,6 +208,14 @@ class TestStepBookkeeping:
         assert np.array_equal(events, ref_events)
         assert (events.sum() > 0) == (clamp is not None)
 
+    @pytest.mark.parametrize("clamp", [(0.0, 1.0), (0.0, None), None],
+                             ids=["unit", "nonnegative", "none"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_derivative_raises(self, clamp, bad):
+        with pytest.raises(FloatingPointError):
+            sv.integrate(lambda t, y: np.full_like(y, bad), self.Y0,
+                         (0.0, 1.0), 0.5, clamp)
+
     def test_rhs_returning_its_input(self):
         _, states, _ = sv.integrate(lambda t, y: y, self.Y0, (0.0, 1.0), 0.25,
                                     None)

@@ -199,8 +199,10 @@ class TestStepBookkeeping:
 
     @pytest.mark.parametrize("clamp", [(0.0, 1.0), (0.0, None), None],
                              ids=["unit", "nonnegative", "none"])
-    def test_matches_plain_loop(self, clamp):
-        rhs = lambda t, y: self.ROT @ y  # noqa: E731
+    @pytest.mark.parametrize("rhs", [lambda t, y: TestStepBookkeeping.ROT @ y,
+                                     lambda t, y: y],
+                             ids=["rotation", "returns-its-input"])
+    def test_matches_plain_loop(self, rhs, clamp):
         _, states, events = sv.integrate(rhs, self.Y0, (0.0, 6.0), 0.1, clamp)
         ref_states, ref_events = reference_integrate(rhs, self.Y0, (0.0, 6.0),
                                                      0.1, clamp)
@@ -215,13 +217,6 @@ class TestStepBookkeeping:
         with pytest.raises(FloatingPointError):
             sv.integrate(lambda t, y: np.full_like(y, bad), self.Y0,
                          (0.0, 1.0), 0.5, clamp)
-
-    def test_rhs_returning_its_input(self):
-        _, states, _ = sv.integrate(lambda t, y: y, self.Y0, (0.0, 1.0), 0.25,
-                                    None)
-        ref_states, _ = reference_integrate(lambda t, y: y, self.Y0,
-                                            (0.0, 1.0), 0.25, None)
-        assert np.array_equal(states, ref_states)
 
     def test_covid_columns_match_plain_loop(self):
         inst = small_instance()

@@ -19,9 +19,10 @@ lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
   or asymmetric contact structure):
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
-  (left and right Perron vectors), with a restore step onto rho = 1 and
-  multistart from random positive directions. Each step's one-row LP is
-  solved exactly in closed form, as a fractional knapsack.
+  (left and right Perron vectors), with a restore step onto rho = 1, run
+  once from the least allocation the unvaccinated system's Perron direction
+  certifies. Each step's one-row LP is solved exactly in closed form, as a
+  fractional knapsack.
 
 ``solve_allocation`` takes the Gram route whenever the problem has a factor.
 ``max_decay`` finds the largest alpha a budget buys. When b1_at returns one
@@ -67,7 +68,6 @@ class SolverStats:
     cuts: int = 0
     spectral_radius: float = np.nan
     gap: float = 0.0
-    restarts: int = 0
     converged: bool = True
     method: str = ""
     lp_calls: int = 0
@@ -138,6 +138,17 @@ class AllocationResult:
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                "dual_feasibility_tolerance": 1e-9}
+# Kelley loops stop within a relative gap of their LP bound: LMI_GAP_TOL in
+# lmi_box_maximize, RADIUS_GAP_TOL in _gram_min_radius
+LMI_GAP_TOL = 1e-8
+RADIUS_GAP_TOL = 1e-9
+KELLEY_MAX_ITER = 5000
+# an SLP step must lower the doses (spectral_box_minimize) or the radius
+# (_slp_min_radius) by SLP_TOL relative
+SLP_MAX_ITER = 500
+SLP_TOL = 1e-8
+# width to which max_decay bisects alpha
+RATE_WIDTH = 1e-5
 
 
 def import_solver_modules() -> None:
@@ -159,16 +170,16 @@ def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
 def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                      weights: np.ndarray, *, pool: Optional[CutPool] = None,
                      max_shortfall: Optional[float] = None,
-                     gap_tol: float = 1e-8, max_iter: int = 5000,
                      ) -> tuple[np.ndarray, SolverStats]:
     """Maximize weights'u subject to lambda_max(factor' diag(u) factor) <= 1
     (diag(u) <= (factor factor')^{-1}, uninverted) and lower <= u <= upper.
 
-    Returns the best feasible point once within gap_tol (relative) of the LP
-    bound. pool lends cuts from earlier calls on the same factor and keeps
-    the new ones. Given max_shortfall, returns the first feasible point with
-    weights'(upper - u) <= max_shortfall, and raises InfeasibleAllocationError
-    once the LP bound rules one out, as it does for an infeasible lower corner.
+    Returns the best feasible point once within LMI_GAP_TOL (relative) of
+    the LP bound. pool lends cuts from earlier calls on the same factor and
+    keeps the new ones. Given max_shortfall, returns the first feasible point
+    with weights'(upper - u) <= max_shortfall, and raises
+    InfeasibleAllocationError once the LP bound rules one out, as it does for
+    an infeasible lower corner.
     """
     import scipy.optimize
     factor = np.asarray(factor, dtype=float)
@@ -187,7 +198,7 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     best, best_obj = lower, float(weights @ lower)
     cuts_before, lp_before = len(pool.rows), pool.lp_calls
     gap = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, KELLEY_MAX_ITER + 1):
         if pool.rows:
             rows = np.array(pool.rows)
             # the feasible lower corner stays inside every cut
@@ -213,12 +224,13 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                     "the LP bound already exceeds the allowed shortfall")
             if weights @ (upper - best) <= max_shortfall:
                 break
-        if gap <= gap_tol:
+        if gap <= LMI_GAP_TOL:
             break
         pool.rows.append(fz * fz)
     else:
         raise SolverError(
-            f"cutting-plane loop did not converge in {max_iter} iterations")
+            f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
+            "iterations")
     if max_shortfall is not None and weights @ (upper - best) > max_shortfall:
         raise InfeasibleAllocationError("no feasible point within the shortfall")
     return best, SolverStats(iterations=iteration,
@@ -291,15 +303,15 @@ def _knapsack(cost: np.ndarray, gain: np.ndarray, need: float,
 
 
 def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
-                          weights: np.ndarray, vmax: np.ndarray, *,
-                          max_iter: int = 500, tol: float = 1e-8,
-                          restarts: int = 3, seed: int = 0,
+                          weights: np.ndarray, vmax: np.ndarray,
                           ) -> tuple[np.ndarray, np.ndarray, SolverStats]:
     """Minimize weights'v subject to rho(diag(p0 - p1*v) K) <= 1 over the box.
 
-    Each SLP step solves its one-row LP exactly by `_knapsack`; lp_calls
-    counts the steps. Returns (v, d, stats) where d is the Perron direction
-    certifying (diag(p0 - p1 v) K) d <= d at the solution.
+    One SLP run starts from the least v with (diag(p0 - p1 v) K) d0 <= d0
+    for the Perron direction d0 of diag(p0) K, or from vmax when the box
+    holds no such v. Each step solves its one-row LP exactly by `_knapsack`;
+    lp_calls counts the steps. Returns (v, d, stats) where d is the Perron
+    direction certifying (diag(p0 - p1 v) K) d <= d at the solution.
     """
     K = np.asarray(K, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -337,85 +349,51 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
             rho = radius(v)
         return v, rho
 
-    def direction_step(d: np.ndarray) -> Optional[np.ndarray]:
-        """Min-dose v satisfying (diag(p0 - p1 v) K) d <= d for this d."""
-        kd = K @ d
-        needed = np.zeros(m)
-        pos = kd > 0
-        needed[pos] = (p0[pos] - d[pos] / kd[pos]) / p1[pos]
-        if np.any(needed > vmax + 1e-12):
-            return None
-        return np.clip(needed, 0.0, vmax)
-
-    rng = np.random.default_rng(seed)
-    tiny = 1e-14
-    lp_calls = [0]
-
-    def slp(v_start: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        v, rho = restore(np.clip(v_start, 0.0, vmax))
-        doses = float(weights @ v)
-        trust = max(float(vmax.max()), 1e-6) * 0.5
-        converged = False
-        grad = None  # the Perron gradient at v, kept while v stays
-        it = 0
-        for it in range(1, max_iter + 1):
-            if grad is None:
-                _, d, w = _perron_pair((p0 - p1 * v)[:, None] * K)
-                denom = float(w @ d)
-                if denom < tiny:
-                    break
-                grad = -p1 * w * (K @ d) / denom
-            lo = np.maximum(0.0, v - trust)
-            hi = np.minimum(vmax, v + trust)
-            # the step LP: min weights'x  s.t.  grad'x <= 1 - rho + grad'v
-            step = _knapsack(weights, -grad, rho - 1.0 - float(grad @ v),
-                             lo, hi)
-            lp_calls[0] += 1
-            if step is None:
+    # the start: the min-dose v with (diag(p0 - p1 v) K) d0 <= d0
+    kd = K @ d0
+    v = np.zeros(m)
+    pos = kd > 0
+    v[pos] = (p0[pos] - d0[pos] / kd[pos]) / p1[pos]
+    v, rho = restore(vmax.copy() if np.any(v > vmax + 1e-12)
+                     else np.clip(v, 0.0, vmax))
+    doses = float(weights @ v)
+    trust = max(float(vmax.max()), 1e-6) * 0.5
+    converged = False
+    grad = None  # the Perron gradient at v, kept while v stays
+    it = lp_calls = 0
+    for it in range(1, SLP_MAX_ITER + 1):
+        if grad is None:
+            _, d, w = _perron_pair((p0 - p1 * v)[:, None] * K)
+            denom = float(w @ d)
+            if denom < 1e-14:
                 break
-            v_new, rho_new = restore(step)
-            doses_new = float(weights @ v_new)
-            # a step restore could not bring back to rho <= 1 is no step
-            if (rho_new <= 1.0 + 1e-9
-                    and doses_new < doses - tol * max(1.0, abs(doses))):
-                v, rho, doses, grad = v_new, rho_new, doses_new, None
-                trust = min(trust * 1.5, float(vmax.max()))
-            else:
-                trust *= 0.5
-                if trust < 1e-12 * max(1.0, float(vmax.max())):
-                    converged = True
-                    break
-        return v, rho, it, converged
-
-    # jumpstart from the Perron direction of the unvaccinated system,
-    # then random positive directions
-    starts: list[np.ndarray] = []
-    v0 = direction_step(d0)
-    starts.append(v0 if v0 is not None else vmax.copy())
-    for _ in range(restarts):
-        d_rand = rng.dirichlet(np.ones(m))
-        v_r = direction_step(d_rand)
-        if v_r is not None:
-            starts.append(v_r)
-
-    best_v = None
-    best_doses = np.inf
-    total_iters = 0
-    any_converged = False
-    for v_start in starts:
-        v_cand, rho_cand, iters, conv = slp(v_start)
-        total_iters += iters
-        any_converged = any_converged or conv
-        doses_cand = float(weights @ v_cand)
-        if rho_cand <= 1.0 + 1e-9 and doses_cand < best_doses:
-            best_v, best_doses = v_cand, doses_cand
-    if best_v is None:
+            grad = -p1 * w * (K @ d) / denom
+        lo = np.maximum(0.0, v - trust)
+        hi = np.minimum(vmax, v + trust)
+        # the step LP: min weights'x  s.t.  grad'x <= 1 - rho + grad'v
+        step = _knapsack(weights, -grad, rho - 1.0 - float(grad @ v), lo, hi)
+        lp_calls += 1
+        if step is None:
+            break
+        v_new, rho_new = restore(step)
+        doses_new = float(weights @ v_new)
+        # a step restore could not bring back to rho <= 1 is no step
+        if (rho_new <= 1.0 + 1e-9
+                and doses_new < doses - SLP_TOL * max(1.0, abs(doses))):
+            v, rho, doses, grad = v_new, rho_new, doses_new, None
+            trust = min(trust * 1.5, float(vmax.max()))
+        else:
+            trust *= 0.5
+            if trust < 1e-12 * max(1.0, float(vmax.max())):
+                converged = True
+                break
+    if not rho <= 1.0 + 1e-9:
         raise SolverError("bilinear scheme found no feasible iterate")
-    rho_final, d_final = _perron((p0 - p1 * best_v)[:, None] * K)
-    stats = SolverStats(iterations=total_iters, spectral_radius=rho_final,
-                        restarts=len(starts) - 1, converged=any_converged,
-                        method="bilinear-slp", lp_calls=lp_calls[0])
-    return best_v, d_final, stats
+    rho_final, d_final = _perron((p0 - p1 * v)[:, None] * K)
+    stats = SolverStats(iterations=it, spectral_radius=rho_final,
+                        converged=converged, method="bilinear-slp",
+                        lp_calls=lp_calls)
+    return v, d_final, stats
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +469,11 @@ def solve_diagonal_lmi(prob: AllocationProblem,
     return _finish(prob, *_gram_solve(prob, pool))
 
 
-def solve_bilinear(prob: AllocationProblem, seed: int = 0) -> AllocationResult:
+def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
     """Perron-direction route; works for any nonnegative flow matrix."""
     v, d, stats = spectral_box_minimize(prob.flow, prob.b1 * prob.s0,
                                         prob.b1 * prob.q, prob.weights,
-                                        prob.vmax, seed=seed)
+                                        prob.vmax)
     return _finish(prob, v, stats, direction=d)
 
 
@@ -530,12 +508,12 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
 
 
 def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
-                     gap_tol: float = 1e-9, max_iter: int = 5000,
                      ) -> tuple[np.ndarray, float, SolverStats]:
     """min r = lambda_max(Ft' diag(y) Ft), Ft = sqrt(scale s0) F, over
     y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
     the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
-    the best point evaluated, within gap_tol (relative) of the LP bound."""
+    the best point evaluated, within RADIUS_GAP_TOL (relative) of the LP
+    bound."""
     import scipy.optimize
     factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
@@ -545,10 +523,11 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     r, fz = _top_eig(factor, np.ones(m))
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
     lp_tol = _LP_OPTIONS["primal_feasibility_tolerance"]
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, KELLEY_MAX_ITER + 1):
         # stop at the gap, or (a guard) when the LP would not see the next
         # cut: it is violated by less than the LP's feasibility tolerance
-        if best_r - bound <= gap_tol * best_r or r - bound <= lp_tol * unit:
+        if (best_r - bound <= RADIUS_GAP_TOL * best_r
+                or r - bound <= lp_tol * unit):
             break
         pool.rows.append(fz * fz)
         unit = best_r  # t in units of r*, so the LP resolves a relative gap
@@ -571,7 +550,8 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
             best_v, best_r = prob.s0 * spent / prob.q, r
     else:
         raise SolverError(
-            f"cutting-plane loop did not converge in {max_iter} iterations")
+            f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
+            "iterations")
     return best_v, best_r, SolverStats(
         iterations=iteration, cuts=len(pool.rows), method="lmi-cutting-plane",
         gap=float(max(best_r - bound, 0.0) / max(best_r, 1e-300)),
@@ -579,7 +559,6 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
 
 
 def _slp_min_radius(prob: AllocationProblem, budget: float,
-                    max_iter: int = 500, tol: float = 1e-8,
                     ) -> tuple[np.ndarray, float, np.ndarray, SolverStats]:
     """min r = rho(diag(s0 - q v) K) over weights'v <= budget and the box, by
     SLP on the Perron gradient with the trust-region rule of
@@ -590,7 +569,7 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
     top = float(prob.vmax.max())
     v, trust = np.zeros_like(s0), 0.5 * max(top, 1e-6)
     rho, d, w = _perron_pair(s0[:, None] * K)
-    for it in range(1, max_iter + 1):
+    for it in range(1, SLP_MAX_ITER + 1):
         if float(w @ d) < 1e-14:
             break
         lo, hi = np.maximum(0.0, v - trust), np.minimum(prob.vmax, v + trust)
@@ -602,7 +581,7 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
         step = hi - spare
         step *= min(1.0, budget / max(float(weights @ step), 1e-300))
         candidate = _perron_pair((s0 - q * step)[:, None] * K)
-        if candidate[0] < rho - tol * rho:
+        if candidate[0] < rho - SLP_TOL * rho:
             v, (rho, d, w) = step, candidate
             trust = min(trust * 1.5, top)
         else:
@@ -644,8 +623,8 @@ def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
     return hi, top
 
 
-def max_decay(prob: AllocationProblem, budget: float,
-              width: float = 1e-5) -> tuple[float, AllocationResult]:
+def max_decay(prob: AllocationProblem,
+              budget: float) -> tuple[float, AllocationResult]:
     """Largest decay rate in [-2, max_rate - 1e-4] whose minimum dose
     requirement fits the budget; stats.search names the search used.
 
@@ -653,7 +632,7 @@ def max_decay(prob: AllocationProblem, budget: float,
     docstring): the budget's minimum radius r* comes from one Kelley solve
     (Gram route) or one SLP solve (bilinear route), and alpha from the root
     of b1(alpha) r* = 1; doses stay within budget (1 + 1e-9) and the stats
-    count that one solve. Otherwise it bisects alpha to width. On the Gram
+    count that one solve. Otherwise it bisects alpha to RATE_WIDTH. On the Gram
     route the probes share one cut pool and stop as soon as the LP bound
     exceeds the budget or a feasible point fits it; the returned rate alone
     is solved to the gap, with the cuts and LP calls of the whole search in
@@ -679,7 +658,7 @@ def max_decay(prob: AllocationProblem, budget: float,
             work.lp_calls += result.stats.lp_calls
             return result if result.doses <= cap else None
 
-        alpha, result = bisect_rate(attempt, lo, hi, width)
+        alpha, result = bisect_rate(attempt, lo, hi, RATE_WIDTH)
         result.stats = replace(result.stats, iterations=work.iterations,
                                lp_calls=work.lp_calls, search="bisection")
         return alpha, result
@@ -692,7 +671,7 @@ def max_decay(prob: AllocationProblem, budget: float,
         except InfeasibleAllocationError:
             return None
 
-    alpha, v_fit = bisect_rate(probe, lo, hi, width)
+    alpha, v_fit = bisect_rate(probe, lo, hi, RATE_WIDTH)
     at_alpha = prob.at_rate(alpha)
     result = solve_allocation(at_alpha, pool)
     if result.doses > cap:
@@ -706,12 +685,10 @@ def max_decay(prob: AllocationProblem, budget: float,
 def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
                             params: DiseaseParams,
                             contacts: Optional[ContactStructure],
-                            budget: float, width: float = 1e-5,
-                            ) -> tuple[float, AllocationResult]:
+                            budget: float) -> tuple[float, AllocationResult]:
     """Largest decay rate of the covid model that the budget buys; see
     `max_decay`."""
-    return max_decay(build_problem(state, net, params, contacts, -2.0),
-                     budget, width)
+    return max_decay(build_problem(state, net, params, contacts, -2.0), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ import numpy as np
 from .allocator import (AllocationProblem, AllocationResult,
                         InfeasibleAllocationError, _perron, max_decay,
                         solve_allocation)
-from .dynamics import DEFAULT_STEP, VaccinationSchedule, run_days
+from .dynamics import (DEFAULT_STEP, EXTINCTION_THRESHOLD,
+                       VaccinationSchedule, run_days)
 from .ingest import ifr_by_age
-from .model import StabilityCertificate, cholesky_factor
+from .model import CERTIFICATE_TOL, StabilityCertificate, cholesky_factor
 from .policies import _priority_fill, proportional_fill
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
@@ -230,7 +231,7 @@ def bubar_infection_submatrix(state: BubarState, params: BubarParams,
 
 
 def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
-                      alpha: float, tol: float = 1e-8) -> StabilityCertificate:
+                      alpha: float) -> StabilityCertificate:
     lam = float(np.max(np.linalg.eigvals(
         bubar_infection_submatrix(state, params, v)).real))
     try:
@@ -240,9 +241,9 @@ def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
             b1 * weight[:, None] * bubar_flow_matrix(state, params)))))
     except InfeasibleAllocationError:
         radius = np.inf
-    return StabilityCertificate(alpha=alpha, lambda_max=lam,
-                                satisfied=bool(lam <= -alpha + tol),
-                                spectral_radius=radius, tol=tol)
+    return StabilityCertificate(
+        alpha=alpha, lambda_max=lam, spectral_radius=radius,
+        satisfied=bool(lam <= -alpha + CERTIFICATE_TOL))
 
 
 def bubar_problem(state: BubarState, params: BubarParams,
@@ -271,14 +272,14 @@ def bubar_problem(state: BubarState, params: BubarParams,
 def solve_bubar_allocation(state: BubarState, params: BubarParams,
                            alpha: Optional[float] = None,
                            supply: Optional[float] = None,
-                           width: float = 1e-5) -> tuple[float, AllocationResult]:
+                           ) -> tuple[float, AllocationResult]:
     """Minimum-dose allocation at a fixed decay rate, or (given a dose supply
     in persons) the largest decay rate affordable via bisection."""
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
     if alpha is not None:
         return alpha, solve_allocation(bubar_problem(state, params, alpha))
-    return max_decay(bubar_problem(state, params, -2.0), supply, width)
+    return max_decay(bubar_problem(state, params, -2.0), supply)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +325,11 @@ class BubarTrajectory:
 def simulate_bubar_policies(params: BubarParams, state0: BubarState,
                             policies: Sequence, schedule: VaccinationSchedule,
                             horizon: int, step: float = DEFAULT_STEP,
-                            extinction_threshold: float = 1.0,
                             ) -> list[BubarTrajectory]:
     """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
     a priority preset name or an explicit tuple of group indices. A policy
-    whose count of exposed and infectious persons drops below the extinction
-    threshold doses by the schedule's leftover rule."""
+    whose count of exposed and infectious persons drops below
+    `dynamics.EXTINCTION_THRESHOLD` doses by the schedule's leftover rule."""
     g, n_cols = params.n_groups, len(policies)
     tiers = [tuple(policy) if isinstance(policy, (tuple, list))
              else PRIORITY_PRESETS.get(policy) for policy in policies]
@@ -342,7 +342,7 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
         headroom = state.S
         active = float((state.E + state.Ex + state.Ev + state.I
                         + state.Ix + state.Iv).sum())
-        if active < extinction_threshold:
+        if active < EXTINCTION_THRESHOLD:
             doses = (np.zeros(g) if schedule.leftover_rule == "none" else
                      proportional_fill(np.ones(g), headroom, supply))
         elif tiers[k] is not None:
@@ -385,14 +385,14 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
 def simulate_bubar(params: BubarParams, state0: BubarState, policy,
                    daily_rate: float, total_budget: float, horizon: int,
                    step: float = DEFAULT_STEP, interval_days: int = 1,
-                   leftover_rule: str = "even-split",
-                   extinction_threshold: float = 1.0) -> BubarTrajectory:
-    """Run one dosing policy; see `simulate_bubar_policies`."""
+                   leftover_rule: str = "even-split") -> BubarTrajectory:
+    """Run one dosing policy; see `simulate_bubar_policies` (leftover dosing
+    below `dynamics.EXTINCTION_THRESHOLD`)."""
     return simulate_bubar_policies(
         params, state0, [policy],
         VaccinationSchedule(daily_rate, interval_days, total_budget,
                             leftover_rule),
-        horizon, step, extinction_threshold)[0]
+        horizon, step)[0]
 
 
 # ---------------------------------------------------------------------------

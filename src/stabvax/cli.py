@@ -105,7 +105,13 @@ def _load_config(args) -> dict:
 def _build_instance(config) -> ingest.EpidemicInstance:
     model = config.get("model", "covid")
     if "instance" in config:
-        return ingest.load_instance(config["instance"])
+        inst = ingest.load_instance(config["instance"])
+        if "target_rt" in config:
+            from .model import calibrate_transmission
+            inst.params = calibrate_transmission(
+                inst.net, inst.params, inst.state0,
+                float(config["target_rt"]), inst.contacts)
+        return inst
     if "files" in config:
         files = config["files"]
         net, state = ingest.load_instance_from_files(
@@ -169,11 +175,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cmd_calibrate(config) -> int:
     inst = _build_instance(config)
-    if "instance" in config and "target_rt" in config:
-        from .model import calibrate_transmission
-        inst.params = calibrate_transmission(
-            inst.net, inst.params, inst.state0,
-            float(config["target_rt"]), inst.contacts)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instance.json"
@@ -299,12 +300,14 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(config) -> int:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    if config.get("model") == "bubar":
+        raise InputError("sweep runs the covid models only, not bubar")
     axis = config.get("axis")
     if axis not in ("budget", "rt", "interval"):
         raise InputError("sweep needs --axis budget|rt|interval")
     values = _parse_range(config.get("range"))
+    out = Path(config["out"])
+    out.mkdir(parents=True, exist_ok=True)
     payloads = [(config, axis, float(v)) for v in values]
     workers = int(config.get("workers", 0)) or min(len(payloads),
                                                    os.cpu_count() or 1)

@@ -30,6 +30,9 @@ from .model import (ContactStructure, DiseaseParams, EpidemicState,
 log = logging.getLogger(__name__)
 
 DEFAULT_STEP = 0.25
+# persons: a policy whose active infections (xa + xs; E and I in SEIR) fall
+# below this doses by the schedule's leftover rule
+EXTINCTION_THRESHOLD = 1.0
 
 TRAJECTORY_HEADER = ("t,cell,s,xa,xs,e,h,new_cases,cum_cases,cum_deaths,"
                      "doses\r\n")
@@ -270,15 +273,14 @@ def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
 
 def simulate_policies(instance: EpidemicInstance, policies: Sequence,
                       schedule: VaccinationSchedule, horizon: int,
-                      step: float = DEFAULT_STEP,
-                      extinction_threshold: float = 1.0) -> list[Trajectory]:
+                      step: float = DEFAULT_STEP) -> list[Trajectory]:
     """Run several policies on one instance, one Trajectory per policy.
 
     Every supply interval each policy converts that epoch's doses into a
     vaccination event. New cases per day are the inflow into the infected
     chain scaled by residents; a policy's dosing switches to the leftover
-    rule once its active infected persons drop below the extinction
-    threshold."""
+    rule once its active infected persons drop below
+    `EXTINCTION_THRESHOLD`."""
     from . import policies as policies_mod
 
     planners = [policies_mod.DosePlanner(policy, instance, schedule)
@@ -293,7 +295,7 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
 
     def dose(k, col, supply, budget_left):
         state = EpidemicState(*col.reshape(5, m), vax=vax[:, k])
-        if float(((state.xa + state.xs) * pops).sum()) < extinction_threshold:
+        if float(((state.xa + state.xs) * pops).sum()) < EXTINCTION_THRESHOLD:
             doses = policies_mod.leftover_redistribute(
                 state, supply, schedule.leftover_rule, pops)
         else:
@@ -333,11 +335,10 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
 
 
 def simulate_policy(instance: EpidemicInstance, policy, schedule: VaccinationSchedule,
-                    horizon: int, step: float = DEFAULT_STEP,
-                    extinction_threshold: float = 1.0) -> Trajectory:
-    """Run one policy; see `simulate_policies`."""
-    return simulate_policies(instance, [policy], schedule, horizon, step,
-                             extinction_threshold)[0]
+                    horizon: int, step: float = DEFAULT_STEP) -> Trajectory:
+    """Run one policy; see `simulate_policies` (leftover dosing below
+    `EXTINCTION_THRESHOLD`)."""
+    return simulate_policies(instance, [policy], schedule, horizon, step)[0]
 
 
 def _state_to_flat(state: EpidemicState) -> np.ndarray:

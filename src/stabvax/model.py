@@ -247,6 +247,12 @@ class EpidemicState:
                              self.e.copy(), self.h.copy(), self.vax.copy(), self.t)
 
 
+# a certificate holds when lambda_max <= -alpha + CERTIFICATE_TOL
+CERTIFICATE_TOL = 1e-8
+# calibrate_transmission verifies Rt to this absolute tolerance
+CALIBRATION_TOL = 1e-6
+
+
 @dataclass
 class StabilityCertificate:
     """Spectral decay certificate for a post-vaccination state.
@@ -260,7 +266,7 @@ class StabilityCertificate:
     lambda_max: float
     satisfied: bool
     spectral_radius: float = np.nan
-    tol: float = 1e-8
+    tol: float = CERTIFICATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +502,11 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
 def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
                            state: EpidemicState, target_rt: float,
                            contacts: Optional[ContactStructure] = None,
-                           tol: float = 1e-6) -> DiseaseParams:
+                           ) -> DiseaseParams:
     """Scale the transmission scalar so the instance reproduces target_rt.
 
     Rt is linear in the scalar, so a single eigenvalue solve at a reference
-    scale pins the answer; the result is re-verified to tol.
+    scale pins the answer; the result is re-verified to CALIBRATION_TOL.
     """
     if target_rt < 0:
         raise CalibrationError("target reproduction number must be nonnegative")
@@ -517,7 +523,7 @@ def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
         raise CalibrationError("instance has no transmission path; target unreachable")
     calibrated = reference.with_transmission_scale(target_rt / rt_ref)
     achieved = effective_reproduction_number(state, net, calibrated, contacts)
-    if abs(achieved - target_rt) > tol:
+    if abs(achieved - target_rt) > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibration missed target: {achieved} vs {target_rt}")
     return calibrated
@@ -527,13 +533,13 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
                             params: DiseaseParams,
                             contacts: Optional[ContactStructure],
                             v: np.ndarray, alpha: float,
-                            tol: float = 1e-8) -> StabilityCertificate:
+                            ) -> StabilityCertificate:
     """Certify that allocation v enforces decay at rate alpha from state.
 
     Evaluates both the continuous form lambda_max(M(t0)) <= -alpha on the
     post-vaccination susceptibles and the reduced discrete radius; the
-    boolean comes from the continuous form. The radius is inf when alpha is
-    at or above `max_certificate_rate`.
+    boolean comes from the continuous form, to within CERTIFICATE_TOL. The
+    radius is inf when alpha is at or above `max_certificate_rate`.
 
     For the homogeneous model both come from the top eigenvalue w of
     W = diag(s_post) A (one symmetric eigensolve): lambda_max is the top
@@ -558,6 +564,6 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
             radius = compute_b1(params, alpha) * w
     except InfeasibleRateError:
         radius = np.inf
-    return StabilityCertificate(alpha=alpha, lambda_max=lam,
-                                satisfied=bool(lam <= -alpha + tol),
-                                spectral_radius=radius, tol=tol)
+    return StabilityCertificate(
+        alpha=alpha, lambda_max=lam, spectral_radius=radius,
+        satisfied=bool(lam <= -alpha + CERTIFICATE_TOL))

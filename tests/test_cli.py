@@ -223,3 +223,73 @@ class TestStep:
         config.write_text(json.dumps({"step": [0.25]}))
         assert cli.main(["--config", str(config), "--out", str(tmp_path),
                          "compare"]) == cli.EXIT_INPUT
+
+
+SWEEP_POLICY_FLAGS = ("--policy", "population-weighted", "--policy",
+                      "optimal-stabilizing")
+
+
+def compare_at(out, config):
+    """summary.csv rows of `compare` at horizon 30 under config."""
+    out.mkdir(parents=True)
+    path = out / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path), "--out", str(out), "--horizon",
+                     "30", *SWEEP_POLICY_FLAGS, "compare"]) == cli.EXIT_OK
+    return read_rows(out / "summary.csv")
+
+
+def sweep_rows(out, axis, values, *flags):
+    """sweep.csv rows at horizon 30 over the grid lo:hi:steps of values."""
+    assert cli.main(["--out", str(out), "--horizon", "30", "--axis", axis,
+                     "--range", f"{values[0]}:{values[-1]}:{len(values)}",
+                     *SWEEP_POLICY_FLAGS, *flags, "sweep"]) == cli.EXIT_OK
+    return read_rows(out / "sweep.csv")
+
+
+# the config of one sweep point, for `compare`
+POINT_CONFIG = {
+    "budget": lambda value: {"budget": value},
+    "rt": lambda value: {"target_rt": value},
+    "interval": lambda value: {
+        "schedule": {"interval_days": int(round(value))}},
+}
+
+
+def oracle_rows(tmp_path, axis, values):
+    """The sweep.csv rows that `compare` on synthetic seed 0 gives at each
+    point of the axis."""
+    rows = []
+    for k, value in enumerate(values):
+        rows += [[axis, f"{value:.6g}", *row] for row in compare_at(
+            tmp_path / f"compare{k}", {"seed": 0, **POINT_CONFIG[axis](value)})]
+    return rows
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("axis, lo, hi, workers", [
+        ("budget", 0.01, 0.05, 1), ("rt", 1.0, 2.0, 1),
+        ("interval", 1.0, 7.0, 1), ("budget", 0.01, 0.05, 2)])
+    def test_rows_match_compare(self, tmp_path, axis, lo, hi, workers):
+        values = np.linspace(lo, hi, 2)
+        rows = sweep_rows(tmp_path / "sweep", axis, values, "--seed", "0",
+                          "--workers", str(workers))
+        assert rows == oracle_rows(tmp_path, axis, values)
+
+    def test_instance_file_follows_target_rt(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0",
+                         "calibrate"]) == cli.EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"instance": str(tmp_path / "instance.json")}))
+        values = np.linspace(1.0, 2.0, 2)
+        rows = sweep_rows(tmp_path / "sweep", "rt", values, "--config",
+                          str(config), "--workers", "1")
+        assert rows == oracle_rows(tmp_path, "rt", values)
+
+    def test_bubar_exits_input_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--model", "bubar", "--axis",
+                         "budget", "--range", "0.01:0.05:2",
+                         "sweep"]) == cli.EXIT_INPUT
+        assert not out.exists()

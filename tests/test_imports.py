@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in that module (a stand-in
-for pyflakes' unused-import check), for the package and its tests; and no
-package module imports a slow-loading module at import time."""
+for pyflakes' unused-import check), for the package and its tests; every
+parameter of a package function is read in its body; and no package module
+imports a slow-loading module at import time."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,60 @@ def test_scan_finds_unused_and_respects_all():
               "print(sys.maxsize)\n")
     assert unused_imports(source) == ["line 2: os", "line 3: scipy"]
     assert unused_imports(source, reexport=True) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """'qualname: parameter' for every parameter of a function or lambda in
+    source that its body never reads; nested functions count as the body."""
+    found = []
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, scopes):
+                visit(child, prefix)
+                continue
+            name = prefix + getattr(child, "name", "<lambda>")
+            if not isinstance(child, ast.ClassDef):
+                body = (child.body if isinstance(child, ast.Lambda)
+                        else ast.Module(child.body, []))
+                read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                args = child.args
+                params = (args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a])
+                found.extend(f"{name}: {arg.arg}" for arg in params
+                             if arg.arg not in read)
+            visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# parameters a caller's interface requires: integrate's rhs(t, y) and
+# run_days' dose(k, column, supply, budget left)
+CALLBACK_PARAMETERS = {"covid_rhs_factory.rhs: t", "bubar_rhs_factory.rhs: t",
+                       "simulate_bubar_policies.dose: budget_left"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert [found for found in unread_parameters(path.read_text())
+            if found not in CALLBACK_PARAMETERS] == []
+
+
+def test_scan_finds_unread_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g(x, y):\n"
+              "        return a + x\n"
+              "    h = lambda u, w: u\n"
+              "    return g, h, c, kw\n"
+              "class C:\n"
+              "    def m(self, z):\n"
+              "        z = 1\n"
+              "        return self\n")
+    assert unread_parameters(source) == [
+        "f: b", "f: args", "f.g: y", "f.<lambda>: w", "C.m: z"]
 
 
 def eager_imports(source: str, lazy=LAZY) -> list[str]:

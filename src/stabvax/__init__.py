@@ -1,9 +1,8 @@
 """Stabilizing vaccine allocation for networked epidemic models.
 
-Importing the package loads numpy but no scipy submodule: the solvers import
-scipy.linalg and scipy.optimize when they first run. Building instances and
-simulating policies that solve nothing never load scipy. ``cli sweep``
-loads both before it forks its worker pool, so the workers inherit them.
+The package runs on numpy alone: the eigen-solves use numpy.linalg, and the
+Kelley cutting-plane LPs use a small in-package dual simplex. scipy is only
+a test oracle, so no command pays for importing it.
 """
 
 from .model import (CalibrationError, ContactStructure, DiseaseParams,

@@ -14,6 +14,9 @@ lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
   to the feasible lower corner is feasible, which bounds the gap in closed
   form. Cuts depend on F alone, so one ``CutPool`` serves all probes of an
   alpha bisection, and a probe stops once it settles the budget question.
+  The pool also keeps the last LP basis: each LP is one row, box or
+  objective away from the one before, and the dual simplex of ``_lp``
+  starts from that basis.
 
 * ``spectral_box_minimize`` serves problems without a factor (an indefinite
   or asymmetric contact structure):
@@ -43,6 +46,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _lp
+from ._lp import SolverError
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, StabilityCertificate, cell_b1,
                     check_decay_certificate, compute_b1, coupling_gram_factor,
@@ -51,11 +56,6 @@ from .model import (ContactStructure, DiseaseParams, EpidemicState,
 
 class InfeasibleAllocationError(RuntimeError):
     """No allocation in the box certifies the requested decay rate."""
-
-
-class SolverError(RuntimeError):
-    """The solver failed to converge or to certify its answer; distinct from
-    provable infeasibility."""
 
 
 class NoGramFactorError(ValueError):
@@ -76,11 +76,13 @@ class SolverStats:
 
 @dataclass
 class CutPool:
-    """Kelley cut rows for one factor F, and the LP calls made on them. A row
-    (F z)^2, |z| = 1, stays valid whatever the box and weights."""
+    """Kelley cut rows for one factor F, the LP calls made on them, and the
+    last LP's basis, which warm-starts the next. A row (F z)^2, |z| = 1, stays
+    valid whatever the box and weights."""
 
     rows: list = field(default_factory=list)
     lp_calls: int = 0
+    basis: Optional[_lp.Basis] = None
 
 
 @dataclass
@@ -136,8 +138,6 @@ class AllocationResult:
 # LMI engine
 # ---------------------------------------------------------------------------
 
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9}
 # Kelley loops stop within a relative gap of their LP bound: LMI_GAP_TOL in
 # lmi_box_maximize, RADIUS_GAP_TOL in _gram_min_radius
 LMI_GAP_TOL = 1e-8
@@ -151,20 +151,27 @@ SLP_TOL = 1e-8
 RATE_WIDTH = 1e-5
 
 
-def import_solver_modules() -> None:
-    """Load the scipy modules the solvers import on their first call, e.g.
-    before forking workers that will solve, so each inherits them."""
-    import scipy.linalg
-    import scipy.optimize
-
-
 def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_max(factor' diag(u) factor) and its cut direction factor z."""
-    import scipy.linalg
-    top = factor.shape[1] - 1
-    vals, vecs = scipy.linalg.eigh(factor.T @ (u[:, None] * factor),
-                                   subset_by_index=[top, top])
-    return float(vals[0]), factor @ vecs[:, 0]
+    """lambda_max(factor' diag(u) factor) and its cut direction factor z.
+
+    lambda comes from eigvalsh, and the unit z from one inverse-iteration
+    solve shifted just above lambda, started from factor' u: when factor
+    factor' is entrywise nonnegative and lambda > 0, that vector has a
+    positive component on the top eigenvector (Perron-Frobenius). Any unit z
+    gives a valid cut, so an inexact z costs at most Kelley rounds. When the
+    solve yields no usable z (lambda = 0), eigh gives it.
+    """
+    gram = factor.T @ (u[:, None] * factor)
+    lam = float(np.linalg.eigvalsh(gram)[-1])
+    shift = 1e-10 * lam
+    if shift > 0:
+        # a right-hand side scaled by the shift keeps |z| within |factor' u|
+        z = np.linalg.solve(gram - (lam + shift) * np.eye(gram.shape[0]),
+                            shift * (factor.T @ u))
+        norm = float(np.linalg.norm(z))
+        if np.isfinite(norm) and norm > 0:
+            return lam, factor @ (z / norm)
+    return lam, factor @ np.linalg.eigh(gram)[1][:, -1]
 
 
 def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -181,7 +188,6 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     InfeasibleAllocationError once the LP bound rules one out, as it does for
     an infeasible lower corner.
     """
-    import scipy.optimize
     factor = np.asarray(factor, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -194,7 +200,6 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
             "the requested decay rate is unachievable")
 
     objective = -weights / max(1.0, float(np.abs(weights).max()))
-    bounds = np.column_stack([lower, upper])
     best, best_obj = lower, float(weights @ lower)
     cuts_before, lp_before = len(pool.rows), pool.lp_calls
     gap = np.inf
@@ -202,13 +207,10 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         if pool.rows:
             rows = np.array(pool.rows)
             # the feasible lower corner stays inside every cut
-            res = scipy.optimize.linprog(
-                objective, A_ub=rows, b_ub=np.maximum(1.0, rows @ lower),
-                bounds=bounds, method="highs", options=_LP_OPTIONS)
+            u, pool.basis = _lp.solve(objective, rows,
+                                      np.maximum(1.0, rows @ lower), lower,
+                                      upper, pool.basis)
             pool.lp_calls += 1
-            if not res.success:
-                raise SolverError(f"inner linear program failed: {res.message}")
-            u = res.x
         else:  # the LP without cuts is solved by the upper corner
             u = upper.copy()
         bound_obj = float(weights @ u)
@@ -259,12 +261,10 @@ def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Spectral radius with the right and left Perron vectors, from one
-    eigen-decomposition."""
-    import scipy.linalg
-    vals, left, right = scipy.linalg.eig(mat, left=True)
-    k = int(np.argmax(vals.real))
-    return max(float(vals[k].real), 0.0), _unit(right[:, k]), _unit(left[:, k])
+    """Spectral radius with the right and left Perron vectors, from the
+    eigen-decompositions of mat and mat'."""
+    rho, right = _perron(mat)
+    return rho, right, _perron(mat.T)[1]
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -513,36 +513,33 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
     the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
     the best point evaluated, within RADIUS_GAP_TOL (relative) of the LP
-    bound."""
-    import scipy.optimize
+    bound. The budget is the LP's first row, so that new cuts append rows
+    and the LP basis carries over."""
     factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
     total, m = max(float(cost.sum()), 1e-300), cost.size
     reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
-    bounds = np.r_[np.c_[1 - prob.q * reach, np.ones(m)], [[0.0, np.inf]]]
+    lower, upper = np.r_[1 - prob.q * reach, 0.0], np.r_[np.ones(m), np.inf]
     r, fz = _top_eig(factor, np.ones(m))
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
-    lp_tol = _LP_OPTIONS["primal_feasibility_tolerance"]
     for iteration in range(1, KELLEY_MAX_ITER + 1):
         # stop at the gap, or (a guard) when the LP would not see the next
         # cut: it is violated by less than the LP's feasibility tolerance
         if (best_r - bound <= RADIUS_GAP_TOL * best_r
-                or r - bound <= lp_tol * unit):
+                or r - bound <= _lp.FEAS_TOL * unit):
             break
         pool.rows.append(fz * fz)
         unit = best_r  # t in units of r*, so the LP resolves a relative gap
         rows = np.array(pool.rows) / unit
-        res = scipy.optimize.linprog(
+        x, pool.basis = _lp.solve(
             np.r_[np.zeros(m), 1.0],
-            A_ub=np.r_[np.c_[rows, -np.ones(len(rows))],
-                       [np.r_[-cost / total, 0.0]]],
-            b_ub=np.r_[np.zeros(len(rows)), budget / total - 1.0],
-            bounds=bounds, method="highs", options=_LP_OPTIONS)
+            np.r_[[np.r_[-cost / total, 0.0]],
+                  np.c_[rows, -np.ones(len(rows))]],
+            np.r_[budget / total - 1.0, np.zeros(len(rows))], lower, upper,
+            pool.basis)
         pool.lp_calls += 1
-        if not res.success:
-            raise SolverError(f"inner linear program failed: {res.message}")
-        bound = res.x[-1] * unit
-        spent = 1 - np.clip(res.x[:-1], *bounds[:-1].T)  # 1 - y
+        bound = x[-1] * unit
+        spent = 1 - x[:-1]  # 1 - y
         # every evaluated point keeps within the budget
         spent *= min(1.0, budget / max(float(cost @ spent), 1e-300))
         r, fz = _top_eig(factor, 1 - spent)
@@ -608,10 +605,14 @@ def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
         raise InfeasibleAllocationError(
             f"budget insufficient even at the bracket low end alpha={lo}")
     if radius * prob.b1_at(hi) > 1.0:
-        import scipy.optimize
-        alpha = scipy.optimize.brentq(lambda a: radius * prob.b1_at(a) - 1.0,
-                                      lo, hi, xtol=1e-15)
-        return alpha, _finish(prob.at_rate(alpha), v, stats, direction=d)
+        # bisect b1(alpha) r* = 1 to 1e-15, keeping the certified end
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            if radius * prob.b1_at(mid) > 1.0:
+                hi = mid
+            else:
+                lo = mid
+        return lo, _finish(prob.at_rate(lo), v, stats, direction=d)
     # the budget reaches the bracket top: spend only what that rate needs
     top = solve_allocation(prob.at_rate(hi), pool)
     if top.doses > budget * (1 + 1e-9):  # solved to a gap; v fits

@@ -4,7 +4,7 @@ and compare policies, and run sensitivity sweeps.
 Configuration comes from a JSON file (--config) with flag overrides. Exit
 codes: 0 success, 2 infeasible allocation, 3 input error, 4 solver failure.
 
-Start-up loads no scipy submodule (see the package docstring).
+Every command runs on numpy alone (see the package docstring).
 """
 
 from __future__ import annotations
@@ -312,8 +312,6 @@ def cmd_sweep(config) -> int:
     workers = int(config.get("workers", 0)) or min(len(payloads),
                                                    os.cpu_count() or 1)
     if workers > 1:
-        # forked workers inherit scipy instead of each importing it per sweep
-        allocator.import_solver_modules()
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, payloads))

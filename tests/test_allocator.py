@@ -8,7 +8,7 @@ import scipy.optimize
 import scipy.sparse.csgraph
 
 import stabvax as sv
-from stabvax import allocator, bubar, ingest, model
+from stabvax import _lp, allocator, bubar, ingest, model
 
 
 def solve_via(inst, alpha, path="auto"):
@@ -84,6 +84,24 @@ class TestLmiEngine:
                                              np.full(2, 1000.0),
                                              np.array([10.0, 1.0]))
         assert heavy_first[0] > 200.0  # weight shifts the optimum toward u1
+
+    def test_top_eig_handles_zero_and_rank_deficient_grams(self):
+        # lambda_max of F' diag(u) F and the cut F z of a unit top
+        # eigenvector z; u = 0 gives a zero Gram matrix, u = e_3 a rank-one
+        # one, and 1e-300 e_3 one whose shifted solve is near underflow
+        rng = np.random.default_rng(0)
+        factor = rng.random((30, 30))
+        for u in (rng.random(30), np.zeros(30), np.eye(30)[3],
+                  1e-300 * np.eye(30)[3]):
+            gram = factor.T @ (u[:, None] * factor)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lam, cut = allocator._top_eig(factor, u)
+            assert lam == pytest.approx(np.linalg.eigvalsh(gram)[-1],
+                                        rel=1e-12, abs=0)
+            z = np.linalg.solve(factor, cut)
+            assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-9)
+            assert z @ gram @ z == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 class TestSolvePaths:
@@ -335,7 +353,7 @@ class TestDirectSearch:
             raise AssertionError("the direct search makes no bisection probe")
 
         steps, lps, pools = [0], [0], []
-        knapsack, linprog = allocator._knapsack, scipy.optimize.linprog
+        knapsack, solve_lp = allocator._knapsack, _lp.solve
         real_pool = allocator.CutPool
 
         def counted_step(*args):
@@ -344,7 +362,7 @@ class TestDirectSearch:
 
         def counted_lp(*args, **kwargs):
             lps[0] += 1
-            return linprog(*args, **kwargs)
+            return solve_lp(*args, **kwargs)
 
         def tracked_pool():
             pools.append(real_pool())
@@ -353,7 +371,7 @@ class TestDirectSearch:
         monkeypatch.setattr(allocator, "spectral_box_minimize", no_probe)
         monkeypatch.setattr(allocator, "lmi_box_maximize", no_probe)
         monkeypatch.setattr(allocator, "_knapsack", counted_step)
-        monkeypatch.setattr(scipy.optimize, "linprog", counted_lp)
+        monkeypatch.setattr(_lp, "solve", counted_lp)
         monkeypatch.setattr(allocator, "CutPool", tracked_pool)
         prob, population = seir_problem(1.15, 0)
         _, res = allocator.max_decay(prob, 0.05 * population)

@@ -92,9 +92,9 @@ ALLOCATE_GOLDEN = {
          2.87197848473e-06, 1.09140157459e-05, 1764.82062488, 2713.2507397,
          3338.1126635, 6.89304674598e-06, 5.71986607152e-07, 1.51976657765e-06,
          296.876530018, 467.333578137, 571.906842703, 1.03490653963e-06,
-         2.81009320618e-05, 8.11515776048e-05, 6337.59268269, 8.26745852245e-05,
+         2.81009320618e-05, 8.11515776048e-05, 6337.59277391, 8.26745852245e-05,
          0.000134506149379, 5.91328961328e-05, 6.55127698327e-06,
-         2.42943642238e-05, 364.223095827, 2.41664860561e-05, 3.65449212855e-05,
+         2.42943642238e-05, 364.223004604, 2.41664860561e-05, 3.65449212855e-05,
          1.66881273348e-05]),
 }
 

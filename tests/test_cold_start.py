@@ -1,7 +1,7 @@
-"""Start-up cost of the CLI: importing it, building instances and running
-commands that solve nothing, calibrate among them, load no scipy submodule
-(each case runs in a fresh interpreter, since this test process has scipy
-loaded already)."""
+"""The CLI runs on numpy alone: importing it, building instances and running
+any command, the solving ones and a forked sweep among them, load no scipy
+module (each case runs in a fresh interpreter, since this test process has
+scipy loaded already)."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+HEAVY = ("scipy",)
 
 
 def run_fresh(code: str, tmp_path) -> dict:
@@ -64,16 +64,26 @@ def test_commands_that_never_solve_load_no_scipy(tmp_path):
     assert (tmp_path / "seir" / "summary.csv").is_file()
 
 
-def test_allocate_loads_scipy_on_first_solve(tmp_path):
+def test_solving_commands_load_no_scipy(tmp_path):
     report = run_fresh("""
-        import contextlib, io
+        import contextlib, io, sys
+        sys.modules["scipy"] = None  # any scipy import fails, in workers too
         import stabvax.cli as cli
         report = {}
+        optimal = ["--policy", "optimal-stabilizing", "--horizon", "20"]
         with contextlib.redirect_stdout(io.StringIO()):
             report["allocate"] = cli.main(["--out", "alloc", "--budget", "0.05",
                                            "allocate"])
+            report["covid"] = cli.main(["--out", "covid", *optimal, "compare"])
+            report["seir"] = cli.main(["--model", "bubar", "--out", "seir",
+                                       *optimal, "compare"])
+            report["sweep"] = cli.main(["--out", "sweep", *optimal, "--axis",
+                                        "budget", "--range", "0.01:0.05:2",
+                                        "--workers", "2", "sweep"])
+        del sys.modules["scipy"]
         """, tmp_path)
-    assert report["allocate"] == 0
-    assert "scipy.optimize" in report["loaded"]
+    assert report.pop("loaded") == []
+    assert report == {"allocate": 0, "covid": 0, "seir": 0, "sweep": 0}
     doc = json.loads((tmp_path / "alloc" / "allocation.json").read_text())
     assert doc["certificate"]["satisfied"]
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 3

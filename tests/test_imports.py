@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module (a stand-in
 for pyflakes' unused-import check), for the package and its tests; every
-parameter of a package function is read in its body; and no package module
-imports a slow-loading module at import time."""
+parameter of a package function is read in its body; no package module
+imports a slow-loading module at import time; and none imports scipy at all,
+which only the tests use, as an oracle."""
 
 import ast
 from pathlib import Path
@@ -170,3 +171,34 @@ def test_scan_finds_eager_imports_only():
     assert eager_imports(source) == ["line 1: scipy.linalg",
                                      "line 2: concurrent.futures",
                                      "line 6: scipy"]
+
+
+def imports_of(source: str, module: str) -> list[str]:
+    """Every import of module or its submodules in source, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {name}" for name in names
+                     if name == module or name.startswith(module + "."))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_never_imports_scipy(path):
+    assert imports_of(path.read_text(), "scipy") == []
+
+
+def test_scan_finds_imports_at_any_depth():
+    source = ("import scipyx, numpy\n"
+              "from . import scipy\n"
+              "def solve():\n"
+              "    from scipy import optimize\n"
+              "    import scipy.linalg as la\n"
+              "    return optimize, la\n")
+    assert imports_of(source, "scipy") == ["line 4: scipy",
+                                           "line 5: scipy.linalg"]

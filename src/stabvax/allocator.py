@@ -601,18 +601,11 @@ def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
         pool, d = CutPool(), None
         v, radius, stats = _gram_min_radius(prob, budget, pool)
     stats.search = "direct"
-    if radius * prob.b1_at(lo) > 1.0:
-        raise InfeasibleAllocationError(
-            f"budget insufficient even at the bracket low end alpha={lo}")
-    if radius * prob.b1_at(hi) > 1.0:
-        # bisect b1(alpha) r* = 1 to 1e-15, keeping the certified end
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if radius * prob.b1_at(mid) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        return lo, _finish(prob.at_rate(lo), v, stats, direction=d)
+    # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end
+    alpha, _ = bisect_rate(
+        lambda rate: radius * prob.b1_at(rate) <= 1.0 or None, lo, hi, 1e-15)
+    if alpha < hi:
+        return alpha, _finish(prob.at_rate(alpha), v, stats, direction=d)
     # the budget reaches the bracket top: spend only what that rate needs
     top = solve_allocation(prob.at_rate(hi), pool)
     if top.doses > budget * (1 + 1e-9):  # solved to a gap; v fits

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .allocator import (AllocationProblem, AllocationResult,
-                        InfeasibleAllocationError, _perron, max_decay,
+                        InfeasibleAllocationError, _perron_pair, max_decay,
                         solve_allocation)
 from .dynamics import (DEFAULT_STEP, EXTINCTION_THRESHOLD,
                        VaccinationSchedule, run_days)
@@ -46,6 +46,9 @@ PRIORITY_PRESETS = {
     "all-ages": (tuple(range(9)),),
 }
 
+# vaccine efficacy of the SEIR fixture: the protected share of the dosed
+DEFAULT_EFFICACY = 0.9
+
 
 @dataclass
 class BubarParams:
@@ -58,7 +61,7 @@ class BubarParams:
     susceptibility: np.ndarray
     contacts: np.ndarray
     populations: np.ndarray
-    psi: float = 0.9
+    psi: float = DEFAULT_EFFICACY
     labels: Sequence[str] = DECADE_LABELS
 
     def __post_init__(self):
@@ -69,6 +72,8 @@ class BubarParams:
             raise ValueError("latent and infectious periods must be positive")
         if np.any(self.populations <= 0):
             raise ValueError("group populations must be positive")
+        if not 0.0 <= self.psi <= 1.0:
+            raise ValueError("efficacy psi must lie in [0, 1]")
 
     @property
     def n_groups(self) -> int:
@@ -178,6 +183,8 @@ def basic_reproduction_number(params: BubarParams) -> float:
 
 
 def calibrate_r0(params: BubarParams, target_r0: float) -> BubarParams:
+    if target_r0 < 0:
+        raise ValueError("target reproduction number must be nonnegative")
     base = basic_reproduction_number(params)
     if base <= 0:
         raise ValueError("no transmission path; cannot calibrate")
@@ -274,7 +281,8 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
                            supply: Optional[float] = None,
                            ) -> tuple[float, AllocationResult]:
     """Minimum-dose allocation at a fixed decay rate, or (given a dose supply
-    in persons) the largest decay rate affordable via bisection."""
+    in persons) the largest affordable decay rate; b1 is one scalar here, so
+    `max_decay` searches directly."""
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
     if alpha is not None:
@@ -293,8 +301,7 @@ def _spectral_greedy_doses(state: BubarState, params: BubarParams,
     of the reduced infection matrix) and fill greedily."""
     flow = bubar_flow_matrix(state, params)
     P = (state.S + state.Sx)[:, None] * flow
-    _, d = _perron(P)
-    _, w = _perron(P.T)
+    _, d, w = _perron_pair(P)
     denom = state.S + state.I + state.R
     per_dose = np.where(denom > 0, state.S / np.maximum(denom, 1e-300), 0.0)
     benefit = per_dose * w * (flow @ d)
@@ -329,10 +336,17 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
     """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
     a priority preset name or an explicit tuple of group indices. A policy
     whose count of exposed and infectious persons drops below
-    `dynamics.EXTINCTION_THRESHOLD` doses by the schedule's leftover rule."""
+    `dynamics.EXTINCTION_THRESHOLD` doses by the schedule's leftover rule.
+    Raises ValueError on any other policy."""
     g, n_cols = params.n_groups, len(policies)
     tiers = [tuple(policy) if isinstance(policy, (tuple, list))
              else PRIORITY_PRESETS.get(policy) for policy in policies]
+    unknown = [policy for policy, tier in zip(policies, tiers) if tier is None
+               and policy not in ("no-vaccine", "optimal-stabilizing")]
+    if unknown:
+        raise ValueError(
+            f"unknown SEIR policies {unknown}: expected no-vaccine, "
+            f"optimal-stabilizing or one of {list(PRIORITY_PRESETS)}")
     administered = np.zeros((g, n_cols))
     ys = np.empty((horizon + 1, len(COMPARTMENTS) * g, n_cols))
     dose_days = np.empty((horizon + 1, g, n_cols))
@@ -347,10 +361,8 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
                      proportional_fill(np.ones(g), headroom, supply))
         elif tiers[k] is not None:
             doses = _priority_fill(tiers[k], headroom, supply, g)
-        elif policies[k] == "optimal-stabilizing":
+        else:  # optimal-stabilizing; no-vaccine is never dosed
             doses = _spectral_greedy_doses(state, params, supply)
-        else:
-            doses = np.zeros(g)
         denom = state.S + state.I + state.R
         v = np.zeros(g)
         positive = denom > 0
@@ -408,7 +420,7 @@ DECADE_IFR = np.array([float(np.mean(ifr_by_age(np.arange(lo, hi + 1))))
 
 
 def us_like_instance(r0: float, seed: int = 0, total_population: float = 1e6,
-                     psi: float = 0.9, infected_frac: float = 0.001,
+                     psi: float = DEFAULT_EFFICACY, infected_frac: float = 0.001,
                      ) -> tuple[BubarParams, BubarState]:
     """Synthetic nine-decade fixture with an assortative, mildly
     non-reciprocal contact matrix, calibrated to the target R0."""

@@ -1,8 +1,10 @@
 """Command-line interface: calibrate instances, solve allocations, simulate
 and compare policies, and run sensitivity sweeps.
 
-Configuration comes from a JSON file (--config) with flag overrides. Exit
-codes: 0 success, 2 infeasible allocation, 3 input error, 4 solver failure.
+Configuration comes from a JSON file (--config) with flag overrides;
+CONFIG_KEYS lists every accepted key, and any other exits as an input error.
+Exit codes: 0 success, 2 infeasible allocation, 3 input error, 4 solver
+failure.
 
 Every command runs on numpy alone (see the package docstring).
 """
@@ -21,12 +23,14 @@ import numpy as np
 
 from . import allocator, bubar, dynamics, ingest, policies
 from .allocator import InfeasibleAllocationError, SolverError
-from .model import effective_reproduction_number
+from .model import CalibrationError, effective_reproduction_number
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_SOLVER = 4
+
+MODELS = ("covid", "covid-demographic", "bubar")
 
 DEFAULT_SCHEDULE = {"daily_rate": 0.0033, "interval_days": 1,
                     "budget": 0.05, "leftover_rule": "even-split"}
@@ -37,34 +41,51 @@ DEFAULT_POLICIES = [
     {"kind": "infection-weighted"},
     {"kind": "no-vaccine"},
 ]
+SEIR_POLICIES = [{"kind": kind}
+                 for kind in ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
 
 
 class InputError(ValueError):
     pass
 
 
-# numeric config keys per section ("" is the top level) and the type each is
-# read as; a null value counts as absent
-NUMERIC_KEYS = {
-    "": {"seed": int, "n": int, "horizon": int, "workers": int,
-         "budget": float, "alpha": float, "target_rt": float,
-         "target_r0": float, "psi": float, "alpha_hat": float},
-    "synthetic": {"seed": int, "n": int, "target_rt": float},
-    "schedule": {"daily_rate": float, "interval_days": int, "budget": float},
+# every accepted config key per section ("" is the top level, and each entry
+# of policies is a section of its own) with the type a number is read as, or
+# None for a value used as given; a null value counts as absent
+CONFIG_KEYS = {
+    "": {"seed": int, "horizon": int, "workers": int, "budget": float,
+         "alpha": float, "target_rt": float, "psi": float, "alpha_hat": float,
+         "step": float, "model": None, "out": None, "axis": None,
+         "range": None, "policies": None, "instance": None, "files": None,
+         "synthetic": None, "schedule": None},
+    "synthetic": {"seed": int, "n": int},
+    "schedule": {"daily_rate": float, "interval_days": int, "budget": float,
+                 "leftover_rule": None},
+    "files": {"trips": None, "dwell": None, "cases": None},
+    "policies": {"kind": None, "resolve_mode": None, "priority_groups": None},
 }
+# keys of the covid instance and dose planner, which the SEIR model lacks
+COVID_ONLY = ("synthetic", "instance", "files", "alpha_hat", "resolve_mode",
+              "priority_groups")
 
 
-def _convert_numbers(config: dict) -> None:
-    """Convert the numeric keys in place, or raise InputError."""
-    for name, kinds in NUMERIC_KEYS.items():
-        section = config.get(name, {}) if name else config
-        if not isinstance(section, dict):
-            raise InputError(f"config key {name} must be a JSON object")
-        for key, kind in kinds.items():
-            value = section.pop(key, None)
-            where = f"{name}.{key}" if name else key
-            if value is None:
-                continue
+def _check_section(name: str, section, seir: bool) -> None:
+    """Drop the null values of one config section and read its numbers as
+    their CONFIG_KEYS type, in place; raise InputError on an unknown key, a
+    value of the wrong type, or a covid-only key with the SEIR model."""
+    if not isinstance(section, dict):
+        raise InputError(f"config section {name} must be a JSON object")
+    for key, value in list(section.items()):
+        where = f"{name}.{key}" if name else key
+        if key not in CONFIG_KEYS[name]:
+            raise InputError(f"unknown config key {where}")
+        if seir and key in COVID_ONLY:
+            raise InputError(f"config key {where} is for the covid models, "
+                             "not bubar")
+        kind = CONFIG_KEYS[name][key]
+        if value is None:
+            del section[key]
+        elif kind is not None:
             if isinstance(value, bool) or \
                     not isinstance(value, (int, float, str)):
                 raise InputError(f"config key {where} must be a number, "
@@ -91,26 +112,33 @@ def _load_config(args) -> dict:
             config[key] = value
     if getattr(args, "policy", None):
         config["policies"] = [{"kind": kind} for kind in args.policy]
-    _convert_numbers(config)
-    config.setdefault("model", "covid")
+    seir = config.get("model") == "bubar"
+    _check_section("", config, seir)
+    for name in ("synthetic", "schedule", "files"):
+        _check_section(name, config.get(name, {}), seir)
+    if not isinstance(config.get("policies", []), list):
+        raise InputError("config key policies must be a JSON list")
+    for policy in config.get("policies", []):
+        _check_section("policies", policy, seir)
+    if config.setdefault("model", "covid") not in MODELS:
+        raise InputError(f"model must be one of {MODELS}")
     config.setdefault("out", ".")
     config.setdefault("horizon", 500)
     step = config.setdefault("step", dynamics.DEFAULT_STEP)
-    per_day = 1.0 / step if isinstance(step, (int, float)) and step > 0 else 0.0
+    per_day = 1.0 / step if step > 0 else 0.0
     if per_day < 1 or abs(per_day - round(per_day)) > 1e-9:
         raise InputError(f"step must be positive and divide one day, got {step!r}")
     return config
 
 
 def _build_instance(config) -> ingest.EpidemicInstance:
-    model = config.get("model", "covid")
     if "instance" in config:
         inst = ingest.load_instance(config["instance"])
         if "target_rt" in config:
             from .model import calibrate_transmission
             inst.params = calibrate_transmission(
-                inst.net, inst.params, inst.state0,
-                float(config["target_rt"]), inst.contacts)
+                inst.net, inst.params, inst.state0, config["target_rt"],
+                inst.contacts)
         return inst
     if "files" in config:
         files = config["files"]
@@ -118,47 +146,52 @@ def _build_instance(config) -> ingest.EpidemicInstance:
             files["trips"], files["dwell"], files["cases"])
         params = ingest.default_disease_params(
             psi=config.get("psi", ingest.DEFAULT_EFFICACY),
-            alpha_hat=_require_alpha_hat(config))
+            alpha_hat=_alpha_hat(config))
         from .model import calibrate_transmission
         params = calibrate_transmission(net, params, state,
                                         config.get("target_rt", 1.0))
         return ingest.EpidemicInstance(net=net, params=params, state0=state)
-    synth = config.get("synthetic", {})
-    seed = int(config.get("seed", synth.get("seed", 0)))
-    n = int(synth.get("n", config.get("n", 5)))
+    synthetic = config.get("synthetic", {})
     return ingest.synthetic_instance(
-        seed, n, groups=(model == "covid-demographic"),
-        target_rt=float(config.get("target_rt", synth.get("target_rt", 1.2))),
-        alpha_hat=_require_alpha_hat(config),
-        psi=float(config.get("psi", ingest.DEFAULT_EFFICACY)))
+        config.get("seed", synthetic.get("seed", 0)), synthetic.get("n", 5),
+        groups=(config["model"] == "covid-demographic"),
+        target_rt=config.get("target_rt", 1.2), alpha_hat=_alpha_hat(config),
+        psi=config.get("psi", ingest.DEFAULT_EFFICACY))
 
 
-def _require_alpha_hat(config) -> float:
-    # no published default exists for the asymptomatic discount; require it
-    # explicitly unless the caller accepts the fixture convention
-    return float(config.get("alpha_hat", 0.5))
+def _alpha_hat(config) -> float:
+    # no published default exists for the asymptomatic discount; 0.5 is the
+    # fixture convention
+    return config.get("alpha_hat", 0.5)
+
+
+def _seir_fixture(config) -> tuple[bubar.BubarParams, bubar.BubarState]:
+    """The SEIR fixture, with target_rt as its R0."""
+    return bubar.us_like_instance(
+        r0=config.get("target_rt", 1.15), seed=config.get("seed", 0),
+        psi=config.get("psi", bubar.DEFAULT_EFFICACY))
 
 
 def _schedule(config) -> dynamics.VaccinationSchedule:
-    sched = dict(DEFAULT_SCHEDULE)
-    sched.update(config.get("schedule", {}))
+    schedule = dict(DEFAULT_SCHEDULE)
+    schedule.update(config.get("schedule", {}))
     if "budget" in config:
-        sched["budget"] = config["budget"]
+        schedule["budget"] = config["budget"]
     return dynamics.VaccinationSchedule(
-        daily_rate=float(sched["daily_rate"]),
-        interval_days=int(sched["interval_days"]),
-        total_budget=float(sched["budget"]),
-        leftover_rule=sched["leftover_rule"])
+        daily_rate=schedule["daily_rate"],
+        interval_days=schedule["interval_days"],
+        total_budget=schedule["budget"],
+        leftover_rule=schedule["leftover_rule"])
 
 
 def _policy_specs(config) -> list[policies.PolicySpec]:
     specs = []
-    for doc in config.get("policies", DEFAULT_POLICIES):
+    for policy in config.get("policies", DEFAULT_POLICIES):
         specs.append(policies.PolicySpec(
-            kind=doc["kind"],
-            resolve_mode=doc.get("resolve_mode", "static"),
+            kind=policy["kind"],
+            resolve_mode=policy.get("resolve_mode", "static"),
             priority_groups=tuple(tuple(t) if isinstance(t, list) else t
-                                  for t in doc.get("priority_groups", ()))))
+                                  for t in policy.get("priority_groups", ()))))
     return specs
 
 
@@ -174,6 +207,8 @@ def _write_atomic(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(config) -> int:
+    if config["model"] == "bubar":
+        raise InputError("calibrate writes covid instances, not bubar")
     inst = _build_instance(config)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -186,27 +221,27 @@ def cmd_calibrate(config) -> int:
 
 
 def cmd_allocate(config) -> int:
+    if "alpha" in config and "budget" in config:
+        raise InputError("give alpha or budget, not both")
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    if config.get("model") == "bubar":
-        params, state0 = bubar.us_like_instance(
-            r0=float(config.get("target_r0", 1.15)),
-            seed=int(config.get("seed", 0)))
+    if config["model"] == "bubar":
+        params, state0 = _seir_fixture(config)
         supply = None
-        if config.get("budget") is not None:
-            supply = float(config["budget"]) * float(params.populations.sum())
+        if "budget" in config:
+            supply = config["budget"] * float(params.populations.sum())
         alpha, result = bubar.solve_bubar_allocation(
             state0, params, alpha=config.get("alpha"), supply=supply)
         labels = list(params.labels)
     else:
         inst = _build_instance(config)
-        if config.get("alpha") is not None:
+        if "alpha" in config:
+            alpha = config["alpha"]
             prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                           inst.contacts, float(config["alpha"]))
+                                           inst.contacts, alpha)
             result = allocator.solve_allocation(prob)
-            alpha = float(config["alpha"])
         else:
-            budget = float(config.get("budget", 0.0)) * inst.net.total_population
+            budget = config.get("budget", 0.0) * inst.net.total_population
             alpha, result = allocator.max_decay_binary_search(
                 inst.state0, inst.net, inst.params, inst.contacts, budget)
         labels = dynamics._cell_labels(inst)
@@ -224,12 +259,18 @@ def cmd_allocate(config) -> int:
     return EXIT_OK
 
 
-def _simulate_covid(config) -> tuple[list, list]:
+def _simulate(config) -> tuple[list, list]:
+    """Names and trajectories of the configured policies, for every model."""
+    horizon, step = config["horizon"], config["step"]
+    if config["model"] == "bubar":
+        names = [policy["kind"]
+                 for policy in config.get("policies", SEIR_POLICIES)]
+        return names, bubar.simulate_bubar_policies(
+            *_seir_fixture(config), names, _schedule(config), horizon,
+            step=step)
     specs = _policy_specs(config)
-    trajs = dynamics.simulate_policies(_build_instance(config), specs,
-                                       _schedule(config), int(config["horizon"]),
-                                       step=config["step"])
-    return [spec.name for spec in specs], trajs
+    return [spec.name for spec in specs], dynamics.simulate_policies(
+        _build_instance(config), specs, _schedule(config), horizon, step=step)
 
 
 def _summary_rows(names, trajs) -> list[dict]:
@@ -240,20 +281,10 @@ def _summary_rows(names, trajs) -> list[dict]:
 
 
 def cmd_simulate(config) -> int:
+    names, trajs = _simulate(config)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    if config.get("model") == "bubar":
-        params, state0 = bubar.us_like_instance(
-            r0=float(config.get("target_r0", 1.15)),
-            seed=int(config.get("seed", 0)))
-        names = config.get("bubar_policies",
-                           ["optimal-stabilizing", *bubar.PRIORITY_PRESETS])
-        trajs = bubar.simulate_bubar_policies(params, state0, names,
-                                              _schedule(config),
-                                              int(config["horizon"]),
-                                              step=config["step"])
-    else:
-        names, trajs = _simulate_covid(config)
+    if config["model"] != "bubar":
         for name, traj in zip(names, trajs):
             traj.to_csv(out / f"trajectory_{name}.csv")
     rows = _summary_rows(names, trajs)
@@ -290,18 +321,16 @@ def _sweep_point(payload):
     elif axis == "rt":
         config["target_rt"] = value
     elif axis == "interval":
-        sched = dict(config.get("schedule", DEFAULT_SCHEDULE))
-        sched["interval_days"] = int(round(value))
-        config["schedule"] = sched
+        schedule = dict(config.get("schedule", DEFAULT_SCHEDULE))
+        schedule["interval_days"] = int(round(value))
+        config["schedule"] = schedule
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
     return [{"axis": axis, "value": value, **row}
-            for row in _summary_rows(*_simulate_covid(config))]
+            for row in _summary_rows(*_simulate(config))]
 
 
 def cmd_sweep(config) -> int:
-    if config.get("model") == "bubar":
-        raise InputError("sweep runs the covid models only, not bubar")
     axis = config.get("axis")
     if axis not in ("budget", "rt", "interval"):
         raise InputError("sweep needs --axis budget|rt|interval")
@@ -336,11 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--model", choices=["covid", "covid-demographic", "bubar"])
+    parser.add_argument("--model", choices=MODELS)
     parser.add_argument("--budget", type=float,
                         help="total budget as a fraction of the population")
     parser.add_argument("--alpha", type=float, help="target decay rate (1/day)")
-    parser.add_argument("--target-rt", dest="target_rt", type=float)
+    parser.add_argument("--target-rt", dest="target_rt", type=float,
+                        help="reproduction number to calibrate to: Rt for "
+                             "the covid models, R0 for bubar")
     parser.add_argument("--horizon", type=int)
     parser.add_argument("--step", type=float,
                         help="RK4 step in days, dividing one day (default "
@@ -373,7 +404,7 @@ def main(argv=None) -> int:
         config = _load_config(args)
         return COMMANDS[args.command](config)
     except (InputError, ingest.IngestError, FileNotFoundError, KeyError,
-            ValueError) as exc:
+            ValueError, CalibrationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleAllocationError as exc:

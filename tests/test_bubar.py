@@ -145,3 +145,23 @@ class TestBatchedSimulation:
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field
             assert traj.total_doses() == pytest.approx(
                 0.05 * params.populations.sum(), rel=1e-9)
+
+    def test_unknown_policy_raises(self):
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        with pytest.raises(ValueError, match="under20"):
+            bubar.simulate_bubar_policies(params, state0,
+                                          ["under-20", "under20"], sched, 5)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("psi", [-0.1, 1.5])
+    def test_efficacy_outside_unit_interval_raises(self, psi):
+        params, _ = bubar.us_like_instance(1.15, seed=0)
+        with pytest.raises(ValueError, match="psi"):
+            replace(params, psi=psi)
+
+    def test_negative_r0_raises(self):
+        params, _ = bubar.us_like_instance(1.15, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bubar.calibrate_r0(params, -0.5)

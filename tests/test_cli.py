@@ -225,8 +225,12 @@ class TestStep:
                          "compare"]) == cli.EXIT_INPUT
 
 
-SWEEP_POLICY_FLAGS = ("--policy", "population-weighted", "--policy",
-                      "optimal-stabilizing")
+SWEEP_POLICY_FLAGS = {
+    "covid": ("--policy", "population-weighted", "--policy",
+              "optimal-stabilizing"),
+    "bubar": ("--policy", "seniors-60-plus", "--policy",
+              "optimal-stabilizing"),
+}
 
 
 def compare_at(out, config):
@@ -235,15 +239,17 @@ def compare_at(out, config):
     path = out / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["--config", str(path), "--out", str(out), "--horizon",
-                     "30", *SWEEP_POLICY_FLAGS, "compare"]) == cli.EXIT_OK
+                     "30", *SWEEP_POLICY_FLAGS[config.get("model", "covid")],
+                     "compare"]) == cli.EXIT_OK
     return read_rows(out / "summary.csv")
 
 
-def sweep_rows(out, axis, values, *flags):
+def sweep_rows(out, axis, values, *flags, model="covid"):
     """sweep.csv rows at horizon 30 over the grid lo:hi:steps of values."""
     assert cli.main(["--out", str(out), "--horizon", "30", "--axis", axis,
                      "--range", f"{values[0]}:{values[-1]}:{len(values)}",
-                     *SWEEP_POLICY_FLAGS, *flags, "sweep"]) == cli.EXIT_OK
+                     "--model", model, *SWEEP_POLICY_FLAGS[model], *flags,
+                     "sweep"]) == cli.EXIT_OK
     return read_rows(out / "sweep.csv")
 
 
@@ -256,13 +262,14 @@ POINT_CONFIG = {
 }
 
 
-def oracle_rows(tmp_path, axis, values):
-    """The sweep.csv rows that `compare` on synthetic seed 0 gives at each
-    point of the axis."""
+def oracle_rows(tmp_path, axis, values, model="covid"):
+    """The sweep.csv rows that `compare` on the model's seed-0 instance
+    gives at each point of the axis."""
     rows = []
     for k, value in enumerate(values):
         rows += [[axis, f"{value:.6g}", *row] for row in compare_at(
-            tmp_path / f"compare{k}", {"seed": 0, **POINT_CONFIG[axis](value)})]
+            tmp_path / f"compare{k}",
+            {"seed": 0, "model": model, **POINT_CONFIG[axis](value)})]
     return rows
 
 
@@ -287,9 +294,97 @@ class TestSweepOracle:
                           str(config), "--workers", "1")
         assert rows == oracle_rows(tmp_path, "rt", values)
 
-    def test_bubar_exits_input_error(self, tmp_path):
+    @pytest.mark.parametrize("axis, lo, hi", [("budget", 0.01, 0.05),
+                                              ("rt", 1.05, 2.5)],
+                             ids=["budget", "rt"])
+    def test_bubar_rows_match_compare(self, tmp_path, axis, lo, hi):
+        values = np.linspace(lo, hi, 2)
+        rows = sweep_rows(tmp_path / "sweep", axis, values, "--seed", "0",
+                          "--workers", "1", model="bubar")
+        assert rows == oracle_rows(tmp_path, axis, values, model="bubar")
+
+
+def compare_summary(out, *flags, config=None):
+    """summary.csv text of a SEIR `compare` at horizon 30, seed 0."""
+    argv = ["--out", str(out), "--seed", "0", "--model", "bubar",
+            "--horizon", "30", *flags, "compare"]
+    if config is not None:
+        out.mkdir(parents=True)
+        (out / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(out / "config.json"), *argv]
+    assert cli.main(argv) == cli.EXIT_OK
+    return (out / "summary.csv").read_text()
+
+
+class TestSharedKeys:
+    """The SEIR model reads the covid models' keys: target_rt is its R0,
+    psi its efficacy, and policies name its dosing policies."""
+
+    @pytest.mark.parametrize("flags, config, r0, psi, names", [
+        (("--target-rt", "1.5"), None, 1.5, 0.9, None),
+        ((), {"psi": 0.5}, 1.15, 0.5, None),
+        (("--policy", "under-20", "--policy", "no-vaccine"), None, 1.15, 0.9,
+         ["under-20", "no-vaccine"])], ids=["target-rt", "psi", "policy"])
+    def test_bubar_reads_shared_key(self, tmp_path, flags, config, r0, psi,
+                                    names):
+        summary = compare_summary(tmp_path / "cli", *flags, config=config)
+        params, state0 = bubar.us_like_instance(r0, seed=0, psi=psi)
+        names = names or ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+        trajs = bubar.simulate_bubar_policies(params, state0, names,
+                                              cli._schedule({}), 30)
+        cli._write_summary(tmp_path / "library.csv",
+                           cli._summary_rows(names, trajs))
+        assert summary == (tmp_path / "library.csv").read_text()
+        assert summary != compare_summary(tmp_path / "default")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("config, flags", [
+        ({"horizion": 30}, ()),
+        ({"polices": [{"kind": "no-vaccine"}]}, ()),
+        ({"schedule": {"daily-rate": 0.01}}, ()),
+        ({"policies": [{"kind": "no-vaccine", "resolve": "static"}]}, ()),
+        ({"model": "seir"}, ()),
+        ({"n": 5}, ()),
+        ({"synthetic": {"target_rt": 1.3}}, ()),
+        ({"target_r0": 1.5}, ("--model", "bubar")),
+        ({"bubar_policies": ["under-20"]}, ("--model", "bubar")),
+        ({"synthetic": {"seed": 1}}, ("--model", "bubar")),
+        ({"instance": "instance.json"}, ("--model", "bubar")),
+        ({"files": {}}, ("--model", "bubar")),
+        ({"alpha_hat": 0.5}, ("--model", "bubar")),
+        ({"policies": [{"kind": "under-20", "resolve_mode": "static"}]},
+         ("--model", "bubar")),
+        ({}, ("--model", "bubar", "--policy", "under20")),
+        ({"psi": 1.5}, ("--model", "bubar")),
+        ({}, ("--model", "bubar", "--target-rt", "-1")),
+        ({}, ("--target-rt", "-1")),
+    ], ids=["horizion", "polices", "schedule-daily-rate", "policy-resolve",
+            "model-seir", "top-level-n", "synthetic-target-rt", "target-r0",
+            "bubar-policies", "bubar-synthetic", "bubar-instance",
+            "bubar-files", "bubar-alpha-hat", "bubar-resolve-mode",
+            "bubar-under20", "bubar-psi-1.5", "bubar-r0-negative",
+            "covid-rt-negative"])
+    def test_rejected_config_exits_input_error(self, tmp_path, config,
+                                               flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert cli.main(["--out", str(out), "--model", "bubar", "--axis",
-                         "budget", "--range", "0.01:0.05:2",
-                         "sweep"]) == cli.EXIT_INPUT
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--horizon", "5", *flags, "compare"]) == cli.EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--model", "bubar", "calibrate"),
+        ("--alpha", "0", "--budget", "0.05", "allocate"),
+        ("--model", "bubar", "--alpha", "0", "--budget", "0.05", "allocate")],
+        ids=["bubar-calibrate", "alpha-and-budget", "bubar-alpha-and-budget"])
+    def test_rejected_command_exits_input_error(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), *flags]) == cli.EXIT_INPUT
+        assert not out.exists()
+
+    def test_null_counts_as_absent(self, tmp_path):
+        summary = compare_summary(tmp_path / "null", config={
+            "policies": None, "schedule": None, "psi": None})
+        assert summary == compare_summary(tmp_path / "default")

@@ -67,6 +67,9 @@ CONFIG_KEYS = {
 # keys of the covid instance and dose planner, which the SEIR model lacks
 COVID_ONLY = ("synthetic", "instance", "files", "alpha_hat", "resolve_mode",
               "priority_groups")
+# top-level keys an instance source never reads, which exit as input errors
+SOURCE_IGNORES = {"instance": ("psi", "seed", "alpha_hat", "synthetic",
+                               "files"), "files": ("seed", "synthetic")}
 
 
 def _check_section(name: str, section, seir: bool) -> None:
@@ -114,6 +117,11 @@ def _load_config(args) -> dict:
         config["policies"] = [{"kind": kind} for kind in args.policy]
     seir = config.get("model") == "bubar"
     _check_section("", config, seir)
+    for source, ignored in SOURCE_IGNORES.items():
+        unread = [key for key in ignored if source in config and key in config]
+        if unread:
+            raise InputError(f"config keys {unread} have no effect with "
+                             f"{source}")
     for name in ("synthetic", "schedule", "files"):
         _check_section(name, config.get(name, {}), seir)
     if not isinstance(config.get("policies", []), list):
@@ -196,10 +204,18 @@ def _policy_specs(config) -> list[policies.PolicySpec]:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file, with the mode a plain open gives."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

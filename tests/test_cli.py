@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -388,3 +390,77 @@ class TestConfigKeys:
         summary = compare_summary(tmp_path / "null", config={
             "policies": None, "schedule": None, "psi": None})
         assert summary == compare_summary(tmp_path / "default")
+
+
+@pytest.fixture
+def sources(tmp_path):
+    """Configs of a saved instance and of three input files."""
+    assert cli.main(["--out", str(tmp_path), "--seed", "0",
+                     "calibrate"]) == cli.EXIT_OK
+    (tmp_path / "trips.csv").write_text(
+        "origin_id,dest_id,daily_trips\na,a,8000\na,b,200\nb,a,200\nb,b,8000\n")
+    (tmp_path / "dwell.csv").write_text(
+        "location_id,median_dwell_minutes\na,800\nb,800\n")
+    (tmp_path / "cases.csv").write_text(
+        "location_id,cum_confirmed,cum_deaths,population\n"
+        "a,217,5,10000\nb,100,2,8000\n")
+    files = {name: str(tmp_path / f"{name}.csv")
+             for name in ("trips", "dwell", "cases")}
+    return {"instance": {"instance": str(tmp_path / "instance.json")},
+            "files": {"files": files}}
+
+
+class TestSourceKeys:
+    """A config key that its instance source never reads exits 3."""
+
+    def compare(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "--horizon", "5", "compare"])
+        return code, out.exists()
+
+    @pytest.mark.parametrize("source", ["instance", "files"])
+    def test_source_alone_runs(self, tmp_path, sources, source):
+        assert self.compare(tmp_path, sources[source]) == (cli.EXIT_OK, True)
+
+    @pytest.mark.parametrize("source, extra", [
+        ("instance", {"psi": 0.5}), ("instance", {"seed": 3}),
+        ("instance", {"alpha_hat": 0.9}), ("instance", {"synthetic": {}}),
+        ("files", {"seed": 3}), ("files", {"synthetic": {"n": 5}}),
+        ("instance", "files")],
+        ids=["instance-psi", "instance-seed", "instance-alpha-hat",
+             "instance-synthetic", "files-seed", "files-synthetic",
+             "instance-and-files"])
+    def test_ignored_key_exits_input_error(self, tmp_path, sources, source,
+                                           extra):
+        extra = sources[extra] if isinstance(extra, str) else extra
+        assert self.compare(tmp_path, {**sources[source], **extra}) == (
+            cli.EXIT_INPUT, False)
+
+
+class TestAtomicWrite:
+    def test_outputs_take_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            for command in ("allocate", "compare", "sweep"):
+                assert cli.main([
+                    "--out", str(tmp_path), "--seed", "0", "--horizon", "5",
+                    "--policy", "no-vaccine", "--axis", "budget", "--range",
+                    "0.01:0.02:2", "--workers", "1", command]) == cli.EXIT_OK
+        finally:
+            os.umask(old)
+        names = {p.name for p in tmp_path.iterdir()}
+        assert {"allocation.json", "allocation.csv", "summary.csv",
+                "sweep.csv", "trajectory_no-vaccine.csv"} <= names
+        for path in tmp_path.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
+
+    def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
+        target = tmp_path / "summary.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_atomic(target, "\ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+        assert target.read_text() == "old\n"

@@ -553,3 +553,70 @@ class TestTrajectoryCsv:
         out = tmp_path / "traj.csv"
         traj.to_csv(out)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_label_count_must_match_cells(self, tmp_path):
+        traj = sv.simulate_policy(small_instance(), sv.PolicySpec(
+            kind="no-vaccine"), sv.VaccinationSchedule(daily_rate=0.0), 2)
+        for labels in (traj.labels[:-1], [*traj.labels, "extra"]):
+            traj.labels = labels
+            with pytest.raises(ValueError, match="labels"):
+                traj.to_csv(tmp_path / "traj.csv")
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("name", ["covid-n50", "age-n5"])
+    def test_long_runs_match_csv_writer(self, tmp_path, csv_trajectories,
+                                        name):
+        for k, traj in enumerate(csv_trajectories[name]):
+            traj.to_csv(tmp_path / f"{k}.csv")
+            assert (tmp_path / f"{k}.csv").read_bytes() == \
+                csv_writer_bytes(traj), k
+
+    def test_long_runs_take_every_notation(self, csv_trajectories):
+        values = csv_values([t for trajs in csv_trajectories.values()
+                             for t in trajs])
+        positive = values[values > 0]
+        assert (values == 0).any() and (values >= 1e4).any()
+        assert (positive < 1e-4).any() and (positive < 1e-11).any()
+
+    def test_few_values_fall_back_to_python(self, csv_trajectories):
+        from stabvax import _text
+
+        slow = _text.split(csv_values(csv_trajectories["covid-n50"]))[-1]
+        assert slow.mean() <= 0.005
+
+
+CSV_COLUMNS = ("s", "xa", "xs", "e", "h", "new_cases", "cum_cases",
+               "cum_deaths", "doses")
+
+
+def csv_values(trajs) -> np.ndarray:
+    """Every value the CSV files of trajs hold."""
+    return np.concatenate([np.stack([getattr(t, name) for name in
+                                     CSV_COLUMNS]).ravel() for t in trajs])
+
+
+def csv_writer_bytes(traj) -> bytes:
+    """The rows csv.writer writes for a trajectory, with Python's '%.6g' and
+    '%.12g'."""
+    import csv
+    import io
+
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["t", "cell", *CSV_COLUMNS])
+    values = np.stack([getattr(traj, name) for name in CSV_COLUMNS], axis=-1)
+    for t, day in zip(traj.times.tolist(), values.tolist()):
+        for label, row in zip(traj.labels, day):
+            writer.writerow([f"{t:.6g}", label, *(f"{x:.12g}" for x in row)])
+    return fh.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def csv_trajectories():
+    """The four default policies over 200 days on homogeneous n=50 and on
+    age-structured n=5, whose values take every notation of '%.12g'."""
+    sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+    return {name: dynamics.simulate_policies(
+        sv.synthetic_instance(1, n=n, groups=groups), DEFAULT_SPECS, sched,
+        200) for name, n, groups in (("covid-n50", 50, False),
+                                     ("age-n5", 5, True))}

@@ -8,8 +8,8 @@ Only model definitions live here: `bubar_problem` states the model's
 `allocator.AllocationProblem`, which the shared solvers solve. Policies run
 on the day loop of `dynamics.run_days`, all of one comparison side by side
 as a (13 * groups, K) state; this module supplies the right-hand side, the
-dosing hook (age tiers, the spectral greedy, `apply_bubar_vaccination`) and
-the recorder of `BubarTrajectory` columns.
+dosing hook (age tiers, the spectral greedy, `_vaccinate`, which doses the
+state in place) and the recorder of `BubarTrajectory` columns.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
 
     One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
     rows of all 13 compartments; the infections lambda S and lambda Sx then
-    move from S and Sx into E and Ex."""
+    move from S and Sx into E and Ex. As in `dynamics.covid_rhs_factory`,
+    rhs.bind serves the RK4 stepper: a stage writes I + Ix + Iv above its
+    derivative, in eight numpy calls."""
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
     pops, u = params.populations[:, None], params.susceptibility[:, None]
@@ -144,36 +146,56 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
         np.kron(np.hstack([zero3, eye3]), np.diag(b * (1 - params.ifr))),
         np.kron(infectious, np.diag(b * params.ifr))])
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        y2 = y.reshape(13 * g, -1)
-        alive = pops - y2[12 * g:]
-        z = mix @ y2[3 * g:9 * g]
-        lam = u * (params.contacts @ (z[:g] / alive))
-        inf = (lam * y2[:2 * g].reshape(2, g, -1)).reshape(2 * g, -1)
-        z[g:3 * g] -= inf
-        z[4 * g:6 * g] += inf
-        return z[g:].reshape(y.shape)
+    def bind(ys):
+        zs = np.empty((len(ys), 14 * g, ys.shape[2]))
+        return zs[:, g:], [stage(y, z) for y, z in zip(ys, zs)]
 
+    def stage(y, z):
+        cols = y.shape[1]
+        alive, ratio, lam = np.empty((3, g, cols))
+        inf = np.empty((2, g, cols))
+        dead, latent_infectious = y[12 * g:], y[3 * g:9 * g]
+        susceptible = y[:2 * g].reshape(2, g, cols)
+        infectious, ds, de = z[:g], z[g:3 * g], z[4 * g:6 * g]
+        inf_rows = inf.reshape(2 * g, cols)
+
+        def evaluate():
+            np.subtract(pops, dead, out=alive)
+            np.matmul(mix, latent_infectious, out=z)
+            np.divide(infectious, alive, out=ratio)
+            np.matmul(params.contacts, ratio, out=lam)
+            np.multiply(u, lam, out=lam)
+            np.multiply(lam, susceptible, out=inf)
+            np.subtract(ds, inf_rows, out=ds)
+            np.add(de, inf_rows, out=de)
+
+        return evaluate
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        ks, (evaluate,) = bind(y.reshape(1, 13 * g, -1))
+        evaluate()
+        return ks[0].reshape(y.shape)
+
+    rhs.bind = bind
     return rhs
 
 
-def apply_bubar_vaccination(state: BubarState, v: np.ndarray,
-                            params: BubarParams) -> tuple[BubarState, np.ndarray]:
-    """All-or-nothing dosing: v_i is doses over (S+I+R)_i; the susceptible
-    share v_i S_i splits psi-protected / (1-psi)-unprotected. Returns the new
-    state and the spent dose counts."""
+def _vaccinate(comp: np.ndarray, v, params: BubarParams) -> np.ndarray:
+    """All-or-nothing dosing, in place on the (13, groups) compartments: v_i
+    is doses over (S+I+R)_i; the susceptible share v_i S_i splits
+    psi-protected / (1-psi)-unprotected. Returns the spent dose counts."""
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > 1 + 1e-9):
         raise ValueError("vaccination fractions must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
-    new = state.copy()
-    rows = {name: k for k, name in enumerate(COMPARTMENTS)}
-    moved = v * state.S
-    new.compartments[rows["S"]] = state.S - moved
-    new.compartments[rows["Sv"]] = state.Sv + params.psi * moved
-    new.compartments[rows["Sx"]] = state.Sx + (1 - params.psi) * moved
-    doses = v * (state.S + state.I + state.R)
-    return new, doses
+    S, Sx, Sv, I, R = (comp[COMPARTMENTS.index(name)]
+                       for name in ("S", "Sx", "Sv", "I", "R"))
+    doses = v * (S + I + R)
+    moved = v * S
+    S -= moved
+    Sv += params.psi * moved
+    Sx += (1 - params.psi) * moved
+    return doses
 
 
 def basic_reproduction_number(params: BubarParams) -> float:
@@ -317,6 +339,7 @@ class BubarTrajectory:
     cum_infected: np.ndarray     # (T+1, g)
     deaths: np.ndarray           # (T+1, g)
     doses: np.ndarray            # (T+1, g) cumulative
+    clamp_events: int = 0        # RK4 steps that clipped a compartment
     labels: Sequence[str] = field(default_factory=list)
 
     def final_cumulative_cases(self) -> float:
@@ -367,9 +390,9 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
         v = np.zeros(g)
         positive = denom > 0
         v[positive] = np.clip(doses[positive] / denom[positive], 0.0, 1.0)
-        state, spent = apply_bubar_vaccination(state, v, params)
+        spent = _vaccinate(state.compartments, v, params)
         administered[:, k] += spent
-        return state.compartments.reshape(-1), float(spent.sum())
+        return float(spent.sum())
 
     def record(day, y):
         if np.any(params.populations[:, None] - y[12 * g:] <= 0):
@@ -378,9 +401,9 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
 
     y0 = np.repeat(state0.compartments.reshape(-1, 1), n_cols, axis=1)
     dosing = [k for k, policy in enumerate(policies) if policy != "no-vaccine"]
-    run_days(bubar_rhs_factory(params), y0, horizon, step, schedule,
-             float(params.populations.sum()), dosing, dose, record,
-             clamp=(0.0, None))
+    clamps = run_days(bubar_rhs_factory(params), y0, horizon, step, schedule,
+                      float(params.populations.sum()), dosing, dose, record,
+                      clamp=(0.0, None))
 
     # (compartment, column, day, group)
     comp = ys.reshape(horizon + 1, len(COMPARTMENTS), g, n_cols).transpose(1, 3, 0, 2)
@@ -389,7 +412,8 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
                  cum_infected=comp[3:].sum(axis=0), deaths=comp[12],
                  doses=dose_days.transpose(2, 0, 1))
     times = np.arange(horizon + 1, dtype=float)
-    return [BubarTrajectory(times=times, labels=list(params.labels),
+    return [BubarTrajectory(times=times, clamp_events=int(clamps[k]),
+                            labels=list(params.labels),
                             **{name: arr[k] for name, arr in track.items()})
             for k in range(n_cols)]
 

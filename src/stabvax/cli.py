@@ -279,14 +279,24 @@ def _simulate(config) -> tuple[list, list]:
     """Names and trajectories of the configured policies, for every model."""
     horizon, step = config["horizon"], config["step"]
     if config["model"] == "bubar":
-        names = [policy["kind"]
-                 for policy in config.get("policies", SEIR_POLICIES)]
+        names = _distinct([policy["kind"]
+                           for policy in config.get("policies", SEIR_POLICIES)])
         return names, bubar.simulate_bubar_policies(
             *_seir_fixture(config), names, _schedule(config), horizon,
             step=step)
     specs = _policy_specs(config)
-    return [spec.name for spec in specs], dynamics.simulate_policies(
+    names = _distinct([spec.name for spec in specs])
+    return names, dynamics.simulate_policies(
         _build_instance(config), specs, _schedule(config), horizon, step=step)
+
+
+def _distinct(names: list) -> list:
+    """names, checked to be distinct: each names its own outputs."""
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        raise InputError(f"policy names {repeated} are repeated; each policy "
+                         "needs a name of its own")
+    return names
 
 
 def _summary_rows(names, trajs) -> list[dict]:

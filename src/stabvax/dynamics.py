@@ -2,12 +2,15 @@
 events and full case accounting.
 
 Policies are simulated side by side: the K policies of one comparison share
-one state array of shape (compartments * cells, K), one RK4 integration per
-day and one day loop (`run_days`), which also serves the SEIR comparison
-model. A model plugs into the loop with a dosing hook, which doses one
-column at the start of a supply interval, and a recorder, which stores the
-post-dosing state of every day; `simulate_policies` supplies both for the
-covid models and `bubar.simulate_bubar_policies` for the SEIR model.
+one state array of shape (compartments * cells, K) and one day loop
+(`run_days`), which also serves the SEIR comparison model. One RK4 stepper
+(`_RK4`, which `integrate` drives too), built once per simulation, advances
+that state in place, each model evaluating its stages straight into the
+stepper's buffers. A model plugs into the loop with a dosing hook, which
+doses one column of the state in place at the start of a supply interval,
+and a recorder, which stores the post-dosing state of every day;
+`simulate_policies` supplies both for the covid models and
+`bubar.simulate_bubar_policies` for the SEIR model.
 
 Every model integrates at `DEFAULT_STEP` = 0.25 day unless told otherwise.
 Final cumulative cases and deaths then lie within 1e-10 relative of a run at
@@ -135,7 +138,10 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
 
     One stacked matrix over (xa, xs) gives the force of infection and the
     linear rows of all five blocks; the infection s * force then moves from
-    the s rows into the xa rows."""
+    the s rows into the xa rows. The returned rhs carries `bind`, which the
+    RK4 stepper uses to evaluate each stage into its own buffer: one matmul
+    writes the force above the stage's derivative, and three ufuncs move the
+    infection."""
     flow = flow_for_model(net, params, contacts)
     m = flow.shape[0]
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
@@ -148,20 +154,125 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
                     [zero, np.diag(kappa)],
                     [r_a * eye, np.diag(r_s)]])
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        y2 = y.reshape(5 * m, -1)
-        z = mix @ y2[m:3 * m]
-        inf = y2[:m] * z[:m]
-        z[m:2 * m] -= inf
-        z[2 * m:3 * m] += inf
-        return z[m:].reshape(y.shape)
+    def bind(ys):
+        zs = np.empty((len(ys), 6 * m, ys.shape[2]))
+        return zs[:, m:], [stage(y, z) for y, z in zip(ys, zs)]
 
+    def stage(y, z):
+        s, xa_xs, inf = y[:m], y[m:3 * m], np.empty_like(y[:m])
+        force, ds, dxa = z[:m], z[m:2 * m], z[2 * m:3 * m]
+
+        def evaluate():
+            np.matmul(mix, xa_xs, out=z)
+            np.multiply(s, force, out=inf)
+            np.subtract(ds, inf, out=ds)
+            np.add(dxa, inf, out=dxa)
+
+        return evaluate
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        ks, (evaluate,) = bind(y.reshape(1, 5 * m, -1))
+        evaluate()
+        return ks[0].reshape(y.shape)
+
+    rhs.bind = bind
     return rhs
 
 
 # ---------------------------------------------------------------------------
 # integrator
 # ---------------------------------------------------------------------------
+
+def _whole_steps(t0: float, t1: float, step: float) -> int:
+    """The number of steps of size `step` from t0 to t1; raises ValueError
+    unless it is a positive whole number."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    n_steps = int(round((t1 - t0) / step))
+    if n_steps < 1 or abs(t0 + n_steps * step - t1) > 1e-9 * max(1.0, abs(t1)):
+        raise ValueError("span must be a whole number of steps")
+    return n_steps
+
+
+class _RK4:
+    """Classical fourth-order Runge-Kutta on one state of shape (d,) or
+    (d, K), advanced in place; built once per simulation.
+
+    It owns the stage inputs `ys` (ys[0] is the state) and the stage
+    derivatives `ks`, both of shape (4,) + state shape. A rhs that carries
+    `bind` (the model factories' do) evaluates stage i straight into ks[i]:
+    bind(ys) takes the (4, d, K) stage inputs and returns ks and one
+    evaluator per stage, its views bound once. Any other rhs(t, y) is called
+    and its result copied into ks[i]. The step is y + h/6 (k1 + 2 k2 + 2 k3
+    + k4) in that order, the sum one add.reduce over ks after k2 and k3 are
+    doubled. One min and one max show whether the new state is finite and
+    inside the bounds; only a step where it is not checks k4 for non-finite
+    values and clips.
+    """
+
+    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
+                 y0: np.ndarray, step: float,
+                 clamp: Optional[tuple[float, Optional[float]]]):
+        y0 = np.asarray(y0, dtype=float)
+        self.ys = np.empty((4,) + y0.shape)
+        self.ys[0] = y0
+        self.y, self.step, self.clamp, self.t = self.ys[0], step, clamp, 0.0
+        bind = getattr(rhs, "bind", None)
+        if bind is None:
+            self.ks = np.empty_like(self.ys)
+            self.stages = [self._calling(rhs, y, k, dt) for y, k, dt in zip(
+                self.ys, self.ks, (0.0, 0.5 * step, 0.5 * step, step))]
+        else:
+            ks, self.stages = bind(self.ys.reshape(4, len(y0), -1))
+            self.ks = ks.reshape(self.ys.shape)  # a view: drops a unit axis
+        self.acc = np.empty(y0.shape)
+        # bounds a state must meet to skip the clamp; +-inf and nan never do
+        big = np.finfo(float).max
+        self.lower = -big if clamp is None else clamp[0]
+        self.upper = big if clamp is None or clamp[1] is None else clamp[1]
+
+    def _calling(self, rhs, y, k, dt):
+        """The stage of a plain rhs(t, y) that starts dt into the step."""
+        return lambda: np.copyto(k, rhs(self.t + dt, y))
+
+    def advance(self, t0: float, n_steps: int) -> np.ndarray:
+        """Take n_steps steps from time t0. Returns the clamp events per
+        column: a step whose clamp moves an entry of a column by more than
+        1e-12 is one event of that column."""
+        y, y2, y3, y4 = self.ys
+        ks = self.ks
+        k1, k2, k3, k23 = ks[0], ks[1], ks[2], ks[1:3]
+        e1, e2, e3, e4 = self.stages
+        step, half, acc = self.step, 0.5 * self.step, self.acc
+        lower, upper, sixth = self.lower, self.upper, self.step / 6.0
+        events = np.zeros(y.shape[1:], dtype=int)
+        for k in range(n_steps):
+            self.t = t = t0 + k * step
+            e1()
+            np.add(y, np.multiply(half, k1, out=y2), out=y2)
+            e2()
+            np.add(y, np.multiply(half, k2, out=y3), out=y3)
+            e3()
+            np.add(y, np.multiply(step, k3, out=y4), out=y4)
+            e4()
+            k23 *= 2.0
+            np.add.reduce(ks, axis=0, out=acc)
+            acc *= sixth
+            y += acc
+            if not lower <= y.min() <= y.max() <= upper:
+                if not np.all(np.isfinite(ks[3])):
+                    raise FloatingPointError(
+                        f"non-finite derivative at t={t + step}")
+                if self.clamp is not None:
+                    clipped = np.clip(y, *self.clamp)
+                    drift = np.abs(clipped - y).max(axis=0, initial=0.0)
+                    if (drift > 1e-12).any():
+                        events += drift > 1e-12
+                        log.debug("clamped state by %.3g at t=%.4f",
+                                  drift.max(), t + step)
+                    y[...] = clipped
+        return events
+
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: np.ndarray, t_span: tuple[float, float], step: float,
@@ -174,69 +285,39 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     times[k]. States are clamped into the given bounds after every step; a
     step whose clamp moves an entry of a column by more than 1e-12 is one
     clamp event of that column, and is logged. clamp_events is an int for
-    1-D y0 and a length-K int array for 2-D y0.
-
-    A step whose new state is finite and inside the bounds has nothing to
-    clamp, which one min and one max show; only other steps check the
-    derivative for non-finite values and clip. Stage sums are formed in
-    buffers, in the order of y + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    1-D y0 and a length-K int array for 2-D y0. It takes the steps of
+    `_RK4`, the stepper of `run_days`, one at a time to keep every state.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     t0, t1 = t_span
-    n_steps = int(round((t1 - t0) / step))
-    if n_steps < 1 or abs(t0 + n_steps * step - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError("span must be a whole number of steps")
-    y = np.array(y0, dtype=float)
-    times = t0 + step * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1,) + y.shape)
-    out[0] = y
-    clamp_events = np.zeros(y.shape[1:], dtype=int)
-    half = 0.5 * step
-    # bounds a state must meet to skip the clamp; +-inf and nan never do
-    big = np.finfo(float).max
-    lower = -big if clamp is None else clamp[0]
-    upper = big if clamp is None or clamp[1] is None else clamp[1]
-    # one buffer per stage input, so an rhs returning its input stays intact
-    y2, y3, y4, acc, tmp = np.empty((5,) + y.shape)
-    for k in range(n_steps):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, np.add(y, np.multiply(half, k1, out=y2), out=y2))
-        k3 = rhs(t + half, np.add(y, np.multiply(half, k2, out=y3), out=y3))
-        k4 = rhs(t + step, np.add(y, np.multiply(step, k3, out=y4), out=y4))
-        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-        acc += np.multiply(2.0, k3, out=tmp)
-        acc += k4
-        acc *= step / 6.0
-        y += acc
-        if not lower <= y.min() <= y.max() <= upper:
-            if not np.all(np.isfinite(k4)):
-                raise FloatingPointError(f"non-finite derivative at t={t + step}")
-            if clamp is not None:
-                clipped = np.clip(y, *clamp)
-                drift = np.abs(clipped - y).max(axis=0, initial=0.0)
-                if (drift > 1e-12).any():
-                    clamp_events += drift > 1e-12
-                    log.debug("clamped state by %.3g at t=%.4f", drift.max(),
-                              t + step)
-                y = clipped
-        out[k + 1] = y
-    return times, out, int(clamp_events) if y.ndim == 1 else clamp_events
+    times = t0 + step * np.arange(_whole_steps(t0, t1, step) + 1)
+    stepper = _RK4(rhs, y0, step, clamp)
+    states = np.empty(times.shape + stepper.y.shape)
+    states[0] = stepper.y
+    clamp_events = np.zeros(stepper.y.shape[1:], dtype=int)
+    for k, t in enumerate(times[:-1]):
+        clamp_events += stepper.advance(t, 1)
+        states[k + 1] = stepper.y
+    return times, states, (int(clamp_events) if states.ndim == 2
+                           else clamp_events)
 
 
 def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
                             psi: float) -> EpidemicState:
     """Move psi*v of each cell from susceptible into the vaccinated-immune
     pool; v is the vaccinated fraction per cell and must not exceed s."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12) or np.any(v > state.s + 1e-9):
-        raise ValueError("vaccination fractions must satisfy 0 <= v_i <= s_i")
-    moved = psi * np.clip(v, 0.0, state.s)
     new = state.copy()
-    new.s = np.clip(state.s - moved, 0.0, None)
-    new.vax = state.vax + moved
+    _vaccinate(new.s, new.vax, v, psi)
     return new
+
+
+def _vaccinate(s: np.ndarray, vax: np.ndarray, v, psi: float) -> None:
+    """`apply_vaccination_event` in place on the arrays s and vax."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v < -1e-12) or np.any(v > s + 1e-9):
+        raise ValueError("vaccination fractions must satisfy 0 <= v_i <= s_i")
+    moved = psi * np.clip(v, 0.0, s)
+    np.clip(s - moved, 0.0, None, out=s)
+    np.add(vax, moved, out=vax)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +327,7 @@ def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
 def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
              horizon: int, step: float, schedule: VaccinationSchedule,
              total_pop: float, dosing: Sequence[int],
-             dose: Callable[[int, np.ndarray, float, float], tuple],
+             dose: Callable[[int, np.ndarray, float, float], float],
              record: Callable[[int, np.ndarray], None],
              clamp: Optional[tuple[float, Optional[float]]] = (0.0, 1.0),
              ) -> np.ndarray:
@@ -254,13 +335,16 @@ def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
 
     At the start of each supply interval, each column k in `dosing` with a
     positive supply min(daily rate * population * interval, budget left)
-    is dosed: dose(k, copy of column k, supply, budget left) returns the new
-    column and the doses spent, charged to the column's budget. A budget
-    left of at most 1e-12 of the total is a rounding residual and counts as
-    spent. record(day, y) sees every day's state after dosing; one
-    `integrate` call then advances all columns a day. Returns the clamp
-    events per column."""
-    y = np.array(y0, dtype=float)
+    is dosed: dose(k, column k, supply, budget left) updates the column, a
+    view of the state, in place and returns the doses spent, charged to the
+    column's budget. A budget left of at most 1e-12 of the total is a
+    rounding residual and counts as spent. record(day, y) sees every day's
+    state after dosing. One RK4 stepper (`_RK4`), built before the first
+    day, then advances all columns a day in place. Returns the clamp events
+    per column."""
+    steps_per_day = _whole_steps(0.0, 1.0, step)
+    stepper = _RK4(rhs, y0, step, clamp)
+    y = stepper.y
     budget = schedule.total_budget * total_pop
     budget_left = np.full(y.shape[1], budget)
     epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
@@ -270,15 +354,10 @@ def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
             for k in dosing:
                 supply = min(epoch_supply, budget_left[k])
                 if supply > 0 and budget_left[k] > 1e-12 * budget:
-                    y[:, k], spent = dose(k, y[:, k].copy(), supply,
-                                          budget_left[k])
-                    budget_left[k] -= spent
+                    budget_left[k] -= dose(k, y[:, k], supply, budget_left[k])
         record(day, y)
         if day < horizon:
-            _, states, clamps = integrate(rhs, y, (float(day), float(day + 1)),
-                                          step, clamp)
-            clamp_events += clamps
-            y = states[-1]
+            clamp_events += stepper.advance(float(day), steps_per_day)
     return clamp_events
 
 
@@ -305,6 +384,7 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
     vax_days, dose_days = np.empty((2, horizon + 1, m, n_cols))
 
     def dose(k, col, supply, budget_left):
+        # views of the column and of vax, which _vaccinate updates in place
         state = EpidemicState(*col.reshape(5, m), vax=vax[:, k])
         if float(((state.xa + state.xs) * pops).sum()) < EXTINCTION_THRESHOLD:
             doses = policies_mod.leftover_redistribute(
@@ -315,10 +395,9 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
         if doses.sum() > supply * (1 + 1e-9):
             raise RuntimeError("policy emitted more doses than supplied")
         if doses.sum() > 0:
-            state = apply_vaccination_event(state, doses / pops, params.psi)
-            vax[:, k] = state.vax
+            _vaccinate(state.s, state.vax, doses / pops, params.psi)
             administered[:, k] += doses
-        return _state_to_flat(state), float(doses.sum())
+        return float(doses.sum())
 
     def record(day, y):
         ys[day], vax_days[day], dose_days[day] = y, vax, administered

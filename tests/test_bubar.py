@@ -146,6 +146,26 @@ class TestBatchedSimulation:
             assert traj.total_doses() == pytest.approx(
                 0.05 * params.populations.sum(), rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fixture_never_clamps(self, seed):
+        params, state0 = bubar.us_like_instance(1.15, seed=seed)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        trajs = bubar.simulate_bubar_policies(
+            params, state0, ["no-vaccine", *SEIR_POLICIES], sched, horizon=300)
+        assert [traj.clamp_events for traj in trajs] == [0] * 7
+
+    def test_clamp_events_counted_per_policy(self):
+        # a protected count of -1 person in the 80+ group has no dynamics, so
+        # the first step clips it, unless day 0's doses lift it first
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        state0.compartments[bubar.COMPARTMENTS.index("Sv"), 8] = -1.0
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        policies = ["no-vaccine", "under-20", "seniors-60-plus"]
+        trajs = bubar.simulate_bubar_policies(params, state0, policies,
+                                              sched, horizon=10)
+        assert [traj.clamp_events for traj in trajs] == [1, 1, 0]
+        assert all(type(traj.clamp_events) is int for traj in trajs)
+
     def test_unknown_policy_raises(self):
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)

@@ -195,6 +195,45 @@ class TestSweepGolden:
                                                                 rel=1e-9)
 
 
+class TestRepeatedPolicyNames:
+    """Two policies of one name would write one trajectory file and two
+    summary rows that cannot be told apart; the run exits 3 first."""
+
+    AGE_PRIORITIES = [{"kind": "age-priority",
+                       "priority_groups": [5, 4, 3, 2, 1, 0]},
+                      {"kind": "age-priority",
+                       "priority_groups": [0, 1, 2, 3, 4, 5]}]
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"model": "covid-demographic", "synthetic": {"n": 3},
+          "policies": AGE_PRIORITIES}, ("compare",)),
+        ({}, ("--policy", "no-vaccine", "--policy", "no-vaccine", "compare")),
+        ({}, ("--model", "bubar", "--policy", "under-20", "--policy",
+              "all-ages", "--policy", "under-20", "compare")),
+        ({}, ("--policy", "population-weighted", "--policy",
+              "population-weighted", "--axis", "budget", "--range",
+              "0.01:0.02:2", "--workers", "1", "sweep")),
+    ], ids=["config-file", "policy-flags", "bubar", "sweep"])
+    def test_repeated_name_exits_input_error(self, tmp_path, config, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--horizon", "10", *flags]) == cli.EXIT_INPUT
+        # nothing is written; sweep makes the directory before any point runs
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_static_and_daily_optimal_names_differ(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"policies": [
+            {"kind": "optimal-stabilizing"},
+            {"kind": "optimal-stabilizing", "resolve_mode": "daily-resolve"}]}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path),
+                         "--horizon", "2", "compare"]) == cli.EXIT_OK
+        assert [row[0] for row in read_rows(tmp_path / "summary.csv")] == [
+            "optimal-stabilizing", "optimal-daily"]
+
+
 class TestStep:
     def test_bubar_honours_step(self, tmp_path):
         argv = ["--seed", "0", "--model", "bubar", "--horizon", "30"]

@@ -235,6 +235,78 @@ class TestStepBookkeeping:
             bubar.simulate_bubar(params, state0, "all-ages", 0.01, 0.1, 5)
 
 
+def crossing_system(name):
+    """rhs, clamp and an initial state of one model. The state lies outside
+    the clamp bounds in one entry that a step does not bring back, so the
+    first step clips it: s = 1.01 in a covid cell, or a protected count of
+    -1 person in an SEIR group, which has no dynamics."""
+    if name == "seir":
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        y0 = state0.compartments.copy()
+        y0[bubar.COMPARTMENTS.index("Sv"), 0] = -1.0
+        return bubar.bubar_rhs_factory(params), (0.0, None), y0.reshape(-1)
+    inst = sv.synthetic_instance(0, n=5, groups=(name == "age-structured"))
+    y0 = dynamics._state_to_flat(inst.state0)
+    y0[0] = 1.01
+    rhs = dynamics.covid_rhs_factory(inst.net, inst.params, inst.contacts)
+    return rhs, (0.0, 1.0), y0
+
+
+class TestDayStepper:
+    """The RK4 stepper of run_days against the plain loop, a day at a time:
+    bit for bit, states and clamp events alike."""
+
+    DAYS = 60
+
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("name", ["covid", "age-structured", "seir"])
+    def test_matches_plain_loop_day_by_day(self, name, columns):
+        rhs, clamp, crossing = crossing_system(name)
+        step = dynamics.DEFAULT_STEP
+        # the last column crosses the bound; the others are the state inside
+        # the bounds, scaled apart
+        y0 = np.clip(crossing, *clamp)[:, None] * (1.0 - 0.1 * np.arange(
+            columns))
+        y0[:, -1] = crossing
+        stepper = dynamics._RK4(rhs, y0, step, clamp)
+        y, states, total = y0, [y0], np.zeros(columns, dtype=int)
+        for day in range(self.DAYS):
+            events = stepper.advance(float(day), int(round(1 / step)))
+            ref, ref_events = reference_integrate(rhs, y, (day, day + 1),
+                                                  step, clamp)
+            y = ref[-1]
+            assert np.array_equal(stepper.y, y), day
+            assert np.array_equal(events, ref_events), day
+            states.append(y)
+            total += events
+        assert total[-1] > 0
+        # run_days, undosed, records the same states and counts the same
+        recorded = []
+        clamps = dynamics.run_days(
+            rhs, y0, self.DAYS, step, sv.VaccinationSchedule(daily_rate=0.0),
+            1.0, [], None, lambda day, y: recorded.append(y.copy()), clamp)
+        assert np.array_equal(np.array(recorded), np.array(states))
+        assert np.array_equal(clamps, total)
+
+    def test_day_loop_never_calls_integrate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the day loop called dynamics.integrate")
+
+        monkeypatch.setattr(dynamics, "integrate", refuse)
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        for groups in (False, True):
+            inst = sv.synthetic_instance(0, n=3, groups=groups)
+            specs = DEFAULT_SPECS + ([sv.PolicySpec(
+                kind="age-priority", priority_groups=(5, 4, 3, 2, 1, 0))]
+                if groups else [])
+            trajs = dynamics.simulate_policies(inst, specs, sched, 5)
+            assert all(traj.total_doses() > 0 for traj in trajs[:3])
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        trajs = bubar.simulate_bubar_policies(params, state0, SEIR_POLICIES,
+                                              sched, 5)
+        assert all(traj.total_doses() > 0 for traj in trajs)
+
+
 class TestVaccinationEvent:
     def test_perfect_vaccine_empties_susceptibles(self):
         state = sv.EpidemicState(s=[0.8], xa=[0.1], xs=[0.0], e=[0.0], h=[0.1])

@@ -64,6 +64,12 @@ class NoGramFactorError(ValueError):
 
 @dataclass
 class SolverStats:
+    """What one solve did. `max_decay` gives its answer the final solve's
+    stats by one rule: search is "direct" or "bisection"; cuts and lp_calls
+    are the cut pool's totals on the Gram route and the sum over every solve
+    on the bilinear route; iterations are the search's own (the min-radius
+    solve or the bilinear probes) plus the final solve's."""
+
     iterations: int = 0
     cuts: int = 0
     spectral_radius: float = np.nan
@@ -71,7 +77,7 @@ class SolverStats:
     converged: bool = True
     method: str = ""
     lp_calls: int = 0
-    search: str = ""  # how max_decay found alpha: "direct" or "bisection"
+    search: str = ""
 
 
 @dataclass
@@ -508,13 +514,14 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
 
 
 def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
-                     ) -> tuple[np.ndarray, float, SolverStats]:
+                     ) -> tuple[np.ndarray, float, None, SolverStats]:
     """min r = lambda_max(Ft' diag(y) Ft), Ft = sqrt(scale s0) F, over
     y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
     the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
     the best point evaluated, within RADIUS_GAP_TOL (relative) of the LP
-    bound. The budget is the LP's first row, so that new cuts append rows
-    and the LP basis carries over."""
+    bound, as (v, r, None, stats) like `_slp_min_radius`, with no direction.
+    The budget is the LP's first row, so that new cuts append rows and the
+    LP basis carries over."""
     factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
     total, m = max(float(cost.sum()), 1e-300), cost.size
@@ -549,7 +556,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         raise SolverError(
             f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
             "iterations")
-    return best_v, best_r, SolverStats(
+    return best_v, best_r, None, SolverStats(
         iterations=iteration, cuts=len(pool.rows), method="lmi-cutting-plane",
         gap=float(max(best_r - bound, 0.0) / max(best_r, 1e-300)),
         lp_calls=pool.lp_calls)
@@ -590,89 +597,62 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
         converged=trust < 1e-12 * max(1.0, top))
 
 
-def _direct_max_decay(prob: AllocationProblem, budget: float, lo: float,
-                      hi: float) -> tuple[float, AllocationResult]:
-    """max_decay for a scalar b1: alpha solves b1(alpha) r* = 1 at the
-    budget's minimum radius r*, from the point that attains it."""
-    if prob.factor is None:
-        pool = None
-        v, radius, d, stats = _slp_min_radius(prob, budget)
-    else:
-        pool, d = CutPool(), None
-        v, radius, stats = _gram_min_radius(prob, budget, pool)
-    stats.search = "direct"
-    # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end
-    alpha, _ = bisect_rate(
-        lambda rate: radius * prob.b1_at(rate) <= 1.0 or None, lo, hi, 1e-15)
-    if alpha < hi:
-        return alpha, _finish(prob.at_rate(alpha), v, stats, direction=d)
-    # the budget reaches the bracket top: spend only what that rate needs
-    top = solve_allocation(prob.at_rate(hi), pool)
-    if top.doses > budget * (1 + 1e-9):  # solved to a gap; v fits
-        top = _finish(prob.at_rate(hi), v, top.stats, direction=d)
-    top.stats = replace(top.stats, search="direct",
-                        iterations=stats.iterations + top.stats.iterations,
-                        cuts=stats.cuts + top.stats.cuts,
-                        lp_calls=stats.lp_calls + top.stats.lp_calls)
-    return hi, top
-
-
 def max_decay(prob: AllocationProblem,
               budget: float) -> tuple[float, AllocationResult]:
     """Largest decay rate in [-2, max_rate - 1e-4] whose minimum dose
-    requirement fits the budget; stats.search names the search used.
+    requirement fits the budget; doses stay within budget + 1e-9 (1 + budget).
 
     When b1_at returns one scalar the search is direct (see the module
     docstring): the budget's minimum radius r* comes from one Kelley solve
     (Gram route) or one SLP solve (bilinear route), and alpha from the root
-    of b1(alpha) r* = 1; doses stay within budget (1 + 1e-9) and the stats
-    count that one solve. Otherwise it bisects alpha to RATE_WIDTH. On the Gram
-    route the probes share one cut pool and stop as soon as the LP bound
-    exceeds the budget or a feasible point fits it; the returned rate alone
-    is solved to the gap, with the cuts and LP calls of the whole search in
-    its stats. Bilinear probes are full solves; the returned stats sum the
-    SLP iterations and step LPs of every probe.
-    """
+    of b1(alpha) r* = 1; below the bracket top that point is the answer.
+    Otherwise it bisects alpha to RATE_WIDTH. On the Gram route the probes
+    share one cut pool and stop as soon as the LP bound exceeds the budget or
+    a feasible point fits it; bilinear probes are full solves. Every other
+    case solves the rate found to the gap, falls back to the search's fitting
+    point if that overshoots the budget, and fills the stats as `SolverStats`
+    states."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     lo, hi = -2.0, prob.max_rate - 1e-4
-    if np.ndim(prob.b1_at(prob.alpha)) == 0:
-        return _direct_max_decay(prob, budget, lo, hi)
     cap = budget + 1e-9 * (1.0 + budget)
+    pool = None if prob.factor is None else CutPool()
+    if np.ndim(prob.b1_at(prob.alpha)) == 0:
+        v, radius, d, work = (_slp_min_radius(prob, budget) if pool is None
+                              else _gram_min_radius(prob, budget, pool))
+        work.search = "direct"
+        # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end
+        alpha, _ = bisect_rate(
+            lambda rate: radius * prob.b1_at(rate) <= 1.0 or None, lo, hi,
+            1e-15)
+        if alpha < hi:
+            return alpha, _finish(prob.at_rate(alpha), v, work, direction=d)
+    else:
+        work = SolverStats(search="bisection")
 
-    if prob.factor is None:
-        work = SolverStats()
-
-        def attempt(alpha: float) -> Optional[AllocationResult]:
+        def probe(alpha: float) -> Optional[tuple]:
             try:
+                if pool is not None:
+                    return _gram_solve(prob.at_rate(alpha), pool, cap)[0], None
                 result = solve_allocation(prob.at_rate(alpha))
             except InfeasibleAllocationError:
                 return None
             work.iterations += result.stats.iterations
             work.lp_calls += result.stats.lp_calls
-            return result if result.doses <= cap else None
+            return (result.v, result.direction) if result.doses <= cap else None
 
-        alpha, result = bisect_rate(attempt, lo, hi, RATE_WIDTH)
-        result.stats = replace(result.stats, iterations=work.iterations,
-                               lp_calls=work.lp_calls, search="bisection")
-        return alpha, result
-
-    pool = CutPool()
-
-    def probe(alpha: float) -> Optional[np.ndarray]:
-        try:
-            return _gram_solve(prob.at_rate(alpha), pool, cap)[0]
-        except InfeasibleAllocationError:
-            return None
-
-    alpha, v_fit = bisect_rate(probe, lo, hi, RATE_WIDTH)
+        alpha, (v, d) = bisect_rate(probe, lo, hi, RATE_WIDTH)
+    # the bracket top or a bisected rate: spend only what that rate needs
     at_alpha = prob.at_rate(alpha)
     result = solve_allocation(at_alpha, pool)
-    if result.doses > cap:
-        # the optimum is found to a relative gap; the probe's point fits
-        result = _finish(at_alpha, v_fit, result.stats)
-    result.stats.cuts, result.stats.lp_calls = len(pool.rows), pool.lp_calls
-    result.stats.search = "bisection"
+    if result.doses > cap:  # solved to a gap; the search's point fits
+        result = _finish(at_alpha, v, result.stats, direction=d)
+    own = result.stats
+    cuts, lp_calls = ((len(pool.rows), pool.lp_calls) if pool is not None else
+                      (work.cuts + own.cuts, work.lp_calls + own.lp_calls))
+    result.stats = replace(own, search=work.search, cuts=cuts,
+                           iterations=work.iterations + own.iterations,
+                           lp_calls=lp_calls)
     return alpha, result
 
 

@@ -26,7 +26,7 @@ from .dynamics import (DEFAULT_STEP, EXTINCTION_THRESHOLD,
                        VaccinationSchedule, run_days)
 from .ingest import ifr_by_age
 from .model import CERTIFICATE_TOL, StabilityCertificate, cholesky_factor
-from .policies import _priority_fill, proportional_fill
+from .policies import _named_once, _priority_fill, proportional_fill
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
                 "R", "Rx", "Rv", "D")
@@ -357,12 +357,13 @@ def simulate_bubar_policies(params: BubarParams, state0: BubarState,
                             horizon: int, step: float = DEFAULT_STEP,
                             ) -> list[BubarTrajectory]:
     """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
-    a priority preset name or an explicit tuple of group indices. A policy
-    whose count of exposed and infectious persons drops below
+    a priority preset name or an explicit tuple of tiers (group indices or
+    tuples of them) that names no group twice. A policy whose count of
+    exposed and infectious persons drops below
     `dynamics.EXTINCTION_THRESHOLD` doses by the schedule's leftover rule.
     Raises ValueError on any other policy."""
     g, n_cols = params.n_groups, len(policies)
-    tiers = [tuple(policy) if isinstance(policy, (tuple, list))
+    tiers = [_named_once(tuple(policy)) if isinstance(policy, (tuple, list))
              else PRIORITY_PRESETS.get(policy) for policy in policies]
     unknown = [policy for policy, tier in zip(policies, tiers) if tier is None
                and policy not in ("no-vaccine", "optimal-stabilizing")]

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import allocator, bubar, dynamics, ingest, policies
 from .allocator import InfeasibleAllocationError, SolverError
-from .model import CalibrationError, effective_reproduction_number
+from .model import (CalibrationError, calibrate_transmission,
+                    effective_reproduction_number)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -143,7 +144,6 @@ def _build_instance(config) -> ingest.EpidemicInstance:
     if "instance" in config:
         inst = ingest.load_instance(config["instance"])
         if "target_rt" in config:
-            from .model import calibrate_transmission
             inst.params = calibrate_transmission(
                 inst.net, inst.params, inst.state0, config["target_rt"],
                 inst.contacts)
@@ -155,7 +155,6 @@ def _build_instance(config) -> ingest.EpidemicInstance:
         params = ingest.default_disease_params(
             psi=config.get("psi", ingest.DEFAULT_EFFICACY),
             alpha_hat=_alpha_hat(config))
-        from .model import calibrate_transmission
         params = calibrate_transmission(net, params, state,
                                         config.get("target_rt", 1.0))
         return ingest.EpidemicInstance(net=net, params=params, state0=state)

@@ -34,6 +34,7 @@ import numpy as np
 from .ingest import EpidemicInstance
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, flow_for_model, _cell_rates)
+from .policies import DosePlanner, leftover_redistribute
 
 log = logging.getLogger(__name__)
 
@@ -371,9 +372,7 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
     chain scaled by residents; a policy's dosing switches to the leftover
     rule once its active infected persons drop below
     `EXTINCTION_THRESHOLD`."""
-    from . import policies as policies_mod
-
-    planners = [policies_mod.DosePlanner(policy, instance, schedule)
+    planners = [DosePlanner(policy, instance, schedule)
                 for policy in policies]
     params = instance.params
     pops = instance.cell_populations()
@@ -387,7 +386,7 @@ def simulate_policies(instance: EpidemicInstance, policies: Sequence,
         # views of the column and of vax, which _vaccinate updates in place
         state = EpidemicState(*col.reshape(5, m), vax=vax[:, k])
         if float(((state.xa + state.xs) * pops).sum()) < EXTINCTION_THRESHOLD:
-            doses = policies_mod.leftover_redistribute(
+            doses = leftover_redistribute(
                 state, supply, schedule.leftover_rule, pops)
         else:
             doses = planners[k].epoch_doses(state, supply, budget_left)

@@ -30,6 +30,7 @@ class PolicySpec:
             raise ValueError("resolve_mode must be 'static' or 'daily-resolve'")
         if self.kind == "age-priority" and not self.priority_groups:
             raise ValueError("age-priority policy needs a nonempty priority list")
+        _named_once(self.priority_groups)
 
     @property
     def name(self) -> str:
@@ -74,6 +75,16 @@ def leftover_redistribute(state: EpidemicState, remaining_budget: float,
 
 def _group_indices(n_cells: int, n_groups: int, group: int) -> np.ndarray:
     return np.arange(group, n_cells, n_groups)
+
+
+def _named_once(priority_groups: Sequence) -> Sequence:
+    """priority_groups itself; raises ValueError if it names a group more
+    than once, which `_priority_fill` would dose once per mention."""
+    named = [int(g) for tier in priority_groups for g in np.atleast_1d(tier)]
+    if len(set(named)) < len(named):
+        raise ValueError(f"priority list {list(priority_groups)} names a "
+                         "group more than once")
+    return priority_groups
 
 
 def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,

@@ -386,6 +386,47 @@ class TestDirectSearch:
         assert res.stats.cuts == len(pools[0].rows) > 1
         assert res.stats.iterations == res.stats.lp_calls + 1
 
+    @pytest.mark.parametrize("route", ["gram", "bilinear"])
+    def test_bracket_top_counts_both_solves(self, route, monkeypatch):
+        # the whole supply buys the bracket top, so the search solves that
+        # rate once more and spends only what it needs
+        if route == "gram":
+            inst = sv.synthetic_instance(23, n=2, target_rt=1.1)
+            prob = allocator.build_problem(
+                inst.state0, inst.net, replace(inst.params, psi=1.0), None,
+                -2.0)
+            budget = float(prob.weights @ prob.vmax)
+            names = ("_gram_min_radius", "lmi_box_maximize")
+        else:
+            params, state = bubar.us_like_instance(1.15, seed=0, psi=1.0)
+            prob = bubar.bubar_problem(state, params, -2.0)
+            budget = float(params.populations.sum())
+            names = ("_slp_min_radius", "spectral_box_minimize")
+        stats = {name: [] for name in names}
+
+        def recorded(name, solve):
+            def wrapped(*args, **kwargs):
+                out = solve(*args, **kwargs)
+                stats[name].append(out[-1])
+                return out
+            return wrapped
+
+        for name in names:
+            monkeypatch.setattr(allocator, name,
+                                recorded(name, getattr(allocator, name)))
+        alpha, res = allocator.max_decay(prob, budget)
+        assert alpha == prob.max_rate - 1e-4
+        assert res.certificate.satisfied
+        assert res.doses <= budget * (1 + 1e-9)
+        assert res.stats.search == "direct"
+        (search,), (top,) = stats[names[0]], stats[names[1]]
+        for key in ("iterations", "cuts", "lp_calls"):
+            assert getattr(res.stats, key) == (getattr(search, key)
+                                               + getattr(top, key)), key
+        if route == "bilinear":
+            assert alpha == pytest.approx(0.1999, abs=1e-12)
+            assert res.doses == pytest.approx(998726.4913, rel=1e-9)
+
 
 class TestAllocationProperties:
     def test_doses_monotone_in_alpha(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stabvax import _lp, allocator, bubar
-from stabvax.dynamics import VaccinationSchedule
+from stabvax.dynamics import EXTINCTION_THRESHOLD, VaccinationSchedule
 
 
 def symmetric_fixture():
@@ -172,6 +172,37 @@ class TestBatchedSimulation:
         with pytest.raises(ValueError, match="under20"):
             bubar.simulate_bubar_policies(params, state0,
                                           ["under-20", "under20"], sched, 5)
+
+    @pytest.mark.parametrize("policy", [(2, 2), ((1, 2), 2), ((0, 0),)])
+    def test_priority_list_naming_a_group_twice_raises(self, policy):
+        # (2, 2) would dose group 2 twice: 139,366 doses against 140,369 for
+        # (2,) over 30 days at 2% a day, clipped to v <= 1 without a word
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.02, total_budget=0.3)
+        assert bubar.simulate_bubar_policies(params, state0, [(2,)], sched, 5)
+        with pytest.raises(ValueError, match="more than once"):
+            bubar.simulate_bubar_policies(params, state0, [policy], sched, 5)
+
+    def test_leftover_rule_none_stops_dosing_after_extinction(self):
+        # R0 0.5 from one infected person in a million: the exposed and
+        # infectious fall below EXTINCTION_THRESHOLD on day 10, long before
+        # 5% of the population is dosed at 0.33% a day
+        params, state0 = bubar.us_like_instance(0.5, seed=0,
+                                                infected_frac=1e-6)
+        none, even = (bubar.simulate_bubar(params, state0, "under-20", 0.0033,
+                                           0.05, 60, leftover_rule=rule)
+                      for rule in ("none", "even-split"))
+        doses_none, doses_even = (t.doses.sum(axis=1) for t in (none, even))
+        stop = int(np.flatnonzero(np.diff(doses_none) == 0)[0]) + 1
+        assert stop == 10
+        assert none.infectious[stop].sum() < EXTINCTION_THRESHOLD
+        np.testing.assert_array_equal(doses_none[:stop], doses_even[:stop])
+        assert doses_none[stop - 1] == 33000.0
+        assert np.all(doses_none[stop:] == doses_none[stop - 1])
+        # the budget lasts until day 15
+        assert np.all(np.diff(doses_even[stop - 1:16]) > 0)
+        assert doses_even[-1] == pytest.approx(
+            0.05 * params.populations.sum(), rel=1e-9)
 
 
 class TestInputChecks:

@@ -73,20 +73,23 @@ class TestAllocate:
 # allocate output at seed 0: (achieved alpha, doses, dose vector), pinned
 # before the SEIR model was solved through the shared allocation problem;
 # the budgeted bubar and covid cases since max-decay searches directly when
-# b1 is one scalar
+# b1 is one scalar; the solver counts, which are integers, exactly
 ALLOCATE_GOLDEN = {
     ("bubar", "--budget", "0.05"): (
         -0.006755838254284464, 50000.0,
         [0.0, 0.0, 6883.75462652, 31861.4477794, 11254.7975941, 0.0, 0.0,
-         0.0, 0.0]),
+         0.0, 0.0],
+        {"search": "direct", "iterations": 66, "cuts": 0, "lp_calls": 66}),
     ("bubar", "--alpha", "0"): (
         0.0, 83376.79839614738,
         [0.000179880277444, 0.000191675695285, 17779.6209078, 40608.2864997,
          19998.1258055, 4990.76448872, 0.000168084833708, 9.73122748724e-05,
-         5.75027072906e-05]),
+         5.75027072906e-05],
+        {"search": "", "iterations": 85, "cuts": 0, "lp_calls": 85}),
     ("covid", "--budget", "0.05"): (
         -0.013128709001423999, 15858.7,
-        [0.0, 13535.6331536, 2200.89454122, 122.172305206, 0.0]),
+        [0.0, 13535.6331536, 2200.89454122, 122.172305206, 0.0],
+        {"search": "direct", "iterations": 3, "cuts": 2, "lp_calls": 2}),
     ("covid-demographic", "--budget", "0.05"): (
         -0.009575490951538078, 15854.11767286719,
         [2.68470853972e-05, 6.94537526864e-05, 5.88308356827e-05,
@@ -97,7 +100,8 @@ ALLOCATE_GOLDEN = {
          2.81009320618e-05, 8.11515776048e-05, 6337.59277391, 8.26745852245e-05,
          0.000134506149379, 5.91328961328e-05, 6.55127698327e-06,
          2.42943642238e-05, 364.223004604, 2.41664860561e-05, 3.65449212855e-05,
-         1.66881273348e-05]),
+         1.66881273348e-05],
+        {"search": "bisection", "iterations": 7, "cuts": 13, "lp_calls": 28}),
 }
 
 
@@ -108,11 +112,12 @@ class TestAllocateGolden:
         model_name, *flags = case
         assert allocate(tmp_path, "--model", model_name, *flags) == cli.EXIT_OK
         doc = json.loads((tmp_path / "allocation.json").read_text())
-        alpha, doses, dose_vector = ALLOCATE_GOLDEN[case]
+        alpha, doses, dose_vector, solver = ALLOCATE_GOLDEN[case]
         assert doc["achieved_alpha"] == pytest.approx(alpha, rel=1e-9, abs=1e-15)
         assert doc["doses"] == pytest.approx(doses, rel=1e-9)
         assert doc["dose_vector"] == pytest.approx(
             dose_vector, rel=1e-9, abs=1e-9 * max(dose_vector))
+        assert {key: doc["solver"][key] for key in solver} == solver
 
     @pytest.mark.parametrize("flags", [("--budget", "0.05"), ("--alpha", "0")],
                              ids=["budget", "alpha0"])
@@ -400,12 +405,14 @@ class TestConfigKeys:
         ({"psi": 1.5}, ("--model", "bubar")),
         ({}, ("--model", "bubar", "--target-rt", "-1")),
         ({}, ("--target-rt", "-1")),
+        ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
+            {"kind": "age-priority", "priority_groups": [2, [1, 2]]}]}, ()),
     ], ids=["horizion", "polices", "schedule-daily-rate", "policy-resolve",
             "model-seir", "top-level-n", "synthetic-target-rt", "target-r0",
             "bubar-policies", "bubar-synthetic", "bubar-instance",
             "bubar-files", "bubar-alpha-hat", "bubar-resolve-mode",
             "bubar-under20", "bubar-psi-1.5", "bubar-r0-negative",
-            "covid-rt-negative"])
+            "covid-rt-negative", "priority-group-twice"])
     def test_rejected_config_exits_input_error(self, tmp_path, config,
                                                flags):
         path = tmp_path / "config.json"

@@ -398,6 +398,33 @@ class TestSimulatePolicy:
         assert traj.total_doses() == pytest.approx(
             0.05 * inst.net.total_population, rel=1e-9)
 
+    @pytest.mark.parametrize("groups", [(2, 2), ((0, 1), 1), ((3, 3),)])
+    def test_priority_list_naming_a_group_twice_raises(self, groups):
+        # _priority_fill would dose the group once per mention
+        with pytest.raises(ValueError, match="more than once"):
+            sv.PolicySpec(kind="age-priority", priority_groups=groups)
+
+    def test_leftover_rule_none_stops_dosing_after_extinction(self):
+        # Rt 0.5: active infections fall below EXTINCTION_THRESHOLD on day
+        # 117, when 0.1% a day has spent 62k of the 159k-dose budget
+        inst = sv.synthetic_instance(0, n=3, target_rt=0.5)
+        pops = inst.cell_populations()
+        none, even = (sv.simulate_policy(
+            inst, sv.PolicySpec(kind="population-weighted"),
+            sv.VaccinationSchedule(daily_rate=0.001, total_budget=0.3,
+                                   leftover_rule=rule), horizon=200)
+            for rule in ("none", "even-split"))
+        active = ((none.xa + none.xs) * pops).sum(axis=1)
+        stop = int(np.argmax(active < dynamics.EXTINCTION_THRESHOLD))
+        assert stop == 117
+        doses_none, doses_even = (t.doses.sum(axis=1) for t in (none, even))
+        np.testing.assert_array_equal(doses_none[:stop], doses_even[:stop])
+        assert np.all(doses_none[stop:] == doses_none[stop - 1])
+        # the last record follows the last day's dose
+        assert np.all(np.diff(doses_even[stop - 1:-1]) > 0)
+        assert doses_even[-1] - doses_none[-1] == pytest.approx(
+            (200 - stop) * 0.001 * pops.sum(), rel=1e-9)
+
     def test_supply_interval_delivers_at_epoch_start(self):
         inst = small_instance()
         sched = sv.VaccinationSchedule(daily_rate=0.001, interval_days=7,

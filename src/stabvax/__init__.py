@@ -26,6 +26,6 @@ from .ingest import (EpidemicInstance, RawCases, RawMobility,
                      derive_disease_params, derive_initial_state, ifr_by_age,
                      load_instance, median_infectious_periods, save_instance,
                      synthetic_instance, two_node_case)
-from .policies import PolicySpec, emit_doses, leftover_redistribute
+from .policies import PolicySpec, emit_doses
 
 __version__ = "0.1.0"

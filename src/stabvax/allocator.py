@@ -584,9 +584,12 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
             break
         step = hi - spare
         step *= min(1.0, budget / max(float(weights @ step), 1e-300))
-        candidate = _perron_pair((s0 - q * step)[:, None] * K)
-        if candidate[0] < rho - SLP_TOL * rho:
-            v, (rho, d, w) = step, candidate
+        # most steps near the optimum are rejected: the left vector, a
+        # second eigen-decomposition, is needed only for an accepted one
+        P = (s0 - q * step)[:, None] * K
+        rho_step, d_step = _perron(P)
+        if rho_step < rho - SLP_TOL * rho:
+            v, rho, d, w = step, rho_step, d_step, _perron(P.T)[1]
             trust = min(trust * 1.5, top)
         else:
             trust *= 0.5

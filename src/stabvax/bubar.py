@@ -5,11 +5,10 @@ R, Rx, Rv, D. The x-subscript holds people vaccinated without protection
 (or never vaccinated by choice); the v-subscript holds the protected.
 
 Only model definitions live here: `bubar_problem` states the model's
-`allocator.AllocationProblem`, which the shared solvers solve. Policies run
-on the day loop of `dynamics.run_days`, all of one comparison side by side
-as a (13 * groups, K) state; this module supplies the right-hand side, the
-dosing hook (age tiers, the spectral greedy, `_vaccinate`, which doses the
-state in place) and the recorder of `BubarTrajectory` columns.
+`allocator.AllocationProblem`, which the shared solvers solve, and
+`bubar_model` its adapter to the shared policy driver `dynamics.simulate`.
+Its policies are `PolicySpec`s as on the covid models; `policy_spec` names
+the age strategies of Bubar et al. (Science 371, 2021), `PRIORITY_PRESETS`.
 """
 
 from __future__ import annotations
@@ -20,13 +19,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .allocator import (AllocationProblem, AllocationResult,
-                        InfeasibleAllocationError, _perron_pair, max_decay,
-                        solve_allocation)
-from .dynamics import (DEFAULT_STEP, EXTINCTION_THRESHOLD,
-                       VaccinationSchedule, run_days)
+                        InfeasibleAllocationError, max_decay, solve_allocation)
+from .dynamics import (DEFAULT_STEP, SimulationModel, VaccinationSchedule,
+                       simulate)
 from .ingest import ifr_by_age
 from .model import CERTIFICATE_TOL, StabilityCertificate, cholesky_factor
-from .policies import _named_once, _priority_fill, proportional_fill
+from .policies import PolicySpec
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
                 "R", "Rx", "Rv", "D")
@@ -34,10 +32,11 @@ COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
 DECADE_LABELS = ("0-9", "10-19", "20-29", "30-39", "40-49", "50-59",
                  "60-69", "70-79", "80+")
 
-# Common age-tier prioritizations: each preset is a sequence of tiers and a
-# tier's groups are dosed together, proportionally to their headroom.
-# Bracket choices are configurable; only the seniors tier is anchored
-# upstream, the rest are conventional splits.
+# Common age-tier prioritizations, the priority lists of age-priority
+# policies (`policy_spec`): each preset is a sequence of tiers and a tier's
+# groups are dosed together, proportionally to their headroom. Bracket
+# choices are configurable; only the seniors tier is anchored upstream, the
+# rest are conventional splits.
 PRIORITY_PRESETS = {
     "under-20": ((0, 1),),
     "adults-20-49": ((2, 3, 4),),
@@ -127,7 +126,7 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     """Right-hand side over the flattened (13, groups) compartments, of
     shape (13 g,) or, for K populations side by side, (13 g, K); the force
     of infection is lambda_i = u_i sum_j c_ij (I + Ix + Iv)_j / (N - D)_j.
-    It does not check that N - D stays positive: `simulate_bubar_policies`
+    It does not check that N - D stays positive: the check of `bubar_model`
     does, once a day.
 
     One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
@@ -180,22 +179,21 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     return rhs
 
 
-def _vaccinate(comp: np.ndarray, v, params: BubarParams) -> np.ndarray:
-    """All-or-nothing dosing, in place on the (13, groups) compartments: v_i
-    is doses over (S+I+R)_i; the susceptible share v_i S_i splits
-    psi-protected / (1-psi)-unprotected. Returns the spent dose counts."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12) or np.any(v > 1 + 1e-9):
-        raise ValueError("vaccination fractions must lie in [0, 1]")
-    v = np.clip(v, 0.0, 1.0)
-    S, Sx, Sv, I, R = (comp[COMPARTMENTS.index(name)]
-                       for name in ("S", "Sx", "Sv", "I", "R"))
-    doses = v * (S + I + R)
+def _vaccinate(state: BubarState, doses: np.ndarray,
+               params: BubarParams) -> None:
+    """All-or-nothing dosing, in place: a dose goes to S, I or R alike, so
+    group i doses the share v_i = doses_i / (S+I+R)_i, clipped to [0, 1],
+    and its susceptible share v_i S_i splits psi-protected /
+    (1-psi)-unprotected."""
+    S, Sx, Sv = state.S, state.Sx, state.Sv
+    denom = S + state.I + state.R
+    v = np.zeros_like(denom)
+    positive = denom > 0
+    v[positive] = np.clip(doses[positive] / denom[positive], 0.0, 1.0)
     moved = v * S
     S -= moved
     Sv += params.psi * moved
     Sx += (1 - params.psi) * moved
-    return doses
 
 
 def basic_reproduction_number(params: BubarParams) -> float:
@@ -316,19 +314,13 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
 # simulation
 # ---------------------------------------------------------------------------
 
-def _spectral_greedy_doses(state: BubarState, params: BubarParams,
-                           supply: float) -> np.ndarray:
-    """One epoch of the dynamic stabilizing policy: rank groups by the
-    marginal spectral-radius reduction per dose (left/right Perron sensitivity
-    of the reduced infection matrix) and fill greedily."""
-    flow = bubar_flow_matrix(state, params)
-    P = (state.S + state.Sx)[:, None] * flow
-    _, d, w = _perron_pair(P)
-    denom = state.S + state.I + state.R
-    per_dose = np.where(denom > 0, state.S / np.maximum(denom, 1e-300), 0.0)
-    benefit = per_dose * w * (flow @ d)
-    return _priority_fill(np.argsort(-benefit), state.S, supply,
-                          params.n_groups)
+def policy_spec(name: str) -> PolicySpec:
+    """The policy a SEIR policy name stands for: a `PRIORITY_PRESETS` name
+    is the age-priority policy of its tiers, any other a policy kind."""
+    if name in PRIORITY_PRESETS:
+        return PolicySpec("age-priority",
+                          priority_groups=PRIORITY_PRESETS[name])
+    return PolicySpec(name)
 
 
 @dataclass
@@ -352,84 +344,47 @@ class BubarTrajectory:
         return float(self.doses[-1].sum())
 
 
-def simulate_bubar_policies(params: BubarParams, state0: BubarState,
-                            policies: Sequence, schedule: VaccinationSchedule,
-                            horizon: int, step: float = DEFAULT_STEP,
-                            ) -> list[BubarTrajectory]:
-    """One BubarTrajectory per policy: 'no-vaccine', 'optimal-stabilizing',
-    a priority preset name or an explicit tuple of tiers (group indices or
-    tuples of them) that names no group twice. A policy whose count of
-    exposed and infectious persons drops below
-    `dynamics.EXTINCTION_THRESHOLD` doses by the schedule's leftover rule.
-    Raises ValueError on any other policy."""
-    g, n_cols = params.n_groups, len(policies)
-    tiers = [_named_once(tuple(policy)) if isinstance(policy, (tuple, list))
-             else PRIORITY_PRESETS.get(policy) for policy in policies]
-    unknown = [policy for policy, tier in zip(policies, tiers) if tier is None
-               and policy not in ("no-vaccine", "optimal-stabilizing")]
-    if unknown:
-        raise ValueError(
-            f"unknown SEIR policies {unknown}: expected no-vaccine, "
-            f"optimal-stabilizing or one of {list(PRIORITY_PRESETS)}")
-    administered = np.zeros((g, n_cols))
-    ys = np.empty((horizon + 1, len(COMPARTMENTS) * g, n_cols))
-    dose_days = np.empty((horizon + 1, g, n_cols))
+def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
+    """The model as `dynamics.simulate` runs it: one cell per age group, the
+    state its flattened compartments. Each day's check raises
+    FloatingPointError once a group has died out, which would leave the
+    force of infection undefined."""
+    g, pops, rows = params.n_groups, params.populations, len(COMPARTMENTS)
 
-    def dose(k, col, supply, budget_left):
-        state = BubarState(col.reshape(len(COMPARTMENTS), g))
-        headroom = state.S
-        active = float((state.E + state.Ex + state.Ev + state.I
-                        + state.Ix + state.Iv).sum())
-        if active < EXTINCTION_THRESHOLD:
-            doses = (np.zeros(g) if schedule.leftover_rule == "none" else
-                     proportional_fill(np.ones(g), headroom, supply))
-        elif tiers[k] is not None:
-            doses = _priority_fill(tiers[k], headroom, supply, g)
-        else:  # optimal-stabilizing; no-vaccine is never dosed
-            doses = _spectral_greedy_doses(state, params, supply)
-        denom = state.S + state.I + state.R
-        v = np.zeros(g)
-        positive = denom > 0
-        v[positive] = np.clip(doses[positive] / denom[positive], 0.0, 1.0)
-        spent = _vaccinate(state.compartments, v, params)
-        administered[:, k] += spent
-        return float(spent.sum())
-
-    def record(day, y):
-        if np.any(params.populations[:, None] - y[12 * g:] <= 0):
+    def check(y):
+        if np.any(y[12 * g:] >= pops[:, None]):
             raise FloatingPointError("a group has been fully depleted")
-        ys[day], dose_days[day] = y, administered
 
-    y0 = np.repeat(state0.compartments.reshape(-1, 1), n_cols, axis=1)
-    dosing = [k for k, policy in enumerate(policies) if policy != "no-vaccine"]
-    clamps = run_days(bubar_rhs_factory(params), y0, horizon, step, schedule,
-                      float(params.populations.sum()), dosing, dose, record,
-                      clamp=(0.0, None))
+    def columns(ys, fields):
+        # (compartment, column, day, group)
+        comp = ys.reshape(len(ys), rows, g, -1).transpose(1, 3, 0, 2)
+        return dict(fields, susceptible=comp[0] + comp[1],
+                    infectious=comp[6] + comp[7] + comp[8],
+                    cum_infected=comp[3:].sum(axis=0), deaths=comp[12])
 
-    # (compartment, column, day, group)
-    comp = ys.reshape(horizon + 1, len(COMPARTMENTS), g, n_cols).transpose(1, 3, 0, 2)
-    track = dict(susceptible=comp[0] + comp[1],
-                 infectious=comp[6] + comp[7] + comp[8],
-                 cum_infected=comp[3:].sum(axis=0), deaths=comp[12],
-                 doses=dose_days.transpose(2, 0, 1))
-    times = np.arange(horizon + 1, dtype=float)
-    return [BubarTrajectory(times=times, clamp_events=int(clamps[k]),
-                            labels=list(params.labels),
-                            **{name: arr[k] for name, arr in track.items()})
-            for k in range(n_cols)]
+    return SimulationModel(
+        y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
+        clamp=(0.0, None), labels=list(params.labels), populations=pops,
+        n_groups=g, state=lambda col: BubarState(col.reshape(rows, g)),
+        headroom=lambda state: state.S,
+        active=lambda state: float((state.E + state.Ex + state.Ev + state.I
+                                    + state.Ix + state.Iv).sum()),
+        infected=lambda state: state.compartments[3:].sum(axis=0),
+        vaccinate=lambda state, doses: _vaccinate(state, doses, params),
+        allocate=lambda state, budget: solve_bubar_allocation(
+            state, params, supply=budget)[1],
+        columns=columns, trajectory=BubarTrajectory, check=check)
 
 
-def simulate_bubar(params: BubarParams, state0: BubarState, policy,
-                   daily_rate: float, total_budget: float, horizon: int,
-                   step: float = DEFAULT_STEP, interval_days: int = 1,
+def simulate_bubar(params: BubarParams, state0: BubarState,
+                   policy: PolicySpec, daily_rate: float, total_budget: float,
+                   horizon: int, step: float = DEFAULT_STEP,
+                   interval_days: int = 1,
                    leftover_rule: str = "even-split") -> BubarTrajectory:
-    """Run one dosing policy; see `simulate_bubar_policies` (leftover dosing
-    below `dynamics.EXTINCTION_THRESHOLD`)."""
-    return simulate_bubar_policies(
-        params, state0, [policy],
-        VaccinationSchedule(daily_rate, interval_days, total_budget,
-                            leftover_rule),
-        horizon, step)[0]
+    """Run one dosing policy; see `dynamics.simulate`."""
+    return simulate(bubar_model(params, state0), [policy], VaccinationSchedule(
+        daily_rate, interval_days, total_budget, leftover_rule), horizon,
+        step)[0]
 
 
 # ---------------------------------------------------------------------------

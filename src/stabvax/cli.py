@@ -191,15 +191,21 @@ def _schedule(config) -> dynamics.VaccinationSchedule:
         leftover_rule=schedule["leftover_rule"])
 
 
-def _policy_specs(config) -> list[policies.PolicySpec]:
-    specs = []
-    for policy in config.get("policies", DEFAULT_POLICIES):
-        specs.append(policies.PolicySpec(
-            kind=policy["kind"],
-            resolve_mode=policy.get("resolve_mode", "static"),
-            priority_groups=tuple(tuple(t) if isinstance(t, list) else t
-                                  for t in policy.get("priority_groups", ()))))
-    return specs
+def _policy_specs(config) -> tuple[list, list[policies.PolicySpec]]:
+    """Names and specs of the configured policies. A SEIR policy is named
+    by its kind or by its age-priority preset (`bubar.policy_spec`); a
+    covid policy by its spec's name."""
+    if config["model"] == "bubar":
+        names = [policy["kind"]
+                 for policy in config.get("policies", SEIR_POLICIES)]
+        return _distinct(names), [bubar.policy_spec(name) for name in names]
+    specs = [policies.PolicySpec(
+        kind=policy["kind"],
+        resolve_mode=policy.get("resolve_mode", "static"),
+        priority_groups=tuple(tuple(t) if isinstance(t, list) else t
+                              for t in policy.get("priority_groups", ())))
+        for policy in config.get("policies", DEFAULT_POLICIES)]
+    return _distinct([spec.name for spec in specs]), specs
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -276,17 +282,12 @@ def cmd_allocate(config) -> int:
 
 def _simulate(config) -> tuple[list, list]:
     """Names and trajectories of the configured policies, for every model."""
-    horizon, step = config["horizon"], config["step"]
-    if config["model"] == "bubar":
-        names = _distinct([policy["kind"]
-                           for policy in config.get("policies", SEIR_POLICIES)])
-        return names, bubar.simulate_bubar_policies(
-            *_seir_fixture(config), names, _schedule(config), horizon,
-            step=step)
-    specs = _policy_specs(config)
-    names = _distinct([spec.name for spec in specs])
-    return names, dynamics.simulate_policies(
-        _build_instance(config), specs, _schedule(config), horizon, step=step)
+    names, specs = _policy_specs(config)
+    model = (bubar.bubar_model(*_seir_fixture(config))
+             if config["model"] == "bubar"
+             else dynamics.covid_model(_build_instance(config)))
+    return names, dynamics.simulate(model, specs, _schedule(config),
+                                    config["horizon"], config["step"])
 
 
 def _distinct(names: list) -> list:
@@ -405,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "the covid models, 1e-9 for bubar)")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--policy", action="append",
-                        help="policy kind (repeatable)")
+                        help="policy kind (repeatable); bubar also takes the "
+                             "age presets "
+                             + ", ".join(bubar.PRIORITY_PRESETS))
     parser.add_argument("--axis", choices=["budget", "rt", "interval"])
     parser.add_argument("--range", help="sweep grid lo:hi:steps")
     parser.add_argument("command",

@@ -1,16 +1,13 @@
 """Forward integration of the epidemic models with discrete vaccination
 events and full case accounting.
 
-Policies are simulated side by side: the K policies of one comparison share
-one state array of shape (compartments * cells, K) and one day loop
-(`run_days`), which also serves the SEIR comparison model. One RK4 stepper
-(`_RK4`, which `integrate` drives too), built once per simulation, advances
-that state in place, each model evaluating its stages straight into the
-stepper's buffers. A model plugs into the loop with a dosing hook, which
-doses one column of the state in place at the start of a supply interval,
-and a recorder, which stores the post-dosing state of every day;
-`simulate_policies` supplies both for the covid models and
-`bubar.simulate_bubar_policies` for the SEIR model.
+One driver, `simulate`, runs the K policies of one comparison side by side
+on any model: they share one state array of shape (state size, K) and one
+day loop (`run_days`), advanced in place by one RK4 stepper (`_RK4`, which
+`integrate` drives too) that the model's right-hand side evaluates its stages
+into. A model plugs in as a `SimulationModel`, a small adapter:
+`covid_model` for the homogeneous and age-structured models and
+`bubar.bubar_model` for the SEIR comparison model.
 
 Every model integrates at `DEFAULT_STEP` = 0.25 day unless told otherwise.
 Final cumulative cases and deaths then lie within 1e-10 relative of a run at
@@ -31,10 +28,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import allocator
 from .ingest import EpidemicInstance
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, flow_for_model, _cell_rates)
-from .policies import DosePlanner, leftover_redistribute
+from .policies import DosePlanner, PolicySpec, proportional_fill
 
 log = logging.getLogger(__name__)
 
@@ -307,18 +305,19 @@ def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
     """Move psi*v of each cell from susceptible into the vaccinated-immune
     pool; v is the vaccinated fraction per cell and must not exceed s."""
     new = state.copy()
-    _vaccinate(new.s, new.vax, v, psi)
+    new.vax += _vaccinate(new.s, v, psi)
     return new
 
 
-def _vaccinate(s: np.ndarray, vax: np.ndarray, v, psi: float) -> None:
-    """`apply_vaccination_event` in place on the arrays s and vax."""
+def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
+    """`apply_vaccination_event` in place on the array s; returns the
+    fractions moved into the vaccinated-immune pool."""
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > s + 1e-9):
         raise ValueError("vaccination fractions must satisfy 0 <= v_i <= s_i")
     moved = psi * np.clip(v, 0.0, s)
     np.clip(s - moved, 0.0, None, out=s)
-    np.add(vax, moved, out=vax)
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -362,72 +361,120 @@ def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     return clamp_events
 
 
-def simulate_policies(instance: EpidemicInstance, policies: Sequence,
-                      schedule: VaccinationSchedule, horizon: int,
-                      step: float = DEFAULT_STEP) -> list[Trajectory]:
-    """Run several policies on one instance, one Trajectory per policy.
+@dataclass(frozen=True)
+class SimulationModel:
+    """A model as `simulate` runs it. Per-cell counts are persons; a state
+    is the model's own state object over one column of the state array, a
+    view that vaccinate doses in place."""
 
-    Every supply interval each policy converts that epoch's doses into a
-    vaccination event. New cases per day are the inflow into the infected
-    chain scaled by residents; a policy's dosing switches to the leftover
-    rule once its active infected persons drop below
-    `EXTINCTION_THRESHOLD`."""
-    planners = [DosePlanner(policy, instance, schedule)
-                for policy in policies]
-    params = instance.params
-    pops = instance.cell_populations()
-    m, n_cols = pops.shape[0], len(planners)
-    vax = np.repeat(instance.state0.vax[:, None], n_cols, axis=1)
-    administered = np.zeros((m, n_cols))
-    ys = np.empty((horizon + 1, 5 * m, n_cols))
-    vax_days, dose_days = np.empty((2, horizon + 1, m, n_cols))
+    y0: np.ndarray        # the initial state, flat
+    rhs: Callable         # right-hand side with `bind` (covid_rhs_factory)
+    clamp: tuple          # the bounds RK4 steps are clipped into
+    labels: list          # one per cell
+    populations: np.ndarray  # residents per cell
+    n_groups: int         # age groups; cell c is group c % n_groups
+    state: Callable       # column -> state
+    headroom: Callable    # state -> susceptible persons per cell
+    active: Callable      # state -> active infected persons
+    infected: Callable    # state -> persons ever infected, per cell
+    vaccinate: Callable   # (state, doses per cell) -> None
+    allocate: Callable    # (state, dose budget) -> certified AllocationResult
+    columns: Callable     # (day states, fields) -> fields with the model's
+    trajectory: type      # built from the fields, one policy's each
+    check: Optional[Callable] = None  # day's states -> raise if they fail
+
+
+def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
+             schedule: VaccinationSchedule, horizon: int,
+             step: float = DEFAULT_STEP) -> list:
+    """Run several policies on one model, one `model.trajectory` each.
+
+    Every supply interval each policy's `DosePlanner` doses its column; once
+    the column's active infected persons drop below `EXTINCTION_THRESHOLD`,
+    the schedule's leftover rule doses it instead (an even split capped by
+    headroom, or nothing). model.columns gets the day states, of shape
+    (days, state size, K), and the fields with a leading policy axis."""
+    planners = [DosePlanner(policy, model, schedule) for policy in policies]
+    cells, n_cols = len(model.populations), len(planners)
+    administered = np.zeros((cells, n_cols))
+    ys = np.empty((horizon + 1, len(model.y0), n_cols))
+    dose_days = np.empty((horizon + 1, cells, n_cols))
 
     def dose(k, col, supply, budget_left):
-        # views of the column and of vax, which _vaccinate updates in place
-        state = EpidemicState(*col.reshape(5, m), vax=vax[:, k])
-        if float(((state.xa + state.xs) * pops).sum()) < EXTINCTION_THRESHOLD:
-            doses = leftover_redistribute(
-                state, supply, schedule.leftover_rule, pops)
-        else:
+        state = model.state(col)
+        headroom = model.headroom(state)
+        if model.active(state) >= EXTINCTION_THRESHOLD:
             doses = planners[k].epoch_doses(state, supply, budget_left)
-        doses = np.minimum(doses, state.s * pops)
+        elif schedule.leftover_rule == "none":
+            doses = np.zeros_like(headroom)
+        else:
+            doses = proportional_fill(np.ones_like(headroom), headroom, supply)
+        doses = np.minimum(doses, headroom)
         if doses.sum() > supply * (1 + 1e-9):
             raise RuntimeError("policy emitted more doses than supplied")
         if doses.sum() > 0:
-            _vaccinate(state.s, state.vax, doses / pops, params.psi)
+            model.vaccinate(state, doses)
             administered[:, k] += doses
         return float(doses.sum())
 
     def record(day, y):
-        ys[day], vax_days[day], dose_days[day] = y, vax, administered
+        if model.check is not None:
+            model.check(y)
+        ys[day], dose_days[day] = y, administered
 
-    y0 = np.repeat(_state_to_flat(instance.state0)[:, None], n_cols, axis=1)
     dosing = [k for k, policy in enumerate(policies)
-              if getattr(policy, "kind", None) != "no-vaccine"]
-    clamps = run_days(covid_rhs_factory(instance.net, params, instance.contacts),
-                      y0, horizon, step, schedule, float(pops.sum()), dosing,
-                      dose, record)
-
-    # (block, column, day, cell)
-    s, xa, xs, e, h = ys.reshape(horizon + 1, 5, m, n_cols).transpose(1, 3, 0, 2)
-    cum_cases = (xa + xs + e + h) * pops
-    new_cases = np.zeros_like(cum_cases)
-    new_cases[:, 1:] = np.clip(np.diff(cum_cases, axis=1), 0.0, None)
-    cols = dict(s=s, xa=xa, xs=xs, e=e, h=h, vax=vax_days.transpose(2, 0, 1),
-                new_cases=new_cases, cum_cases=cum_cases, cum_deaths=e * pops,
-                doses=dose_days.transpose(2, 0, 1))
+              if policy.kind != "no-vaccine"]
+    clamps = run_days(model.rhs, np.repeat(model.y0[:, None], n_cols, axis=1),
+                      horizon, step, schedule, float(model.populations.sum()),
+                      dosing, dose, record, model.clamp)
+    fields = model.columns(ys, {"doses": dose_days.transpose(2, 0, 1)})
     times = np.arange(horizon + 1, dtype=float)
-    labels = _cell_labels(instance)
-    return [Trajectory(times=times, clamp_events=int(clamps[k]), labels=labels,
-                       **{name: arr[k] for name, arr in cols.items()})
+    return [model.trajectory(times=times, clamp_events=int(clamps[k]),
+                             labels=model.labels,
+                             **{name: arr[k] for name, arr in fields.items()})
             for k in range(n_cols)]
 
 
-def simulate_policy(instance: EpidemicInstance, policy, schedule: VaccinationSchedule,
-                    horizon: int, step: float = DEFAULT_STEP) -> Trajectory:
-    """Run one policy; see `simulate_policies` (leftover dosing below
-    `EXTINCTION_THRESHOLD`)."""
-    return simulate_policies(instance, [policy], schedule, horizon, step)[0]
+def covid_model(instance: EpidemicInstance) -> SimulationModel:
+    """The homogeneous or age-structured model of an instance. Its state is
+    y = [s | xa | xs | e | h], fractions of each cell's residents; the
+    vaccinated-immune pool is not integrated but read off the doses. New
+    cases per day are the inflow into the infected chain scaled by
+    residents."""
+    inst, pops, psi = instance, instance.cell_populations(), instance.params.psi
+
+    def columns(ys, fields):
+        # (block, column, day, cell)
+        s, xa, xs, e, h = ys.reshape(len(ys), 5, len(pops), -1).transpose(
+            1, 3, 0, 2)
+        cum_cases = (xa + xs + e + h) * pops
+        new_cases = np.zeros_like(cum_cases)
+        new_cases[:, 1:] = np.clip(np.diff(cum_cases, axis=1), 0.0, None)
+        return dict(fields, s=s, xa=xa, xs=xs, e=e, h=h,
+                    vax=inst.state0.vax + psi * fields["doses"] / pops,
+                    new_cases=new_cases, cum_cases=cum_cases,
+                    cum_deaths=e * pops)
+
+    return SimulationModel(
+        y0=_state_to_flat(inst.state0),
+        rhs=covid_rhs_factory(inst.net, inst.params, inst.contacts),
+        clamp=(0.0, 1.0), labels=_cell_labels(inst), populations=pops,
+        n_groups=inst.net.n_groups,
+        state=lambda col: EpidemicState(*col.reshape(5, -1)),
+        headroom=lambda state: state.s * pops,
+        active=lambda state: float(((state.xa + state.xs) * pops).sum()),
+        infected=lambda state: (state.xa + state.xs + state.e + state.h) * pops,
+        vaccinate=lambda state, doses: _vaccinate(state.s, doses / pops, psi),
+        allocate=lambda state, budget: allocator.max_decay_binary_search(
+            state, inst.net, inst.params, inst.contacts, budget=budget)[1],
+        columns=columns, trajectory=Trajectory)
+
+
+def simulate_policy(instance: EpidemicInstance, policy: PolicySpec,
+                    schedule: VaccinationSchedule, horizon: int,
+                    step: float = DEFAULT_STEP) -> Trajectory:
+    """Run one policy on a covid instance; see `simulate`."""
+    return simulate(covid_model(instance), [policy], schedule, horizon, step)[0]
 
 
 def _state_to_flat(state: EpidemicState) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Dosing policies: convert an epoch's vaccine supply into per-cell dose
-vectors during simulation.
+vectors during simulation, on any model `dynamics.simulate` runs.
+
+`emit_doses` reads a model only through its `dynamics.SimulationModel`
+adapter, so a `PolicySpec` means the same on every model. Static optimal
+dosing pro-rates the model's certified allocation of the whole budget at its
+initial state; daily-resolve re-solves it on each epoch's state.
 """
 
 from __future__ import annotations
@@ -9,19 +14,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import allocator
-from .ingest import EpidemicInstance
-from .model import EpidemicState
-
 POLICY_KINDS = ("optimal-stabilizing", "population-weighted",
                 "infection-weighted", "no-vaccine", "age-priority")
 
 
 @dataclass(frozen=True)
 class PolicySpec:
+    """A dosing policy. priority_groups orders the groups an age-priority
+    policy doses; an entry is a group index or a tuple of indices dosed
+    together. No group may be named twice: `_priority_fill` would dose it
+    once per mention."""
+
     kind: str
     resolve_mode: str = "static"
-    priority_groups: tuple[int, ...] = ()
+    priority_groups: tuple = ()
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -30,7 +36,10 @@ class PolicySpec:
             raise ValueError("resolve_mode must be 'static' or 'daily-resolve'")
         if self.kind == "age-priority" and not self.priority_groups:
             raise ValueError("age-priority policy needs a nonempty priority list")
-        _named_once(self.priority_groups)
+        named = _named(self.priority_groups)
+        if len(set(named)) < len(named):
+            raise ValueError(f"priority list {list(self.priority_groups)} "
+                             "names a group more than once")
 
     @property
     def name(self) -> str:
@@ -63,35 +72,17 @@ def proportional_fill(weights: np.ndarray, caps: np.ndarray,
     return doses
 
 
-def leftover_redistribute(state: EpidemicState, remaining_budget: float,
-                          rule: str, populations: np.ndarray) -> np.ndarray:
-    """Post-extinction dosing: an even split across cells capped by
-    susceptible headroom, or nothing under the 'none' rule."""
-    if rule == "none" or remaining_budget <= 0:
-        return np.zeros_like(state.s)
-    headroom = state.s * populations
-    return proportional_fill(np.ones_like(headroom), headroom, remaining_budget)
-
-
-def _group_indices(n_cells: int, n_groups: int, group: int) -> np.ndarray:
-    return np.arange(group, n_cells, n_groups)
-
-
-def _named_once(priority_groups: Sequence) -> Sequence:
-    """priority_groups itself; raises ValueError if it names a group more
-    than once, which `_priority_fill` would dose once per mention."""
-    named = [int(g) for tier in priority_groups for g in np.atleast_1d(tier)]
-    if len(set(named)) < len(named):
-        raise ValueError(f"priority list {list(priority_groups)} names a "
-                         "group more than once")
-    return priority_groups
+def _named(priority_groups: Sequence) -> list[int]:
+    """Every group index a priority list names, in order."""
+    return [int(g) for tier in priority_groups for g in np.atleast_1d(tier)]
 
 
 def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,
                    amount: float, n_groups: int) -> np.ndarray:
     """Fill tiers in order, splitting within a tier proportionally to headroom.
 
-    An entry may be a single group index or a tuple of indices dosed together.
+    An entry may be a single group index or a tuple of indices dosed together;
+    cell c belongs to group c % n_groups.
     """
     doses = np.zeros_like(headroom)
     left = float(amount)
@@ -99,7 +90,7 @@ def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,
         if left <= 1e-12:
             break
         groups = np.atleast_1d(np.asarray(tier, dtype=int))
-        idx = np.concatenate([_group_indices(headroom.size, n_groups, g)
+        idx = np.concatenate([np.arange(g, headroom.size, n_groups)
                               for g in groups])
         filled = proportional_fill(headroom[idx], headroom[idx], left)
         doses[idx] += filled
@@ -107,11 +98,10 @@ def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,
     return doses
 
 
-def emit_doses(policy: PolicySpec, state: EpidemicState,
-               instance: EpidemicInstance, epoch_supply: float,
+def emit_doses(policy: PolicySpec, state, model, epoch_supply: float,
                remaining_budget: float,
                plan_remaining: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dose vector (persons per cell) for one supply epoch.
+    """Dose vector (persons per cell) for one supply epoch of a model's state.
 
     The emitted total never exceeds min(epoch supply, remaining budget,
     susceptible headroom). Static optimal dosing pro-rates a precomputed
@@ -121,26 +111,23 @@ def emit_doses(policy: PolicySpec, state: EpidemicState,
     """
     if epoch_supply < 0:
         raise ValueError("epoch supply must be nonnegative")
-    pops = instance.cell_populations()
-    headroom = state.s * pops
+    headroom = model.headroom(state)
     amount = min(epoch_supply, remaining_budget)
     if amount <= 0 or policy.kind == "no-vaccine":
         return np.zeros_like(headroom)
 
     if policy.kind == "population-weighted":
-        return proportional_fill(pops, headroom, amount)
+        return proportional_fill(model.populations, headroom, amount)
 
     if policy.kind == "infection-weighted":
-        cumulative = (state.xa + state.xs + state.e + state.h) * pops
+        cumulative = model.infected(state)
         if cumulative.sum() <= 0:
             cumulative = headroom
         return proportional_fill(cumulative, headroom, amount)
 
     if policy.kind == "age-priority":
-        n_groups = instance.net.n_groups
-        if n_groups == 0:
-            raise ValueError("age-priority policy requires group structure")
-        return _priority_fill(policy.priority_groups, headroom, amount, n_groups)
+        return _priority_fill(policy.priority_groups, headroom, amount,
+                              model.n_groups)
 
     # optimal-stabilizing
     if policy.resolve_mode == "static":
@@ -149,9 +136,7 @@ def emit_doses(policy: PolicySpec, state: EpidemicState,
         caps = np.minimum(headroom, np.maximum(plan_remaining, 0.0))
         return proportional_fill(np.maximum(plan_remaining, 0.0), caps, amount)
 
-    _, result = allocator.max_decay_binary_search(
-        state, instance.net, instance.params, instance.contacts,
-        budget=remaining_budget)
+    result = model.allocate(state, remaining_budget)
     targets = np.minimum(result.dose_vector, headroom)
     doses = np.zeros_like(headroom)
     left = amount
@@ -165,27 +150,31 @@ def emit_doses(policy: PolicySpec, state: EpidemicState,
 
 
 class DosePlanner:
-    """Per-simulation wrapper around emit_doses that owns the precomputed
-    static plan and the administered ledger."""
+    """Per-simulation wrapper around emit_doses that owns the static plan:
+    the model's allocation of the whole budget at its initial state, drawn
+    down by the doses each epoch emits. Raises ValueError if an age-priority
+    policy names a group the model lacks."""
 
-    def __init__(self, policy: PolicySpec, instance: EpidemicInstance,
-                 schedule) -> None:
+    def __init__(self, policy: PolicySpec, model, schedule) -> None:
         self.policy = policy
-        self.instance = instance
+        self.model = model
         self.plan_remaining: Optional[np.ndarray] = None
-        if policy.kind == "optimal-stabilizing" and policy.resolve_mode == "static":
-            budget = schedule.total_budget * float(instance.cell_populations().sum())
-            if budget > 0:
-                _, result = allocator.max_decay_binary_search(
-                    instance.state0, instance.net, instance.params,
-                    instance.contacts, budget=budget)
-                self.plan_remaining = result.dose_vector.copy()
-            else:
-                self.plan_remaining = np.zeros_like(instance.state0.s)
+        if policy.kind == "age-priority":
+            outside = [g for g in _named(policy.priority_groups)
+                       if not 0 <= g < model.n_groups]
+            if outside:
+                raise ValueError(f"priority groups {outside} lie outside "
+                                 f"[0, {model.n_groups}), the model's groups")
+        # without a budget, emit_doses returns before it reads a plan
+        if policy.kind == "optimal-stabilizing" and \
+                policy.resolve_mode == "static" and schedule.total_budget > 0:
+            budget = schedule.total_budget * float(model.populations.sum())
+            self.plan_remaining = model.allocate(
+                model.state(model.y0), budget).dose_vector.copy()
 
-    def epoch_doses(self, state: EpidemicState, epoch_supply: float,
+    def epoch_doses(self, state, epoch_supply: float,
                     remaining_budget: float) -> np.ndarray:
-        doses = emit_doses(self.policy, state, self.instance, epoch_supply,
+        doses = emit_doses(self.policy, state, self.model, epoch_supply,
                            remaining_budget, plan_remaining=self.plan_remaining)
         if self.plan_remaining is not None:
             self.plan_remaining = np.maximum(self.plan_remaining - doses, 0.0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stabvax import allocator
+from stabvax import allocator, cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -75,6 +75,25 @@ def test_named_hooks_are_covered():
                      ("bubar", ("us_like_instance",)),
                      ("model", ("check_decay_certificate",))]:
         assert expected in uses
+
+
+def constant(tree, name):
+    """The value of a module-level assignment of a literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no constant {name}")
+
+
+def test_expected_policy_rows_are_the_cli_defaults():
+    # the benchmark's checks fail an op whose summary.csv rows differ from
+    # these names, so a renamed preset would show only as wrong outputs
+    tree = parse("workloads.py")
+    assert constant(tree, "SEIR_POLICIES") == tuple(
+        policy["kind"] for policy in cli.SEIR_POLICIES)
+    assert constant(tree, "COVID_POLICIES") == tuple(
+        policy["kind"] for policy in cli.DEFAULT_POLICIES)
 
 
 def test_bisection_budget_stays_fifth_positional():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stabvax import _lp, allocator, bubar
-from stabvax.dynamics import EXTINCTION_THRESHOLD, VaccinationSchedule
+from stabvax.dynamics import (EXTINCTION_THRESHOLD, VaccinationSchedule,
+                              simulate)
+from stabvax.policies import PolicySpec
 
 
 def symmetric_fixture():
@@ -124,18 +126,23 @@ class TestBilinearRoute:
         assert res.stats.spectral_radius <= 1.0 + 1e-9
 
 
-SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+SEIR_POLICIES = [bubar.policy_spec(name) for name in
+                 ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
+
+
+def simulate_seir(params, state0, policies, schedule, horizon):
+    return simulate(bubar.bubar_model(params, state0), policies, schedule,
+                    horizon)
 
 
 class TestBatchedSimulation:
     def test_columns_match_single_runs(self):
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-        batch = bubar.simulate_bubar_policies(params, state0, SEIR_POLICIES,
-                                              sched, horizon=60)
+        batch = simulate_seir(params, state0, SEIR_POLICIES, sched, 60)
         assert len(batch) == len(SEIR_POLICIES) == 6
-        for name, traj in zip(SEIR_POLICIES, batch):
-            single = bubar.simulate_bubar(params, state0, name,
+        for spec, traj in zip(SEIR_POLICIES, batch):
+            single = bubar.simulate_bubar(params, state0, spec,
                                           daily_rate=0.0033,
                                           total_budget=0.05, horizon=60)
             for field in ("susceptible", "infectious", "cum_infected",
@@ -150,8 +157,9 @@ class TestBatchedSimulation:
     def test_fixture_never_clamps(self, seed):
         params, state0 = bubar.us_like_instance(1.15, seed=seed)
         sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-        trajs = bubar.simulate_bubar_policies(
-            params, state0, ["no-vaccine", *SEIR_POLICIES], sched, horizon=300)
+        trajs = simulate_seir(params, state0,
+                              [PolicySpec("no-vaccine"), *SEIR_POLICIES],
+                              sched, 300)
         assert [traj.clamp_events for traj in trajs] == [0] * 7
 
     def test_clamp_events_counted_per_policy(self):
@@ -160,18 +168,16 @@ class TestBatchedSimulation:
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         state0.compartments[bubar.COMPARTMENTS.index("Sv"), 8] = -1.0
         sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-        policies = ["no-vaccine", "under-20", "seniors-60-plus"]
-        trajs = bubar.simulate_bubar_policies(params, state0, policies,
-                                              sched, horizon=10)
+        policies = [bubar.policy_spec(name) for name in
+                    ("no-vaccine", "under-20", "seniors-60-plus")]
+        trajs = simulate_seir(params, state0, policies, sched, 10)
         assert [traj.clamp_events for traj in trajs] == [1, 1, 0]
         assert all(type(traj.clamp_events) is int for traj in trajs)
 
     def test_unknown_policy_raises(self):
-        params, state0 = bubar.us_like_instance(1.15, seed=0)
-        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        assert bubar.policy_spec("under-20").priority_groups == ((0, 1),)
         with pytest.raises(ValueError, match="under20"):
-            bubar.simulate_bubar_policies(params, state0,
-                                          ["under-20", "under20"], sched, 5)
+            bubar.policy_spec("under20")
 
     @pytest.mark.parametrize("policy", [(2, 2), ((1, 2), 2), ((0, 0),)])
     def test_priority_list_naming_a_group_twice_raises(self, policy):
@@ -179,9 +185,28 @@ class TestBatchedSimulation:
         # (2,) over 30 days at 2% a day, clipped to v <= 1 without a word
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         sched = VaccinationSchedule(daily_rate=0.02, total_budget=0.3)
-        assert bubar.simulate_bubar_policies(params, state0, [(2,)], sched, 5)
+        assert simulate_seir(params, state0, [PolicySpec(
+            "age-priority", priority_groups=(2,))], sched, 5)
         with pytest.raises(ValueError, match="more than once"):
-            bubar.simulate_bubar_policies(params, state0, [policy], sched, 5)
+            PolicySpec("age-priority", priority_groups=policy)
+
+    @pytest.mark.parametrize("groups", [(9,), (-1,), ((0, 9),)])
+    def test_priority_group_outside_the_model_raises(self, groups):
+        # (9,) used to dose nothing: no cell of the nine groups is group 9
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        with pytest.raises(ValueError, match="outside"):
+            simulate_seir(params, state0, [PolicySpec(
+                "age-priority", priority_groups=groups)], sched, 5)
+
+    def test_population_weighted_doses_by_group_size(self):
+        # the policy kinds of the covid models dose the SEIR model too
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        traj, = simulate_seir(params, state0,
+                              [PolicySpec("population-weighted")], sched, 1)
+        np.testing.assert_allclose(traj.doses[0], 0.0033 * params.populations,
+                                   rtol=1e-12)
 
     def test_leftover_rule_none_stops_dosing_after_extinction(self):
         # R0 0.5 from one infected person in a million: the exposed and
@@ -189,8 +214,10 @@ class TestBatchedSimulation:
         # 5% of the population is dosed at 0.33% a day
         params, state0 = bubar.us_like_instance(0.5, seed=0,
                                                 infected_frac=1e-6)
-        none, even = (bubar.simulate_bubar(params, state0, "under-20", 0.0033,
-                                           0.05, 60, leftover_rule=rule)
+        none, even = (bubar.simulate_bubar(params, state0,
+                                           bubar.policy_spec("under-20"),
+                                           0.0033, 0.05, 60,
+                                           leftover_rule=rule)
                       for rule in ("none", "even-split"))
         doses_none, doses_even = (t.doses.sum(axis=1) for t in (none, even))
         stop = int(np.flatnonzero(np.diff(doses_none) == 0)[0]) + 1
@@ -203,6 +230,41 @@ class TestBatchedSimulation:
         assert np.all(np.diff(doses_even[stop - 1:16]) > 0)
         assert doses_even[-1] == pytest.approx(
             0.05 * params.populations.sum(), rel=1e-9)
+
+
+class TestOptimalStabilizing:
+    """The SEIR optimal-stabilizing policy doses the certified allocation
+    of the whole budget at the initial state, pro-rated over the epochs."""
+
+    @pytest.mark.parametrize("r0", [1.05, 1.15, 2.5])
+    def test_doses_the_certified_plan(self, r0):
+        params, state0 = bubar.us_like_instance(r0, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        budget = 0.05 * params.populations.sum()
+        _, plan = bubar.solve_bubar_allocation(state0, params, supply=budget)
+        assert plan.certificate.satisfied
+        traj, = simulate_seir(params, state0,
+                              [bubar.policy_spec("optimal-stabilizing")],
+                              sched, 300)
+        # the epochs' pro-rated doses add up to the plan's within rounding,
+        # at most about 4e-12 persons above it
+        assert np.all(traj.doses <= plan.dose_vector + 1e-12 * budget)
+        assert traj.total_doses() == pytest.approx(budget, rel=1e-9)
+
+    def test_daily_resolve_spends_the_budget(self):
+        # each epoch re-solves the allocation of the budget left and fills
+        # its groups in order of their dosed share
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        sched = VaccinationSchedule(daily_rate=0.01, total_budget=0.05)
+        budget = 0.05 * params.populations.sum()
+        _, plan = bubar.solve_bubar_allocation(state0, params, supply=budget)
+        daily, = simulate_seir(params, state0, [PolicySpec(
+            "optimal-stabilizing", resolve_mode="daily-resolve")], sched, 10)
+        first = daily.doses[0]  # after the first epoch
+        assert first.sum() == pytest.approx(0.01 * params.populations.sum())
+        assert np.argmax(first) == np.argmax(plan.v)
+        assert np.all(first[plan.dose_vector == 0] == 0)
+        assert daily.total_doses() == pytest.approx(budget, rel=1e-9)
 
 
 class TestInputChecks:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stabvax as sv
-from stabvax import bubar, cli, model
+from stabvax import bubar, cli, dynamics, model
 
 
 def allocate(tmp_path, *flags):
@@ -144,7 +144,7 @@ COVID_COMPARE_30 = {
     "no-vaccine": (101199.866735, 1724.401806, 0.0),
 }
 SEIR_COMPARE_30 = {
-    "optimal-stabilizing": (9989.868818, 55.861677, 50000.0),
+    "optimal-stabilizing": (10000.377637, 55.866196, 50000.0),
     "under-20": (10918.184019, 57.068341, 50000.0),
     "adults-20-49": (10052.728076, 55.906048, 50000.0),
     "adults-20-plus": (10318.453769, 54.784163, 50000.0),
@@ -248,8 +248,10 @@ class TestStep:
                          "compare"]) == cli.EXIT_OK
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         names = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
-        trajs = bubar.simulate_bubar_policies(params, state0, names,
-                                              cli._schedule({}), 30, step=0.5)
+        trajs = dynamics.simulate(
+            bubar.bubar_model(params, state0),
+            [bubar.policy_spec(name) for name in names], cli._schedule({}),
+            30, step=0.5)
         cli._write_summary(tmp_path / "library.csv",
                            cli._summary_rows(names, trajs))
         half = (tmp_path / "half" / "summary.csv").read_text()
@@ -376,8 +378,10 @@ class TestSharedKeys:
         summary = compare_summary(tmp_path / "cli", *flags, config=config)
         params, state0 = bubar.us_like_instance(r0, seed=0, psi=psi)
         names = names or ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
-        trajs = bubar.simulate_bubar_policies(params, state0, names,
-                                              cli._schedule({}), 30)
+        trajs = dynamics.simulate(
+            bubar.bubar_model(params, state0),
+            [bubar.policy_spec(name) for name in names], cli._schedule({}),
+            30)
         cli._write_summary(tmp_path / "library.csv",
                            cli._summary_rows(names, trajs))
         assert summary == (tmp_path / "library.csv").read_text()
@@ -407,12 +411,19 @@ class TestConfigKeys:
         ({}, ("--target-rt", "-1")),
         ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
             {"kind": "age-priority", "priority_groups": [2, [1, 2]]}]}, ()),
+        # the six age groups are 0-5: group 7 used to dose cell 7, which is
+        # group 1 of location 1, and -1 dosed cell 11 twice
+        ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
+            {"kind": "age-priority", "priority_groups": [7]}]}, ()),
+        ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
+            {"kind": "age-priority", "priority_groups": [-1]}]}, ()),
     ], ids=["horizion", "polices", "schedule-daily-rate", "policy-resolve",
             "model-seir", "top-level-n", "synthetic-target-rt", "target-r0",
             "bubar-policies", "bubar-synthetic", "bubar-instance",
             "bubar-files", "bubar-alpha-hat", "bubar-resolve-mode",
             "bubar-under20", "bubar-psi-1.5", "bubar-r0-negative",
-            "covid-rt-negative", "priority-group-twice"])
+            "covid-rt-negative", "priority-group-twice", "priority-group-7",
+            "priority-group-negative"])
     def test_rejected_config_exits_input_error(self, tmp_path, config,
                                                flags):
         path = tmp_path / "config.json"

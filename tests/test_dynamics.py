@@ -232,7 +232,8 @@ class TestStepBookkeeping:
         state0.compartments[:, 3] = 0.0
         state0.compartments[12, 3] = params.populations[3]
         with pytest.raises(FloatingPointError, match="fully depleted"):
-            bubar.simulate_bubar(params, state0, "all-ages", 0.01, 0.1, 5)
+            bubar.simulate_bubar(params, state0, bubar.policy_spec("all-ages"),
+                                 0.01, 0.1, 5)
 
 
 def crossing_system(name):
@@ -299,11 +300,12 @@ class TestDayStepper:
             specs = DEFAULT_SPECS + ([sv.PolicySpec(
                 kind="age-priority", priority_groups=(5, 4, 3, 2, 1, 0))]
                 if groups else [])
-            trajs = dynamics.simulate_policies(inst, specs, sched, 5)
+            trajs = dynamics.simulate(dynamics.covid_model(inst), specs,
+                                      sched, 5)
             assert all(traj.total_doses() > 0 for traj in trajs[:3])
         params, state0 = bubar.us_like_instance(1.15, seed=0)
-        trajs = bubar.simulate_bubar_policies(params, state0, SEIR_POLICIES,
-                                              sched, 5)
+        trajs = dynamics.simulate(bubar.bubar_model(params, state0),
+                                  SEIR_POLICIES, sched, 5)
         assert all(traj.total_doses() > 0 for traj in trajs)
 
 
@@ -492,7 +494,8 @@ class TestBatchedSimulation:
         inst = sv.synthetic_instance(0, n=5, groups=groups)
         sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
         specs = DEFAULT_SPECS + extra
-        batch = dynamics.simulate_policies(inst, specs, sched, horizon)
+        batch = dynamics.simulate(dynamics.covid_model(inst), specs, sched,
+                                  horizon)
         assert len(batch) == len(specs)
         for spec, traj in zip(specs, batch):
             single = sv.simulate_policy(inst, spec, sched, horizon)
@@ -595,7 +598,8 @@ class TestFusedRhs:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-SEIR_POLICIES = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+SEIR_POLICIES = [bubar.policy_spec(name) for name in
+                 ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
 
 
 def assert_finals_close(coarse_runs, fine_runs, rel):
@@ -616,16 +620,18 @@ class TestDefaultStepAccuracy:
                              ids=["covid-n5", "covid-n50", "age-n5"])
     def test_covid_models(self, n, groups, seed):
         inst = sv.synthetic_instance(seed, n=n, groups=groups)
-        coarse, fine = (dynamics.simulate_policies(
-            inst, DEFAULT_SPECS, self.SCHEDULE, 300, step)
+        coarse, fine = (dynamics.simulate(
+            dynamics.covid_model(inst), DEFAULT_SPECS, self.SCHEDULE, 300,
+            step)
             for step in (dynamics.DEFAULT_STEP, dynamics.DEFAULT_STEP / 4))
         assert_finals_close(coarse, fine, 1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_seir_model(self, seed):
         params, state0 = bubar.us_like_instance(1.15, seed=seed)
-        coarse, fine = (bubar.simulate_bubar_policies(
-            params, state0, SEIR_POLICIES, self.SCHEDULE, 300, step)
+        coarse, fine = (dynamics.simulate(
+            bubar.bubar_model(params, state0), SEIR_POLICIES, self.SCHEDULE,
+            300, step)
             for step in (dynamics.DEFAULT_STEP, dynamics.DEFAULT_STEP / 4))
         assert_finals_close(coarse, fine, 1e-9)
 
@@ -715,7 +721,7 @@ def csv_trajectories():
     """The four default policies over 200 days on homogeneous n=50 and on
     age-structured n=5, whose values take every notation of '%.12g'."""
     sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-    return {name: dynamics.simulate_policies(
-        sv.synthetic_instance(1, n=n, groups=groups), DEFAULT_SPECS, sched,
-        200) for name, n, groups in (("covid-n50", 50, False),
+    return {name: dynamics.simulate(
+        dynamics.covid_model(sv.synthetic_instance(1, n=n, groups=groups)),
+        DEFAULT_SPECS, sched, 200) for name, n, groups in (("covid-n50", 50, False),
                                      ("age-n5", 5, True))}

@@ -104,10 +104,8 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
-# parameters a caller's interface requires: integrate's rhs(t, y) and
-# run_days' dose(k, column, supply, budget left)
-CALLBACK_PARAMETERS = {"covid_rhs_factory.rhs: t", "bubar_rhs_factory.rhs: t",
-                       "simulate_bubar_policies.dose: budget_left"}
+# parameters a caller's interface requires: integrate's rhs(t, y)
+CALLBACK_PARAMETERS = {"covid_rhs_factory.rhs: t", "bubar_rhs_factory.rhs: t"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

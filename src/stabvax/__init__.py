@@ -18,8 +18,7 @@ from .allocator import (AllocationProblem, AllocationResult, CutPool,
                         max_decay_binary_search, solve_allocation,
                         solve_bilinear, solve_diagonal_lmi,
                         spectral_box_minimize)
-from .dynamics import (Trajectory, VaccinationSchedule,
-                       apply_vaccination_event, integrate, rhs_covid,
+from .dynamics import (Trajectory, VaccinationSchedule, integrate,
                        simulate_policy)
 from .ingest import (EpidemicInstance, RawCases, RawMobility,
                      aggregate_contact_groups, build_travel_rates,

@@ -7,8 +7,9 @@ R, Rx, Rv, D. The x-subscript holds people vaccinated without protection
 Only model definitions live here: `bubar_problem` states the model's
 `allocator.AllocationProblem`, which the shared solvers solve, and
 `bubar_model` its adapter to the shared policy driver `dynamics.simulate`.
-Its policies are `PolicySpec`s as on the covid models; `policy_spec` names
-the age strategies of Bubar et al. (Science 371, 2021), `PRIORITY_PRESETS`.
+Its policies are `PolicySpec`s as on the covid models. The age strategies
+of Bubar et al. (Science 371, 2021) are the age bands of
+`policies.AGE_BANDS`, which the adapter resolves against `DECADE_RANGES`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .allocator import (AllocationProblem, AllocationResult,
                         InfeasibleAllocationError, max_decay, solve_allocation)
 from .dynamics import (DEFAULT_STEP, SimulationModel, VaccinationSchedule,
                        simulate)
-from .ingest import ifr_by_age
+from .ingest import group_ifr
 from .model import CERTIFICATE_TOL, StabilityCertificate, cholesky_factor
 from .policies import PolicySpec
 
@@ -31,19 +32,8 @@ COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
 
 DECADE_LABELS = ("0-9", "10-19", "20-29", "30-39", "40-49", "50-59",
                  "60-69", "70-79", "80+")
-
-# Common age-tier prioritizations, the priority lists of age-priority
-# policies (`policy_spec`): each preset is a sequence of tiers and a tier's
-# groups are dosed together, proportionally to their headroom. Bracket
-# choices are configurable; only the seniors tier is anchored upstream, the
-# rest are conventional splits.
-PRIORITY_PRESETS = {
-    "under-20": ((0, 1),),
-    "adults-20-49": ((2, 3, 4),),
-    "adults-20-plus": ((2, 3, 4, 5, 6, 7, 8),),
-    "seniors-60-plus": ((6, 7, 8),),
-    "all-ages": (tuple(range(9)),),
-}
+# the ages of each decade group, the last capped at 89 as in the NY groups
+DECADE_RANGES = tuple((lo, lo + 9) for lo in range(0, 90, 10))
 
 # vaccine efficacy of the SEIR fixture: the protected share of the dosed
 DEFAULT_EFFICACY = 0.9
@@ -314,15 +304,6 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
 # simulation
 # ---------------------------------------------------------------------------
 
-def policy_spec(name: str) -> PolicySpec:
-    """The policy a SEIR policy name stands for: a `PRIORITY_PRESETS` name
-    is the age-priority policy of its tiers, any other a policy kind."""
-    if name in PRIORITY_PRESETS:
-        return PolicySpec("age-priority",
-                          priority_groups=PRIORITY_PRESETS[name])
-    return PolicySpec(name)
-
-
 @dataclass
 class BubarTrajectory:
     times: np.ndarray
@@ -373,7 +354,8 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
         vaccinate=lambda state, doses: _vaccinate(state, doses, params),
         allocate=lambda state, budget: solve_bubar_allocation(
             state, params, supply=budget)[1],
-        columns=columns, trajectory=BubarTrajectory, check=check)
+        columns=columns, trajectory=BubarTrajectory, check=check,
+        age_ranges=DECADE_RANGES)
 
 
 def simulate_bubar(params: BubarParams, state0: BubarState,
@@ -393,10 +375,7 @@ def simulate_bubar(params: BubarParams, state0: BubarState,
 
 US_DECADE_SHARES = np.array([0.122, 0.130, 0.139, 0.137, 0.122, 0.131,
                              0.114, 0.066, 0.039])
-DECADE_IFR = np.array([float(np.mean(ifr_by_age(np.arange(lo, hi + 1))))
-                       for lo, hi in ((0, 9), (10, 19), (20, 29), (30, 39),
-                                      (40, 49), (50, 59), (60, 69), (70, 79),
-                                      (80, 89))])
+DECADE_IFR = group_ifr(DECADE_RANGES)
 
 
 def us_like_instance(r0: float, seed: int = 0, total_population: float = 1e6,

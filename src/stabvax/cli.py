@@ -43,7 +43,7 @@ DEFAULT_POLICIES = [
     {"kind": "no-vaccine"},
 ]
 SEIR_POLICIES = [{"kind": kind}
-                 for kind in ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
+                 for kind in ("optimal-stabilizing", *policies.AGE_BANDS)]
 
 
 class InputError(ValueError):
@@ -192,19 +192,15 @@ def _schedule(config) -> dynamics.VaccinationSchedule:
 
 
 def _policy_specs(config) -> tuple[list, list[policies.PolicySpec]]:
-    """Names and specs of the configured policies. A SEIR policy is named
-    by its kind or by its age-priority preset (`bubar.policy_spec`); a
-    covid policy by its spec's name."""
-    if config["model"] == "bubar":
-        names = [policy["kind"]
-                 for policy in config.get("policies", SEIR_POLICIES)]
-        return _distinct(names), [bubar.policy_spec(name) for name in names]
+    """Names and specs of the configured policies, each named by its spec's
+    name, on every model."""
+    default = SEIR_POLICIES if config["model"] == "bubar" else DEFAULT_POLICIES
     specs = [policies.PolicySpec(
         kind=policy["kind"],
         resolve_mode=policy.get("resolve_mode", "static"),
         priority_groups=tuple(tuple(t) if isinstance(t, list) else t
                               for t in policy.get("priority_groups", ())))
-        for policy in config.get("policies", DEFAULT_POLICIES)]
+        for policy in config.get("policies", default)]
     return _distinct([spec.name for spec in specs]), specs
 
 
@@ -406,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "the covid models, 1e-9 for bubar)")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--policy", action="append",
-                        help="policy kind (repeatable); bubar also takes the "
-                             "age presets "
-                             + ", ".join(bubar.PRIORITY_PRESETS))
+                        help="policy kind (repeatable) on every model: "
+                             + ", ".join(policies.POLICY_KINDS) + "; an age "
+                             "band needs age groups, age-priority a config's "
+                             "priority_groups")
     parser.add_argument("--axis", choices=["budget", "rt", "interval"])
     parser.add_argument("--range", help="sweep grid lo:hi:steps")
     parser.add_argument("command",

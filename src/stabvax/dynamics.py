@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import allocator
-from .ingest import EpidemicInstance
+from .ingest import AGE_GROUP_RANGES, EpidemicInstance
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, flow_for_model, _cell_rates)
 from .policies import DosePlanner, PolicySpec, proportional_fill
@@ -118,16 +118,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
-
-def rhs_covid(state: EpidemicState, net: NetworkInstance,
-              params: DiseaseParams,
-              contacts: Optional[ContactStructure] = None) -> tuple:
-    """Derivatives (ds, dxa, dxs, de, dh) at one state of the homogeneous
-    model or, given contacts, of the age-structured one; infection inflow
-    into the asymptomatic track is positive in both."""
-    rhs = covid_rhs_factory(net, params, contacts)
-    return tuple(rhs(state.t, _state_to_flat(state)).reshape(5, -1))
-
 
 def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
                       contacts: Optional[ContactStructure] = None,
@@ -300,17 +290,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                            else clamp_events)
 
 
-def apply_vaccination_event(state: EpidemicState, v: np.ndarray,
-                            psi: float) -> EpidemicState:
-    """Move psi*v of each cell from susceptible into the vaccinated-immune
-    pool; v is the vaccinated fraction per cell and must not exceed s."""
-    new = state.copy()
-    new.vax += _vaccinate(new.s, v, psi)
-    return new
-
-
 def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
-    """`apply_vaccination_event` in place on the array s; returns the
+    """Move psi*v of each cell out of the susceptible fractions s, in place;
+    v is the vaccinated fraction per cell and must not exceed s. Returns the
     fractions moved into the vaccinated-immune pool."""
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > s + 1e-9):
@@ -382,6 +364,7 @@ class SimulationModel:
     columns: Callable     # (day states, fields) -> fields with the model's
     trajectory: type      # built from the fields, one policy's each
     check: Optional[Callable] = None  # day's states -> raise if they fail
+    age_ranges: tuple = ()  # (youngest, oldest) age per group, for age bands
 
 
 def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
@@ -467,7 +450,9 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
         vaccinate=lambda state, doses: _vaccinate(state.s, doses / pops, psi),
         allocate=lambda state, budget: allocator.max_decay_binary_search(
             state, inst.net, inst.params, inst.contacts, budget=budget)[1],
-        columns=columns, trajectory=Trajectory)
+        columns=columns, trajectory=Trajectory, age_ranges=(
+            AGE_GROUP_RANGES if inst.net.n_groups == len(AGE_GROUP_RANGES)
+            else ()))
 
 
 def simulate_policy(instance: EpidemicInstance, policy: PolicySpec,

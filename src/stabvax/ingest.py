@@ -498,11 +498,3 @@ def save_instance(inst: EpidemicInstance, path) -> None:
 def load_instance(path) -> EpidemicInstance:
     return instance_from_dict(json.loads(Path(path).read_text()))
 
-
-def read_trajectory_csv(path) -> list[dict]:
-    """Parse a trajectory export back into typed rows."""
-    rows = _read_table(path, ("t", "cell", "s", "xa", "xs", "e", "h",
-                              "new_cases", "cum_cases", "cum_deaths", "doses"))
-    return [{k: (v if k == "cell" else float(v)) for k, v in row.items()}
-            for row in rows]
-

@@ -5,6 +5,9 @@ vectors during simulation, on any model `dynamics.simulate` runs.
 adapter, so a `PolicySpec` means the same on every model. Static optimal
 dosing pro-rates the model's certified allocation of the whole budget at its
 initial state; daily-resolve re-solves it on each epoch's state.
+
+The age strategies of Bubar et al. (Science 371, 2021) are the `AGE_BANDS`
+kinds, on every model. This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -14,8 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# (youngest, oldest) age in years, None for no bound, of each preset age
+# strategy; only the seniors band is anchored upstream, the rest are
+# conventional splits
+AGE_BANDS = {"under-20": (0, 19), "adults-20-49": (20, 49),
+             "adults-20-plus": (20, None), "seniors-60-plus": (60, None),
+             "all-ages": (0, None)}
 POLICY_KINDS = ("optimal-stabilizing", "population-weighted",
-                "infection-weighted", "no-vaccine", "age-priority")
+                "infection-weighted", "no-vaccine", "age-priority", *AGE_BANDS)
 
 
 @dataclass(frozen=True)
@@ -23,7 +32,9 @@ class PolicySpec:
     """A dosing policy. priority_groups orders the groups an age-priority
     policy doses; an entry is a group index or a tuple of indices dosed
     together. No group may be named twice: `_priority_fill` would dose it
-    once per mention."""
+    once per mention. Only age-priority reads priority_groups and only
+    optimal-stabilizing reads resolve_mode, so either on another kind
+    raises."""
 
     kind: str
     resolve_mode: str = "static"
@@ -36,6 +47,10 @@ class PolicySpec:
             raise ValueError("resolve_mode must be 'static' or 'daily-resolve'")
         if self.kind == "age-priority" and not self.priority_groups:
             raise ValueError("age-priority policy needs a nonempty priority list")
+        if self.kind != "age-priority" and self.priority_groups:
+            raise ValueError(f"a {self.kind} policy takes no priority_groups")
+        if self.resolve_mode != "static" and self.kind != "optimal-stabilizing":
+            raise ValueError(f"a {self.kind} policy takes no resolve_mode")
         named = _named(self.priority_groups)
         if len(set(named)) < len(named):
             raise ValueError(f"priority list {list(self.priority_groups)} "
@@ -75,6 +90,21 @@ def proportional_fill(weights: np.ndarray, caps: np.ndarray,
 def _named(priority_groups: Sequence) -> list[int]:
     """Every group index a priority list names, in order."""
     return [int(g) for tier in priority_groups for g in np.atleast_1d(tier)]
+
+
+def priority_tiers(policy: PolicySpec, model) -> tuple:
+    """The tiers an age policy doses in order: its priority list, or as one
+    tier the groups whose model.age_ranges lie inside its age band; () for
+    other kinds. Raises ValueError if a band holds no group."""
+    if policy.kind not in AGE_BANDS:
+        return policy.priority_groups
+    lo, hi = AGE_BANDS[policy.kind]
+    groups = tuple(g for g, (young, old) in enumerate(model.age_ranges)
+                   if lo <= young and (hi is None or old <= hi))
+    if not groups:
+        raise ValueError(f"age band {policy.kind!r} holds none of the model's "
+                         f"age groups {list(model.age_ranges)}")
+    return (groups,)
 
 
 def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,
@@ -125,8 +155,8 @@ def emit_doses(policy: PolicySpec, state, model, epoch_supply: float,
             cumulative = headroom
         return proportional_fill(cumulative, headroom, amount)
 
-    if policy.kind == "age-priority":
-        return _priority_fill(policy.priority_groups, headroom, amount,
+    if policy.kind == "age-priority" or policy.kind in AGE_BANDS:
+        return _priority_fill(priority_tiers(policy, model), headroom, amount,
                               model.n_groups)
 
     # optimal-stabilizing
@@ -152,19 +182,19 @@ def emit_doses(policy: PolicySpec, state, model, epoch_supply: float,
 class DosePlanner:
     """Per-simulation wrapper around emit_doses that owns the static plan:
     the model's allocation of the whole budget at its initial state, drawn
-    down by the doses each epoch emits. Raises ValueError if an age-priority
-    policy names a group the model lacks."""
+    down by the doses each epoch emits. Raises ValueError if an age policy
+    names a group the model lacks or an age band holds none."""
 
     def __init__(self, policy: PolicySpec, model, schedule) -> None:
         self.policy = policy
         self.model = model
         self.plan_remaining: Optional[np.ndarray] = None
-        if policy.kind == "age-priority":
-            outside = [g for g in _named(policy.priority_groups)
-                       if not 0 <= g < model.n_groups]
-            if outside:
-                raise ValueError(f"priority groups {outside} lie outside "
-                                 f"[0, {model.n_groups}), the model's groups")
+        # only an age policy has tiers
+        outside = [g for g in _named(priority_tiers(policy, model))
+                   if not 0 <= g < model.n_groups]
+        if outside:
+            raise ValueError(f"priority groups {outside} lie outside "
+                             f"[0, {model.n_groups}), the model's groups")
         # without a budget, emit_doses returns before it reads a plan
         if policy.kind == "optimal-stabilizing" and \
                 policy.resolve_mode == "static" and schedule.total_budget > 0:

@@ -6,7 +6,7 @@ import pytest
 from stabvax import _lp, allocator, bubar
 from stabvax.dynamics import (EXTINCTION_THRESHOLD, VaccinationSchedule,
                               simulate)
-from stabvax.policies import PolicySpec
+from stabvax.policies import AGE_BANDS, PolicySpec, priority_tiers
 
 
 def symmetric_fixture():
@@ -126,8 +126,8 @@ class TestBilinearRoute:
         assert res.stats.spectral_radius <= 1.0 + 1e-9
 
 
-SEIR_POLICIES = [bubar.policy_spec(name) for name in
-                 ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
+SEIR_POLICIES = [PolicySpec(kind) for kind in
+                 ("optimal-stabilizing", *AGE_BANDS)]
 
 
 def simulate_seir(params, state0, policies, schedule, horizon):
@@ -168,16 +168,18 @@ class TestBatchedSimulation:
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         state0.compartments[bubar.COMPARTMENTS.index("Sv"), 8] = -1.0
         sched = VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
-        policies = [bubar.policy_spec(name) for name in
-                    ("no-vaccine", "under-20", "seniors-60-plus")]
-        trajs = simulate_seir(params, state0, policies, sched, 10)
+        specs = [PolicySpec(kind) for kind in
+                 ("no-vaccine", "under-20", "seniors-60-plus")]
+        trajs = simulate_seir(params, state0, specs, sched, 10)
         assert [traj.clamp_events for traj in trajs] == [1, 1, 0]
         assert all(type(traj.clamp_events) is int for traj in trajs)
 
     def test_unknown_policy_raises(self):
-        assert bubar.policy_spec("under-20").priority_groups == ((0, 1),)
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        assert priority_tiers(PolicySpec("under-20"), bubar.bubar_model(
+            params, state0)) == ((0, 1),)
         with pytest.raises(ValueError, match="under20"):
-            bubar.policy_spec("under20")
+            PolicySpec("under20")
 
     @pytest.mark.parametrize("policy", [(2, 2), ((1, 2), 2), ((0, 0),)])
     def test_priority_list_naming_a_group_twice_raises(self, policy):
@@ -215,7 +217,7 @@ class TestBatchedSimulation:
         params, state0 = bubar.us_like_instance(0.5, seed=0,
                                                 infected_frac=1e-6)
         none, even = (bubar.simulate_bubar(params, state0,
-                                           bubar.policy_spec("under-20"),
+                                           PolicySpec("under-20"),
                                            0.0033, 0.05, 60,
                                            leftover_rule=rule)
                       for rule in ("none", "even-split"))
@@ -244,7 +246,7 @@ class TestOptimalStabilizing:
         _, plan = bubar.solve_bubar_allocation(state0, params, supply=budget)
         assert plan.certificate.satisfied
         traj, = simulate_seir(params, state0,
-                              [bubar.policy_spec("optimal-stabilizing")],
+                              [PolicySpec("optimal-stabilizing")],
                               sched, 300)
         # the epochs' pro-rated doses add up to the plan's within rounding,
         # at most about 4e-12 persons above it

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import stabvax as sv
-from stabvax import bubar, cli, dynamics, model
+from stabvax import bubar, cli, dynamics, model, policies
 
 
 def allocate(tmp_path, *flags):
@@ -239,6 +240,27 @@ class TestRepeatedPolicyNames:
             "optimal-stabilizing", "optimal-daily"]
 
 
+class TestAgeBands:
+    def test_covid_demographic_compares_two_bands(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",
+                         "covid-demographic", "--horizon", "10", "--policy",
+                         "adults-20-49", "--policy", "seniors-60-plus",
+                         "compare"]) == cli.EXIT_OK
+        assert [row[0] for row in read_rows(tmp_path / "summary.csv")] == [
+            "adults-20-49", "seniors-60-plus"]
+        # 10 days at 0.33% a day leave the 5% budget unspent; cell
+        # loc{i}:g{b} is age group b, and the NY groups 2-3 are ages 20-44,
+        # group 5 ages 65-89
+        for name, groups in (("adults-20-49", {"g2", "g3"}),
+                             ("seniors-60-plus", {"g5"})):
+            with open(tmp_path / f"trajectory_{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 11 * 5 * 6
+            dosed = {row["cell"].split(":")[1] for row in rows
+                     if float(row["doses"]) > 0}
+            assert dosed == groups, name
+
+
 class TestStep:
     def test_bubar_honours_step(self, tmp_path):
         argv = ["--seed", "0", "--model", "bubar", "--horizon", "30"]
@@ -247,10 +269,10 @@ class TestStep:
         assert cli.main(["--out", str(tmp_path / "default"), *argv,
                          "compare"]) == cli.EXIT_OK
         params, state0 = bubar.us_like_instance(1.15, seed=0)
-        names = ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+        names = ["optimal-stabilizing", *policies.AGE_BANDS]
         trajs = dynamics.simulate(
             bubar.bubar_model(params, state0),
-            [bubar.policy_spec(name) for name in names], cli._schedule({}),
+            [policies.PolicySpec(name) for name in names], cli._schedule({}),
             30, step=0.5)
         cli._write_summary(tmp_path / "library.csv",
                            cli._summary_rows(names, trajs))
@@ -377,10 +399,10 @@ class TestSharedKeys:
                                     names):
         summary = compare_summary(tmp_path / "cli", *flags, config=config)
         params, state0 = bubar.us_like_instance(r0, seed=0, psi=psi)
-        names = names or ["optimal-stabilizing", *bubar.PRIORITY_PRESETS]
+        names = names or ["optimal-stabilizing", *policies.AGE_BANDS]
         trajs = dynamics.simulate(
             bubar.bubar_model(params, state0),
-            [bubar.policy_spec(name) for name in names], cli._schedule({}),
+            [policies.PolicySpec(name) for name in names], cli._schedule({}),
             30)
         cli._write_summary(tmp_path / "library.csv",
                            cli._summary_rows(names, trajs))
@@ -417,13 +439,21 @@ class TestConfigKeys:
             {"kind": "age-priority", "priority_groups": [7]}]}, ()),
         ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
             {"kind": "age-priority", "priority_groups": [-1]}]}, ()),
+        # fields a kind never reads used to be ignored without a word
+        ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
+            {"kind": "population-weighted", "priority_groups": [7]}]}, ()),
+        ({"model": "covid-demographic", "synthetic": {"n": 3}, "policies": [
+            {"kind": "no-vaccine", "resolve_mode": "daily-resolve"}]}, ()),
+        # the homogeneous model has no age groups
+        ({}, ("--policy", "under-20")),
     ], ids=["horizion", "polices", "schedule-daily-rate", "policy-resolve",
             "model-seir", "top-level-n", "synthetic-target-rt", "target-r0",
             "bubar-policies", "bubar-synthetic", "bubar-instance",
             "bubar-files", "bubar-alpha-hat", "bubar-resolve-mode",
             "bubar-under20", "bubar-psi-1.5", "bubar-r0-negative",
             "covid-rt-negative", "priority-group-twice", "priority-group-7",
-            "priority-group-negative"])
+            "priority-group-negative", "unread-priority-groups",
+            "unread-resolve-mode", "covid-age-band"])
     def test_rejected_config_exits_input_error(self, tmp_path, config,
                                                flags):
         path = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,18 @@ def small_instance(seed=7, n=3, target_rt=1.3):
     return sv.synthetic_instance(seed, n=n, target_rt=target_rt)
 
 
+def rhs_blocks(state, net, params, contacts=None):
+    """Derivatives (ds, dxa, dxs, de, dh) of the covid models at one state."""
+    rhs = dynamics.covid_rhs_factory(net, params, contacts)
+    return rhs(state.t, dynamics._state_to_flat(state)).reshape(5, -1)
+
+
 class TestCovidRhs:
     def test_disease_free_equilibrium(self):
         inst = small_instance()
         state = sv.EpidemicState(s=np.ones(3), xa=np.zeros(3), xs=np.zeros(3),
                                  e=np.zeros(3), h=np.zeros(3))
-        for block in sv.rhs_covid(state, inst.net, inst.params):
+        for block in rhs_blocks(state, inst.net, inst.params):
             assert np.all(block == 0.0)
 
     def test_pure_decay_without_transmission(self):
@@ -23,7 +31,7 @@ class TestCovidRhs:
         params = replace(inst.params, beta_s=0.0, beta_a=0.0)
         state = sv.EpidemicState(s=np.full(3, 0.9), xa=np.full(3, 0.1),
                                  xs=np.zeros(3), e=np.zeros(3), h=np.zeros(3))
-        ds, dxa, dxs, de, dh = sv.rhs_covid(state, inst.net, params)
+        ds, dxa, dxs, de, dh = rhs_blocks(state, inst.net, params)
         assert np.all(ds == 0.0)
         assert dxa == pytest.approx(-(params.eps + params.r_a) * state.xa)
 
@@ -35,7 +43,7 @@ class TestCovidRhs:
                                   beta_s=0.3, beta_a=0.12)
         s, xa, xs = 0.9, 0.05, 0.02
         state = sv.EpidemicState(s=[s], xa=[xa], xs=[xs], e=[0.01], h=[0.02])
-        ds, dxa, dxs, de, dh = sv.rhs_covid(state, net, params)
+        ds, dxa, dxs, de, dh = rhs_blocks(state, net, params)
         force = 1.0 * (0.12 * xa + 0.3 * xs)  # a_11 = 1 for a closed node
         assert ds[0] == pytest.approx(-s * force)
         assert dxa[0] == pytest.approx(s * force - (eps + r_a) * xa)
@@ -45,7 +53,7 @@ class TestCovidRhs:
 
     def test_blocks_sum_to_zero(self):
         inst = small_instance()
-        blocks = sv.rhs_covid(inst.state0, inst.net, inst.params)
+        blocks = rhs_blocks(inst.state0, inst.net, inst.params)
         assert np.abs(sum(blocks)).max() < 1e-15
 
 
@@ -78,13 +86,13 @@ class TestDemographicRhs:
         net, cs, params, _ = self.fixture()
         state = sv.EpidemicState(s=np.ones(4), xa=np.zeros(4), xs=np.zeros(4),
                                  e=np.zeros(4), h=np.zeros(4))
-        for block in sv.rhs_covid(state, net, params, cs):
+        for block in rhs_blocks(state, net, params, cs):
             assert np.all(block == 0.0)
 
     def test_matrix_form_matches_triple_sum(self):
         # elementwise expansion over destinations, groups, and origins
         net, cs, params, state = self.fixture()
-        _, dxa, _, _, _ = sv.rhs_covid(state, net, params, cs)
+        _, dxa, _, _, _ = rhs_blocks(state, net, params, cs)
         n, g = 2, 2
         gamma = cs.gamma
         tau = net.tau
@@ -124,7 +132,7 @@ class TestDemographicRhs:
         state3 = sv.EpidemicState(s=np.full(3, 0.9), xa=np.full(3, 0.06),
                                   xs=np.full(3, 0.04), e=np.zeros(3),
                                   h=np.zeros(3))
-        blocks3 = sv.rhs_covid(state3, net, demo, cs)
+        blocks3 = rhs_blocks(state3, net, demo, cs)
 
         hom_net = sv.NetworkInstance(tau=[[0.6]], populations=[900.0])
         hom = sv.DiseaseParams(eps=eps, r_a=r_a, r_s=r_s, kappa=kappa,
@@ -132,7 +140,7 @@ class TestDemographicRhs:
                                beta_a=0.4 * 0.002 * 1.3 * c)
         state1 = sv.EpidemicState(s=[0.9], xa=[0.06], xs=[0.04], e=[0.0],
                                   h=[0.0])
-        blocks1 = sv.rhs_covid(state1, hom_net, hom)
+        blocks1 = rhs_blocks(state1, hom_net, hom)
         for b3, b1 in zip(blocks3, blocks1):
             assert b3 == pytest.approx(np.full(3, b1[0]), rel=1e-12)
 
@@ -232,7 +240,7 @@ class TestStepBookkeeping:
         state0.compartments[:, 3] = 0.0
         state0.compartments[12, 3] = params.populations[3]
         with pytest.raises(FloatingPointError, match="fully depleted"):
-            bubar.simulate_bubar(params, state0, bubar.policy_spec("all-ages"),
+            bubar.simulate_bubar(params, state0, sv.PolicySpec("all-ages"),
                                  0.01, 0.1, 5)
 
 
@@ -310,27 +318,35 @@ class TestDayStepper:
 
 
 class TestVaccinationEvent:
+    @staticmethod
+    def vaccinate(state, v, psi):
+        """Dose a copy of state with fractions v; returns the copy."""
+        new = state.copy()
+        new.vax += dynamics._vaccinate(new.s, v, psi)
+        return new
+
     def test_perfect_vaccine_empties_susceptibles(self):
         state = sv.EpidemicState(s=[0.8], xa=[0.1], xs=[0.0], e=[0.0], h=[0.1])
-        new = sv.apply_vaccination_event(state, np.array([0.8]), psi=1.0)
+        new = self.vaccinate(state, np.array([0.8]), psi=1.0)
         assert new.s == pytest.approx([0.0])
         assert new.vax == pytest.approx([0.8])
 
     def test_zero_efficacy_is_identity(self):
         state = sv.EpidemicState(s=[0.8], xa=[0.1], xs=[0.0], e=[0.0], h=[0.1])
-        new = sv.apply_vaccination_event(state, np.array([0.5]), psi=0.0)
+        new = self.vaccinate(state, np.array([0.5]), psi=0.0)
         assert new.s == pytest.approx(state.s)
 
     def test_partial_efficacy_value(self):
         state = sv.EpidemicState(s=[0.9], xa=[0.05], xs=[0.0], e=[0.0],
                                  h=[0.05])
-        new = sv.apply_vaccination_event(state, np.array([0.1]), psi=0.95)
+        new = self.vaccinate(state, np.array([0.1]), psi=0.95)
         assert new.s == pytest.approx([0.9 - 0.095])
+        assert state.s == pytest.approx([0.9])
 
     def test_box_violation_rejected(self):
         state = sv.EpidemicState(s=[0.2], xa=[0.0], xs=[0.0], e=[0.0], h=[0.8])
         with pytest.raises(ValueError):
-            sv.apply_vaccination_event(state, np.array([0.3]), psi=0.9)
+            self.vaccinate(state, np.array([0.3]), psi=0.9)
 
 
 class TestSimulatePolicy:
@@ -459,7 +475,13 @@ class TestSimulatePolicy:
                                   sched, horizon=10)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        rows = ingest.read_trajectory_csv(path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = [{k: (v if k == "cell" else float(v)) for k, v in row.items()}
+                    for row in reader]
+        assert reader.fieldnames == ["t", "cell", "s", "xa", "xs", "e", "h",
+                                     "new_cases", "cum_cases", "cum_deaths",
+                                     "doses"]
         assert len(rows) == 11 * inst.net.n
         assert rows[0]["s"] == pytest.approx(traj.s[0, 0], rel=1e-10)
         assert rows[-1]["cum_cases"] == pytest.approx(traj.cum_cases[-1, -1],
@@ -598,8 +620,59 @@ class TestFusedRhs:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-SEIR_POLICIES = [bubar.policy_spec(name) for name in
-                 ("optimal-stabilizing", *bubar.PRIORITY_PRESETS)]
+SEIR_POLICIES = [sv.PolicySpec(kind) for kind in
+                 ("optimal-stabilizing", *policies.AGE_BANDS)]
+
+
+class TestAgeBands:
+    """Every model resolves the preset age bands against its own groups' age
+    ranges, through the helper emit_doses doses them by; the homogeneous
+    model has none."""
+
+    SCHEDULE = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+    # the nine decades 0-9 ... 80-89
+    SEIR = {"under-20": ((0, 1),), "adults-20-49": ((2, 3, 4),),
+            "adults-20-plus": ((2, 3, 4, 5, 6, 7, 8),),
+            "seniors-60-plus": ((6, 7, 8),), "all-ages": (tuple(range(9)),)}
+    # the NY groups 0-4, 5-19, 20-29, 30-44, 45-64 and 65-89
+    NY = {"under-20": ((0, 1),), "adults-20-49": ((2, 3),),
+          "adults-20-plus": ((2, 3, 4, 5),), "seniors-60-plus": ((5,),),
+          "all-ages": (tuple(range(6)),)}
+
+    @staticmethod
+    def models():
+        params, state0 = bubar.us_like_instance(1.15, seed=0)
+        inst = sv.synthetic_instance(0, n=2, groups=True)
+        return bubar.bubar_model(params, state0), dynamics.covid_model(inst)
+
+    @pytest.mark.parametrize("band", policies.AGE_BANDS)
+    def test_band_groups_on_each_model(self, band):
+        seir, age = self.models()
+        assert policies.priority_tiers(sv.PolicySpec(band), seir) == self.SEIR[band]
+        assert policies.priority_tiers(sv.PolicySpec(band), age) == self.NY[band]
+
+    @pytest.mark.parametrize("band", policies.AGE_BANDS)
+    def test_band_doses_as_its_priority_list(self, band):
+        for model, tiers in zip(self.models(), (self.SEIR, self.NY)):
+            by_band, by_list = dynamics.simulate(model, [
+                sv.PolicySpec(band),
+                sv.PolicySpec("age-priority", priority_groups=tiers[band])],
+                self.SCHEDULE, 20)
+            assert by_band.total_doses() > 0
+            np.testing.assert_array_equal(by_band.doses, by_list.doses)
+
+    @pytest.mark.parametrize("band", policies.AGE_BANDS)
+    def test_band_without_age_ranges_raises(self, band):
+        # the homogeneous model has no groups, and two groups are not the
+        # six NY groups whose ages the package knows
+        net, cs, params, state = TestDemographicRhs().fixture()
+        for inst in (small_instance(), sv.EpidemicInstance(net, params, state,
+                                                           cs)):
+            model = dynamics.covid_model(inst)
+            assert model.age_ranges == ()
+            with pytest.raises(ValueError, match="age band"):
+                dynamics.simulate(model, [sv.PolicySpec(band)],
+                                  self.SCHEDULE, 5)
 
 
 def assert_finals_close(coarse_runs, fine_runs, rel):

@@ -200,3 +200,38 @@ def test_scan_finds_imports_at_any_depth():
               "    return optimize, la\n")
     assert imports_of(source, "scipy") == ["line 4: scipy",
                                            "line 5: scipy.linalg"]
+
+
+def package_imports(source: str) -> list[str]:
+    """Every import of a module of the package in source, at any depth: a
+    relative import, or an absolute one of stabvax."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {name}" for name in names
+                     if name.startswith(".") or name.split(".")[0] == "stabvax")
+    return found
+
+
+def test_policies_import_no_package_module():
+    # the policy vocabulary (PolicySpec, the age bands) is the package's
+    # bottom layer: every model reads it, so it reads no model
+    assert package_imports((ROOT / "src/stabvax/policies.py").read_text()) == []
+
+
+def test_scan_finds_package_imports():
+    source = ("import numpy as np, stabvaxx\n"
+              "from . import bubar\n"
+              "def f():\n"
+              "    from .model import cholesky_factor\n"
+              "    import stabvax.ingest\n"
+              "    from stabvax import cli\n"
+              "    return bubar, cholesky_factor, stabvax, cli, np, stabvaxx\n")
+    assert package_imports(source) == ["line 2: .", "line 4: .model",
+                                       "line 5: stabvax.ingest",
+                                       "line 6: stabvax"]

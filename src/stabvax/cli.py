@@ -66,8 +66,7 @@ CONFIG_KEYS = {
     "policies": {"kind": None, "resolve_mode": None, "priority_groups": None},
 }
 # keys of the covid instance and dose planner, which the SEIR model lacks
-COVID_ONLY = ("synthetic", "instance", "files", "alpha_hat", "resolve_mode",
-              "priority_groups")
+COVID_ONLY = ("synthetic", "instance", "files", "alpha_hat", "resolve_mode")
 # top-level keys an instance source never reads, which exit as input errors
 SOURCE_IGNORES = {"instance": ("psi", "seed", "alpha_hat", "synthetic",
                                "files"), "files": ("seed", "synthetic")}

@@ -7,9 +7,15 @@ W = diag(s) A = diag(s) Abar diag(N) has the eigenvalues of the symmetric
 positive semidefinite D Abar D, D = diag(sqrt(s N)). The infection block M is
 block-similar to one 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] per
 eigenvalue w of W, and the top root of a block rises with w, so Rt,
-lambda_max(M) and the reduced radius all follow from the top w. The
-age-structured model, whose per-group outflows break the 2 x 2 reduction
-and whose Gamma may have no Cholesky factor, takes dense `eigvals`.
+lambda_max(M) and the reduced radius all follow from the top w.
+
+The age-structured model's per-group outflows break the 2 x 2 reduction, but
+when Gamma has a Cholesky factor, F F' = Abar (x) Gamma
+(`coupling_gram_factor`) and its spectra come from the symmetric
+F' diag(N b1(alpha) s) F: its top eigenvalue rho(alpha) is the reduced radius,
+rho(0) is Rt, and lambda_max(M) is -alpha* at the root rho(alpha*) = 1
+(Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+ch. 6). A Gamma with no Cholesky factor takes dense `eigvals`.
 
 Index convention for age-structured quantities: flattened vectors and the
 coupling matrix are ordered location-major, group-minor, i.e. the entry for
@@ -410,6 +416,18 @@ def cell_b1(params: DiseaseParams, n: int, alpha: float) -> np.ndarray:
     return np.tile(np.atleast_1d(compute_b1(params, alpha)), n)
 
 
+def _cell_b1_slope(params: DiseaseParams, n: int, alpha: float) -> np.ndarray:
+    """d b1 / d alpha per cell below `max_certificate_rate`, tiled like
+    `cell_b1`: b1 = beta_s eps / (d1 d2) + beta_a / d1 with d1 = eps + r_a -
+    alpha and d2 = r_s + kappa - alpha."""
+    d1 = params.eps + params.r_a - alpha
+    d2 = np.asarray(params.outflow_symptomatic(), dtype=float) - alpha
+    slope = (np.asarray(params.symptomatic_risk(), dtype=float) * params.eps
+             * (d1 + d2) / (d1 * d2) ** 2
+             + np.asarray(params.asymptomatic_risk(), dtype=float) / d1 ** 2)
+    return np.tile(np.atleast_1d(slope), n)
+
+
 def max_certificate_rate(params: DiseaseParams) -> float:
     """Upper limit of achievable decay rates: min(eps + r_a, min(r_s + kappa))."""
     return float(min(params.eps + params.r_a,
@@ -458,6 +476,82 @@ def _top_block_root(params: DiseaseParams, w: float) -> float:
     return 2.0 * det / (trace - root)
 
 
+# _gram_certificate stops once a Newton step in alpha is at most this fraction
+# of max(max_certificate_rate, |alpha|); the error left is of order its square
+_RATE_STEP_TOL = 1e-9
+
+
+def _age_gram_factor(net: NetworkInstance, params: DiseaseParams,
+                     contacts: Optional[ContactStructure]) -> Optional[np.ndarray]:
+    """F with F F' = Abar (x) Gamma for the age model's symmetric spectra,
+    or None for the homogeneous model, missing contacts, a Gamma with no
+    Cholesky factor, or a group that never leaves infection (rate limit 0,
+    where b1 has no finite value just below the limit)."""
+    if (not params.is_demographic or contacts is None
+            or max_certificate_rate(params) <= 0):
+        return None
+    return coupling_gram_factor(net, contacts)
+
+
+def _top_gram_eig(factor: np.ndarray, u: np.ndarray, vector: bool = False,
+                  ) -> tuple[float, Optional[np.ndarray]]:
+    """lambda_max of the symmetric factor' diag(u) factor and, if vector,
+    factor z for its unit top eigenvector z (else None)."""
+    gram = factor.T @ (u[:, None] * factor)
+    if not vector:
+        return float(np.linalg.eigvalsh(gram)[-1]), None
+    vals, vecs = np.linalg.eigh(gram)
+    return float(vals[-1]), factor @ vecs[:, -1]
+
+
+def _gram_certificate(factor: np.ndarray, weight: np.ndarray,
+                      params: DiseaseParams, n: int, alpha: float,
+                      ) -> tuple[float, float]:
+    """(lambda_max(M), reduced radius at alpha) of the age model from
+    rho(a) = lambda_max(factor' diag(weight b1(a)) factor), weight = N s.
+
+    The radius is rho(alpha), or inf at or above `max_certificate_rate`.
+    lambda_max is -alpha* at the root rho(alpha*) = 1, or -max_rate when rho
+    stays <= 1 up to the limit. rho rises with a, and the search starts at
+    alpha (just below the limit when alpha is not below it), reusing the
+    radius's eigensolve. Each step is Newton's on 1 - 1/rho, exact where rho
+    has a simple pole at the limit, with d rho / d a = sum (F z)_i^2 weight_i
+    b1'_i(a); a step that leaves the bracket [lo, hi] (rho(lo) <= 1 <
+    rho(hi)) bisects it, so every point evaluated shrinks the bracket. The
+    first step past the limit tests rho just below it: at most 1 means no
+    root, as does a zero slope at rho <= 1 (weight b1 vanishes: W = 0, s = 0
+    or no transmission).
+    """
+    max_rate = max_certificate_rate(params)
+    lo, hi = -np.inf, max_rate
+    a = alpha if alpha < max_rate else float(np.nextafter(max_rate, -np.inf))
+    rho, fz = _top_gram_eig(factor, weight * cell_b1(params, n, a), vector=True)
+    radius = max(rho, 0.0) if alpha < max_rate else np.inf
+    while True:
+        slope = float(fz ** 2 @ (weight * _cell_b1_slope(params, n, a)))
+        if rho > 1:
+            hi = a
+        elif slope <= 0:
+            return -max_rate, radius
+        else:
+            lo = a
+        step = rho * (rho - 1.0) / slope
+        nxt = a - step
+        if abs(step) <= _RATE_STEP_TOL * max(max_rate, abs(a)):
+            return -min(nxt, max_rate), radius
+        if not lo < nxt < hi:
+            if hi == max_rate:
+                hi = float(np.nextafter(max_rate, -np.inf))
+                if _top_gram_eig(factor, weight * cell_b1(params, n, hi))[0] <= 1:
+                    return -max_rate, radius
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return -nxt, radius
+        a = nxt
+        rho, fz = _top_gram_eig(factor, weight * cell_b1(params, n, a),
+                                vector=True)
+
+
 def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
@@ -483,13 +577,20 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
 
     With scalar rates (the homogeneous model) that block is
     (beta_a / c1 + beta_s eps / (c1 d2)) W, and Rt is that factor times the
-    top eigenvalue of W from one symmetric eigensolve; the age-structured
-    model takes dense `eigvals` of the block."""
+    top eigenvalue of W from one symmetric eigensolve. In the age-structured
+    model beta_a = alpha_hat beta_s per cell, so the block is
+    diag(b1(0) s) (Abar (x) Gamma) diag(N): when Gamma has a Cholesky factor,
+    Rt is lambda_max(F' diag(N b1(0) s) F) from one symmetric eigensolve, and
+    otherwise the top of dense `eigvals` of the block."""
     if not params.is_demographic:
         c1 = params.eps + params.r_a
         gain = (params.beta_a / c1
                 + params.beta_s * params.eps / (c1 * params.outflow_symptomatic()))
         return max(float(gain) * _top_weighted_flow_eig(state.s, net), 0.0)
+    factor = _age_gram_factor(net, params, contacts)
+    if factor is not None:
+        weight = net.cell_populations() * state.s * cell_b1(params, net.n, 0.0)
+        return max(_top_gram_eig(factor, weight)[0], 0.0)
     flow = flow_for_model(net, params, contacts)
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
     c1 = params.eps + params.r_a
@@ -544,26 +645,35 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
     For the homogeneous model both come from the top eigenvalue w of
     W = diag(s_post) A (one symmetric eigensolve): lambda_max is the top
     root of the 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] and the
-    radius is b1(alpha) w. The age-structured model takes dense `eigvals`
-    of M and of the reduced matrix.
+    radius is b1(alpha) w. For the age-structured model with a Cholesky
+    factor of Gamma, the radius is rho(alpha) = lambda_max(F' diag(N b1(alpha)
+    s_post) F), and lambda_max is -alpha* at rho(alpha*) = 1, found by a
+    bracketed Newton search started at alpha (`_gram_certificate`), usually
+    one or two symmetric eigensolves. Otherwise it takes dense `eigvals` of
+    M and of the reduced matrix.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > state.s + 1e-9):
         raise ValueError("allocation must satisfy 0 <= v_i <= s_i")
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
-    if params.is_demographic:
+    factor = _age_gram_factor(net, params, contacts)
+    if factor is not None:
+        lam, radius = _gram_certificate(factor, net.cell_populations() * s_post,
+                                        params, net.n, alpha)
+    elif params.is_demographic:
         lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
+        try:
+            radius = spectral_radius(
+                discrete_stability_matrix(s_post, net, params, contacts, alpha))
+        except InfeasibleRateError:
+            radius = np.inf
     else:
         w = _top_weighted_flow_eig(s_post, net)
         lam = _top_block_root(params, w)
-    try:
-        if params.is_demographic:
-            radius = spectral_radius(
-                discrete_stability_matrix(s_post, net, params, contacts, alpha))
-        else:
+        try:
             radius = compute_b1(params, alpha) * w
-    except InfeasibleRateError:
-        radius = np.inf
+        except InfeasibleRateError:
+            radius = np.inf
     return StabilityCertificate(
         alpha=alpha, lambda_max=lam, spectral_radius=radius,
         satisfied=bool(lam <= -alpha + CERTIFICATE_TOL))

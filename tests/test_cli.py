@@ -260,6 +260,41 @@ class TestAgeBands:
                      if float(row["doses"]) > 0}
             assert dosed == groups, name
 
+    @staticmethod
+    def seir_compare(tmp_path, monkeypatch, priority_groups):
+        """Exit code of a bubar compare of one explicit age-priority list,
+        and the trajectories the run simulated."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "bubar", "policies": [
+            {"kind": "age-priority", "priority_groups": priority_groups}]}))
+        trajs = []
+        real = cli._simulate
+
+        def spy(config):
+            names, runs = real(config)
+            trajs.extend(runs)
+            return names, runs
+
+        monkeypatch.setattr(cli, "_simulate", spy)
+        code = cli.main(["--config", str(config), "--out", str(tmp_path / "out"),
+                         "--seed", "0", "--horizon", "10", "compare"])
+        return code, trajs
+
+    def test_seir_explicit_age_priority(self, tmp_path, monkeypatch):
+        code, (traj,) = self.seir_compare(tmp_path, monkeypatch, [6, 7, 8])
+        assert code == cli.EXIT_OK
+        assert [row[0] for row in read_rows(tmp_path / "out" / "summary.csv")] \
+            == ["age-priority"]
+        # the SEIR cells are the nine decades, and tiers fill in order: ten
+        # days at 0.33% a day all go to 60-69, which holds more than that
+        assert np.flatnonzero(traj.doses[-1]).tolist() == [6]
+        assert traj.total_doses() == pytest.approx(0.033 * 1e6, rel=1e-12)
+
+    def test_seir_priority_group_outside_the_decades_exits_input_error(
+            self, tmp_path, monkeypatch):
+        code, trajs = self.seir_compare(tmp_path, monkeypatch, [9])
+        assert code == cli.EXIT_INPUT and not trajs
+
 
 class TestStep:
     def test_bubar_honours_step(self, tmp_path):

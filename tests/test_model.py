@@ -1,3 +1,7 @@
+import importlib
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -263,14 +267,8 @@ class TestReproductionNumber:
 
     def test_matches_full_formula_with_group_outflows(self):
         # r_s + kappa differs by group by O(1); contacts are not reciprocal
-        eps, r_a, _, _ = ingest.derive_disease_params(5.0, 6.0, 0.01)
-        params = sv.DiseaseParams(eps=eps, r_a=r_a, r_s=np.array([0.1, 0.9]),
-                                  kappa=np.array([0.05, 0.6]), beta=0.004,
-                                  beta0=np.array([0.7, 1.3]), alpha_hat=0.4)
-        s = np.array([0.95, 0.6, 0.8, 0.7])
-        state = sv.EpidemicState(s=s, xa=np.zeros(4), xs=np.zeros(4),
-                                 e=np.zeros(4), h=1 - s)
-        net, cs = two_group_network(), toy_contacts([[20.0, 6.0], [2.0, 4.0]])
+        state, net, params, _ = group_outflow_case()
+        cs = toy_contacts([[20.0, 6.0], [2.0, 4.0]])
         assert sv.effective_reproduction_number(state, net, params, cs) == (
             pytest.approx(self.full_next_generation_rt(state, net, params, cs),
                           rel=1e-12))
@@ -311,7 +309,6 @@ class TestCalibration:
 
 class TestDecayCertificate:
     def test_full_immunization_spectrum(self):
-        from dataclasses import replace
         inst = ingest.two_node_case(1)
         p = replace(inst.params, psi=1.0)
         cert = sv.check_decay_certificate(inst.state0, inst.net, p, None,
@@ -397,13 +394,14 @@ class TestSpectralEquivalences:
             assert continuous == discrete == lmi
 
 
-def dense_certificate(state, net, params, v, alpha):
+def dense_certificate(state, net, params, v, alpha, contacts=None):
     """(lambda_max, radius) from dense eigvals of M and of the reduced matrix."""
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
-    lam = np.max(np.linalg.eigvals(model.infection_submatrix(s_post, net, params)).real)
+    lam = np.max(np.linalg.eigvals(
+        model.infection_submatrix(s_post, net, params, contacts)).real)
     try:
         radius = np.max(np.abs(np.linalg.eigvals(
-            model.discrete_stability_matrix(s_post, net, params, None, alpha))))
+            model.discrete_stability_matrix(s_post, net, params, contacts, alpha))))
     except sv.InfeasibleRateError:
         radius = np.inf
     return lam, radius
@@ -417,9 +415,9 @@ def dense_rt(state, net, params):
     return max(np.max(np.linalg.eigvals(gen).real), 0.0)
 
 
-def assert_matches_dense(state, net, params, v, alpha):
-    cert = sv.check_decay_certificate(state, net, params, None, v, alpha)
-    lam, radius = dense_certificate(state, net, params, v, alpha)
+def assert_matches_dense(state, net, params, v, alpha, contacts=None):
+    cert = sv.check_decay_certificate(state, net, params, contacts, v, alpha)
+    lam, radius = dense_certificate(state, net, params, v, alpha, contacts)
     assert abs(cert.lambda_max - lam) <= 1e-12
     if np.isinf(radius):
         assert cert.spectral_radius == np.inf
@@ -435,7 +433,6 @@ class TestSymmetricSpectra:
     @pytest.mark.parametrize("n", [1, 3, 8, 30])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_eigvals(self, seed, n):
-        from dataclasses import replace
         rng = np.random.default_rng(seed)
         inst = ingest.synthetic_instance(seed, n=n)
         state, net, params = inst.state0, inst.net, inst.params
@@ -451,7 +448,6 @@ class TestSymmetricSpectra:
         assert rt == pytest.approx(dense_rt(state, net, params), rel=1e-12)
 
     def test_all_cells_immunized(self):
-        from dataclasses import replace
         inst = ingest.synthetic_instance(2, n=6)
         params = replace(inst.params, psi=1.0)
         cert = assert_matches_dense(inst.state0, inst.net, params,
@@ -488,8 +484,138 @@ class TestSymmetricSpectra:
         sv.effective_reproduction_number(inst.state0, inst.net, inst.params)
         sv.calibrate_transmission(inst.net, inst.params, inst.state0, 1.1)
 
-    def test_demographic_model_takes_dense_path(self, monkeypatch):
-        inst = ingest.synthetic_instance(0, n=3, groups=True)
+
+def group_outflow_case():
+    """Two locations of two groups whose r_s + kappa differ by O(1), with a
+    symmetric Gamma: the rate limit is group 0's outflow 0.15."""
+    eps, r_a, _, _ = ingest.derive_disease_params(5.0, 6.0, 0.01)
+    params = sv.DiseaseParams(eps=eps, r_a=r_a, r_s=np.array([0.1, 0.9]),
+                              kappa=np.array([0.05, 0.6]), beta=0.004,
+                              beta0=np.array([0.7, 1.3]), alpha_hat=0.4)
+    s = np.array([0.95, 0.6, 0.8, 0.7])
+    state = sv.EpidemicState(s=s, xa=np.zeros(4), xs=np.zeros(4),
+                             e=np.zeros(4), h=1 - s)
+    return state, two_group_network(), params, toy_contacts([[20.0, 6.0],
+                                                             [6.0, 4.0]])
+
+
+def count_symmetric_eigensolves(monkeypatch):
+    """A list that grows by one per eigh or eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda mat, real=real: calls.append(1) or real(mat))
+    return calls
+
+
+class TestAgeSpectra:
+    """The age model's Rt, lambda_max and reduced radius from the Gram kernel
+    F' diag(N b1 s) F, against dense eigvals of M and of the reduced matrix
+    and against the next-generation matrix with its inverse formed."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_eigvals(self, seed, n):
+        rng = np.random.default_rng(seed)
+        inst = ingest.synthetic_instance(seed, n=n, groups=True)
+        state, net, params, cs = inst.state0, inst.net, inst.params, inst.contacts
+        assert model.coupling_gram_factor(net, cs) is not None
+        s = state.s
+        some = rng.uniform(size=s.size) < 0.5
+        perfect = replace(params, psi=1.0)
+        for alpha in (-0.05, 0.0, 0.02):
+            for v in (np.zeros(s.size), rng.uniform(0, 1, s.size) * s, s):
+                assert_matches_dense(state, net, params, v, alpha, cs)
+            # cells with s_post = 0
+            assert_matches_dense(state, net, perfect, np.where(some, s, 0.0),
+                                 alpha, cs)
+        rt = sv.effective_reproduction_number(state, net, params, cs)
+        assert rt == pytest.approx(TestReproductionNumber.full_next_generation_rt(
+            state, net, params, cs), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_group_outflows_and_a_bounded_radius(self, scale):
+        # with every group-0 cell immunized, rho stays finite up to the rate
+        # limit: about 0.026 there at scale 1 (lambda_max = -limit) and 2.6
+        # at scale 100
+        state, net, params, cs = group_outflow_case()
+        params = params.with_transmission_scale(scale)
+        perfect = replace(params, psi=1.0)
+        limit = model.max_certificate_rate(params)
+        for alpha in (-0.05, 0.0, 0.1, 0.99 * limit):
+            for v in (np.zeros(4), 0.5 * state.s):
+                assert_matches_dense(state, net, params, v, alpha, cs)
+            assert_matches_dense(state, net, perfect,
+                                 state.s * np.array([1.0, 0.0, 1.0, 0.0]), alpha, cs)
+        rt = sv.effective_reproduction_number(state, net, params, cs)
+        assert rt == pytest.approx(TestReproductionNumber.full_next_generation_rt(
+            state, net, params, cs), rel=1e-12)
+
+    def test_bounded_radius_ends_at_the_limit_test(self, monkeypatch):
+        # rho stays below 1 up to the rate limit: one solve for the radius,
+        # one Newton step past the limit, one test just below it
+        state, net, params, cs = group_outflow_case()
+        perfect = replace(params, psi=1.0)
+        calls = count_symmetric_eigensolves(monkeypatch)
+        cert = sv.check_decay_certificate(state, net, perfect, cs, state.s
+                                          * np.array([1.0, 0.0, 1.0, 0.0]), 0.0)
+        assert cert.lambda_max == -model.max_certificate_rate(params)
+        assert len(calls) <= 3
+
+    def test_all_cells_immunized(self):
+        inst = ingest.synthetic_instance(2, n=6, groups=True)
+        params = replace(inst.params, psi=1.0)
+        cert = assert_matches_dense(inst.state0, inst.net, params,
+                                    inst.state0.s, 0.01, inst.contacts)
+        assert cert.lambda_max == -model.max_certificate_rate(params)
+        assert cert.spectral_radius == 0.0
+
+    def test_zero_transmission(self):
+        inst = ingest.synthetic_instance(4, n=5, groups=True)
+        params = inst.params.with_transmission_scale(0.0)
+        assert sv.effective_reproduction_number(inst.state0, inst.net, params,
+                                                inst.contacts) == 0.0
+        cert = assert_matches_dense(inst.state0, inst.net, params,
+                                    np.zeros(inst.state0.s.size), 0.0,
+                                    inst.contacts)
+        assert cert.lambda_max == -model.max_certificate_rate(params)
+
+    def test_rate_at_or_above_limit_has_infinite_radius(self):
+        inst = ingest.synthetic_instance(1, n=4, groups=True)
+        limit = model.max_certificate_rate(inst.params)
+        for alpha in (limit, limit + 0.1):
+            cert = assert_matches_dense(inst.state0, inst.net, inst.params,
+                                        0.5 * inst.state0.s, alpha,
+                                        inst.contacts)
+            assert cert.spectral_radius == np.inf and not cert.satisfied
+
+    def test_group_that_never_recovers_takes_dense_path(self):
+        state, net, params, cs = group_outflow_case()
+        params = replace(params, r_s=np.array([0.0, 0.9]),
+                         kappa=np.array([0.0, 0.6]))
+        assert model.max_certificate_rate(params) == 0.0
+        cert = assert_matches_dense(state, net, params, np.zeros(4), 0.0, cs)
+        assert cert.spectral_radius == np.inf and not cert.satisfied
+
+    def test_cholesky_gamma_calls_no_dense_eigvals(self, monkeypatch):
+        inst = ingest.synthetic_instance(0, n=8, groups=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigvals on a Cholesky Gamma")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        sv.check_decay_certificate(inst.state0, inst.net, inst.params,
+                                   inst.contacts, 0.3 * inst.state0.s, 0.01)
+        sv.effective_reproduction_number(inst.state0, inst.net, inst.params,
+                                         inst.contacts)
+        sv.calibrate_transmission(inst.net, inst.params, inst.state0, 1.1,
+                                  inst.contacts)
+
+    def test_non_cholesky_gamma_takes_dense_path(self, monkeypatch):
+        state, net, params, _ = group_outflow_case()
+        cs = toy_contacts([[20.0, 6.0], [2.0, 4.0]])  # not reciprocal
+        assert model.coupling_gram_factor(net, cs) is None
         sizes = []
         real = np.linalg.eigvals
 
@@ -498,10 +624,33 @@ class TestSymmetricSpectra:
             return real(mat)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        m = inst.state0.s.shape[0]
-        sv.check_decay_certificate(inst.state0, inst.net, inst.params,
-                                   inst.contacts, 0.3 * inst.state0.s, 0.01)
+        m = state.s.shape[0]
+        sv.check_decay_certificate(state, net, params, cs, 0.3 * state.s, 0.01)
         assert sizes == [2 * m, m]
-        sv.effective_reproduction_number(inst.state0, inst.net, inst.params,
-                                         inst.contacts)
+        sv.effective_reproduction_number(state, net, params, cs)
         assert sizes == [2 * m, m, m]
+
+    # the anchor instances of the benchmark's alloc-mix workload
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_allocations_certify_densely(self, seed, n, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                        / "bench"))
+        checks = importlib.import_module("checks")
+        budget = importlib.import_module("workloads").BUDGET
+        inst = checks.build_instance("covid-demographic", n, seed)
+        alpha, result = sv.max_decay_binary_search(
+            inst.state0, inst.net, inst.params, inst.contacts,
+            budget * inst.net.total_population)
+        lam, radius = dense_certificate(inst.state0, inst.net, inst.params,
+                                        result.v, alpha, inst.contacts)
+        assert lam <= -alpha + model.CERTIFICATE_TOL
+        # the search for lambda_max starts at the certified rate, next to
+        # its root: at most one Newton step past the radius's eigensolve
+        calls = count_symmetric_eigensolves(monkeypatch)
+        sv.check_decay_certificate(inst.state0, inst.net, inst.params,
+                                   inst.contacts, result.v, alpha)
+        assert len(calls) <= 2
+        assert abs(result.certificate.lambda_max - lam) <= 1e-12
+        assert result.certificate.spectral_radius == pytest.approx(radius,
+                                                                   rel=1e-12)

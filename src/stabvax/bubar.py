@@ -122,8 +122,8 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
     rows of all 13 compartments; the infections lambda S and lambda Sx then
     move from S and Sx into E and Ex. As in `dynamics.covid_rhs_factory`,
-    rhs.bind serves the RK4 stepper: a stage writes I + Ix + Iv above its
-    derivative, in eight numpy calls."""
+    rhs.bind(ys, weights) serves the RK4 stepper: a stage writes I + Ix + Iv
+    above its weight times its derivative, in seven numpy calls."""
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
     pops, u = params.populations[:, None], params.susceptibility[:, None]
@@ -134,34 +134,34 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
         np.kron(np.block([[-a * eye3, zero3], [a * eye3, -b * eye3]]), np.eye(g)),
         np.kron(np.hstack([zero3, eye3]), np.diag(b * (1 - params.ifr))),
         np.kron(infectious, np.diag(b * params.ifr))])
+    minus_contacts = -params.contacts
 
-    def bind(ys):
+    def bind(ys, weights):
         zs = np.empty((len(ys), 14 * g, ys.shape[2]))
-        return zs[:, g:], [stage(y, z) for y, z in zip(ys, zs)]
+        return zs[:, g:], [stage(y, z, w * mix)
+                           for y, z, w in zip(ys, zs, weights)]
 
-    def stage(y, z):
+    def stage(y, z, scaled_mix):
         cols = y.shape[1]
         alive, ratio, lam = np.empty((3, g, cols))
-        inf = np.empty((2, g, cols))
         dead, latent_infectious = y[12 * g:], y[3 * g:9 * g]
         susceptible = y[:2 * g].reshape(2, g, cols)
-        infectious, ds, de = z[:g], z[g:3 * g], z[4 * g:6 * g]
-        inf_rows = inf.reshape(2 * g, cols)
+        infectious, pairs = z[:g], z[g:6 * g].reshape(5, g, cols)
+        ds, de = pairs[:2], pairs[3:]  # (S, Sx) and (E, Ex) rows
 
         def evaluate():
             np.subtract(pops, dead, out=alive)
-            np.matmul(mix, latent_infectious, out=z)
+            np.matmul(scaled_mix, latent_infectious, out=z)
             np.divide(infectious, alive, out=ratio)
-            np.matmul(params.contacts, ratio, out=lam)
+            np.matmul(minus_contacts, ratio, out=lam)
             np.multiply(u, lam, out=lam)
-            np.multiply(lam, susceptible, out=inf)
-            np.subtract(ds, inf_rows, out=ds)
-            np.add(de, inf_rows, out=de)
+            np.multiply(lam, susceptible, out=ds)
+            np.subtract(de, ds, out=de)
 
         return evaluate
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ks, (evaluate,) = bind(y.reshape(1, 13 * g, -1))
+        ks, (evaluate,) = bind(y.reshape(1, 13 * g, -1), (1.0,))
         evaluate()
         return ks[0].reshape(y.shape)
 

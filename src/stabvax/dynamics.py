@@ -4,8 +4,8 @@ events and full case accounting.
 One driver, `simulate`, runs the K policies of one comparison side by side
 on any model: they share one state array of shape (state size, K) and one
 day loop (`run_days`), advanced in place by one RK4 stepper (`_RK4`, which
-`integrate` drives too) that the model's right-hand side evaluates its stages
-into. A model plugs in as a `SimulationModel`, a small adapter:
+`integrate` drives too) that the model's right-hand side evaluates its weighted
+stages into. A model plugs in as a `SimulationModel`, a small adapter:
 `covid_model` for the homogeneous and age-structured models and
 `bubar.bubar_model` for the SEIR comparison model.
 
@@ -125,42 +125,39 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
     """Right-hand side over y = [s | xa | xs | e | h], of shape (5m,) or,
     for K scenarios side by side, (5m, K).
 
-    One stacked matrix over (xa, xs) gives the force of infection and the
-    linear rows of all five blocks; the infection s * force then moves from
-    the s rows into the xa rows. The returned rhs carries `bind`, which the
-    RK4 stepper uses to evaluate each stage into its own buffer: one matmul
-    writes the force above the stage's derivative, and three ufuncs move the
-    infection."""
+    One stacked matrix over (xa, xs) gives the linear rows of all five
+    blocks and, in the s rows, minus the force of infection; times s that is
+    the infection, which then moves into the xa rows. The returned rhs
+    carries `bind`: bind(ys, weights) evaluates RK4 stage i into its own
+    buffer as weights[i] times the derivative at ys[i], through the matrix
+    times the weight, in one matmul and two in-place ufuncs."""
     flow = flow_for_model(net, params, contacts)
     m = flow.shape[0]
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
     eps, r_a = params.eps, params.r_a
     eye, zero = np.eye(m), np.zeros((m, m))
-    mix = np.block([[beta_a[:, None] * flow, beta_s[:, None] * flow],
-                    [zero, zero],
+    mix = np.block([[-beta_a[:, None] * flow, -beta_s[:, None] * flow],
                     [-(eps + r_a) * eye, zero],
                     [eps * eye, -np.diag(r_s + kappa)],
                     [zero, np.diag(kappa)],
                     [r_a * eye, np.diag(r_s)]])
 
-    def bind(ys):
-        zs = np.empty((len(ys), 6 * m, ys.shape[2]))
-        return zs[:, m:], [stage(y, z) for y, z in zip(ys, zs)]
+    def bind(ys, weights):
+        ks = np.empty(ys.shape)
+        return ks, [stage(y, k, w * mix) for y, k, w in zip(ys, ks, weights)]
 
-    def stage(y, z):
-        s, xa_xs, inf = y[:m], y[m:3 * m], np.empty_like(y[:m])
-        force, ds, dxa = z[:m], z[m:2 * m], z[2 * m:3 * m]
+    def stage(y, k, scaled_mix):
+        s, xa_xs, ds, dxa = y[:m], y[m:3 * m], k[:m], k[m:2 * m]
 
         def evaluate():
-            np.matmul(mix, xa_xs, out=z)
-            np.multiply(s, force, out=inf)
-            np.subtract(ds, inf, out=ds)
-            np.add(dxa, inf, out=dxa)
+            np.matmul(scaled_mix, xa_xs, out=k)
+            np.multiply(ds, s, out=ds)
+            np.subtract(dxa, ds, out=dxa)
 
         return evaluate
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ks, (evaluate,) = bind(y.reshape(1, 5 * m, -1))
+        ks, (evaluate,) = bind(y.reshape(1, 5 * m, -1), (1.0,))
         evaluate()
         return ks[0].reshape(y.shape)
 
@@ -188,15 +185,15 @@ class _RK4:
     (d, K), advanced in place; built once per simulation.
 
     It owns the stage inputs `ys` (ys[0] is the state) and the stage
-    derivatives `ks`, both of shape (4,) + state shape. A rhs that carries
-    `bind` (the model factories' do) evaluates stage i straight into ks[i]:
-    bind(ys) takes the (4, d, K) stage inputs and returns ks and one
-    evaluator per stage, its views bound once. Any other rhs(t, y) is called
-    and its result copied into ks[i]. The step is y + h/6 (k1 + 2 k2 + 2 k3
-    + k4) in that order, the sum one add.reduce over ks after k2 and k3 are
-    doubled. One min and one max show whether the new state is finite and
-    inside the bounds; only a step where it is not checks k4 for non-finite
-    values and clips.
+    derivatives `ks` times their weights 1, 2, 2, 1 (exact: powers of two),
+    both of shape (4,) + state shape. A rhs that carries `bind` (the model
+    factories' do) evaluates stage i straight into ks[i]: bind(ys, weights)
+    takes the (4, d, K) stage inputs and returns ks and one evaluator per
+    stage, its views bound once. Any other rhs(t, y) is called and its result
+    times the weight written into ks[i]. With k2 and k3 doubled, the step is
+    y + h/6 (k1 + k2 + k3 + k4) in that order, one add.reduce over ks. One
+    minimum.reduce and one maximum.reduce show whether the new state is finite
+    and inside the bounds; only a step where it is not checks k4 and clips.
     """
 
     def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -206,13 +203,13 @@ class _RK4:
         self.ys = np.empty((4,) + y0.shape)
         self.ys[0] = y0
         self.y, self.step, self.clamp, self.t = self.ys[0], step, clamp, 0.0
-        bind = getattr(rhs, "bind", None)
+        bind, weights = getattr(rhs, "bind", None), (1.0, 2.0, 2.0, 1.0)
         if bind is None:
             self.ks = np.empty_like(self.ys)
-            self.stages = [self._calling(rhs, y, k, dt) for y, k, dt in zip(
-                self.ys, self.ks, (0.0, 0.5 * step, 0.5 * step, step))]
+            self.stages = [self._calling(rhs, *args) for args in zip(
+                self.ys, self.ks, (0.0, 0.5 * step, 0.5 * step, step), weights)]
         else:
-            ks, self.stages = bind(self.ys.reshape(4, len(y0), -1))
+            ks, self.stages = bind(self.ys.reshape(4, len(y0), -1), weights)
             self.ks = ks.reshape(self.ys.shape)  # a view: drops a unit axis
         self.acc = np.empty(y0.shape)
         # bounds a state must meet to skip the clamp; +-inf and nan never do
@@ -220,35 +217,34 @@ class _RK4:
         self.lower = -big if clamp is None else clamp[0]
         self.upper = big if clamp is None or clamp[1] is None else clamp[1]
 
-    def _calling(self, rhs, y, k, dt):
+    def _calling(self, rhs, y, k, dt, weight):
         """The stage of a plain rhs(t, y) that starts dt into the step."""
-        return lambda: np.copyto(k, rhs(self.t + dt, y))
+        return lambda: np.multiply(rhs(self.t + dt, y), weight, out=k)
 
     def advance(self, t0: float, n_steps: int) -> np.ndarray:
         """Take n_steps steps from time t0. Returns the clamp events per
         column: a step whose clamp moves an entry of a column by more than
         1e-12 is one event of that column."""
         y, y2, y3, y4 = self.ys
-        ks = self.ks
-        k1, k2, k3, k23 = ks[0], ks[1], ks[2], ks[1:3]
+        k1, k2, k3, _ = ks = self.ks
         e1, e2, e3, e4 = self.stages
-        step, half, acc = self.step, 0.5 * self.step, self.acc
-        lower, upper, sixth = self.lower, self.upper, self.step / 6.0
+        step, half, quarter = self.step, 0.5 * self.step, 0.25 * self.step
+        lower, upper, sixth, acc = self.lower, self.upper, step / 6.0, self.acc
+        least, most = np.minimum.reduce, np.maximum.reduce
         events = np.zeros(y.shape[1:], dtype=int)
         for k in range(n_steps):
             self.t = t = t0 + k * step
             e1()
             np.add(y, np.multiply(half, k1, out=y2), out=y2)
             e2()
-            np.add(y, np.multiply(half, k2, out=y3), out=y3)
+            np.add(y, np.multiply(quarter, k2, out=y3), out=y3)
             e3()
-            np.add(y, np.multiply(step, k3, out=y4), out=y4)
+            np.add(y, np.multiply(half, k3, out=y4), out=y4)
             e4()
-            k23 *= 2.0
             np.add.reduce(ks, axis=0, out=acc)
             acc *= sixth
             y += acc
-            if not lower <= y.min() <= y.max() <= upper:
+            if not lower <= least(y, None) <= most(y, None) <= upper:
                 if not np.all(np.isfinite(ks[3])):
                     raise FloatingPointError(
                         f"non-finite derivative at t={t + step}")
@@ -376,7 +372,8 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     the column's active infected persons drop below `EXTINCTION_THRESHOLD`,
     the schedule's leftover rule doses it instead (an even split capped by
     headroom, or nothing). model.columns gets the day states, of shape
-    (days, state size, K), and the fields with a leading policy axis."""
+    (days, state size, K), and the fields with a leading policy axis. A
+    static optimal plan can leave doses unspent for long (see `DosePlanner`)."""
     planners = [DosePlanner(policy, model, schedule) for policy in policies]
     cells, n_cols = len(model.populations), len(planners)
     administered = np.zeros((cells, n_cols))
@@ -393,12 +390,13 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
         else:
             doses = proportional_fill(np.ones_like(headroom), headroom, supply)
         doses = np.minimum(doses, headroom)
-        if doses.sum() > supply * (1 + 1e-9):
+        total = float(doses.sum())
+        if total > supply * (1 + 1e-9):
             raise RuntimeError("policy emitted more doses than supplied")
-        if doses.sum() > 0:
+        if total > 0:
             model.vaccinate(state, doses)
             administered[:, k] += doses
-        return float(doses.sum())
+        return total
 
     def record(day, y):
         if model.check is not None:

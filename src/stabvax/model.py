@@ -581,7 +581,12 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     model beta_a = alpha_hat beta_s per cell, so the block is
     diag(b1(0) s) (Abar (x) Gamma) diag(N): when Gamma has a Cholesky factor,
     Rt is lambda_max(F' diag(N b1(0) s) F) from one symmetric eigensolve, and
-    otherwise the top of dense `eigvals` of the block."""
+    otherwise the top of dense `eigvals` of the block. Raises ValueError if
+    r_s + kappa is 0 in some group."""
+    stuck = np.flatnonzero(np.atleast_1d(params.outflow_symptomatic()) <= 0)
+    if stuck.size:
+        where = f" in age groups {stuck.tolist()}" if params.is_demographic else ""
+        raise ValueError(f"Rt is undefined: r_s + kappa is 0{where}")
     if not params.is_demographic:
         c1 = params.eps + params.r_a
         gain = (params.beta_a / c1

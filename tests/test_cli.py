@@ -532,6 +532,21 @@ def sources(tmp_path):
             "files": {"files": files}}
 
 
+def test_calibrate_zero_symptomatic_outflow_exits_input_error(
+        tmp_path, sources, capsys):
+    path = sources["instance"]["instance"]
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["params"].update(r_s=0.0, kappa=0.0)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": path, "target_rt": 1.2}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"),
+                     "calibrate"]) == cli.EXIT_INPUT
+    assert "r_s + kappa is 0" in capsys.readouterr().err
+
+
 class TestSourceKeys:
     """A config key that its instance source never reads exits 3."""
 

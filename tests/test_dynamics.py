@@ -317,6 +317,37 @@ class TestDayStepper:
         assert all(traj.total_doses() > 0 for traj in trajs)
 
 
+class TestWeightedStages:
+    """bind(ys, weights) evaluates each stage times its RK4 weight; the
+    stepper relies on a weight of 2 being exact."""
+
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("name", ["covid", "age-structured", "seir"])
+    def test_weight_two_doubles_weight_one(self, name, columns):
+        rhs, _, y = crossing_system(name)
+        y = y[:, None] * (1.0 - 0.1 * np.arange(columns))
+        ks, stages = rhs.bind(np.stack([y, y]), (1.0, 2.0))
+        for evaluate in stages:
+            evaluate()
+        assert np.array_equal(ks[0], rhs(0.0, y))
+        assert np.array_equal(ks[1], 2.0 * ks[0])
+
+    @pytest.mark.parametrize("name", ["covid", "age-structured", "seir"])
+    def test_plain_rhs_matches_plain_loop(self, name):
+        # a rhs without bind takes the stepper's calling stages
+        rhs, clamp, crossing = crossing_system(name)
+        y0 = np.clip(crossing, *clamp)[:, None] * np.array([1.0, 0.9, 1.0])
+        y0[:, -1] = crossing
+        _, states, events = sv.integrate(lambda t, y: rhs(t, y), y0,
+                                         (0.0, 5.0), dynamics.DEFAULT_STEP,
+                                         clamp)
+        ref_states, ref_events = reference_integrate(
+            rhs, y0, (0.0, 5.0), dynamics.DEFAULT_STEP, clamp)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(events, ref_events)
+        assert events[-1] > 0
+
+
 class TestVaccinationEvent:
     @staticmethod
     def vaccinate(state, v, psi):
@@ -493,6 +524,53 @@ TRAJECTORY_FIELDS = ("s", "xa", "xs", "e", "h", "vax", "new_cases",
 DEFAULT_SPECS = [sv.PolicySpec(kind=kind) for kind in
                  ("optimal-stabilizing", "population-weighted",
                   "infection-weighted", "no-vaccine")]
+
+
+class TestSpentStaticPlan:
+    """The static optimal plan keeps doses for cells whose susceptibles are
+    gone; once the plan capped by headroom holds at most 1e-12 doses,
+    emit_doses returns zeros without calling proportional_fill, which would
+    return the same zeros."""
+
+    def test_spent_plan_skips_fill_and_changes_nothing(self, monkeypatch):
+        inst = sv.synthetic_instance(0, n=5)
+        covid = dynamics.covid_model(inst)
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        specs = [sv.PolicySpec(kind="optimal-stabilizing")]
+        fill = policies.proportional_fill
+        epoch_doses = policies.DosePlanner.epoch_doses
+        fills, epochs = [], []  # epochs: (spendable plan, reached the fill)
+
+        def counted_fill(*args):
+            fills.append(args)
+            return fill(*args)
+
+        def recorded_epoch(planner, state, supply, budget_left):
+            plan = np.maximum(planner.plan_remaining, 0.0)
+            before = len(fills)
+            doses = epoch_doses(planner, state, supply, budget_left)
+            epochs.append((np.minimum(covid.headroom(state), plan).sum(),
+                           len(fills) > before))
+            return doses
+
+        monkeypatch.setattr(policies, "proportional_fill", counted_fill)
+        monkeypatch.setattr(policies.DosePlanner, "epoch_doses", recorded_epoch)
+        fast = dynamics.simulate(covid, specs, sched, 300)[0]
+        spendable, filled = np.array(epochs).T
+        assert np.array_equal(filled.astype(bool), spendable > 1e-12)
+        assert (spendable <= 1e-12).sum() > 100 and filled.sum() > 10
+
+        def unshortened(policy, state, model, supply, budget_left,
+                        plan_remaining=None):
+            plan = np.maximum(plan_remaining, 0.0)
+            return fill(plan, np.minimum(model.headroom(state), plan),
+                        min(supply, budget_left))
+
+        monkeypatch.setattr(policies, "emit_doses", unshortened)
+        slow = dynamics.simulate(covid, specs, sched, 300)[0]
+        for name in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        assert fast.clamp_events == slow.clamp_events
 
 
 def assert_same_column(batched, single, fields):

@@ -250,6 +250,23 @@ class TestReproductionNumber:
                                               inst.params, inst.contacts)
         assert rt == pytest.approx(radius, rel=1e-9)
 
+    def test_zero_symptomatic_outflow_is_an_input_error(self):
+        # symptomatic infections that never end: the homogeneous closed form
+        # would divide by zero and the age model's dense eigvals meet infs
+        inst = ingest.synthetic_instance(0, n=3)
+        params = replace(inst.params, r_s=0.0, kappa=0.0)
+        with pytest.raises(ValueError, match=r"r_s \+ kappa is 0$"):
+            sv.effective_reproduction_number(inst.state0, inst.net, params)
+        state, net, params, contacts = group_outflow_case()
+        params = replace(params, r_s=np.array([0.0, 0.9]),
+                         kappa=np.array([0.0, 0.6]))
+        with pytest.raises(ValueError, match=r"in age groups \[0\]"):
+            sv.effective_reproduction_number(state, net, params, contacts)
+        # the certificate still takes that group's rate limit of 0
+        cert = sv.check_decay_certificate(state, net, params, contacts,
+                                          np.zeros(4), -0.1)
+        assert cert.satisfied and np.isfinite(cert.spectral_radius)
+
 
     @staticmethod
     def full_next_generation_rt(state, net, params, contacts):

@@ -50,16 +50,17 @@ def solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, lower: np.ndarray,
     SolverError if the LP is infeasible or takes more than MAX_PIVOTS."""
     m, n = A.shape
     full = np.hstack([A, np.eye(m)])
-    cost = np.r_[c, np.zeros(m)]
-    lo = np.r_[lower, np.zeros(m)]
-    hi = np.r_[upper, np.full(m, np.inf)]
+    cost = np.concatenate([c, np.zeros(m)])
+    lo = np.concatenate([lower, np.zeros(m)])
+    hi = np.concatenate([upper, np.full(m, np.inf)])
     boxed = np.isfinite(hi)
     starts = [(np.arange(n, n + m), boxed)]
     if (basis is not None and basis.head.size <= m
             and basis.at_upper.size - basis.head.size == n):
         k = basis.head.size
-        starts.insert(0, (np.r_[basis.head, np.arange(n + k, n + m)],
-                          np.r_[basis.at_upper, np.zeros(m - k, bool)]))
+        starts.insert(0, (
+            np.concatenate([basis.head, np.arange(n + k, n + m)]),
+            np.concatenate([basis.at_upper, np.zeros(m - k, bool)])))
     for head, at_upper in starts:
         binv = np.linalg.solve(full[:, head], np.eye(m))
         d = cost - (cost[head] @ binv) @ full

@@ -4,12 +4,14 @@ and e = floor(log10 v). Scaled by the correctly rounded float(10**k), v is
 within 2.5e-4 of exact, so m is correctly rounded (as by Python's %, Gay 1990)
 unless the scaled v lies within TIE_GAP of a tie. Where log10 rounds across an
 integer, v is within 1e-13 relative of a power of ten, and m rounds to 10**11,
-or to 10**12 and carries, as for the right e. Each value fills the words
-",0.000__" "d.d.d.d." x3 "e-XX____", from tables defined byte by byte; a mask
-indexed by exponent class and last nonzero digit zeroes the bytes '%.12g'
-omits, and a compress drops the NULs. Python's % formats what the kernel
-cannot prove: values near a tie, outside [1e-99, 1e12) once rounded, negative,
--0.0 or not finite."""
+or to 10**12 and carries, as for the right e. A value's text (with its comma,
+at most 18 bytes) is built left-aligned in a slot of 18 bytes, 20 when Python
+writes a longer one: `_KEYED`, by e and the last nonzero digit, masks the
+ASCII digits of m before the point, which shift past "," or ",0.000", and
+after it, which shift one byte more, and adds the comma, point, zeros and
+"e-XX". One `translate` deletes the NULs after each text. Python's % formats
+what the kernel cannot prove: values near a tie, outside [1e-99, 1e12) once
+rounded, negative, -0.0 or not finite."""
 
 from __future__ import annotations
 
@@ -18,67 +20,78 @@ from typing import Sequence
 import numpy as np
 
 TIE_GAP = 1e-3  # the scaling error is below 2.5e-4
-CHUNK = 32768  # values per pass; 4x as many left the cache, 1.5x slower
+CHUNK = 16384  # values per pass; 8192 or 32768 were no faster
 
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
-_GROUP = np.full((10000, 8), ord("."), np.uint8)  # "d.d.d.d."
-_GROUP[:, ::2] = _DIGITS + ord("0")
-_GROUP = _GROUP.view(np.uint64).ravel()
-_LAST = np.full((10,) * 4, 3, np.int8)  # position of the last nonzero digit
-_LAST[..., 0], _LAST[..., 0, 0], _LAST[..., 0, 0, 0] = 2, 1, 0
-_LAST = _LAST.ravel()
+_ASCII = np.zeros((10001, 8), np.uint8)  # "dddd" in the low half
+_ASCII[:, :4] = np.r_[_DIGITS, [[1, 0, 0, 0]]] + ord("0")  # m = 10**12
+_ASCII = _ASCII.view(np.uint64).ravel()
+_LAST = 3 - (_DIGITS[:, ::-1] != 0).argmax(1)  # the last nonzero digit
 _LAST[0] = -9  # 0000 loses every maximum
-_E = np.arange(-99, 12)  # the exponents the kernel writes
-_EXPONENT = np.zeros((_E.size, 8), np.uint8)  # "e-XX"
-_EXPONENT[:, :2] = ord("e"), ord("-")
-_EXPONENT[:, 2:4] = _DIGITS[np.abs(_E), 2:] + ord("0")
-_EXPONENT = _EXPONENT.view(np.uint64).ravel()
-_CLASS = (np.maximum(_E, -5) + 5) * 12  # the first mask row of each class
-_SCALE = np.array([float(10**k) for k in range(112)])
-_HEAD, _END = np.frombuffer(b",0.000\0\0\r\n\0\0\0\0\0\0", np.uint64)
+# per group of m; m = 10**12 carries into the key of the next e
+_LAST = (np.r_[_LAST, 12] + np.array([[0], [4], [8]])).astype(np.int8)
+_SCALE = np.array([float(10**k) for k in range(110, -1, -1)])  # by e + 99
+_ZERO = 111 * 12  # the key of exact zero, written ",0"
+_SLOTS = {width: np.dtype([("a", "<u8"), ("b", "<u8"), ("c", c)])
+          for width, c in ((18, "<u2"), (20, "<u4"))}
 
 
-def _mask_table() -> np.ndarray:
-    """0xff for each byte '%.12g' writes, per (class max(e, -5) + 5, last
-    nonzero digit z); class 17 is exact zero, written ",0"."""
-    e = np.arange(-5, 12)[:, None, None]
+def _keyed_table() -> np.ndarray:
+    """Per key 12 * (e + 99) + z, six words: the masks of the digits before
+    and of those after the point in the first digit word, both masks of the
+    second (low and high half), and the three words of the text's constant
+    bytes; the top byte of the last holds the shift in bits of the digits
+    before the point."""
+    e = np.arange(-99, 12)[:, None, None]
     z = np.arange(12)[:, None]
-    j = np.arange(12)
-    small = (e < 0) & (e > -5)
-    keep = np.zeros((18, 12, 40), bool)
-    keep[:, :, 0] = keep[17, :, 1] = True
-    keep[:17, :, 1:3] = small
-    keep[:17, :, 3:6] = small & (np.arange(3) < -e - 1)
-    keep[:17, :, 8:32:2] = j <= np.where(e >= 0, np.maximum(e, z), z)
-    keep[:17, :, 9:32:2] = (j == np.maximum(e, 0)) & (j < z) & ~small
-    keep[:17, :, 32:36] = e == -5
-    return (keep * np.uint8(255)).reshape(-1, 40).view(np.uint64)
+    d, j = np.arange(12), np.arange(24)
+    small = (e < 0) & (e > -5)  # ",0." and -e - 1 zeros
+    shift = np.where(small, 2 - e, 1)  # where digit 0 goes
+    point = np.maximum(e, 0) + 2  # the point, if a digit follows it
+    at = np.where(z > 0, z + 3, 2)  # "e-XX", for e <= -5
+    before = 255 * (d < np.where(small, z + 1, point - 1))
+    after = 255 * (~small & (d > point - 2) & (d <= z))
+    keyed = np.zeros((111, 12, 48), np.uint8)
+    keyed[..., :8], keyed[..., 8:16] = before[..., :8], after[..., :8]
+    keyed[..., 16:20], keyed[..., 20:24] = before[..., 8:], after[..., 8:]
+    keyed[..., 24:] = np.select(
+        [j == 0, small & (j == 2), small & (j < shift),
+         ~small & (j == point) & (z > point - 2),
+         (e > -5) | (j < at) | (j > at + 3), j == at, j == at + 1,
+         j == at + 2],
+        [ord(","), ord("."), ord("0"), ord("."), 0, ord("e"), ord("-"),
+         ord("0") + -e // 10], ord("0") + -e % 10)
+    keyed[..., 47] = 8 * shift[..., 0]
+    keyed = np.r_[keyed.reshape(_ZERO, 48), np.zeros((1, 48), np.uint8)]
+    keyed[_ZERO, 24:26], keyed[_ZERO, 47] = (ord(","), ord("0")), 8
+    return np.ascontiguousarray(keyed.view(np.uint64).T)
 
 
-_MASK = _mask_table()
+_KEYED = _keyed_table()
 
 
 def split(v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For flat float64 values: the mask row, the mantissa's three 4-digit
-    groups, the index of the exponent in _E, and which ones Python formats."""
-    fast = (v >= 1e-99) & (v < 999999999999.5)  # rounds to below 1e12
-    w = np.where(fast, v, 1.0)
-    e = np.floor(np.log10(w)).astype(np.intp)
-    s = w * _SCALE.take(11 - e)
+    """For float64 values: the key, the two words of the ASCII digits of m,
+    and which values Python formats."""
+    w = np.fmin(np.fmax(v, 1e-99), 999999999999.0)  # v where v is fast
+    e = (np.log10(w) + 99).astype(np.intp)  # e + 99
+    s = w * _SCALE.take(e)
     m = np.rint(s)
     zero = v.view(np.uint64) == 0
-    slow = ~(fast | zero) | (np.abs(s - m) > 0.5 - TIE_GAP)
-    carry = np.flatnonzero(m == 1e12)
-    m[carry], e[carry] = 1e11, e[carry] + 1
-    hi = np.floor(m * 1e-8)  # exact: the doubles 1e-8 and 1e-4 round up
-    rest = m - hi * 1e8
-    mid = np.floor(rest * 1e-4)
-    hi, mid, lo = (x.astype(np.intp) for x in (hi, mid, rest - mid * 1e4))
-    e += 99
-    key = _CLASS.take(e) + np.maximum(
-        np.maximum(_LAST.take(hi), _LAST.take(mid) + 4), _LAST.take(lo) + 8)
-    np.putmask(key, zero, 17 * 12)
-    return key, hi, mid, lo, e, slow
+    s -= m
+    slow = (w != v) | (np.abs(s, out=s) > 0.5 - TIE_GAP)
+    slow ^= zero
+    lo = m.astype(np.intp)
+    mid = lo // 10000
+    lo -= mid * 10000
+    hi = mid // 10000
+    mid -= hi * 10000
+    z = np.maximum(_LAST[0].take(hi), _LAST[1].take(mid))
+    np.maximum(z, _LAST[2].take(lo), out=z)
+    e *= 12
+    e += z
+    np.putmask(e, zero, _ZERO)
+    return e, _ASCII.take(mid) << 32 | _ASCII.take(hi), _ASCII.take(lo), slow
 
 
 def _padded(strings: Sequence[str]) -> np.ndarray:
@@ -97,34 +110,52 @@ def csv_rows(outer: Sequence[str], inner: Sequence[str],
     values[a, b] + "\\r\\n", for a, then b, in order; values has the shape
     (len(outer), len(inner), k). Raises ValueError on a NUL in a label."""
     values = np.ascontiguousarray(values, dtype=float)
-    n_inner, k = values.shape[1:]
-    outer_bytes, inner_bytes = _padded(outer), _padded(inner)
-    comma = outer_bytes.shape[1]
-    end = comma + 1 + inner_bytes.shape[1]
-    head = -(-end // 8)
-    step = max(1, CHUNK // max(1, n_inner * k))
-    chunks = []
-    for a in range(0, len(outer), step):
-        block = values[a:a + step]
-        flat = block.reshape(-1)
-        rows = block.shape[0] * n_inner
-        buf = np.zeros((rows, head + 5 * k + 1), np.uint64)
-        text = buf.view(np.uint8).reshape(*block.shape[:2], 8 * buf.shape[1])
-        text[:, :, :comma] = outer_bytes[a:a + step, None]
-        text[:, :, comma] = ord(",")
-        text[:, :, comma + 1:end] = inner_bytes
-        key, hi, mid, lo, exponent, slow = split(flat)
-        slots = buf[:, head:-1].reshape(rows, k, 5)
-        slots[..., 0] = _HEAD
-        for word, table, index in ((1, _GROUP, hi), (2, _GROUP, mid),
-                                   (3, _GROUP, lo), (4, _EXPONENT, exponent)):
-            slots[..., word] = table.take(index).reshape(rows, k)
-        buf[:, head:-1] &= _MASK.take(key, axis=0).reshape(rows, 5 * k)
-        slot_text = buf[:, head:-1].view(np.uint8).reshape(rows, k, 40)
-        for i in np.flatnonzero(slow).tolist():
-            slot_text[i // k, i % k, 1:] = np.frombuffer(
-                (b"%.12g" % flat[i]).ljust(39, b"\0"), np.uint8)
-        buf[:, -1] = _END
-        out = buf.view(np.uint8).reshape(-1)
-        chunks.append(out.compress(out != 0).tobytes())
+    k = values.shape[2]
+    ends = _padded(["\r\n" + a for a in outer])  # a row ends the one before
+    starts = _padded(["," + b for b in inner])
+    heads = np.hstack([ends.repeat(len(starts), 0),
+                       np.tile(starts, (len(ends), 1))])
+    row_types = {width: np.dtype([("head", np.uint8, heads.shape[1]),
+                                  ("slot", slot, k)])
+                 for width, slot in _SLOTS.items()}
+    before0, after0, masks1, c0, c1, c2 = _KEYED
+    step = max(1, CHUNK // max(1, k))  # rows per pass
+    raws, chunks = {}, []  # a buffer per slot width, reused by every pass
+    for a in range(0, len(heads), step):
+        flat = values.reshape(len(heads), k)[a:a + step]
+        key, x0, x1, slow = split(flat)
+        slow = np.flatnonzero(slow)
+        texts = [b",%.12g" % x for x in flat.ravel()[slow].tolist()]
+        # "-1.23456789012e-100" and its comma take 20 bytes
+        width = 20 if any(len(t) > 18 for t in texts) else 18
+        raw = raws.get(width) or raws.setdefault(width, bytearray(
+            len(flat) * row_types[width].itemsize))
+        buf = np.frombuffer(raw, row_types[width], len(flat))
+        buf["head"] = heads[a:a + step]
+        slot = buf["slot"]
+        # constants | digits before the point << up | digits after it << 16
+        last = c2.take(key)
+        up = last >> 56
+        down = 64 - up
+        mask = masks1.take(key)
+        a0, a1 = x0 & before0.take(key), x1 & mask
+        x0 &= after0.take(key)
+        x1 &= mask >> 32
+        np.bitwise_or(last, a1 >> down, out=slot["c"], casting="unsafe")
+        a1 <<= up
+        a1 |= a0 >> down
+        a1 |= x1 << 16
+        a1 |= x0 >> 48
+        np.bitwise_or(a1, c1.take(key), out=slot["b"])
+        a0 <<= up
+        a0 |= x0 << 16
+        np.bitwise_or(a0, c0.take(key), out=slot["a"])
+        if texts:
+            slot[slow // k, slow % k] = np.frombuffer(b"".join(
+                t.ljust(width, b"\0") for t in texts), _SLOTS[width])
+        chunks.append((raw if buf.nbytes == len(raw) else raw[:buf.nbytes])
+                      .translate(None, b"\0"))
+    if chunks:  # the first row has no row before it to end
+        chunks[0] = chunks[0][2:]
+        chunks.append(b"\r\n")
     return b"".join(chunks)

@@ -526,7 +526,8 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
     total, m = max(float(cost.sum()), 1e-300), cost.size
     reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
-    lower, upper = np.r_[1 - prob.q * reach, 0.0], np.r_[np.ones(m), np.inf]
+    lower = np.concatenate([1 - prob.q * reach, [0.0]])
+    upper = np.concatenate([np.ones(m), [np.inf]])
     r, fz = _top_eig(factor, np.ones(m))
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
     for iteration in range(1, KELLEY_MAX_ITER + 1):
@@ -539,11 +540,11 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         unit = best_r  # t in units of r*, so the LP resolves a relative gap
         rows = np.array(pool.rows) / unit
         x, pool.basis = _lp.solve(
-            np.r_[np.zeros(m), 1.0],
-            np.r_[[np.r_[-cost / total, 0.0]],
-                  np.c_[rows, -np.ones(len(rows))]],
-            np.r_[budget / total - 1.0, np.zeros(len(rows))], lower, upper,
-            pool.basis)
+            np.concatenate([np.zeros(m), [1.0]]),
+            np.concatenate([[np.concatenate([-cost / total, [0.0]])],
+                            np.column_stack([rows, -np.ones(len(rows))])]),
+            np.concatenate([[budget / total - 1.0], np.zeros(len(rows))]),
+            lower, upper, pool.basis)
         pool.lp_calls += 1
         bound = x[-1] * unit
         spent = 1 - x[:-1]  # 1 - y

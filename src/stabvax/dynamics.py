@@ -15,9 +15,12 @@ a quarter step for the covid models and 1e-9 for SEIR (TestDefaultStepAccuracy
 in tests/test_dynamics.py); daily xa and xs err more, up to 3e-8 of their peak.
 
 `Trajectory.to_csv` writes every value as exactly the bytes of '%.12g'. A
-numpy kernel (`_text`) formats all of them at once; Python's % formats the few
-it cannot prove: those within 1e-3 of a rounding tie (about 0.2% of a
-trajectory's values), outside [1e-99, 1e12), negative, -0.0 or not finite.
+numpy kernel (`_text`) formats all of them at once: it builds each value's
+text left-aligned in an 18-byte slot from table rows keyed by exponent and
+last nonzero digit, and one `translate` deletes the NUL padding. Python's %
+formats the few values it cannot prove: those within 1e-3 of a rounding tie
+(about 0.2% of a trajectory's values), outside [1e-99, 1e12), negative, -0.0
+or not finite.
 """
 
 from __future__ import annotations

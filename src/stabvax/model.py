@@ -582,7 +582,9 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     diag(b1(0) s) (Abar (x) Gamma) diag(N): when Gamma has a Cholesky factor,
     Rt is lambda_max(F' diag(N b1(0) s) F) from one symmetric eigensolve, and
     otherwise the top of dense `eigvals` of the block. Raises ValueError if
-    r_s + kappa is 0 in some group."""
+    eps + r_a is 0, or r_s + kappa is 0 in some group."""
+    if params.eps + params.r_a <= 0:
+        raise ValueError("Rt is undefined: eps + r_a is 0")
     stuck = np.flatnonzero(np.atleast_1d(params.outflow_symptomatic()) <= 0)
     if stuck.size:
         where = f" in age groups {stuck.tolist()}" if params.is_demographic else ""

@@ -547,6 +547,21 @@ def test_calibrate_zero_symptomatic_outflow_exits_input_error(
     assert "r_s + kappa is 0" in capsys.readouterr().err
 
 
+def test_calibrate_zero_asymptomatic_outflow_exits_input_error(
+        tmp_path, sources, capsys):
+    path = sources["instance"]["instance"]
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["params"].update(eps=0.0, r_a=0.0)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": path, "target_rt": 1.2}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"),
+                     "calibrate"]) == cli.EXIT_INPUT
+    assert "eps + r_a is 0" in capsys.readouterr().err
+
+
 class TestSourceKeys:
     """A config key that its instance source never reads exits 3."""
 

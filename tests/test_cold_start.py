@@ -1,7 +1,8 @@
 """The CLI runs on numpy alone: importing it, building instances and running
 any command, the solving ones and a forked sweep among them, load no scipy
-module (each case runs in a fresh interpreter, since this test process has
-scipy loaded already)."""
+module, and the CSV formatter's tables (`stabvax._text`) load only with the
+first file written (each case runs in a fresh interpreter, since this test
+process has scipy loaded already)."""
 
 import json
 import os
@@ -37,13 +38,13 @@ def test_commands_that_never_solve_load_no_scipy(tmp_path):
     config.write_text(json.dumps({"policies": [{"kind": "population-weighted"},
                                                {"kind": "no-vaccine"}]}))
     report = run_fresh(f"""
-        import contextlib, io
+        import contextlib, io, sys
         import stabvax.cli as cli
         from stabvax import bubar, ingest
         ingest.synthetic_instance(0, n=5)
         ingest.synthetic_instance(0, n=5, groups=True)
         bubar.us_like_instance(1.15, seed=0)
-        report = {{}}
+        report = {{"formatter at start": "stabvax._text" in sys.modules}}
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             report["covid"] = cli.main(["--config", {str(config)!r},
@@ -56,10 +57,12 @@ def test_commands_that_never_solve_load_no_scipy(tmp_path):
                                                 "--out", "cal-age", "calibrate"])
             report["bad config"] = cli.main(["--config", "missing.json",
                                              "compare"])
+        report["formatter at end"] = "stabvax._text" in sys.modules
         """, tmp_path)
     assert report.pop("loaded") == []
     assert report == {"covid": 0, "seir": 0, "calibrate": 0,
-                      "calibrate age": 0, "bad config": 3}
+                      "calibrate age": 0, "bad config": 3,
+                      "formatter at start": False, "formatter at end": True}
     assert (tmp_path / "covid" / "summary.csv").is_file()
     assert (tmp_path / "seir" / "summary.csv").is_file()
 

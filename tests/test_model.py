@@ -267,6 +267,19 @@ class TestReproductionNumber:
                                           np.zeros(4), -0.1)
         assert cert.satisfied and np.isfinite(cert.spectral_radius)
 
+    def test_zero_asymptomatic_outflow_is_an_input_error(self):
+        # asymptomatic infections that never end: c1 = eps + r_a divides
+        inst = ingest.synthetic_instance(0, n=3)
+        params = replace(inst.params, eps=0.0, r_a=0.0)
+        with pytest.raises(ValueError,
+                           match=r"^Rt is undefined: eps \+ r_a is 0$"):
+            sv.effective_reproduction_number(inst.state0, inst.net, params)
+        inst = ingest.synthetic_instance(0, n=2, groups=True)
+        params = replace(inst.params, eps=0.0, r_a=0.0)
+        with pytest.raises(ValueError, match=r"eps \+ r_a is 0"):
+            sv.effective_reproduction_number(inst.state0, inst.net, params,
+                                             inst.contacts)
+
 
     @staticmethod
     def full_next_generation_rt(state, net, params, contacts):

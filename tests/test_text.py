@@ -65,3 +65,15 @@ def test_rows_and_labels():
     assert _text.csv_rows([], inner, values[:0]) == b""
     with pytest.raises(ValueError, match="NUL"):
         _text.csv_rows(outer, ["a", "b\0", "c"], values)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_rows_do_not_depend_on_chunk(monkeypatch, chunk):
+    # 1 and 7 values give one row of k = 9 per pass; 40 is less than one
+    # outer row of 6 x 9 values
+    values = doubles(1)[:4 * 6 * 9].reshape(4, 6, 9)
+    outer, inner = ["0", "0.25", "1e+06", "3"], ["a", "", "locé", "b", "cc",
+                                                 "d"]
+    monkeypatch.setattr(_text, "CHUNK", chunk)
+    assert _text.csv_rows(outer, inner, values) == reference(outer, inner,
+                                                             values)

@@ -6,12 +6,13 @@ a test oracle, so no command pays for importing it.
 """
 
 from .model import (CalibrationError, ContactStructure, DiseaseParams,
-                    EpidemicState, InfeasibleRateError, NetworkInstance,
-                    StabilityCertificate, build_demographic_coupling,
-                    build_flow_matrix, calibrate_transmission,
-                    check_decay_certificate, cholesky_factor, compute_b1,
-                    coupling_gram_factor, effective_reproduction_number,
-                    intrinsic_connectivity, project_contact_matrix)
+                    EpidemicState, GramKernel, InfeasibleRateError,
+                    NetworkInstance, StabilityCertificate,
+                    build_demographic_coupling, build_flow_matrix,
+                    calibrate_transmission, check_decay_certificate,
+                    cholesky_factor, compute_b1, coupling_gram_kernel,
+                    effective_reproduction_number, intrinsic_connectivity,
+                    project_contact_matrix)
 from .allocator import (AllocationProblem, AllocationResult, CutPool,
                         InfeasibleAllocationError, NoGramFactorError,
                         SolverError, build_problem, lmi_box_maximize,

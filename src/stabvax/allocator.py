@@ -2,23 +2,23 @@
 
 Each model states an ``AllocationProblem``: allocation 0 <= v <= vmax, which
 costs weights'v doses, certifies decay at rate alpha when
-rho(diag(b1 (s0 - q v)) K) <= 1, b1 = b1_at(alpha). With an alpha-free
-factor F and scale such that rho(diag(p) K) = lambda_max(F' diag(scale p) F),
-the condition on u = b1 (s0 - q v) / s0 is the diagonal LMI
-lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
+rho(diag(b1 (s0 - q v)) K) <= 1, b1 = b1_at(alpha). With an alpha-free Gram
+kernel B = F F' (`model.GramKernel`) and scale such that rho(diag(p) K) =
+lambda_max(F' diag(scale p) F), the condition on u = b1 (s0 - q v) / s0 is
+the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass = scale s0.
 
-* ``lmi_box_maximize`` solves  max w'u  s.t.  lambda_max(F' diag(u) F) <= 1,
-  l <= u <= h  by Kelley cuts: the top eigenvector z at the LP point gives
-  the valid cut sum_i (F z)_i^2 u_i <= 1. As lambda_max is convex, the point
-  at s = (lambda - 1) / (lambda - lambda_lo) on the segment from the LP point
-  to the feasible lower corner is feasible, which bounds the gap in closed
-  form. Cuts depend on F alone, so one ``CutPool`` serves all probes of an
-  alpha bisection, and a probe stops once it settles the budget question.
-  The pool also keeps the last LP basis: each LP is one row, box or
-  objective away from the one before, and the dual simplex of ``_lp``
-  starts from that basis.
+* ``lmi_box_maximize`` solves  max w'u  s.t.  lambda_max(F' diag(mass u) F)
+  <= 1, l <= u <= h  by Kelley cuts: `model._top_eig` at the LP point gives
+  lambda_max and the valid cut sum_i mass_i (F z)_i^2 u_i <= 1. As
+  lambda_max is convex, the point at s = (lambda - 1) / (lambda - lambda_lo)
+  on the segment from the LP point to the feasible lower corner is feasible,
+  which bounds the gap in closed form. Cuts depend on B and mass alone, so
+  one ``CutPool`` serves all probes of an alpha bisection, and a probe stops
+  once it settles the budget question. The pool also keeps the last LP
+  basis and top eigenvector, which start the next LP (each LP is one row,
+  box or objective away from the one before) and eigensolve.
 
-* ``spectral_box_minimize`` serves problems without a factor (an indefinite
+* ``spectral_box_minimize`` serves problems without a kernel (an indefinite
   or asymmetric contact structure):
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
@@ -27,7 +27,7 @@ lambda_max(F' diag(scale s0 u) F) <= 1: no inverse, no definiteness test.
   certifies. Each step's one-row LP is solved exactly in closed form, as a
   fractional knapsack.
 
-``solve_allocation`` takes the Gram route whenever the problem has a factor.
+``solve_allocation`` takes the Gram route whenever the problem has a kernel.
 ``max_decay`` finds the largest alpha a budget buys. When b1_at returns one
 scalar (the homogeneous covid model, the SEIR model), rho(diag(b1 (s0 - q v))
 K) = b1(alpha) r(v) with r(v) = rho(diag(s0 - q v) K), so the search is
@@ -40,6 +40,7 @@ certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -49,9 +50,9 @@ import numpy as np
 from . import _lp
 from ._lp import SolverError
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, StabilityCertificate, cell_b1,
-                    check_decay_certificate, compute_b1, coupling_gram_factor,
-                    flow_for_model, max_certificate_rate)
+                    GramKernel, NetworkInstance, StabilityCertificate,
+                    _top_eig, cell_b1, check_decay_certificate, compute_b1,
+                    coupling_gram_kernel, flow_for_model, max_certificate_rate)
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -82,13 +83,14 @@ class SolverStats:
 
 @dataclass
 class CutPool:
-    """Kelley cut rows for one factor F, the LP calls made on them, and the
-    last LP's basis, which warm-starts the next. A row (F z)^2, |z| = 1, stays
-    valid whatever the box and weights."""
+    """Kelley cut rows for one kernel and mass, the LP calls made on them,
+    and the last LP basis and top eigenvector, which warm-start the next. A
+    row mass (F z)^2, |z| = 1, stays valid whatever the box and weights."""
 
     rows: list = field(default_factory=list)
     lp_calls: int = 0
     basis: Optional[_lp.Basis] = None
+    vector: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -96,11 +98,11 @@ class AllocationProblem:
     """One model's stabilizing-allocation problem at decay rate alpha (see
     the module docstring); b1 = b1_at(alpha) per cell.
 
-    factor is None when the flow has no Gram form (the bilinear route).
+    kernel is None when the flow has no Gram form (the bilinear route).
     """
 
     flow: np.ndarray
-    factor: Optional[np.ndarray]
+    kernel: Optional[GramKernel]
     scale: np.ndarray
     s0: np.ndarray
     q: np.ndarray
@@ -115,17 +117,23 @@ class AllocationProblem:
     def __post_init__(self):
         for name in ("flow", "scale", "s0", "q", "vmax", "weights"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        # b1_at may return one scalar for all cells
-        self.b1 = np.broadcast_to(np.asarray(self.b1_at(self.alpha),
-                                             dtype=float), self.s0.shape).copy()
-        if np.any(self.b1 <= 0):
-            raise ValueError("b1 must be positive (no transmission path?)")
+        self._set_rate(self.alpha)
         if np.any(self.q <= 0):
             raise ValueError("a zero-efficacy vaccine cannot stabilize anything")
 
+    def _set_rate(self, alpha: float) -> None:
+        self.alpha = alpha
+        # b1_at may return one scalar for all cells
+        self.b1 = np.broadcast_to(np.asarray(self.b1_at(alpha), dtype=float),
+                                  self.s0.shape).copy()
+        if np.any(self.b1 <= 0):
+            raise ValueError("b1 must be positive (no transmission path?)")
+
     def at_rate(self, alpha: float) -> "AllocationProblem":
-        """The same problem at another decay rate."""
-        return replace(self, alpha=alpha)
+        """The same problem at another decay rate, sharing all but b1."""
+        other = copy.copy(self)
+        other._set_rate(alpha)
+        return other
 
 
 @dataclass
@@ -157,56 +165,45 @@ SLP_TOL = 1e-8
 RATE_WIDTH = 1e-5
 
 
-def _top_eig(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_max(factor' diag(u) factor) and its cut direction factor z.
-
-    lambda comes from eigvalsh, and the unit z from one inverse-iteration
-    solve shifted just above lambda, started from factor' u: when factor
-    factor' is entrywise nonnegative and lambda > 0, that vector has a
-    positive component on the top eigenvector (Perron-Frobenius). Any unit z
-    gives a valid cut, so an inexact z costs at most Kelley rounds. When the
-    solve yields no usable z (lambda = 0), eigh gives it.
-    """
-    gram = factor.T @ (u[:, None] * factor)
-    lam = float(np.linalg.eigvalsh(gram)[-1])
-    shift = 1e-10 * lam
-    if shift > 0:
-        # a right-hand side scaled by the shift keeps |z| within |factor' u|
-        z = np.linalg.solve(gram - (lam + shift) * np.eye(gram.shape[0]),
-                            shift * (factor.T @ u))
-        norm = float(np.linalg.norm(z))
-        if np.isfinite(norm) and norm > 0:
-            return lam, factor @ (z / norm)
-    return lam, factor @ np.linalg.eigh(gram)[1][:, -1]
+def _cut(kernel: GramKernel, mass: np.ndarray, u: np.ndarray,
+         pool: CutPool) -> tuple[float, np.ndarray]:
+    """lambda_max(F' diag(mass u) F) (an upper bound within 1e-12) and its cut
+    row mass (F z)^2, warm-started from and keeping the pool's vector."""
+    lam, fz, pool.vector = _top_eig(kernel, mass * u, pool.vector)
+    return lam, mass * fz * fz
 
 
-def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                     weights: np.ndarray, *, pool: Optional[CutPool] = None,
+def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
+                     weights: np.ndarray, *, mass: Optional[np.ndarray] = None,
+                     pool: Optional[CutPool] = None,
                      max_shortfall: Optional[float] = None,
                      ) -> tuple[np.ndarray, SolverStats]:
-    """Maximize weights'u subject to lambda_max(factor' diag(u) factor) <= 1
-    (diag(u) <= (factor factor')^{-1}, uninverted) and lower <= u <= upper.
+    """Maximize weights'u subject to lambda_max(F' diag(mass u) F) <= 1 (mass
+    defaults to 1) for the kernel F F' and lower <= u <= upper.
 
     Returns the best feasible point once within LMI_GAP_TOL (relative) of
-    the LP bound. pool lends cuts from earlier calls on the same factor and
-    keeps the new ones. Given max_shortfall, returns the first feasible point
-    with weights'(upper - u) <= max_shortfall, and raises
+    the LP bound. pool lends cuts from earlier calls on the same kernel and
+    mass and keeps the new ones. Given max_shortfall, returns the first
+    feasible point with weights'(upper - u) <= max_shortfall, and raises
     InfeasibleAllocationError once the LP bound rules one out, as it does for
-    an infeasible lower corner.
+    an infeasible lower corner. Without it, the cells an infeasible LP point
+    holds at upper, which the segment toward lower moves by about 1e-9, stay
+    there when a segment that keeps them is feasible and no worse.
     """
-    factor = np.asarray(factor, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    mass = np.ones_like(lower) if mass is None else mass
     pool = CutPool() if pool is None else pool
-    lam_lo, _ = _top_eig(factor, lower)
+    lam_lo, _ = _cut(kernel, mass, lower, pool)
     if lam_lo > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation violates the matrix constraint; "
             "the requested decay rate is unachievable")
 
     objective = -weights / max(1.0, float(np.abs(weights).max()))
-    best, best_obj = lower, float(weights @ lower)
+    best, best_lp, best_lam = lower, lower, lam_lo
+    best_obj = float(weights @ lower)
     cuts_before, lp_before = len(pool.rows), pool.lp_calls
     gap = np.inf
     for iteration in range(1, KELLEY_MAX_ITER + 1):
@@ -220,11 +217,12 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         else:  # the LP without cuts is solved by the upper corner
             u = upper.copy()
         bound_obj = float(weights @ u)
-        lam, fz = _top_eig(factor, u)
+        lam, row = _cut(kernel, mass, u, pool)
         point = u if lam <= 1.0 else \
             u + min(1.0, (lam - 1.0) / max(lam - lam_lo, 1e-300)) * (lower - u)
         if float(weights @ point) > best_obj:
-            best, best_obj = point, float(weights @ point)
+            best, best_lp, best_lam = point, u, lam
+            best_obj = float(weights @ point)
         gap = (bound_obj - best_obj) / max(abs(bound_obj), 1e-300)
         if max_shortfall is not None:
             if weights @ (upper - u) > max_shortfall:
@@ -234,11 +232,19 @@ def lmi_box_maximize(factor: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                 break
         if gap <= LMI_GAP_TOL:
             break
-        pool.rows.append(fz * fz)
+        pool.rows.append(row)
     else:
         raise SolverError(
             f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
             "iterations")
+    if max_shortfall is None and best_lam > 1.0:
+        # the same segment to the corner that keeps those cells at upper
+        corner = np.where(best_lp == upper, upper, lower)
+        lam_c = _cut(kernel, mass, corner, pool)[0]
+        point = best_lp + (best_lam - 1.0) / (best_lam - min(lam_c, 1.0)) * (
+            corner - best_lp)
+        if lam_c < 1.0 and float(weights @ point) >= best_obj:
+            best = point
     if max_shortfall is not None and weights @ (upper - best) > max_shortfall:
         raise InfeasibleAllocationError("no feasible point within the shortfall")
     return best, SolverStats(iterations=iteration,
@@ -412,13 +418,13 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                   alpha: float) -> AllocationProblem:
     """The covid model's problem at decay rate alpha from the current
     susceptible profile: v is the vaccinated fraction of each cell, and the
-    flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram factor
-    F of Abar (or Abar (x) Gamma) with scale N."""
-    age_contacts = contacts if params.is_demographic else None
+    flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram kernel
+    Abar (or Abar (x) Gamma) with scale N, which the certificate shares."""
+    kernel = coupling_gram_kernel(net, params, contacts)
     populations = net.cell_populations().copy()
     return AllocationProblem(
         flow=flow_for_model(net, params, contacts),
-        factor=coupling_gram_factor(net, age_contacts), scale=populations,
+        kernel=kernel, scale=populations,
         s0=state.s.copy(), q=np.full(populations.shape, params.psi),
         vmax=state.s.copy(), weights=populations,
         max_rate=max_certificate_rate(params),
@@ -426,7 +432,7 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                if params.is_demographic else
                (lambda rate: compute_b1(params, rate))),
         certify=lambda v, rate: check_decay_certificate(
-            state, net, params, contacts, v, rate),
+            state, net, params, contacts, v, rate, kernel),
         alpha=alpha)
 
 
@@ -452,26 +458,24 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
                 ) -> tuple[np.ndarray, SolverStats]:
     """Minimum-dose v on the Gram route, or with max_doses the first v found
     within it (see lmi_box_maximize). The LMI variable u = b1 (s0 - q v) / s0
-    keeps the factor sqrt(scale s0) F free of alpha, and its objective
-    weights make the shortfall from the box top equal the doses."""
-    if prob.factor is None:
+    keeps its mass scale s0 free of alpha, and its objective weights make the
+    shortfall from the box top equal the doses."""
+    if prob.kernel is None:
         raise NoGramFactorError(
             "coupling matrix has no Gram factor; use solve_bilinear")
-    mass = prob.s0 * prob.scale
-    # a cell without susceptibles has a zero factor row and stays undosed
+    # a cell without susceptibles has zero mass and stays undosed
     reach = np.divide(prob.vmax, prob.s0, out=np.ones_like(prob.s0),
                       where=prob.s0 > 0)
     u, stats = lmi_box_maximize(
-        np.sqrt(mass)[:, None] * prob.factor,
-        prob.b1 * (1 - prob.q * reach), prob.b1,
-        prob.weights * prob.s0 / (prob.b1 * prob.q), pool=pool,
-        max_shortfall=max_doses)
+        prob.kernel, prob.b1 * (1 - prob.q * reach), prob.b1,
+        prob.weights * prob.s0 / (prob.b1 * prob.q),
+        mass=prob.scale * prob.s0, pool=pool, max_shortfall=max_doses)
     return prob.s0 * (1 - u / prob.b1) / prob.q, stats
 
 
 def solve_diagonal_lmi(prob: AllocationProblem,
                        pool: Optional[CutPool] = None) -> AllocationResult:
-    """Gram route: the diagonal LMI on the problem's factor."""
+    """Gram route: the diagonal LMI on the problem's kernel."""
     return _finish(prob, *_gram_solve(prob, pool))
 
 
@@ -485,9 +489,9 @@ def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
 
 def solve_allocation(prob: AllocationProblem,
                      pool: Optional[CutPool] = None) -> AllocationResult:
-    """Route by structure: the Gram route when the problem has a factor,
+    """Route by structure: the Gram route when the problem has a kernel,
     otherwise the bilinear path."""
-    if prob.factor is not None:
+    if prob.kernel is not None:
         return solve_diagonal_lmi(prob, pool)
     return solve_bilinear(prob)
 
@@ -515,20 +519,20 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
 
 def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
                      ) -> tuple[np.ndarray, float, None, SolverStats]:
-    """min r = lambda_max(Ft' diag(y) Ft), Ft = sqrt(scale s0) F, over
-    y = 1 - q v / s0 with weights'v <= budget and the box, by Kelley cuts on
-    the epigraph (min t s.t. (Ft z_k)^2 . y <= t for every cut k). Returns
+    """min r = lambda_max(F' diag(scale s0 y) F) over y = 1 - q v / s0 with
+    weights'v <= budget and the box, by Kelley cuts on the epigraph
+    (min t s.t. scale s0 (F z_k)^2 . y <= t for every cut k). Returns
     the best point evaluated, within RADIUS_GAP_TOL (relative) of the LP
     bound, as (v, r, None, stats) like `_slp_min_radius`, with no direction.
     The budget is the LP's first row, so that new cuts append rows and the
     LP basis carries over."""
-    factor = np.sqrt(prob.scale * prob.s0)[:, None] * prob.factor
+    mass = prob.scale * prob.s0
     cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
     total, m = max(float(cost.sum()), 1e-300), cost.size
     reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
     lower = np.concatenate([1 - prob.q * reach, [0.0]])
     upper = np.concatenate([np.ones(m), [np.inf]])
-    r, fz = _top_eig(factor, np.ones(m))
+    r, row = _cut(prob.kernel, mass, np.ones(m), pool)
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
     for iteration in range(1, KELLEY_MAX_ITER + 1):
         # stop at the gap, or (a guard) when the LP would not see the next
@@ -536,7 +540,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         if (best_r - bound <= RADIUS_GAP_TOL * best_r
                 or r - bound <= _lp.FEAS_TOL * unit):
             break
-        pool.rows.append(fz * fz)
+        pool.rows.append(row)
         unit = best_r  # t in units of r*, so the LP resolves a relative gap
         rows = np.array(pool.rows) / unit
         x, pool.basis = _lp.solve(
@@ -550,7 +554,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         spent = 1 - x[:-1]  # 1 - y
         # every evaluated point keeps within the budget
         spent *= min(1.0, budget / max(float(cost @ spent), 1e-300))
-        r, fz = _top_eig(factor, 1 - spent)
+        r, row = _cut(prob.kernel, mass, 1 - spent, pool)
         if r < best_r:
             best_v, best_r = prob.s0 * spent / prob.q, r
     else:
@@ -620,7 +624,7 @@ def max_decay(prob: AllocationProblem,
         raise ValueError("budget must be nonnegative")
     lo, hi = -2.0, prob.max_rate - 1e-4
     cap = budget + 1e-9 * (1.0 + budget)
-    pool = None if prob.factor is None else CutPool()
+    pool = None if prob.kernel is None else CutPool()
     if np.ndim(prob.b1_at(prob.alpha)) == 0:
         v, radius, d, work = (_slp_min_radius(prob, budget) if pool is None
                               else _gram_min_radius(prob, budget, pool))

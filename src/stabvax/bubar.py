@@ -24,7 +24,8 @@ from .allocator import (AllocationProblem, AllocationResult,
 from .dynamics import (DEFAULT_STEP, SimulationModel, VaccinationSchedule,
                        simulate)
 from .ingest import group_ifr
-from .model import CERTIFICATE_TOL, StabilityCertificate, cholesky_factor
+from .model import (CERTIFICATE_TOL, GramKernel, StabilityCertificate,
+                    cholesky_factor)
 from .policies import PolicySpec
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
@@ -270,13 +271,14 @@ def bubar_problem(state: BubarState, params: BubarParams,
     v is doses over (S + I + R) and moves v S out of S, so the unprotected
     susceptibles are S + Sx - psi v S. The Gram route applies when
     C diag(1/(N - Omega)) has a Cholesky factor L: the flow is then
-    diag(susceptibility) L L'.
+    diag(susceptibility) L L', with the kernel L L' of one location.
     """
     g = params.n_groups
+    gram = params.contacts / (params.populations - state.omega)[None, :]
     return AllocationProblem(
         flow=bubar_flow_matrix(state, params),
-        factor=cholesky_factor(
-            params.contacts / (params.populations - state.omega)[None, :]),
+        kernel=(GramKernel(np.ones((1, 1)), gram)
+                if cholesky_factor(gram) is not None else None),
         scale=params.susceptibility, s0=state.S + state.Sx,
         q=params.psi * state.S, vmax=np.ones(g),
         weights=state.S + state.I + state.R,

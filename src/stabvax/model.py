@@ -1,17 +1,19 @@
 """Core network-epidemic model: coupling matrices, reproduction numbers,
 and spectral decay certificates.
 
-Spectra of the homogeneous model come from one symmetric eigensolve. Every
-cell shares beta_a, beta_s, c1 = eps + r_a and d2 = r_s + kappa, and
-W = diag(s) A = diag(s) Abar diag(N) has the eigenvalues of the symmetric
-positive semidefinite D Abar D, D = diag(sqrt(s N)). The infection block M is
-block-similar to one 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] per
-eigenvalue w of W, and the top root of a block rises with w, so Rt,
-lambda_max(M) and the reduced radius all follow from the top w.
+Symmetric spectra come from `_top_eig` on a Gram kernel (`GramKernel`): the
+upper end of a Collatz-Wielandt bracket, or eigvalsh for a small or hard
+kernel. In the homogeneous model every cell shares beta_a, beta_s, c1 = eps +
+r_a and d2 = r_s + kappa, and W = diag(s) A = diag(s) Abar diag(N) has the
+spectrum of the nonnegative symmetric D Abar D, D = diag(sqrt(s N)). The
+infection block M is block-similar to one 2 x 2 block [[beta_a w - c1,
+beta_s w], [eps, -d2]] per eigenvalue w of W, and the top root of a block
+rises with w, so Rt, lambda_max(M) and the reduced radius all follow from the
+top w.
 
 The age-structured model's per-group outflows break the 2 x 2 reduction, but
 when Gamma has a Cholesky factor, F F' = Abar (x) Gamma
-(`coupling_gram_factor`) and its spectra come from the symmetric
+(`coupling_gram_kernel`) and its spectra come from the symmetric
 F' diag(N b1(alpha) s) F: its top eigenvalue rho(alpha) is the reduced radius,
 rho(0) is Rt, and lambda_max(M) is -alpha* at the root rho(alpha*) = 1
 (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
@@ -24,8 +26,9 @@ group ``b`` at location ``i`` sits at flat index ``i * n_groups + b``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -317,21 +320,35 @@ def cholesky_factor(mat: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
-def coupling_gram_factor(net: NetworkInstance,
+@dataclass(frozen=True)
+class GramKernel:
+    """An entrywise nonnegative Gram kernel B = F F' = Abar (x) Gamma, with
+    Gamma = [[1]] for one cell per location. B y is Abar Y Gamma' on the
+    (n, g) reshape Y of y; only `dense` forms the (n g)^2 matrix."""
+
+    abar: np.ndarray
+    gamma: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return (self.abar @ y.reshape(len(self.abar), -1)
+                @ self.gamma.T).reshape(-1)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        return np.kron(self.abar, self.gamma)
+
+
+def coupling_gram_kernel(net: NetworkInstance, params: DiseaseParams,
                          contacts: Optional[ContactStructure] = None,
-                         ) -> Optional[np.ndarray]:
-    """F with F F' = Abar = tau diag(1/m) tau', i.e. F = tau diag(m^-1/2);
-    given contacts, F (x) chol(Gamma) for Abar (x) Gamma, or None when Gamma
-    has no Cholesky factor."""
-    mass = net.tau.T @ net.populations
-    inv_sqrt = np.zeros_like(mass)
-    occupied = mass > 0
-    inv_sqrt[occupied] = mass[occupied] ** -0.5
-    factor = net.tau * inv_sqrt[None, :]
-    if contacts is None:
-        return factor
-    chol = cholesky_factor(contacts.gamma)
-    return None if chol is None else np.kron(factor, chol)
+                         ) -> Optional[GramKernel]:
+    """The Gram kernel of the model's flow: Abar = tau diag(1/m) tau' (factor
+    tau diag(m^-1/2)), or Abar (x) Gamma for the age model; None when that
+    has no contacts or a Gamma with no Cholesky factor."""
+    if not params.is_demographic:
+        return GramKernel(build_flow_matrix(net)[1])
+    if contacts is None or cholesky_factor(contacts.gamma) is None:
+        return None
+    return GramKernel(build_flow_matrix(net)[1], contacts.gamma)
 
 
 def project_contact_matrix(contacts: np.ndarray, from_pop: np.ndarray,
@@ -358,21 +375,13 @@ def build_demographic_coupling(net: NetworkInstance,
 
 
 def _cell_rates(net: NetworkInstance, params: DiseaseParams):
-    """Per-cell (beta_a, beta_s, r_s + kappa, r_s, kappa) tiled location-major."""
-    if params.is_demographic:
-        g = net.n_groups
-        reps = net.n
-        beta_s = np.tile(np.asarray(params.symptomatic_risk()), reps)
-        beta_a = np.tile(np.asarray(params.asymptomatic_risk()), reps)
-        r_s = np.tile(np.broadcast_to(np.asarray(params.r_s, dtype=float), (g,)), reps)
-        kappa = np.tile(np.broadcast_to(np.asarray(params.kappa, dtype=float), (g,)), reps)
-    else:
-        m = net.n
-        beta_s = np.full(m, params.beta_s, dtype=float)
-        beta_a = np.full(m, params.beta_a, dtype=float)
-        r_s = np.full(m, float(params.r_s))
-        kappa = np.full(m, float(params.kappa))
-    return beta_a, beta_s, r_s, kappa
+    """Per-cell (beta_a, beta_s, r_s, kappa) tiled location-major."""
+    shape = (net.n_groups if params.is_demographic else 1,)
+    return tuple(np.tile(np.broadcast_to(np.asarray(rate, dtype=float), shape),
+                         net.n)
+                 for rate in (params.asymptomatic_risk(),
+                              params.symptomatic_risk(), params.r_s,
+                              params.kappa))
 
 
 def flow_for_model(net: NetworkInstance, params: DiseaseParams,
@@ -453,14 +462,6 @@ def _largest_real_eig(mat: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(mat).real))
 
 
-def _top_weighted_flow_eig(s: np.ndarray, net: NetworkInstance) -> float:
-    """Top eigenvalue w of W = diag(s) A, as lambda_max of the similar
-    symmetric D Abar D, D = diag(sqrt(s N)): real and nonnegative."""
-    _, abar = build_flow_matrix(net)
-    d = np.sqrt(np.maximum(s, 0.0) * net.populations)
-    return max(float(np.linalg.eigvalsh(d[:, None] * abar * d[None, :])[-1]), 0.0)
-
-
 def _top_block_root(params: DiseaseParams, w: float) -> float:
     """Top eigenvalue of [[beta_a w - c1, beta_s w], [eps, -d2]]. Its
     discriminant (beta_a w - c1 + d2)^2 + 4 beta_s eps w is a sum of squares
@@ -481,34 +482,64 @@ def _top_block_root(params: DiseaseParams, w: float) -> float:
 _RATE_STEP_TOL = 1e-9
 
 
-def _age_gram_factor(net: NetworkInstance, params: DiseaseParams,
-                     contacts: Optional[ContactStructure]) -> Optional[np.ndarray]:
-    """F with F F' = Abar (x) Gamma for the age model's symmetric spectra,
-    or None for the homogeneous model, missing contacts, a Gamma with no
-    Cholesky factor, or a group that never leaves infection (rate limit 0,
-    where b1 has no finite value just below the limit)."""
-    if (not params.is_demographic or contacts is None
-            or max_certificate_rate(params) <= 0):
-        return None
-    return coupling_gram_factor(net, contacts)
+# _top_eig's power iteration stops once its bracket is within _CW_TOL of its
+# top; below _CW_DENSE_BELOW cells with w > 0, or after _CW_MAX_ITER steps
+# with the bracket still open, the dense solve takes over
+_CW_TOL, _CW_DENSE_BELOW, _CW_MAX_ITER = 1e-12, 40, 100
 
 
-def _top_gram_eig(factor: np.ndarray, u: np.ndarray, vector: bool = False,
-                  ) -> tuple[float, Optional[np.ndarray]]:
-    """lambda_max of the symmetric factor' diag(u) factor and, if vector,
-    factor z for its unit top eigenvector z (else None)."""
-    gram = factor.T @ (u[:, None] * factor)
-    if not vector:
-        return float(np.linalg.eigvalsh(gram)[-1]), None
-    vals, vecs = np.linalg.eigh(gram)
-    return float(vals[-1]), factor @ vecs[:, -1]
+def _top_eig(kernel: GramKernel, w: np.ndarray,
+             start: Optional[np.ndarray] = None,
+             ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lambda, F z, x) for S = diag(sqrt w) B diag(sqrt w), w >= 0, and the
+    kernel B = F F': lambda_max(S) = lambda_max(F' diag(w) F); the cut F z =
+    B (sqrt(w) x) / sqrt(x'Sx) for the unit z along F' diag(sqrt w) x, valid
+    ((F z)^2 . w' <= lambda_max(F' diag(w') F) for all w' >= 0) and tight at
+    w; and S's top eigenvector x, which starts the next call (a start of
+    another shape is ignored). S is nonnegative, so for any x > 0 on the
+    cells with w > 0, min (Sx)_i / x_i <= lambda_max <= max (Sx)_i / x_i
+    (Collatz 1942, Wielandt 1950): a power iteration returns the top of that
+    bracket once it is within _CW_TOL. Below _CW_DENSE_BELOW such cells, at
+    some (Sx)_i <= 0 (a reducible S) or at the step cap (a small spectral
+    gap), eigvalsh and one shifted solve give lambda and x instead.
+    """
+    w = np.maximum(w, 0.0)
+    root, size = np.sqrt(w), int(np.count_nonzero(w))
+    cells = slice(None) if size == w.size else np.flatnonzero(w)
+    if size >= _CW_DENSE_BELOW:
+        x = (np.ones_like(w) if start is None or start.shape != w.shape
+             else np.where(start > 0, start, 1.0))
+        for _ in range(_CW_MAX_ITER):
+            bx = kernel @ (root * x)
+            sx = root * bx
+            ratio = sx[cells] / x[cells]
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if not lo > 0:
+                break
+            if hi - lo <= _CW_TOL * hi:
+                return hi, bx / math.sqrt(x @ sx), x
+            x = sx / hi
+    lam, x = 0.0, np.zeros_like(w)
+    if size:  # x from one solve shifted just above lam; a right-hand side
+        # of -shift keeps x near the positive Perron vector, |x| <= sqrt(size)
+        sub = root[cells]
+        mat = sub[:, None] * kernel.dense[cells][:, cells] * sub
+        lam = float(np.linalg.eigvalsh(mat)[-1])
+        if lam > 0:
+            mat.flat[::size + 1] -= lam * (1 + 1e-10)
+            x[cells] = np.linalg.solve(mat, np.full(size, -1e-10 * lam))
+    y = root * x if lam > 0 else np.ones_like(w)  # S = 0: any unit z cuts
+    by = kernel.dense @ y
+    quad = float(y @ by)
+    return lam, by / math.sqrt(quad) if quad > 0 else by, x
 
 
-def _gram_certificate(factor: np.ndarray, weight: np.ndarray,
+def _gram_certificate(kernel: GramKernel, weight: np.ndarray,
                       params: DiseaseParams, n: int, alpha: float,
                       ) -> tuple[float, float]:
     """(lambda_max(M), reduced radius at alpha) of the age model from
-    rho(a) = lambda_max(factor' diag(weight b1(a)) factor), weight = N s.
+    rho(a) = lambda_max(F' diag(weight b1(a)) F), weight = N s, from
+    `_top_eig`; each solve starts from the one before.
 
     The radius is rho(alpha), or inf at or above `max_certificate_rate`.
     lambda_max is -alpha* at the root rho(alpha*) = 1, or -max_rate when rho
@@ -525,7 +556,7 @@ def _gram_certificate(factor: np.ndarray, weight: np.ndarray,
     max_rate = max_certificate_rate(params)
     lo, hi = -np.inf, max_rate
     a = alpha if alpha < max_rate else float(np.nextafter(max_rate, -np.inf))
-    rho, fz = _top_gram_eig(factor, weight * cell_b1(params, n, a), vector=True)
+    rho, fz, x = _top_eig(kernel, weight * cell_b1(params, n, a))
     radius = max(rho, 0.0) if alpha < max_rate else np.inf
     while True:
         slope = float(fz ** 2 @ (weight * _cell_b1_slope(params, n, a)))
@@ -542,14 +573,13 @@ def _gram_certificate(factor: np.ndarray, weight: np.ndarray,
         if not lo < nxt < hi:
             if hi == max_rate:
                 hi = float(np.nextafter(max_rate, -np.inf))
-                if _top_gram_eig(factor, weight * cell_b1(params, n, hi))[0] <= 1:
+                if _top_eig(kernel, weight * cell_b1(params, n, hi), x)[0] <= 1:
                     return -max_rate, radius
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 return -nxt, radius
         a = nxt
-        rho, fz = _top_gram_eig(factor, weight * cell_b1(params, n, a),
-                                vector=True)
+        rho, fz, x = _top_eig(kernel, weight * cell_b1(params, n, a), x)
 
 
 def spectral_radius(mat: np.ndarray) -> float:
@@ -575,36 +605,25 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     diag(beta_a / c1) W + diag(beta_s) W diag(eps / (c1 d2)), W = diag(s) A,
     c1 = eps + r_a, d2 = r_s + kappa per cell: no inverse is formed.
 
-    With scalar rates (the homogeneous model) that block is
-    (beta_a / c1 + beta_s eps / (c1 d2)) W, and Rt is that factor times the
-    top eigenvalue of W from one symmetric eigensolve. In the age-structured
-    model beta_a = alpha_hat beta_s per cell, so the block is
-    diag(b1(0) s) (Abar (x) Gamma) diag(N): when Gamma has a Cholesky factor,
-    Rt is lambda_max(F' diag(N b1(0) s) F) from one symmetric eigensolve, and
-    otherwise the top of dense `eigvals` of the block. Raises ValueError if
-    eps + r_a is 0, or r_s + kappa is 0 in some group."""
+    beta_a / beta_s is one scalar (alpha_hat in the age-structured model), so
+    that block is diag(beta_s) W diag(h), h = beta_a / (beta_s c1) + eps /
+    (c1 d2), similar to the reduced matrix at rate 0, diag(b1(0) s) A. So Rt
+    is lambda_max(F' diag(N b1(0) s) F) for the Gram kernel F F' of Abar or
+    Abar (x) Gamma from `_top_eig`, or the top of dense `eigvals` of the
+    reduced matrix when Gamma has no Cholesky factor.
+    Raises ValueError if eps + r_a is 0, or r_s + kappa is 0 in some group."""
     if params.eps + params.r_a <= 0:
         raise ValueError("Rt is undefined: eps + r_a is 0")
     stuck = np.flatnonzero(np.atleast_1d(params.outflow_symptomatic()) <= 0)
     if stuck.size:
         where = f" in age groups {stuck.tolist()}" if params.is_demographic else ""
         raise ValueError(f"Rt is undefined: r_s + kappa is 0{where}")
-    if not params.is_demographic:
-        c1 = params.eps + params.r_a
-        gain = (params.beta_a / c1
-                + params.beta_s * params.eps / (c1 * params.outflow_symptomatic()))
-        return max(float(gain) * _top_weighted_flow_eig(state.s, net), 0.0)
-    factor = _age_gram_factor(net, params, contacts)
-    if factor is not None:
-        weight = net.cell_populations() * state.s * cell_b1(params, net.n, 0.0)
-        return max(_top_gram_eig(factor, weight)[0], 0.0)
-    flow = flow_for_model(net, params, contacts)
-    beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
-    c1 = params.eps + params.r_a
-    weighted = state.s[:, None] * flow
-    gen = ((beta_a / c1)[:, None] * weighted
-           + beta_s[:, None] * weighted * (params.eps / (c1 * (r_s + kappa)))[None, :])
-    return max(_largest_real_eig(gen), 0.0)
+    kernel = coupling_gram_kernel(net, params, contacts)
+    if kernel is None:
+        return max(_largest_real_eig(discrete_stability_matrix(
+            state.s, net, params, contacts, 0.0)), 0.0)
+    weight = net.cell_populations() * state.s * cell_b1(params, net.n, 0.0)
+    return max(_top_eig(kernel, weight)[0], 0.0)
 
 
 def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
@@ -641,6 +660,7 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
                             params: DiseaseParams,
                             contacts: Optional[ContactStructure],
                             v: np.ndarray, alpha: float,
+                            kernel: Optional[GramKernel] = None,
                             ) -> StabilityCertificate:
     """Certify that allocation v enforces decay at rate alpha from state.
 
@@ -649,36 +669,38 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
     boolean comes from the continuous form, to within CERTIFICATE_TOL. The
     radius is inf when alpha is at or above `max_certificate_rate`.
 
-    For the homogeneous model both come from the top eigenvalue w of
-    W = diag(s_post) A (one symmetric eigensolve): lambda_max is the top
-    root of the 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] and the
-    radius is b1(alpha) w. For the age-structured model with a Cholesky
-    factor of Gamma, the radius is rho(alpha) = lambda_max(F' diag(N b1(alpha)
-    s_post) F), and lambda_max is -alpha* at rho(alpha*) = 1, found by a
-    bracketed Newton search started at alpha (`_gram_certificate`), usually
-    one or two symmetric eigensolves. Otherwise it takes dense `eigvals` of
-    M and of the reduced matrix.
+    kernel is the model's `coupling_gram_kernel`, built when not given; its
+    spectra come from `_top_eig`. For the homogeneous model both come from
+    the top eigenvalue w of W = diag(s_post) A: lambda_max is the top root of
+    the 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] and the radius is
+    b1(alpha) w. For the age-structured model with a Cholesky factor of
+    Gamma, the radius is rho(alpha) = lambda_max(F' diag(N b1(alpha) s_post)
+    F), and lambda_max is -alpha* at rho(alpha*) = 1, found by a bracketed
+    Newton search started at alpha (`_gram_certificate`), usually one or two
+    warm-started solves. Otherwise it takes dense `eigvals` of M and of the
+    reduced matrix.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > state.s + 1e-9):
         raise ValueError("allocation must satisfy 0 <= v_i <= s_i")
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
-    factor = _age_gram_factor(net, params, contacts)
-    if factor is not None:
-        lam, radius = _gram_certificate(factor, net.cell_populations() * s_post,
+    kernel = kernel or coupling_gram_kernel(net, params, contacts)
+    if not params.is_demographic:
+        w = max(_top_eig(kernel, s_post * net.populations)[0], 0.0)
+        lam = _top_block_root(params, w)
+        try:
+            radius = compute_b1(params, alpha) * w
+        except InfeasibleRateError:
+            radius = np.inf
+    elif kernel is not None and max_certificate_rate(params) > 0:
+        lam, radius = _gram_certificate(kernel, net.cell_populations() * s_post,
                                         params, net.n, alpha)
-    elif params.is_demographic:
+    else:  # no Gram kernel, or a group that never leaves infection (rate
+        # limit 0, where b1 has no finite value just below the limit)
         lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
         try:
             radius = spectral_radius(
                 discrete_stability_matrix(s_post, net, params, contacts, alpha))
-        except InfeasibleRateError:
-            radius = np.inf
-    else:
-        w = _top_weighted_flow_eig(s_post, net)
-        lam = _top_block_root(params, w)
-        try:
-            radius = compute_b1(params, alpha) * w
         except InfeasibleRateError:
             radius = np.inf
     return StabilityCertificate(

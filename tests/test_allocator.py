@@ -1,6 +1,8 @@
+import importlib
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,17 +43,17 @@ def indefinite_two_group_instance(target_rt=1.25, psi=0.95):
 
 
 class TestLmiEngine:
-    # each case gives a factor F with F F' = B^{-1} for the bound B of the
+    # each case gives a kernel F F' = B^{-1} for the bound B of the
     # constraint diag(u) <= B
     def test_identity_bound_forces_unit_diagonal(self):
-        u, stats = sv.lmi_box_maximize(np.eye(3), np.zeros(3),
+        u, stats = sv.lmi_box_maximize(sv.GramKernel(np.eye(3)), np.zeros(3),
                                        np.full(3, 5.0), np.ones(3))
         assert u == pytest.approx(np.ones(3), abs=1e-8)
         assert stats.converged
 
     def test_decoupled_diagonal_bound(self):
         rates = np.array([2.0, 0.5, 4.0])
-        u, _ = sv.lmi_box_maximize(np.diag(np.sqrt(rates)), np.zeros(3),
+        u, _ = sv.lmi_box_maximize(sv.GramKernel(np.diag(rates)), np.zeros(3),
                                    np.full(3, 100.0), np.ones(3))
         assert u == pytest.approx(1 / rates, abs=1e-8)
 
@@ -60,7 +62,7 @@ class TestLmiEngine:
         # objective weights the slack (a - u1) = (b - u2) = |offdiag|:
         # u = (200, 400), objective 600.
         abar = np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0
-        u, stats = sv.lmi_box_maximize(np.linalg.cholesky(abar), np.zeros(2),
+        u, stats = sv.lmi_box_maximize(sv.GramKernel(abar), np.zeros(2),
                                        np.full(2, 1000.0), np.ones(2))
         assert u.sum() == pytest.approx(600.0, abs=1e-4)
         assert u == pytest.approx([200.0, 400.0], abs=0.05)
@@ -75,28 +77,46 @@ class TestLmiEngine:
 
     def test_infeasible_lower_corner(self):
         with pytest.raises(sv.InfeasibleAllocationError):
-            sv.lmi_box_maximize(np.eye(2), np.full(2, 2.0), np.full(2, 3.0),
-                                np.ones(2))
+            sv.lmi_box_maximize(sv.GramKernel(np.eye(2)), np.full(2, 2.0),
+                                np.full(2, 3.0), np.ones(2))
 
     def test_weighted_objective(self):
-        factor = np.linalg.cholesky(np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0)
-        heavy_first, _ = sv.lmi_box_maximize(factor, np.zeros(2),
+        kernel = sv.GramKernel(np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0)
+        heavy_first, _ = sv.lmi_box_maximize(kernel, np.zeros(2),
                                              np.full(2, 1000.0),
                                              np.array([10.0, 1.0]))
         assert heavy_first[0] > 200.0  # weight shifts the optimum toward u1
 
+    def test_pool_vector_of_another_size_is_ignored(self):
+        # one pool reused across two problem sizes keeps the first problem's
+        # top eigenvector, of shape (3,); the second solve (above the dense
+        # cutoff) must start afresh rather than broadcast it
+        small, large = (allocator.build_problem(
+            inst.state0, inst.net, inst.params, None, 0.0)
+            for inst in (sv.synthetic_instance(0, n=3),
+                         sv.synthetic_instance(1, n=50)))
+        pool = allocator.CutPool()
+        allocator.solve_diagonal_lmi(small, pool)
+        assert pool.vector.shape == (3,)
+        pool.rows, pool.basis = [], None  # the cut rows are per problem
+        reused = allocator.solve_diagonal_lmi(large, pool)
+        assert pool.vector.shape == (50,)
+        fresh = allocator.solve_diagonal_lmi(large)
+        assert np.array_equal(reused.v, fresh.v)
+
     def test_top_eig_handles_zero_and_rank_deficient_grams(self):
-        # lambda_max of F' diag(u) F and the cut F z of a unit top
-        # eigenvector z; u = 0 gives a zero Gram matrix, u = e_3 a rank-one
-        # one, and 1e-300 e_3 one whose shifted solve is near underflow
+        # lambda_max of F' diag(u) F from the kernel F F' and the cut F z of
+        # a unit top eigenvector z; u = 0 gives a zero Gram matrix, u = e_3 a
+        # rank-one one, and 1e-300 e_3 one whose cut scales near underflow
         rng = np.random.default_rng(0)
         factor = rng.random((30, 30))
+        kernel = sv.GramKernel(factor @ factor.T)
         for u in (rng.random(30), np.zeros(30), np.eye(30)[3],
                   1e-300 * np.eye(30)[3]):
             gram = factor.T @ (u[:, None] * factor)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                lam, cut = allocator._top_eig(factor, u)
+                lam, cut, _ = model._top_eig(kernel, u)
             assert lam == pytest.approx(np.linalg.eigvalsh(gram)[-1],
                                         rel=1e-12, abs=0)
             z = np.linalg.solve(factor, cut)
@@ -117,7 +137,7 @@ class TestSolvePaths:
         inst = indefinite_two_group_instance()
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                        inst.contacts, 0.0)
-        assert prob.factor is None  # Gamma has no Cholesky factor
+        assert prob.kernel is None  # Gamma has no Cholesky factor
         with pytest.raises(sv.NoGramFactorError):
             allocator.solve_diagonal_lmi(prob)
         res = allocator.solve_allocation(prob)
@@ -311,14 +331,14 @@ class TestDirectSearch:
     def test_covid_matches_cold_bisection(self, n):
         for seed in range(4):
             prob, population = covid_problem(seed, n)
-            assert prob.factor is not None
+            assert prob.kernel is not None
             self.assert_within_cold_bracket(prob, 0.05 * population)
 
     @pytest.mark.parametrize("r0", [1.05, 1.15, 1.5, 2.5])
     def test_seir_matches_cold_bisection(self, r0):
         for seed in range(4):
             prob, population = seir_problem(r0, seed)
-            assert prob.factor is None
+            assert prob.kernel is None
             self.assert_within_cold_bracket(prob, 0.05 * population)
 
     def test_converges_when_min_radius_is_far_below_start(self):
@@ -496,6 +516,39 @@ class TestCertifiedOrRaise:
         with pytest.raises(sv.SolverError, match="certificate"):
             solve_via(inst, 0.0)
 
+    # the benchmark's alloc-mix operations on the covid models: (model, n,
+    # budget fraction, or None for the alpha = 0 solve)
+    ALLOC_MIX = ([("covid", n, 0.05) for n in (5, 20, 50)]
+                 + [("covid", n, None) for n in (100, 200)]
+                 + [("covid-demographic", n, 0.05) for n in (5, 10, 20)])
+
+    @pytest.mark.parametrize("model_name, n, budget", ALLOC_MIX)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_benchmark_allocations_match_dense_certificate(
+            self, seed, model_name, n, budget, monkeypatch):
+        # each certificate is the bracket's upper end; dense eigvals of the
+        # infection block M confirm it and agree with its lambda_max to 1e-9
+        # of max(|lambda_max|, the rate limit), the scale alpha lives on
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                        / "bench"))
+        inst = importlib.import_module("checks").build_instance(
+            model_name, n, seed)
+        if budget is None:
+            alpha = 0.0
+            result = allocator.solve_allocation(allocator.build_problem(
+                inst.state0, inst.net, inst.params, inst.contacts, alpha))
+        else:
+            alpha, result = sv.max_decay_binary_search(
+                inst.state0, inst.net, inst.params, inst.contacts,
+                budget * inst.net.total_population)
+        s_post = np.clip(inst.state0.s - inst.params.psi * result.v, 0, None)
+        lam = np.max(np.linalg.eigvals(model.infection_submatrix(
+            s_post, inst.net, inst.params, inst.contacts)).real)
+        cert = result.certificate
+        assert cert.satisfied and lam <= -alpha + model.CERTIFICATE_TOL
+        scale = max(abs(lam), model.max_certificate_rate(inst.params))
+        assert abs(cert.lambda_max - lam) <= 1e-9 * scale
+
 
 class TestGramRoute:
     @pytest.mark.parametrize("n", [5, 20, 50])
@@ -536,14 +589,15 @@ class TestGramRoute:
         for net, cs in ((inst.net, inst.contacts), (scaled_net, inst.contacts),
                         (inst.net, scaled_cs)):
             prob = allocator.build_problem(inst.state0, net, inst.params, cs, 0.0)
-            assert prob.factor is not None
-            gram = prob.factor @ prob.factor.T * prob.scale[None, :]
+            assert prob.kernel is not None
+            gram = prob.kernel.dense * prob.scale[None, :]
             assert gram == pytest.approx(
                 prob.flow, rel=1e-9, abs=1e-12 * np.abs(prob.flow).max())
         indefinite = indefinite_two_group_instance()
         tiny = sv.ContactStructure(contacts=1e-6 * indefinite.contacts.contacts,
                                    reference_pop=indefinite.contacts.reference_pop)
-        assert sv.coupling_gram_factor(indefinite.net, tiny) is None
+        assert sv.coupling_gram_kernel(indefinite.net, indefinite.params,
+                                       tiny) is None
 
 
 class TestSerialization:

@@ -34,7 +34,7 @@ class TestAllocationRoutes:
 
     def test_default_fixture_routes_to_bilinear(self):
         params, state = bubar.us_like_instance(1.15, seed=0)
-        assert bubar.bubar_problem(state, params, 0.0).factor is None
+        assert bubar.bubar_problem(state, params, 0.0).kernel is None
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.0)
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied

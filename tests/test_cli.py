@@ -15,6 +15,25 @@ def allocate(tmp_path, *flags):
 
 
 class TestAllocate:
+    # the benchmark's budget-covid-n20 and budget-age-n5 operations, seed 0
+    @pytest.mark.parametrize("model_name, n", [("covid", 20),
+                                               ("covid-demographic", 5)])
+    def test_undosed_cells_get_no_doses(self, tmp_path, model_name, n):
+        # cells the optimum leaves unvaccinated hold exactly 0 doses, not the
+        # 1e-9 of their susceptibles that the segment toward the fully
+        # vaccinated corner used to leave there
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthetic": {"seed": 0, "n": n}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                         "--model", model_name, "--budget", "0.05",
+                         "allocate"]) == cli.EXIT_OK
+        with open(tmp_path / "allocation.csv", newline="") as fh:
+            doses = np.array([float(row["doses"]) for row in csv.DictReader(fh)])
+        cells = sv.synthetic_instance(0, n=n, groups=model_name != "covid"
+                                      ).net.cell_populations()
+        assert not np.any((doses > 0) & (doses < 1e-6 * cells))
+        assert np.count_nonzero(doses == 0) > 0
+
     def test_budgeted_allocation_recertifies(self, tmp_path):
         assert allocate(tmp_path, "--budget", "0.05") == cli.EXIT_OK
         doc = json.loads((tmp_path / "allocation.json").read_text())
@@ -74,7 +93,8 @@ class TestAllocate:
 # allocate output at seed 0: (achieved alpha, doses, dose vector), pinned
 # before the SEIR model was solved through the shared allocation problem;
 # the budgeted bubar and covid cases since max-decay searches directly when
-# b1 is one scalar; the solver counts, which are integers, exactly
+# b1 is one scalar; the age case since cells the optimum leaves undosed get
+# exactly 0 doses; the solver counts, which are integers, exactly
 ALLOCATE_GOLDEN = {
     ("bubar", "--budget", "0.05"): (
         -0.006755838254284464, 50000.0,
@@ -92,16 +112,11 @@ ALLOCATE_GOLDEN = {
         [0.0, 13535.6331536, 2200.89454122, 122.172305206, 0.0],
         {"search": "direct", "iterations": 3, "cuts": 2, "lp_calls": 2}),
     ("covid-demographic", "--budget", "0.05"): (
-        -0.009575490951538078, 15854.11767286719,
-        [2.68470853972e-05, 6.94537526864e-05, 5.88308356827e-05,
-         6.9653524866e-05, 0.000114392383993, 5.86251963324e-05,
-         2.87197848473e-06, 1.09140157459e-05, 1764.82062488, 2713.2507397,
-         3338.1126635, 6.89304674598e-06, 5.71986607152e-07, 1.51976657765e-06,
-         296.876530018, 467.333578137, 571.906842703, 1.03490653963e-06,
-         2.81009320618e-05, 8.11515776048e-05, 6337.59277391, 8.26745852245e-05,
-         0.000134506149379, 5.91328961328e-05, 6.55127698327e-06,
-         2.42943642238e-05, 364.223004604, 2.41664860561e-05, 3.65449212855e-05,
-         1.66881273348e-05],
+        -0.009575490951538078, 15854.117293364076,
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1764.82062488, 2713.2507397,
+         3338.1126635, 0.0, 0.0, 0.0, 296.876530018, 467.333578137,
+         571.906842703, 0.0, 0.0, 0.0, 6337.59315389, 0.0, 0.0, 0.0, 0.0, 0.0,
+         364.223160548, 0.0, 0.0, 0.0],
         {"search": "bisection", "iterations": 7, "cuts": 13, "lp_calls": 28}),
 }
 

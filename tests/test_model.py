@@ -550,7 +550,7 @@ class TestAgeSpectra:
         rng = np.random.default_rng(seed)
         inst = ingest.synthetic_instance(seed, n=n, groups=True)
         state, net, params, cs = inst.state0, inst.net, inst.params, inst.contacts
-        assert model.coupling_gram_factor(net, cs) is not None
+        assert model.coupling_gram_kernel(net, params, cs) is not None
         s = state.s
         some = rng.uniform(size=s.size) < 0.5
         perfect = replace(params, psi=1.0)
@@ -645,7 +645,7 @@ class TestAgeSpectra:
     def test_non_cholesky_gamma_takes_dense_path(self, monkeypatch):
         state, net, params, _ = group_outflow_case()
         cs = toy_contacts([[20.0, 6.0], [2.0, 4.0]])  # not reciprocal
-        assert model.coupling_gram_factor(net, cs) is None
+        assert model.coupling_gram_kernel(net, params, cs) is None
         sizes = []
         real = np.linalg.eigvals
 

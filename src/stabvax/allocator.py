@@ -124,8 +124,7 @@ class AllocationProblem:
     def _set_rate(self, alpha: float) -> None:
         self.alpha = alpha
         # b1_at may return one scalar for all cells
-        self.b1 = np.broadcast_to(np.asarray(self.b1_at(alpha), dtype=float),
-                                  self.s0.shape).copy()
+        self.b1 = np.broadcast_to(self.b1_at(alpha), self.s0.shape).astype(float)
         if np.any(self.b1 <= 0):
             raise ValueError("b1 must be positive (no transmission path?)")
 
@@ -165,21 +164,13 @@ SLP_TOL = 1e-8
 RATE_WIDTH = 1e-5
 
 
-def _cut(kernel: GramKernel, mass: np.ndarray, u: np.ndarray,
-         pool: CutPool) -> tuple[float, np.ndarray]:
-    """lambda_max(F' diag(mass u) F) (an upper bound within 1e-12) and its cut
-    row mass (F z)^2, warm-started from and keeping the pool's vector."""
-    lam, fz, pool.vector = _top_eig(kernel, mass * u, pool.vector)
-    return lam, mass * fz * fz
-
-
 def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
-                     weights: np.ndarray, *, mass: Optional[np.ndarray] = None,
+                     weights: np.ndarray, mass: np.ndarray, *,
                      pool: Optional[CutPool] = None,
                      max_shortfall: Optional[float] = None,
                      ) -> tuple[np.ndarray, SolverStats]:
-    """Maximize weights'u subject to lambda_max(F' diag(mass u) F) <= 1 (mass
-    defaults to 1) for the kernel F F' and lower <= u <= upper.
+    """Maximize weights'u subject to lambda_max(F' diag(mass u) F) <= 1 for
+    the kernel F F' and lower <= u <= upper.
 
     Returns the best feasible point once within LMI_GAP_TOL (relative) of
     the LP bound. pool lends cuts from earlier calls on the same kernel and
@@ -193,9 +184,8 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    mass = np.ones_like(lower) if mass is None else mass
     pool = CutPool() if pool is None else pool
-    lam_lo, _ = _cut(kernel, mass, lower, pool)
+    lam_lo, _, pool.vector = _top_eig(kernel, mass * lower, pool.vector)
     if lam_lo > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation violates the matrix constraint; "
@@ -203,7 +193,6 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
 
     objective = -weights / max(1.0, float(np.abs(weights).max()))
     best, best_lp, best_lam = lower, lower, lam_lo
-    best_obj = float(weights @ lower)
     cuts_before, lp_before = len(pool.rows), pool.lp_calls
     gap = np.inf
     for iteration in range(1, KELLEY_MAX_ITER + 1):
@@ -217,13 +206,12 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
         else:  # the LP without cuts is solved by the upper corner
             u = upper.copy()
         bound_obj = float(weights @ u)
-        lam, row = _cut(kernel, mass, u, pool)
+        lam, fz, pool.vector = _top_eig(kernel, mass * u, pool.vector)
         point = u if lam <= 1.0 else \
             u + min(1.0, (lam - 1.0) / max(lam - lam_lo, 1e-300)) * (lower - u)
-        if float(weights @ point) > best_obj:
+        if weights @ point > weights @ best:
             best, best_lp, best_lam = point, u, lam
-            best_obj = float(weights @ point)
-        gap = (bound_obj - best_obj) / max(abs(bound_obj), 1e-300)
+        gap = (bound_obj - float(weights @ best)) / max(abs(bound_obj), 1e-300)
         if max_shortfall is not None:
             if weights @ (upper - u) > max_shortfall:
                 raise InfeasibleAllocationError(
@@ -232,7 +220,7 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
                 break
         if gap <= LMI_GAP_TOL:
             break
-        pool.rows.append(row)
+        pool.rows.append(mass * fz * fz)
     else:
         raise SolverError(
             f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
@@ -240,10 +228,10 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
     if max_shortfall is None and best_lam > 1.0:
         # the same segment to the corner that keeps those cells at upper
         corner = np.where(best_lp == upper, upper, lower)
-        lam_c = _cut(kernel, mass, corner, pool)[0]
+        lam_c, _, pool.vector = _top_eig(kernel, mass * corner, pool.vector)
         point = best_lp + (best_lam - 1.0) / (best_lam - min(lam_c, 1.0)) * (
             corner - best_lp)
-        if lam_c < 1.0 and float(weights @ point) >= best_obj:
+        if lam_c < 1.0 and weights @ point >= weights @ best:
             best = point
     if max_shortfall is not None and weights @ (upper - best) > max_shortfall:
         raise InfeasibleAllocationError("no feasible point within the shortfall")
@@ -419,12 +407,11 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
     """The covid model's problem at decay rate alpha from the current
     susceptible profile: v is the vaccinated fraction of each cell, and the
     flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram kernel
-    Abar (or Abar (x) Gamma) with scale N, which the certificate shares."""
-    kernel = coupling_gram_kernel(net, params, contacts)
+    Abar (or Abar (x) Gamma) with scale N."""
     populations = net.cell_populations().copy()
     return AllocationProblem(
         flow=flow_for_model(net, params, contacts),
-        kernel=kernel, scale=populations,
+        kernel=coupling_gram_kernel(net, params, contacts), scale=populations,
         s0=state.s.copy(), q=np.full(populations.shape, params.psi),
         vmax=state.s.copy(), weights=populations,
         max_rate=max_certificate_rate(params),
@@ -432,7 +419,7 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                if params.is_demographic else
                (lambda rate: compute_b1(params, rate))),
         certify=lambda v, rate: check_decay_certificate(
-            state, net, params, contacts, v, rate, kernel),
+            state, net, params, contacts, v, rate),
         alpha=alpha)
 
 
@@ -468,8 +455,8 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
                       where=prob.s0 > 0)
     u, stats = lmi_box_maximize(
         prob.kernel, prob.b1 * (1 - prob.q * reach), prob.b1,
-        prob.weights * prob.s0 / (prob.b1 * prob.q),
-        mass=prob.scale * prob.s0, pool=pool, max_shortfall=max_doses)
+        prob.weights * prob.s0 / (prob.b1 * prob.q), prob.scale * prob.s0,
+        pool=pool, max_shortfall=max_doses)
     return prob.s0 * (1 - u / prob.b1) / prob.q, stats
 
 
@@ -532,7 +519,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
     lower = np.concatenate([1 - prob.q * reach, [0.0]])
     upper = np.concatenate([np.ones(m), [np.inf]])
-    r, row = _cut(prob.kernel, mass, np.ones(m), pool)
+    r, fz, pool.vector = _top_eig(prob.kernel, mass, pool.vector)
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
     for iteration in range(1, KELLEY_MAX_ITER + 1):
         # stop at the gap, or (a guard) when the LP would not see the next
@@ -540,7 +527,7 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         if (best_r - bound <= RADIUS_GAP_TOL * best_r
                 or r - bound <= _lp.FEAS_TOL * unit):
             break
-        pool.rows.append(row)
+        pool.rows.append(mass * fz * fz)
         unit = best_r  # t in units of r*, so the LP resolves a relative gap
         rows = np.array(pool.rows) / unit
         x, pool.basis = _lp.solve(
@@ -554,7 +541,8 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         spent = 1 - x[:-1]  # 1 - y
         # every evaluated point keeps within the budget
         spent *= min(1.0, budget / max(float(cost @ spent), 1e-300))
-        r, row = _cut(prob.kernel, mass, 1 - spent, pool)
+        r, fz, pool.vector = _top_eig(prob.kernel, mass * (1 - spent),
+                                      pool.vector)
         if r < best_r:
             best_v, best_r = prob.s0 * spent / prob.q, r
     else:

@@ -346,9 +346,9 @@ def coupling_gram_kernel(net: NetworkInstance, params: DiseaseParams,
     has no contacts or a Gamma with no Cholesky factor."""
     if not params.is_demographic:
         return GramKernel(build_flow_matrix(net)[1])
-    if contacts is None or cholesky_factor(contacts.gamma) is None:
+    if contacts is None or cholesky_factor(gamma := contacts.gamma) is None:
         return None
-    return GramKernel(build_flow_matrix(net)[1], contacts.gamma)
+    return GramKernel(build_flow_matrix(net)[1], gamma)
 
 
 def project_contact_matrix(contacts: np.ndarray, from_pop: np.ndarray,
@@ -660,7 +660,6 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
                             params: DiseaseParams,
                             contacts: Optional[ContactStructure],
                             v: np.ndarray, alpha: float,
-                            kernel: Optional[GramKernel] = None,
                             ) -> StabilityCertificate:
     """Certify that allocation v enforces decay at rate alpha from state.
 
@@ -669,22 +668,21 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
     boolean comes from the continuous form, to within CERTIFICATE_TOL. The
     radius is inf when alpha is at or above `max_certificate_rate`.
 
-    kernel is the model's `coupling_gram_kernel`, built when not given; its
-    spectra come from `_top_eig`. For the homogeneous model both come from
-    the top eigenvalue w of W = diag(s_post) A: lambda_max is the top root of
-    the 2 x 2 block [[beta_a w - c1, beta_s w], [eps, -d2]] and the radius is
-    b1(alpha) w. For the age-structured model with a Cholesky factor of
-    Gamma, the radius is rho(alpha) = lambda_max(F' diag(N b1(alpha) s_post)
-    F), and lambda_max is -alpha* at rho(alpha*) = 1, found by a bracketed
-    Newton search started at alpha (`_gram_certificate`), usually one or two
-    warm-started solves. Otherwise it takes dense `eigvals` of M and of the
-    reduced matrix.
+    For the homogeneous model both come from the top eigenvalue w of
+    W = diag(s_post) A (`_top_eig` on `coupling_gram_kernel`): lambda_max
+    is the top root of the 2 x 2 block [[beta_a w - c1, beta_s w], [eps,
+    -d2]] and the radius is b1(alpha) w. For the age-structured model with
+    a Cholesky factor of Gamma, the radius is rho(alpha) = lambda_max(F'
+    diag(N b1(alpha) s_post) F), and lambda_max is -alpha* at rho(alpha*) =
+    1, found by a bracketed Newton search started at alpha
+    (`_gram_certificate`), usually one or two warm-started solves.
+    Otherwise it takes dense `eigvals` of M and of the reduced matrix.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12) or np.any(v > state.s + 1e-9):
         raise ValueError("allocation must satisfy 0 <= v_i <= s_i")
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
-    kernel = kernel or coupling_gram_kernel(net, params, contacts)
+    kernel = coupling_gram_kernel(net, params, contacts)
     if not params.is_demographic:
         w = max(_top_eig(kernel, s_post * net.populations)[0], 0.0)
         lam = _top_block_root(params, w)

@@ -10,8 +10,8 @@ def nudged_gram_route(monkeypatch):
     which moves every solve with vaccinated cells off its certificate."""
     real = allocator.lmi_box_maximize
 
-    def nudged(kernel, lower, upper, weights, **kwargs):
-        u, stats = real(kernel, lower, upper, weights, **kwargs)
+    def nudged(kernel, lower, upper, weights, mass, **kwargs):
+        u, stats = real(kernel, lower, upper, weights, mass, **kwargs)
         return np.minimum(1.001 * u, upper), stats
 
     monkeypatch.setattr(allocator, "lmi_box_maximize", nudged)

@@ -47,14 +47,14 @@ class TestLmiEngine:
     # constraint diag(u) <= B
     def test_identity_bound_forces_unit_diagonal(self):
         u, stats = sv.lmi_box_maximize(sv.GramKernel(np.eye(3)), np.zeros(3),
-                                       np.full(3, 5.0), np.ones(3))
+                                       np.full(3, 5.0), np.ones(3), np.ones(3))
         assert u == pytest.approx(np.ones(3), abs=1e-8)
         assert stats.converged
 
     def test_decoupled_diagonal_bound(self):
         rates = np.array([2.0, 0.5, 4.0])
         u, _ = sv.lmi_box_maximize(sv.GramKernel(np.diag(rates)), np.zeros(3),
-                                   np.full(3, 100.0), np.ones(3))
+                                   np.full(3, 100.0), np.ones(3), np.ones(3))
         assert u == pytest.approx(1 / rates, abs=1e-8)
 
     def test_two_by_two_stationarity(self):
@@ -63,7 +63,7 @@ class TestLmiEngine:
         # u = (200, 400), objective 600.
         abar = np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0
         u, stats = sv.lmi_box_maximize(sv.GramKernel(abar), np.zeros(2),
-                                       np.full(2, 1000.0), np.ones(2))
+                                       np.full(2, 1000.0), np.ones(2), np.ones(2))
         assert u.sum() == pytest.approx(600.0, abs=1e-4)
         assert u == pytest.approx([200.0, 400.0], abs=0.05)
         # 1-D scan oracle along the analytic feasibility boundary
@@ -78,13 +78,13 @@ class TestLmiEngine:
     def test_infeasible_lower_corner(self):
         with pytest.raises(sv.InfeasibleAllocationError):
             sv.lmi_box_maximize(sv.GramKernel(np.eye(2)), np.full(2, 2.0),
-                                np.full(2, 3.0), np.ones(2))
+                                np.full(2, 3.0), np.ones(2), np.ones(2))
 
     def test_weighted_objective(self):
         kernel = sv.GramKernel(np.array([[0.5, 0.2], [0.2, 0.35]]) / 180.0)
         heavy_first, _ = sv.lmi_box_maximize(kernel, np.zeros(2),
                                              np.full(2, 1000.0),
-                                             np.array([10.0, 1.0]))
+                                             np.array([10.0, 1.0]), np.ones(2))
         assert heavy_first[0] > 200.0  # weight shifts the optimum toward u1
 
     def test_pool_vector_of_another_size_is_ignored(self):

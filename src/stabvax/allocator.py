@@ -14,9 +14,11 @@ the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass = scale s0.
   on the segment from the LP point to the feasible lower corner is feasible,
   which bounds the gap in closed form. Cuts depend on B and mass alone, so
   one ``CutPool`` serves all probes of an alpha bisection, and a probe stops
-  once it settles the budget question. The pool also keeps the last LP
-  basis and top eigenvector, which start the next LP (each LP is one row,
-  box or objective away from the one before) and eigensolve.
+  once it settles the budget question. A probe's eigensolves stop too once
+  their bracket decides lambda <= 1; the segment and the cuts stay valid on
+  that upper bound. The pool also keeps the last LP basis and top
+  eigenvector, which start the next LP (each LP is one row, box or
+  objective away from the one before) and eigensolve.
 
 * ``spectral_box_minimize`` serves problems without a kernel (an indefinite
   or asymmetric contact structure):
@@ -33,9 +35,9 @@ scalar (the homogeneous covid model, the SEIR model), rho(diag(b1 (s0 - q v))
 K) = b1(alpha) r(v) with r(v) = rho(diag(s0 - q v) K), so the search is
 direct: minimize r under the budget once (Kelley cuts on the epigraph of
 lambda_max on the Gram route, the SLP on the Perron gradient otherwise), then
-take alpha as the root of b1(alpha) r* = 1. Per-cell b1 (the age-structured
-model) bisects alpha. Every result is re-certified by the model's
-certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
+take alpha as the root of b1(alpha) r* = 1 by a bracketed secant. Per-cell b1
+(the age-structured model) bisects alpha. Every result is re-certified by the
+model's certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -98,10 +100,13 @@ class AllocationProblem:
     """One model's stabilizing-allocation problem at decay rate alpha (see
     the module docstring); b1 = b1_at(alpha) per cell.
 
-    kernel is None when the flow has no Gram form (the bilinear route).
+    kernel is None when the flow has no Gram form (the bilinear route). Only
+    the bilinear route reads the dense flow; None stands for B diag(scale),
+    the covid model's flow, which `build_problem` leaves out on the Gram
+    route.
     """
 
-    flow: np.ndarray
+    flow: Optional[np.ndarray]
     kernel: Optional[GramKernel]
     scale: np.ndarray
     s0: np.ndarray
@@ -115,7 +120,7 @@ class AllocationProblem:
     b1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("flow", "scale", "s0", "q", "vmax", "weights"):
+        for name in ("scale", "s0", "q", "vmax", "weights"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         self._set_rate(self.alpha)
         if np.any(self.q <= 0):
@@ -177,15 +182,21 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
     mass and keeps the new ones. Given max_shortfall, returns the first
     feasible point with weights'(upper - u) <= max_shortfall, and raises
     InfeasibleAllocationError once the LP bound rules one out, as it does for
-    an infeasible lower corner. Without it, the cells an infeasible LP point
-    holds at upper, which the segment toward lower moves by about 1e-9, stay
-    there when a segment that keeps them is feasible and no worse.
+    an infeasible lower corner. Such a probe settles each eigensolve
+    (`model._top_eig`) against the threshold it tests, 1 + 1e-9 at the
+    lower corner and 1 at the LP point: lambda is then an upper bound, which
+    keeps the segment point feasible by convexity, and above 1 the cut still
+    separates the LP point. Without max_shortfall, the cells an infeasible
+    LP point holds at upper, which the segment toward lower moves by about
+    1e-9, stay there when a segment that keeps them is feasible and no worse.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     weights = np.asarray(weights, dtype=float)
     pool = CutPool() if pool is None else pool
-    lam_lo, _, pool.vector = _top_eig(kernel, mass * lower, pool.vector)
+    probe = max_shortfall is not None
+    lam_lo, _, pool.vector = _top_eig(kernel, mass * lower, pool.vector,
+                                      settle=1.0 + 1e-9 if probe else None)
     if lam_lo > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation violates the matrix constraint; "
@@ -206,13 +217,14 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
         else:  # the LP without cuts is solved by the upper corner
             u = upper.copy()
         bound_obj = float(weights @ u)
-        lam, fz, pool.vector = _top_eig(kernel, mass * u, pool.vector)
+        lam, fz, pool.vector = _top_eig(kernel, mass * u, pool.vector,
+                                        settle=1.0 if probe else None)
         point = u if lam <= 1.0 else \
             u + min(1.0, (lam - 1.0) / max(lam - lam_lo, 1e-300)) * (lower - u)
         if weights @ point > weights @ best:
             best, best_lp, best_lam = point, u, lam
         gap = (bound_obj - float(weights @ best)) / max(abs(bound_obj), 1e-300)
-        if max_shortfall is not None:
+        if probe:
             if weights @ (upper - u) > max_shortfall:
                 raise InfeasibleAllocationError(
                     "the LP bound already exceeds the allowed shortfall")
@@ -225,7 +237,7 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
         raise SolverError(
             f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
             "iterations")
-    if max_shortfall is None and best_lam > 1.0:
+    if not probe and best_lam > 1.0:
         # the same segment to the corner that keeps those cells at upper
         corner = np.where(best_lp == upper, upper, lower)
         lam_c, _, pool.vector = _top_eig(kernel, mass * corner, pool.vector)
@@ -233,7 +245,7 @@ def lmi_box_maximize(kernel: GramKernel, lower: np.ndarray, upper: np.ndarray,
             corner - best_lp)
         if lam_c < 1.0 and weights @ point >= weights @ best:
             best = point
-    if max_shortfall is not None and weights @ (upper - best) > max_shortfall:
+    if probe and weights @ (upper - best) > max_shortfall:
         raise InfeasibleAllocationError("no feasible point within the shortfall")
     return best, SolverStats(iterations=iteration,
                              cuts=len(pool.rows) - cuts_before,
@@ -409,9 +421,10 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
     flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram kernel
     Abar (or Abar (x) Gamma) with scale N."""
     populations = net.cell_populations().copy()
+    kernel = coupling_gram_kernel(net, params, contacts)
     return AllocationProblem(
-        flow=flow_for_model(net, params, contacts),
-        kernel=coupling_gram_kernel(net, params, contacts), scale=populations,
+        flow=flow_for_model(net, params, contacts) if kernel is None else None,
+        kernel=kernel, scale=populations,
         s0=state.s.copy(), q=np.full(populations.shape, params.psi),
         vmax=state.s.copy(), weights=populations,
         max_rate=max_certificate_rate(params),
@@ -468,7 +481,8 @@ def solve_diagonal_lmi(prob: AllocationProblem,
 
 def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
     """Perron-direction route; works for any nonnegative flow matrix."""
-    v, d, stats = spectral_box_minimize(prob.flow, prob.b1 * prob.s0,
+    flow = prob.kernel.dense * prob.scale if prob.flow is None else prob.flow
+    v, d, stats = spectral_box_minimize(flow, prob.b1 * prob.s0,
                                         prob.b1 * prob.q, prob.weights,
                                         prob.vmax)
     return _finish(prob, v, stats, direction=d)
@@ -502,6 +516,38 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
         else:
             hi = mid
     return lo, best
+
+
+def _rate_root(excess: Callable[[float], float], lo: float, hi: float,
+               width: float) -> float:
+    """Largest rate in [lo, hi], to width, with excess(rate) <= 0, for an
+    excess that rises with the rate: the Illinois variant of regula falsi
+    (Dowell and Jarratt 1971), which halves the kept end's value when the
+    same end is kept twice. Each point lies at least width / 2 inside the
+    bracket, so that a root met exactly still closes it. Returns the end
+    with excess <= 0."""
+    f_lo, f_hi = excess(lo), excess(hi)
+    if f_lo > 0:
+        raise InfeasibleAllocationError(
+            f"budget insufficient even at the bracket low end alpha={lo}")
+    if f_hi <= 0:
+        return hi
+    kept = 0  # +1: lo was kept by the last step, -1: hi was
+    while hi - lo > width:
+        mid = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo),
+                      lo + 0.5 * width), hi - 0.5 * width)
+        f_mid = excess(mid)
+        if f_mid <= 0:
+            lo, f_lo = mid, f_mid
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = mid, f_mid
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    return lo
 
 
 def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
@@ -601,7 +647,8 @@ def max_decay(prob: AllocationProblem,
     When b1_at returns one scalar the search is direct (see the module
     docstring): the budget's minimum radius r* comes from one Kelley solve
     (Gram route) or one SLP solve (bilinear route), and alpha from the root
-    of b1(alpha) r* = 1; below the bracket top that point is the answer.
+    of b1(alpha) r* = 1 (`_rate_root`); below the bracket top that point is
+    the answer.
     Otherwise it bisects alpha to RATE_WIDTH. On the Gram route the probes
     share one cut pool and stop as soon as the LP bound exceeds the budget or
     a feasible point fits it; bilinear probes are full solves. Every other
@@ -617,10 +664,12 @@ def max_decay(prob: AllocationProblem,
         v, radius, d, work = (_slp_min_radius(prob, budget) if pool is None
                               else _gram_min_radius(prob, budget, pool))
         work.search = "direct"
-        # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end
-        alpha, _ = bisect_rate(
-            lambda rate: radius * prob.b1_at(rate) <= 1.0 or None, lo, hi,
-            1e-15)
+        # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end;
+        # 1 - 1 / (r* b1) has that sign and is nearly linear in alpha, as
+        # 1 / b1 is a quadratic over at most a linear term in it
+        alpha = _rate_root(
+            lambda rate: 1.0 - 1.0 / max(radius * prob.b1_at(rate), 1e-300),
+            lo, hi, 1e-15)
         if alpha < hi:
             return alpha, _finish(prob.at_rate(alpha), v, work, direction=d)
     else:

@@ -486,10 +486,16 @@ _RATE_STEP_TOL = 1e-9
 # top; below _CW_DENSE_BELOW cells with w > 0, or after _CW_MAX_ITER steps
 # with the bracket still open, the dense solve takes over
 _CW_TOL, _CW_DENSE_BELOW, _CW_MAX_ITER = 1e-12, 40, 100
+# below _CW_DENSE_BELOW cells a settle threshold first tries this many power
+# steps: at 30 cells a step costs about 1/9 of the dense solve (12.5 against
+# 110 us), and 97% of the settled calls of age n=5 budgeted searches settle
+# within 8 steps
+_SETTLE_STEPS = 8
 
 
 def _top_eig(kernel: GramKernel, w: np.ndarray,
-             start: Optional[np.ndarray] = None,
+             start: Optional[np.ndarray] = None, *,
+             settle: Optional[float] = None,
              ) -> tuple[float, np.ndarray, np.ndarray]:
     """(lambda, F z, x) for S = diag(sqrt w) B diag(sqrt w), w >= 0, and the
     kernel B = F F': lambda_max(S) = lambda_max(F' diag(w) F); the cut F z =
@@ -502,21 +508,32 @@ def _top_eig(kernel: GramKernel, w: np.ndarray,
     bracket once it is within _CW_TOL. Below _CW_DENSE_BELOW such cells, at
     some (Sx)_i <= 0 (a reducible S) or at the step cap (a small spectral
     gap), eigvalsh and one shifted solve give lambda and x instead.
+
+    Given a threshold settle, the iteration also returns its top hi, still an
+    upper bound on lambda_max, once the bracket [lo, hi] lies on one side of
+    it (hi <= settle or lo > settle), and below _CW_DENSE_BELOW cells it
+    takes up to _SETTLE_STEPS such steps before the dense solve. At lo >
+    settle the cut is not tight, but still separates w: (F z)^2 . w =
+    x'S^2 x / x'Sx >= x'Sx / x'x >= lo (Cauchy-Schwarz, S symmetric, with x
+    read on the cells with w > 0).
     """
     w = np.maximum(w, 0.0)
     root, size = np.sqrt(w), int(np.count_nonzero(w))
     cells = slice(None) if size == w.size else np.flatnonzero(w)
-    if size >= _CW_DENSE_BELOW:
+    steps = (_CW_MAX_ITER if size >= _CW_DENSE_BELOW else
+             _SETTLE_STEPS if settle is not None and size else 0)
+    if steps:
         x = (np.ones_like(w) if start is None or start.shape != w.shape
              else np.where(start > 0, start, 1.0))
-        for _ in range(_CW_MAX_ITER):
+        for _ in range(steps):
             bx = kernel @ (root * x)
             sx = root * bx
             ratio = sx[cells] / x[cells]
             lo, hi = float(ratio.min()), float(ratio.max())
             if not lo > 0:
                 break
-            if hi - lo <= _CW_TOL * hi:
+            if (hi - lo <= _CW_TOL * hi or settle is not None
+                    and (hi <= settle or lo > settle)):
                 return hi, bx / math.sqrt(x @ sx), x
             x = sx / hi
     lam, x = 0.0, np.zeros_like(w)

@@ -213,7 +213,12 @@ class TestProblemAssembly:
         prob = allocator.build_problem(state, net, params, cs, 0.0)
         expected_aprime = np.array([[40, 1, 20, 2], [4, 2, 2, 4],
                                     [16, 0.4, 35, 3.5], [1.6, 0.8, 3.5, 7]]) / 9
-        assert prob.flow == pytest.approx(expected_aprime, abs=1e-12)
+        # Gamma is positive definite: the Gram route, which forms no flow
+        assert prob.flow is None
+        assert prob.kernel.dense * prob.scale == pytest.approx(expected_aprime,
+                                                               abs=1e-12)
+        assert model.flow_for_model(net, params, cs) == pytest.approx(
+            expected_aprime, abs=1e-12)
 
     def test_box_respects_later_state(self):
         inst = sv.synthetic_instance(3, n=3, target_rt=1.3)
@@ -340,6 +345,33 @@ class TestDirectSearch:
             prob, population = seir_problem(r0, seed)
             assert prob.kernel is None
             self.assert_within_cold_bracket(prob, 0.05 * population)
+
+    @pytest.mark.parametrize("case", [("covid", 5), ("covid", 20),
+                                      ("covid", 50), ("seir", 1.15),
+                                      ("seir", 2.5)])
+    def test_rate_root_takes_few_b1_calls(self, case):
+        # the root of b1(alpha) r* = 1 against a bisection of the same test
+        # to the same 1e-15 width, which took 55 b1 calls a solve; the SEIR
+        # b1 bends more over the bracket and takes up to 17
+        model_name, size = case
+        limit = 15 if model_name == "covid" else 17
+        for seed in range(4):
+            prob, population = (covid_problem(seed, size) if model_name ==
+                                "covid" else seir_problem(size, seed))
+            budget = 0.05 * population
+            radius = (allocator._slp_min_radius(prob, budget)
+                      if prob.kernel is None else allocator._gram_min_radius(
+                          prob, budget, allocator.CutPool()))[1]
+            calls, b1_at = [], prob.b1_at
+            prob.b1_at = lambda rate: calls.append(rate) or b1_at(rate)
+            alpha, res = allocator.max_decay(prob, budget)
+            assert len(calls) <= limit
+            assert res.certificate.satisfied
+            assert radius * b1_at(alpha) <= 1.0
+            bisected, _ = allocator.bisect_rate(
+                lambda rate: radius * b1_at(rate) <= 1.0 or None, -2.0,
+                prob.max_rate - 1e-4, 1e-15)
+            assert abs(alpha - bisected) <= 1e-15
 
     def test_converges_when_min_radius_is_far_below_start(self):
         # r* is 0.14 of the unvaccinated radius: measured in that radius, the
@@ -579,6 +611,40 @@ class TestGramRoute:
         assert alpha >= cold_alpha - 1e-5
         assert res.stats.lp_calls >= res.stats.cuts > 0
 
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_settled_probes_match_full_accuracy(self, n, monkeypatch):
+        # probes whose eigensolves stop once their bracket decides the probe
+        # against probes that close every bracket to 1e-12
+        full = model._top_eig
+        for seed in range(4):
+            inst = sv.synthetic_instance(seed, n=n, groups=True)
+            args = (inst.state0, inst.net, inst.params, inst.contacts,
+                    0.05 * inst.net.total_population)
+            monkeypatch.setattr(allocator, "_top_eig", full)
+            alpha, res = sv.max_decay_binary_search(*args)
+            monkeypatch.setattr(
+                allocator, "_top_eig",
+                lambda *a, settle=None, **kw: full(*a, **kw))
+            full_alpha, full_res = sv.max_decay_binary_search(*args)
+            assert alpha == full_alpha
+            assert res.doses == pytest.approx(full_res.doses, rel=1e-7)
+            assert res.certificate.satisfied and full_res.certificate.satisfied
+
+    def test_budgeted_search_kernel_work(self, monkeypatch):
+        # kernel applications of the 5%-budget search on age n=10 (60
+        # cells, all on the power path); it made 1,339 when every probe
+        # closed its brackets to 1e-12, and 347 with settled probes
+        inst = sv.synthetic_instance(0, n=10, groups=True)
+        calls, matvec = [], sv.GramKernel.__matmul__
+        monkeypatch.setattr(
+            sv.GramKernel, "__matmul__",
+            lambda kernel, y: calls.append(1) or matvec(kernel, y))
+        _, res = sv.max_decay_binary_search(inst.state0, inst.net, inst.params,
+                                            inst.contacts,
+                                            0.05 * inst.net.total_population)
+        assert res.certificate.satisfied
+        assert 0 < len(calls) <= 0.4 * 1339
+
     def test_route_does_not_depend_on_units(self):
         inst = sv.synthetic_instance(0, n=3, groups=True)
         scaled_cs = sv.ContactStructure(contacts=1e-6 * inst.contacts.contacts,
@@ -589,10 +655,11 @@ class TestGramRoute:
         for net, cs in ((inst.net, inst.contacts), (scaled_net, inst.contacts),
                         (inst.net, scaled_cs)):
             prob = allocator.build_problem(inst.state0, net, inst.params, cs, 0.0)
-            assert prob.kernel is not None
+            assert prob.kernel is not None and prob.flow is None
+            flow = model.flow_for_model(net, inst.params, cs)
             gram = prob.kernel.dense * prob.scale[None, :]
             assert gram == pytest.approx(
-                prob.flow, rel=1e-9, abs=1e-12 * np.abs(prob.flow).max())
+                flow, rel=1e-9, abs=1e-12 * np.abs(flow).max())
         indefinite = indefinite_two_group_instance()
         tiny = sv.ContactStructure(contacts=1e-6 * indefinite.contacts.contacts,
                                    reference_pop=indefinite.contacts.reference_pop)

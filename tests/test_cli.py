@@ -93,8 +93,7 @@ class TestAllocate:
 # allocate output at seed 0: (achieved alpha, doses, dose vector), pinned
 # before the SEIR model was solved through the shared allocation problem;
 # the budgeted bubar and covid cases since max-decay searches directly when
-# b1 is one scalar; the age case since cells the optimum leaves undosed get
-# exactly 0 doses; the solver counts, which are integers, exactly
+# b1 is one scalar; the solver counts, which are integers, exactly
 ALLOCATE_GOLDEN = {
     ("bubar", "--budget", "0.05"): (
         -0.006755838254284464, 50000.0,
@@ -111,13 +110,18 @@ ALLOCATE_GOLDEN = {
         -0.013128709001423999, 15858.7,
         [0.0, 13535.6331536, 2200.89454122, 122.172305206, 0.0],
         {"search": "direct", "iterations": 3, "cuts": 2, "lp_calls": 2}),
+    # pinned since each bisection probe's eigensolve stops once its bracket
+    # decides the probe: the probes' cuts and segment points come from
+    # unconverged vectors, so the final solve starts from another cut pool
+    # and lands elsewhere on a near-flat face of the optimum (doses +4.8e-9
+    # relative, cells 20 and 26 trading 0.36 doses); alpha is unchanged
     ("covid-demographic", "--budget", "0.05"): (
-        -0.009575490951538078, 15854.117293364076,
+        -0.009575490951538078, 15854.117370036449,
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1764.82062488, 2713.2507397,
          3338.1126635, 0.0, 0.0, 0.0, 296.876530018, 467.333578137,
-         571.906842703, 0.0, 0.0, 0.0, 6337.59315389, 0.0, 0.0, 0.0, 0.0, 0.0,
-         364.223160548, 0.0, 0.0, 0.0],
-        {"search": "bisection", "iterations": 7, "cuts": 13, "lp_calls": 28}),
+         571.906842703, 0.0, 0.0, 0.0, 6337.2378856, 0.0, 0.0, 0.0, 0.0, 0.0,
+         364.57850551, 0.0, 0.0, 0.0],
+        {"search": "bisection", "iterations": 6, "cuts": 12, "lp_calls": 27}),
 }
 
 

@@ -155,3 +155,70 @@ def test_start_of_another_shape_is_ignored(start):
     kernel, _ = age_kernel(rng, 20, 6)
     w = rng.uniform(0.5, 1.5, 120)
     assert model._top_eig(kernel, w, start)[0] == model._top_eig(kernel, w)[0]
+
+
+def homogeneous_kernel(rng, n):
+    """(GramKernel(Abar), F) with F F' = Abar, one cell per location."""
+    tau = rng.uniform(0.0, 1.0, (n, n))
+    return sv.GramKernel(tau @ tau.T), tau
+
+
+@pytest.mark.parametrize("n, g", [(5, 1), (60, 1), (4, 6), (10, 6), (20, 6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_settle_decides_like_eigvalsh(seed, n, g):
+    # homogeneous (g = 1) and age kernels below and above the dense cutoff,
+    # with zero-weight cells, cold and warm-started, thresholds on both sides
+    # of lambda_max: the value stays an upper bound, decides lambda <= t as
+    # eigvalsh does outside a 1e-9 band, and above t its cut separates w
+    rng = np.random.default_rng(seed)
+    kernel, factor = (homogeneous_kernel(rng, n) if g == 1
+                      else age_kernel(rng, n, g))
+    start = None
+    for zero_share in (0.0, 0.3, 0.7):
+        w = rng.uniform(0.1, 2.0, n * g) * (rng.uniform(size=n * g)
+                                            >= zero_share)
+        lam_true = dense_top(factor, w)
+        for t in lam_true * np.array([0.3, 0.9, 0.999, 1 - 1e-10, 1.0,
+                                      1 + 1e-10, 1.001, 1.1, 3.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lam, cut, start = model._top_eig(kernel, w, start, settle=t)
+            assert lam >= lam_true * (1 - 1e-14)
+            if abs(lam_true - t) > 1e-9 * lam_true:
+                assert (lam <= t) == (lam_true <= t)
+                if lam > t:
+                    assert cut @ (cut * w) > t
+
+
+def test_settle_stops_before_the_bracket_closes(monkeypatch):
+    rng = np.random.default_rng(12)
+    kernel, factor = age_kernel(rng, 20, 6)
+    w = rng.uniform(0.5, 1.5, 120)
+    lam = dense_top(factor, w)
+    matvecs = count_calls(monkeypatch, sv.GramKernel, "__matmul__")
+    model._top_eig(kernel, w)
+    closed = len(matvecs)
+    for t in (0.9 * lam, 1.1 * lam):
+        matvecs.clear()
+        settled, cut, _ = model._top_eig(kernel, w, settle=t)
+        assert 0 < len(matvecs) < closed
+        assert (settled <= t) == (lam <= t)
+        assert settled >= lam * (1 - 1e-15)
+
+
+def test_small_kernel_settles_by_power_steps(monkeypatch):
+    # below the dense cutoff a settle threshold takes up to _SETTLE_STEPS
+    # power steps, then the dense solve
+    rng = np.random.default_rng(13)
+    kernel, factor = age_kernel(rng, 5, 6)
+    w = rng.uniform(0.5, 1.5, 30)
+    lam, _, x = model._top_eig(kernel, w)
+    dense = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    matvecs = count_calls(monkeypatch, sv.GramKernel, "__matmul__")
+    assert model._top_eig(kernel, w, x, settle=1.1 * lam)[0] <= 1.1 * lam
+    assert dense == [] and len(matvecs) == 1
+    matvecs.clear()
+    # a threshold within 1e-13 of lambda cannot settle from a cold start
+    settled = model._top_eig(kernel, w, settle=lam * (1 + 1e-13))[0]
+    assert len(matvecs) == model._SETTLE_STEPS and len(dense) == 1
+    assert settled == pytest.approx(dense_top(factor, w), rel=1e-12)

@@ -610,7 +610,7 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
     complement hi - x. Returns (v, r, Perron direction, stats)."""
     K, s0, q, weights = prob.flow, prob.s0, prob.q, prob.weights
     top = float(prob.vmax.max())
-    v, trust = np.zeros_like(s0), 0.5 * max(top, 1e-6)
+    v, trust, settled = np.zeros_like(s0), 0.5 * max(top, 1e-6), False
     rho, d, w = _perron_pair(s0[:, None] * K)
     for it in range(1, SLP_MAX_ITER + 1):
         if float(w @ d) < 1e-14:
@@ -632,11 +632,15 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
             trust = min(trust * 1.5, top)
         else:
             trust *= 0.5
-            if trust < 1e-12 * max(1.0, top):
+            # Collatz-Wielandt on d: a step in the trust box has radius at
+            # least rho min_i (1 - q_i trust / (s0 - q v)_i); once that
+            # bound is rejected, so is every later step, as trust only shrinks
+            settled = bool(np.all(q * trust <= SLP_TOL * (s0 - q * v)))
+            if settled or trust < 1e-12 * max(1.0, top):
                 break
     return v, rho, d, SolverStats(
         iterations=it, method="bilinear-slp", lp_calls=it,
-        converged=trust < 1e-12 * max(1.0, top))
+        converged=settled or trust < 1e-12 * max(1.0, top))
 
 
 def max_decay(prob: AllocationProblem,

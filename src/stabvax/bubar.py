@@ -120,43 +120,40 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     It does not check that N - D stays positive: the check of `bubar_model`
     does, once a day.
 
-    One stacked matrix over (E ... Iv) gives I + Ix + Iv and the linear
-    rows of all 13 compartments; the infections lambda S and lambda Sx then
-    move from S and Sx into E and Ex. As in `dynamics.covid_rhs_factory`,
-    rhs.bind(ys, weights) serves the RK4 stepper: a stage writes I + Ix + Iv
-    above its weight times its derivative, in seven numpy calls."""
+    One stacked matrix over (E ... Iv) gives the rows E ... D and, below
+    them, I + Ix + Iv; -diag(u) C stacked twice times (I + Ix + Iv) / (N - D)
+    gives minus the force in the S and Sx rows, and times (S, Sx) the
+    infections, which move into E and Ex. As in `dynamics.covid_rhs_factory`,
+    rhs.bind(ys, weights) serves the RK4 stepper: a stage writes its weight
+    times its derivative in six numpy calls on contiguous 2-D arrays."""
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
-    pops, u = params.populations[:, None], params.susceptibility[:, None]
     eye3, zero3, infectious = np.eye(3), np.zeros((3, 3)), [[0, 0, 0, 1, 1, 1]]
     mix = np.vstack([
-        np.kron(infectious, np.eye(g)),
-        np.zeros((3 * g, 6 * g)),
         np.kron(np.block([[-a * eye3, zero3], [a * eye3, -b * eye3]]), np.eye(g)),
         np.kron(np.hstack([zero3, eye3]), np.diag(b * (1 - params.ifr))),
-        np.kron(infectious, np.diag(b * params.ifr))])
-    minus_contacts = -params.contacts
+        np.kron(infectious, np.diag(b * params.ifr)),
+        np.kron(infectious, np.eye(g))])
+    force = np.tile(-params.susceptibility[:, None] * params.contacts, (2, 1))
 
     def bind(ys, weights):
-        zs = np.empty((len(ys), 14 * g, ys.shape[2]))
-        return zs[:, g:], [stage(y, z, w * mix)
-                           for y, z, w in zip(ys, zs, weights)]
+        pops = np.repeat(params.populations[:, None], ys.shape[2], axis=1)
+        zs = np.zeros((len(ys), 14 * g, ys.shape[2]))
+        return zs[:, :13 * g], [stage(y, z, w * mix, pops)
+                                for y, z, w in zip(ys, zs, weights)]
 
-    def stage(y, z, scaled_mix):
-        cols = y.shape[1]
-        alive, ratio, lam = np.empty((3, g, cols))
+    def stage(y, z, scaled_mix, pops):
+        alive, ratio = np.empty((2,) + pops.shape)
         dead, latent_infectious = y[12 * g:], y[3 * g:9 * g]
-        susceptible = y[:2 * g].reshape(2, g, cols)
-        infectious, pairs = z[:g], z[g:6 * g].reshape(5, g, cols)
-        ds, de = pairs[:2], pairs[3:]  # (S, Sx) and (E, Ex) rows
+        susceptible, ds, de = y[:2 * g], z[:2 * g], z[3 * g:5 * g]
+        linear, infectious = z[3 * g:], z[13 * g:]
 
         def evaluate():
             np.subtract(pops, dead, out=alive)
-            np.matmul(scaled_mix, latent_infectious, out=z)
+            np.matmul(scaled_mix, latent_infectious, out=linear)
             np.divide(infectious, alive, out=ratio)
-            np.matmul(minus_contacts, ratio, out=lam)
-            np.multiply(u, lam, out=lam)
-            np.multiply(lam, susceptible, out=ds)
+            np.matmul(force, ratio, out=ds)
+            np.multiply(ds, susceptible, out=ds)
             np.subtract(de, ds, out=de)
 
         return evaluate

@@ -34,7 +34,8 @@ import numpy as np
 from . import allocator
 from .ingest import AGE_GROUP_RANGES, EpidemicInstance
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, flow_for_model, _cell_rates)
+                    NetworkInstance, build_flow_matrix, flow_for_model,
+                    _cell_rates)
 from .policies import DosePlanner, PolicySpec, proportional_fill
 
 log = logging.getLogger(__name__)
@@ -122,34 +123,44 @@ class Trajectory:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
+# Cells from which a covid stage applies the flow through its factors, as
+# the stacked matrix's fewer calls win below. Per stage, stacked / factored
+# us on synthetic_instance(0, n), 4 columns (age: 5), one CPU of a 2-vCPU
+# Xeon, median of 3 runs: n = 5, 10, 20, 25, 30, 50: 1.8/2.7, 2.2/2.9,
+# 2.8/2.9, 3.2/3.0, 4.0/3.2, 7.1/3.7; age n = 2, 5, 8, 9, 10, 20 (6 cells
+# each): 2.3/7.0, 5.0/8.1, 9.2/9.3, 10.8/9.7, 13.0/10.3, 49.6/14.7
+FACTORED_CELLS = 25
+FACTORED_AGE_CELLS = 54
+
+
 def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
                       contacts: Optional[ContactStructure] = None,
                       ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Right-hand side over y = [s | xa | xs | e | h], of shape (5m,) or,
-    for K scenarios side by side, (5m, K).
+    for K scenarios side by side, (5m, K). It carries `bind`: bind(ys,
+    weights) evaluates RK4 stage i into its own buffer as weights[i] times
+    the derivative at ys[i].
 
-    One stacked matrix over (xa, xs) gives the linear rows of all five
-    blocks and, in the s rows, minus the force of infection; times s that is
-    the infection, which then moves into the xa rows. The returned rhs
-    carries `bind`: bind(ys, weights) evaluates RK4 stage i into its own
-    buffer as weights[i] times the derivative at ys[i], through the matrix
-    times the weight, in one matmul and two in-place ufuncs."""
-    flow = flow_for_model(net, params, contacts)
-    m = flow.shape[0]
+    Below `FACTORED_CELLS` cells (`FACTORED_AGE_CELLS` in the age model) a
+    stage is one matmul of a stacked (5m x 2m) matrix over (xa, xs), times
+    the weight, giving the linear rows and, in the s rows, minus the force
+    of infection, and two in-place ufuncs: times s that is the infection,
+    which moves into the xa rows. From there on, one (5 x 2) product of the
+    rates with the (2, m K) view of (xa, xs) gives the linear rows (the age
+    model adds its groups' xs rates in a multiply and an add) and, in the s
+    rows, minus the mix c_a xa + c_s xs; the force is the flow A times the
+    mix, c = (beta_a, beta_s). In the age model beta_a = alpha_hat beta_s, so
+    c = (alpha_hat, 1) and beta_s A = (Abar (x) diag(beta_s) Gamma) diag(N)
+    acts through its factors, as Abar (N mix) (Gamma' diag(beta_s) (x) I_K)
+    on the (n, g K) reshape: no (m x m) array is formed."""
     beta_a, beta_s, r_s, kappa = _cell_rates(net, params)
-    eps, r_a = params.eps, params.r_a
-    eye, zero = np.eye(m), np.zeros((m, m))
-    mix = np.block([[-beta_a[:, None] * flow, -beta_s[:, None] * flow],
-                    [-(eps + r_a) * eye, zero],
-                    [eps * eye, -np.diag(r_s + kappa)],
-                    [zero, np.diag(kappa)],
-                    [r_a * eye, np.diag(r_s)]])
+    eps, r_a, m, n = params.eps, params.r_a, len(beta_s), net.n
+    demographic = params.is_demographic
+    if demographic and contacts is None:
+        raise ValueError("demographic parameters require a contact structure")
 
-    def bind(ys, weights):
-        ks = np.empty(ys.shape)
-        return ks, [stage(y, k, w * mix) for y, k, w in zip(ys, ks, weights)]
-
-    def stage(y, k, scaled_mix):
+    def stacked(y, k, w):
+        scaled_mix = w * mix
         s, xa_xs, ds, dxa = y[:m], y[m:3 * m], k[:m], k[m:2 * m]
 
         def evaluate():
@@ -158,6 +169,53 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
             np.subtract(dxa, ds, out=dxa)
 
         return evaluate
+
+    def factored(y, k, w):
+        s, xs, pairs = y[:m], y[2 * m:3 * m], y[m:3 * m].reshape(2, -1)
+        ds, dxa, rows = k[:m], k[m:2 * m], k.reshape(5, -1)
+        xs_rows, cols = k[2 * m:].reshape(3, m, -1), y.shape[1]
+        scaled_rates, force = w * rates, np.empty(s.shape)
+        if demographic:
+            pops = np.repeat(net.cell_populations()[:, None], cols, axis=1)
+            gamma_k, scaled_xs = np.kron(gamma.T, np.eye(cols)), w * on_xs
+            spread, mixed = np.empty((3, m, cols)), np.empty((n, m // n * cols))
+
+        def evaluate():
+            np.matmul(scaled_rates, pairs, out=rows)
+            if demographic:
+                np.multiply(scaled_xs, xs, out=spread)
+                np.add(xs_rows, spread, out=xs_rows)
+                np.multiply(ds, pops, out=force)
+                np.matmul(abar, force.reshape(n, -1), out=mixed)
+                np.matmul(mixed, gamma_k, out=force.reshape(n, -1))
+            else:
+                np.matmul(flow, ds, out=force)
+            np.multiply(force, s, out=ds)
+            np.subtract(dxa, ds, out=dxa)
+
+        return evaluate
+
+    if m < (FACTORED_AGE_CELLS if demographic else FACTORED_CELLS):
+        stage, flow = stacked, flow_for_model(net, params, contacts)
+        eye, zero = np.eye(m), np.zeros((m, m))
+        mix = np.block([[-beta_a[:, None] * flow, -beta_s[:, None] * flow],
+                        [-(eps + r_a) * eye, zero],
+                        [eps * eye, -np.diag(r_s + kappa)],
+                        [zero, np.diag(kappa)],
+                        [r_a * eye, np.diag(r_s)]])
+    else:
+        stage, (flow, abar) = factored, build_flow_matrix(net)
+        on_xs = np.stack([-(r_s + kappa), kappa, r_s])[:, :, None]
+        # a cell's rows (mix, xa, xs, e, h) over (xa, xs)
+        rates = np.array([[-beta_a[0], -eps - r_a, eps, 0.0, r_a],
+                          [-beta_s[0], 0.0, *on_xs[:, 0, 0]]]).T
+        if demographic:  # the groups' own xs rates come from on_xs
+            rates[0], rates[2:, 1] = (-params.alpha_hat, -1.0), 0.0
+            gamma = beta_s[:m // n, None] * contacts.gamma
+
+    def bind(ys, weights):
+        ks = np.empty(ys.shape)
+        return ks, [stage(y, k, w) for y, k, w in zip(ys, ks, weights)]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         ks, (evaluate,) = bind(y.reshape(1, 5 * m, -1), (1.0,))

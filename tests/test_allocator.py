@@ -319,6 +319,32 @@ def seir_problem(r0, seed):
             float(params.populations.sum()))
 
 
+def uncut_slp(prob, budget):
+    """`allocator._slp_min_radius` without its stop at the Collatz-Wielandt
+    bound: it tries steps until the trust region falls below 1e-12.
+    Returns (v, r, Perron direction, iterations)."""
+    K, s0, q, weights = prob.flow, prob.s0, prob.q, prob.weights
+    top = float(prob.vmax.max())
+    v, trust = np.zeros_like(s0), 0.5 * max(top, 1e-6)
+    rho, d, w = allocator._perron_pair(s0[:, None] * K)
+    for it in range(1, allocator.SLP_MAX_ITER + 1):
+        lo, hi = np.maximum(0.0, v - trust), np.minimum(prob.vmax, v + trust)
+        step = hi - allocator._knapsack(
+            q * w * (K @ d) / float(w @ d), weights,
+            float(weights @ hi) - budget, np.zeros_like(v), hi - lo)
+        step *= min(1.0, budget / max(float(weights @ step), 1e-300))
+        P = (s0 - q * step)[:, None] * K
+        rho_step, d_step = allocator._perron(P)
+        if rho_step < rho - allocator.SLP_TOL * rho:
+            v, rho, d, w = step, rho_step, d_step, allocator._perron(P.T)[1]
+            trust = min(trust * 1.5, top)
+        else:
+            trust *= 0.5
+            if trust < 1e-12 * max(1.0, top):
+                break
+    return v, rho, d, it
+
+
 class TestDirectSearch:
     """max_decay on a scalar b1 against the cold bisection of its problem,
     whose alpha is the low end of a 1e-5 bracket."""
@@ -372,6 +398,21 @@ class TestDirectSearch:
                 lambda rate: radius * b1_at(rate) <= 1.0 or None, -2.0,
                 prob.max_rate - 1e-4, 1e-15)
             assert abs(alpha - bisected) <= 1e-15
+
+    @pytest.mark.parametrize("r0, seed, iterations", [
+        (1.15, 0, (66, 53)), (1.15, 1, (69, 56)), (1.5, 2, (62, 48)),
+        (2.5, 0, (66, 53))])
+    def test_slp_stops_once_no_step_can_be_accepted(self, r0, seed,
+                                                    iterations):
+        prob, population = seir_problem(r0, seed)
+        v, radius, d, stats = allocator._slp_min_radius(prob,
+                                                        0.05 * population)
+        ref_v, ref_radius, ref_d, ref_iterations = uncut_slp(
+            prob, 0.05 * population)
+        assert np.array_equal(v, ref_v) and np.array_equal(d, ref_d)
+        assert radius == ref_radius
+        assert (ref_iterations, stats.iterations) == iterations
+        assert stats.converged and stats.lp_calls == stats.iterations
 
     def test_converges_when_min_radius_is_far_below_start(self):
         # r* is 0.14 of the unvaccinated radius: measured in that radius, the

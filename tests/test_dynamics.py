@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,33 +670,109 @@ def random_states(rng, scale, columns):
     return y if columns else y[:, 0]
 
 
+def weighted_stages(rhs, y, weights):
+    """The stages bind evaluates at y with the given RK4 weights."""
+    ks, stages = rhs.bind(np.stack([y] * len(weights)), weights)
+    for evaluate in stages:
+        evaluate()
+    return ks
+
+
 class TestFusedRhs:
-    """The fused right-hand sides against the elementwise formulas."""
+    """The fused right-hand sides against the elementwise formulas; the
+    covid models on the stacked matrix and, above their cell cutoffs, on the
+    flow's factors."""
+
+    @staticmethod
+    def covid(groups, n, columns):
+        inst = sv.synthetic_instance(0, n=n, groups=groups)
+        m = inst.cell_populations().shape[0]
+        y = random_states(np.random.default_rng(3), np.full(5 * m, 0.2),
+                          columns)
+        return inst, y, reference_covid_rhs(inst, y)
+
+    def assert_covid_matches(self, groups, n, columns):
+        inst, y, ref = self.covid(groups, n, columns)
+        rhs = dynamics.covid_rhs_factory(inst.net, inst.params, inst.contacts)
+        got = rhs(0.0, y)
+        assert got.shape == y.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ks = weighted_stages(rhs, y.reshape(len(y), -1), (1.0, 2.0))
+        for k, weight in zip(ks, (1.0, 2.0)):
+            expected = weight * ref.reshape(k.shape)
+            assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
     @pytest.mark.parametrize("groups", [False, True],
                              ids=["covid", "covid-demographic"])
     def test_covid_matches_elementwise(self, groups, columns):
-        inst = sv.synthetic_instance(0, n=5, groups=groups)
-        rhs = dynamics.covid_rhs_factory(inst.net, inst.params, inst.contacts)
-        m = inst.cell_populations().shape[0]
-        y = random_states(np.random.default_rng(3), np.full(5 * m, 0.2),
-                          columns)
-        ref = reference_covid_rhs(inst, y)
-        got = rhs(0.0, y)
-        assert got.shape == y.shape
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # 5 and 30 cells: the stacked matrix
+        self.assert_covid_matches(groups, 5, columns)
 
     @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    @pytest.mark.parametrize("groups", [False, True],
+                             ids=["covid", "covid-demographic"])
+    def test_covid_factored_matches_elementwise(self, groups, columns):
+        # 40 and 60 cells, above the cutoffs: the flow's factors
+        self.assert_covid_matches(groups, 10 if groups else 40, columns)
+
+    @pytest.mark.parametrize("groups", [False, True],
+                             ids=["covid", "covid-demographic"])
+    def test_paths_agree_at_the_cutoff(self, groups, monkeypatch):
+        name = "FACTORED_AGE_CELLS" if groups else "FACTORED_CELLS"
+        cutoff = getattr(dynamics, name)
+        inst, y, _ = self.covid(groups, cutoff // (6 if groups else 1), 4)
+        assert inst.cell_populations().shape == (cutoff,)
+
+        def refuse(*args):
+            raise AssertionError("the factored path formed the dense flow")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "flow_for_model", refuse)
+            factored = dynamics.covid_rhs_factory(
+                inst.net, inst.params, inst.contacts)(0.0, y)
+        monkeypatch.setattr(dynamics, name, cutoff + 1)
+        stacked = dynamics.covid_rhs_factory(
+            inst.net, inst.params, inst.contacts)(0.0, y)
+        assert np.abs(factored - stacked).max() <= 1e-13 * np.abs(
+            stacked).max()
+
+    @pytest.mark.parametrize("columns", [None, 3, 6],
+                             ids=["1d", "2d", "2d-6"])
     def test_bubar_matches_elementwise(self, columns):
         params, _ = bubar.us_like_instance(1.15, seed=0)
         # persons: every compartment below a thirteenth of its group
         y = random_states(np.random.default_rng(4),
                           np.tile(params.populations, 13) / 13, columns)
         ref = reference_bubar_rhs(params, y)
-        got = bubar.bubar_rhs_factory(params)(0.0, y)
+        rhs = bubar.bubar_rhs_factory(params)
+        got = rhs(0.0, y)
         assert got.shape == y.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        (k,) = weighted_stages(rhs, y.reshape(len(y), -1), (2.0,))
+        expected = 2.0 * ref.reshape(k.shape)
+        assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_age_model_at_400_locations_forms_no_dense_flow():
+    # one stacked (5m x 2m) matrix of this model's m = 2400 cells takes
+    # 461 MB and one (m x m) array 46 MB; advancing two policies a day took
+    # a 6.7 MB peak, instance set aside
+    inst = sv.synthetic_instance(0, 400, groups=True)
+    tracemalloc.start()
+    try:
+        trajs = dynamics.simulate(
+            dynamics.covid_model(inst),
+            [sv.PolicySpec("no-vaccine"), sv.PolicySpec("population-weighted")],
+            sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert trajs[1].total_doses() > 0
+    for traj in trajs:
+        assert all(np.isfinite(getattr(traj, name)).all()
+                   for name in ("s", "xa", "xs", "e", "h"))
 
 
 SEIR_POLICIES = [sv.PolicySpec(kind) for kind in

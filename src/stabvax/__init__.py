@@ -11,8 +11,7 @@ from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     build_demographic_coupling, build_flow_matrix,
                     calibrate_transmission, check_decay_certificate,
                     cholesky_factor, compute_b1, coupling_gram_kernel,
-                    effective_reproduction_number, intrinsic_connectivity,
-                    project_contact_matrix)
+                    effective_reproduction_number, intrinsic_connectivity)
 from .allocator import (AllocationProblem, AllocationResult, CutPool,
                         InfeasibleAllocationError, NoGramFactorError,
                         SolverError, build_problem, lmi_box_maximize,
@@ -22,10 +21,9 @@ from .allocator import (AllocationProblem, AllocationResult, CutPool,
 from .dynamics import (Trajectory, VaccinationSchedule, integrate,
                        simulate_policy)
 from .ingest import (EpidemicInstance, RawCases, RawMobility,
-                     aggregate_contact_groups, build_travel_rates,
-                     derive_disease_params, derive_initial_state, ifr_by_age,
-                     load_instance, median_infectious_periods, save_instance,
-                     synthetic_instance, two_node_case)
+                     build_travel_rates, derive_disease_params,
+                     derive_initial_state, ifr_by_age, load_instance,
+                     save_instance, synthetic_instance, two_node_case)
 from .policies import PolicySpec, emit_doses
 
 __version__ = "0.1.0"

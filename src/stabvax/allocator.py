@@ -30,14 +30,15 @@ the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass = scale s0.
   fractional knapsack.
 
 ``solve_allocation`` takes the Gram route whenever the problem has a kernel.
-``max_decay`` finds the largest alpha a budget buys. When b1_at returns one
-scalar (the homogeneous covid model, the SEIR model), rho(diag(b1 (s0 - q v))
+``max_decay`` finds the largest alpha a budget buys. When b1 is one scalar
+(the homogeneous covid model, the SEIR model), rho(diag(b1 (s0 - q v))
 K) = b1(alpha) r(v) with r(v) = rho(diag(s0 - q v) K), so the search is
 direct: minimize r under the budget once (Kelley cuts on the epigraph of
 lambda_max on the Gram route, the SLP on the Perron gradient otherwise), then
-take alpha as the root of b1(alpha) r* = 1 by a bracketed secant. Per-cell b1
-(the age-structured model) bisects alpha. Every result is re-certified by the
-model's certify(v, alpha); an unsatisfied certificate raises ``SolverError``.
+take alpha as the root of b1(alpha) r* = 1 in the closed form the model
+states (``rate_at_radius``). Per-cell b1 (the age-structured model) bisects
+alpha. Every result is re-certified by the model's certify(v, alpha); an
+unsatisfied certificate raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from . import _lp
 from ._lp import SolverError
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     GramKernel, NetworkInstance, StabilityCertificate,
-                    _top_eig, cell_b1, check_decay_certificate, compute_b1,
+                    _top_block_root, _top_eig, cell_b1,
+                    check_decay_certificate, compute_b1,
                     coupling_gram_kernel, flow_for_model, max_certificate_rate)
 
 
@@ -104,6 +106,9 @@ class AllocationProblem:
     the bilinear route reads the dense flow; None stands for B diag(scale),
     the covid model's flow, which `build_problem` leaves out on the Gram
     route.
+
+    rate_at_radius(r) is the closed-form root alpha < max_rate of b1(alpha) r
+    = 1 when b1 is one scalar, for `max_decay`'s direct search; else None.
     """
 
     flow: Optional[np.ndarray]
@@ -117,6 +122,7 @@ class AllocationProblem:
     b1_at: Callable[[float], np.ndarray]
     certify: Callable[[np.ndarray, float], StabilityCertificate]
     alpha: float
+    rate_at_radius: Optional[Callable[[float], float]] = None
     b1: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -433,7 +439,10 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                (lambda rate: compute_b1(params, rate))),
         certify=lambda v, rate: check_decay_certificate(
             state, net, params, contacts, v, rate),
-        alpha=alpha)
+        alpha=alpha,
+        # b1(alpha) r = 1 where -alpha is the top eigenvalue of the 2 x 2 block
+        rate_at_radius=(None if params.is_demographic else
+                        (lambda radius: -_top_block_root(params, radius))))
 
 
 def _finish(prob: AllocationProblem, v: np.ndarray, stats: SolverStats,
@@ -518,36 +527,17 @@ def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
     return lo, best
 
 
-def _rate_root(excess: Callable[[float], float], lo: float, hi: float,
-               width: float) -> float:
-    """Largest rate in [lo, hi], to width, with excess(rate) <= 0, for an
-    excess that rises with the rate: the Illinois variant of regula falsi
-    (Dowell and Jarratt 1971), which halves the kept end's value when the
-    same end is kept twice. Each point lies at least width / 2 inside the
-    bracket, so that a root met exactly still closes it. Returns the end
-    with excess <= 0."""
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo > 0:
-        raise InfeasibleAllocationError(
-            f"budget insufficient even at the bracket low end alpha={lo}")
-    if f_hi <= 0:
-        return hi
-    kept = 0  # +1: lo was kept by the last step, -1: hi was
-    while hi - lo > width:
-        mid = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo),
-                      lo + 0.5 * width), hi - 0.5 * width)
-        f_mid = excess(mid)
-        if f_mid <= 0:
-            lo, f_lo = mid, f_mid
-            if kept == -1:
-                f_hi *= 0.5
-            kept = -1
-        else:
-            hi, f_hi = mid, f_mid
-            if kept == 1:
-                f_lo *= 0.5
-            kept = 1
-    return lo
+def _certified_rate(prob: AllocationProblem, radius: float,
+                    top: float) -> float:
+    """The closed-form root alpha of b1(alpha) radius = 1, at most top, lowered
+    by doubling steps until radius b1(alpha) <= 1 holds in floating point. The
+    first step is one ulp of max(|alpha|, top), the scale of the root's error:
+    steps of one ulp of alpha could run for millions near alpha = 0."""
+    alpha = min(prob.rate_at_radius(radius), top)
+    step = np.spacing(max(abs(alpha), abs(top)))
+    while radius * prob.b1_at(alpha) > 1.0:
+        alpha, step = alpha - step, 2.0 * step
+    return alpha
 
 
 def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
@@ -648,11 +638,11 @@ def max_decay(prob: AllocationProblem,
     """Largest decay rate in [-2, max_rate - 1e-4] whose minimum dose
     requirement fits the budget; doses stay within budget + 1e-9 (1 + budget).
 
-    When b1_at returns one scalar the search is direct (see the module
-    docstring): the budget's minimum radius r* comes from one Kelley solve
-    (Gram route) or one SLP solve (bilinear route), and alpha from the root
-    of b1(alpha) r* = 1 (`_rate_root`); below the bracket top that point is
-    the answer.
+    When the problem states rate_at_radius the search is direct (see the
+    module docstring): the budget's minimum radius r* comes from one Kelley
+    solve (Gram route) or one SLP solve (bilinear route), and alpha from the
+    closed-form root of b1(alpha) r* = 1 (`_certified_rate`); below the
+    bracket top that point is the answer.
     Otherwise it bisects alpha to RATE_WIDTH. On the Gram route the probes
     share one cut pool and stop as soon as the LP bound exceeds the budget or
     a feasible point fits it; bilinear probes are full solves. Every other
@@ -664,16 +654,14 @@ def max_decay(prob: AllocationProblem,
     lo, hi = -2.0, prob.max_rate - 1e-4
     cap = budget + 1e-9 * (1.0 + budget)
     pool = None if prob.kernel is None else CutPool()
-    if np.ndim(prob.b1_at(prob.alpha)) == 0:
+    if prob.rate_at_radius is not None:
         v, radius, d, work = (_slp_min_radius(prob, budget) if pool is None
                               else _gram_min_radius(prob, budget, pool))
         work.search = "direct"
-        # the root of b1(alpha) r* = 1 to 1e-15, keeping the certified end;
-        # 1 - 1 / (r* b1) has that sign and is nearly linear in alpha, as
-        # 1 / b1 is a quadratic over at most a linear term in it
-        alpha = _rate_root(
-            lambda rate: 1.0 - 1.0 / max(radius * prob.b1_at(rate), 1e-300),
-            lo, hi, 1e-15)
+        alpha = _certified_rate(prob, radius, hi)
+        if alpha < lo:
+            raise InfeasibleAllocationError(
+                f"budget insufficient even at the bracket low end alpha={lo}")
         if alpha < hi:
             return alpha, _finish(prob.at_rate(alpha), v, work, direction=d)
     else:

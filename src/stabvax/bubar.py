@@ -216,6 +216,14 @@ def bubar_b1(params: BubarParams, alpha: float) -> float:
     return a / ((a - alpha) * (b - alpha))
 
 
+def bubar_rate_at_radius(params: BubarParams, radius: float) -> float:
+    """The root alpha < min(a, b) of bubar_b1(alpha) radius = 1: the smaller
+    root of (a - alpha)(b - alpha) = a radius, in a form that cancels nothing."""
+    a, b = 1.0 / params.d_e, 1.0 / params.d_i
+    return 2.0 * a * (b - radius) / (
+        a + b + np.sqrt((a - b) ** 2 + 4.0 * a * radius))
+
+
 def bubar_flow_matrix(state: BubarState, params: BubarParams) -> np.ndarray:
     """A = diag(u) C diag(1/(N - Omega))."""
     alive = params.populations - state.omega
@@ -282,7 +290,8 @@ def bubar_problem(state: BubarState, params: BubarParams,
         max_rate=min(1.0 / params.d_e, 1.0 / params.d_i),
         b1_at=lambda rate: bubar_b1(params, rate),
         certify=lambda v, rate: bubar_certificate(state, params, v, rate),
-        alpha=alpha)
+        alpha=alpha,
+        rate_at_radius=lambda radius: bubar_rate_at_radius(params, radius))
 
 
 def solve_bubar_allocation(state: BubarState, params: BubarParams,

@@ -3,9 +3,9 @@ events and full case accounting.
 
 One driver, `simulate`, runs the K policies of one comparison side by side
 on any model: they share one state array of shape (state size, K) and one
-day loop (`run_days`), advanced in place by one RK4 stepper (`_RK4`, which
-`integrate` drives too) that the model's right-hand side evaluates its weighted
-stages into. A model plugs in as a `SimulationModel`, a small adapter:
+day loop, advanced in place by one RK4 stepper (`_RK4`, which `integrate`
+drives too) that the model's right-hand side evaluates its weighted stages
+into. A model plugs in as a `SimulationModel`, a small adapter:
 `covid_model` for the homogeneous and age-structured models and
 `bubar.bubar_model` for the SEIR comparison model.
 
@@ -332,7 +332,7 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     step whose clamp moves an entry of a column by more than 1e-12 is one
     clamp event of that column, and is logged. clamp_events is an int for
     1-D y0 and a length-K int array for 2-D y0. It takes the steps of
-    `_RK4`, the stepper of `run_days`, one at a time to keep every state.
+    `_RK4`, the stepper of `simulate`, one at a time to keep every state.
     """
     t0, t1 = t_span
     times = t0 + step * np.arange(_whole_steps(t0, t1, step) + 1)
@@ -363,43 +363,6 @@ def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
 # policy simulation loop
 # ---------------------------------------------------------------------------
 
-def run_days(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-             horizon: int, step: float, schedule: VaccinationSchedule,
-             total_pop: float, dosing: Sequence[int],
-             dose: Callable[[int, np.ndarray, float, float], float],
-             record: Callable[[int, np.ndarray], None],
-             clamp: Optional[tuple[float, Optional[float]]] = (0.0, 1.0),
-             ) -> np.ndarray:
-    """The day loop every model shares; y0 holds one scenario per column.
-
-    At the start of each supply interval, each column k in `dosing` with a
-    positive supply min(daily rate * population * interval, budget left)
-    is dosed: dose(k, column k, supply, budget left) updates the column, a
-    view of the state, in place and returns the doses spent, charged to the
-    column's budget. A budget left of at most 1e-12 of the total is a
-    rounding residual and counts as spent. record(day, y) sees every day's
-    state after dosing. One RK4 stepper (`_RK4`), built before the first
-    day, then advances all columns a day in place. Returns the clamp events
-    per column."""
-    steps_per_day = _whole_steps(0.0, 1.0, step)
-    stepper = _RK4(rhs, y0, step, clamp)
-    y = stepper.y
-    budget = schedule.total_budget * total_pop
-    budget_left = np.full(y.shape[1], budget)
-    epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
-    clamp_events = np.zeros(y.shape[1], dtype=int)
-    for day in range(horizon + 1):
-        if day % schedule.interval_days == 0 and day < horizon:
-            for k in dosing:
-                supply = min(epoch_supply, budget_left[k])
-                if supply > 0 and budget_left[k] > 1e-12 * budget:
-                    budget_left[k] -= dose(k, y[:, k], supply, budget_left[k])
-        record(day, y)
-        if day < horizon:
-            clamp_events += stepper.advance(float(day), steps_per_day)
-    return clamp_events
-
-
 @dataclass(frozen=True)
 class SimulationModel:
     """A model as `simulate` runs it. Per-cell counts are persons; a state
@@ -427,14 +390,20 @@ class SimulationModel:
 def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
              schedule: VaccinationSchedule, horizon: int,
              step: float = DEFAULT_STEP) -> list:
-    """Run several policies on one model, one `model.trajectory` each.
+    """Run several policies on one model, one `model.trajectory` each; the
+    state array holds one policy per column.
 
-    Every supply interval each policy's `DosePlanner` doses its column; once
-    the column's active infected persons drop below `EXTINCTION_THRESHOLD`,
-    the schedule's leftover rule doses it instead (an even split capped by
-    headroom, or nothing). model.columns gets the day states, of shape
-    (days, state size, K), and the fields with a leading policy axis. A
-    static optimal plan can leave doses unspent for long (see `DosePlanner`)."""
+    The supply of an interval arrives at its start: each dosing column gets
+    min(daily rate * population * interval, its budget left), and a budget
+    left of at most 1e-12 of the total is a rounding residual that counts as
+    spent. Its policy's `DosePlanner` doses the column; once the column's
+    active infected persons drop below `EXTINCTION_THRESHOLD`, the schedule's
+    leftover rule doses it instead (an even split capped by headroom, or
+    nothing). A static optimal plan can leave doses unspent for long (see
+    `DosePlanner`). Each day's states are recorded after dosing, and one RK4
+    stepper (`_RK4`), built before day 0, then advances all columns a day in
+    place. model.columns gets the day states, of shape (days, state size,
+    K), and the fields with a leading policy axis."""
     planners = [DosePlanner(policy, model, schedule) for policy in policies]
     cells, n_cols = len(model.populations), len(planners)
     administered = np.zeros((cells, n_cols))
@@ -459,16 +428,28 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
             administered[:, k] += doses
         return total
 
-    def record(day, y):
+    dosing = [k for k, policy in enumerate(policies)
+              if policy.kind != "no-vaccine"]
+    total_pop = float(model.populations.sum())
+    steps_per_day = _whole_steps(0.0, 1.0, step)
+    stepper = _RK4(model.rhs, np.repeat(model.y0[:, None], n_cols, axis=1),
+                   step, model.clamp)
+    y = stepper.y
+    budget = schedule.total_budget * total_pop
+    budget_left = np.full(n_cols, budget)
+    epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
+    clamps = np.zeros(n_cols, dtype=int)
+    for day in range(horizon + 1):
+        if day % schedule.interval_days == 0 and day < horizon:
+            for k in dosing:
+                supply = min(epoch_supply, budget_left[k])
+                if supply > 0 and budget_left[k] > 1e-12 * budget:
+                    budget_left[k] -= dose(k, y[:, k], supply, budget_left[k])
         if model.check is not None:
             model.check(y)
         ys[day], dose_days[day] = y, administered
-
-    dosing = [k for k, policy in enumerate(policies)
-              if policy.kind != "no-vaccine"]
-    clamps = run_days(model.rhs, np.repeat(model.y0[:, None], n_cols, axis=1),
-                      horizon, step, schedule, float(model.populations.sum()),
-                      dosing, dose, record, model.clamp)
+        if day < horizon:
+            clamps += stepper.advance(float(day), steps_per_day)
     fields = model.columns(ys, {"doses": dose_days.transpose(2, 0, 1)})
     times = np.arange(horizon + 1, dtype=float)
     return [model.trajectory(times=times, clamp_events=int(clamps[k]),
@@ -489,9 +470,13 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
         # (block, column, day, cell)
         s, xa, xs, e, h = ys.reshape(len(ys), 5, len(pops), -1).transpose(
             1, 3, 0, 2)
+        # a sum of four nonnegative terms times N rounds within 2 eps of its
+        # value, so a daily change within 4 eps of the larger day is rounding
         cum_cases = (xa + xs + e + h) * pops
-        new_cases = np.zeros_like(cum_cases)
-        new_cases[:, 1:] = np.clip(np.diff(cum_cases, axis=1), 0.0, None)
+        change, new_cases = np.diff(cum_cases, axis=1), np.zeros_like(cum_cases)
+        noise = 4 * np.finfo(float).eps * np.maximum(cum_cases[:, 1:],
+                                                     cum_cases[:, :-1])
+        new_cases[:, 1:] = np.where(change > noise, change, 0.0)
         return dict(fields, s=s, xa=xa, xs=xs, e=e, h=h,
                     vax=inst.state0.vax + psi * fields["doses"] / pops,
                     new_cases=new_cases, cum_cases=cum_cases,

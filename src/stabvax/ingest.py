@@ -32,7 +32,9 @@ RECOVERED_RATIO = NATIONAL_RECOVERED / (NATIONAL_CUMULATIVE - NATIONAL_DEATHS)
 SYMPTOMATIC_SHARE = 0.81
 
 # Canonical infectious periods (days) and population-average fatality used
-# by the default parameter set.
+# by the default parameter set. The periods are the canonical pipeline's, not
+# the medians of the printed table of literature estimates, which are (5.05,
+# 6.2).
 DEFAULT_ASYMPTOMATIC_PERIOD = 5.0025
 DEFAULT_SYMPTOMATIC_PERIOD = 6.2475
 DEFAULT_MEAN_IFR = 0.0242
@@ -40,16 +42,6 @@ DEFAULT_MEAN_IFR = 0.0242
 DEFAULT_EFFICACY = 0.95
 
 AGE_GROUP_RANGES = ((0, 4), (5, 19), (20, 29), (30, 44), (45, 64), (65, 89))
-
-# Reported per-period (asymptomatic, symptomatic) literature estimates.
-INFECTIOUS_PERIOD_TABLE = np.array([
-    [1 / 0.29, 1 / 0.29],
-    [1 / 0.0034, 1 / 0.017],
-    [5.0, 5.0],
-    [3.0, 5.0],
-    [5.1, 7.4],
-    [10.0, 15.0],
-])
 
 # Six-group intrinsic connectivity matrix for New York State.
 NY_GAMMA = np.array([
@@ -208,39 +200,6 @@ def derive_disease_params(d_a: float, d_s: float, ifr_avg,
     if ifr_avg.ndim == 0:
         return eps, r_a, float(r_s), float(kappa)
     return eps, r_a, r_s, kappa
-
-
-def median_infectious_periods(table) -> tuple[float, float]:
-    """Componentwise medians of a (k, 2) table of (d_a, d_s) estimates."""
-    table = np.asarray(table, dtype=float)
-    if table.size == 0:
-        raise IngestError("empty period table")
-    table = table.reshape(-1, 2)
-    med = np.median(table, axis=0)
-    return float(med[0]), float(med[1])
-
-
-def aggregate_contact_groups(c_fine: np.ndarray, fine_pop: np.ndarray,
-                             group_map: Sequence[int]) -> np.ndarray:
-    """Population-weighted aggregation of a fine contact matrix.
-
-    Row a of the coarse matrix averages the member rows weighted by their
-    population shares within a; columns are summed within each target group.
-    """
-    c_fine = np.asarray(c_fine, dtype=float)
-    fine_pop = np.asarray(fine_pop, dtype=float)
-    group_map = np.asarray(group_map, dtype=int)
-    n_groups = int(group_map.max()) + 1
-    coarse = np.zeros((n_groups, n_groups))
-    for a in range(n_groups):
-        members = np.where(group_map == a)[0]
-        if members.size == 0:
-            raise IngestError(f"group {a} has no members")
-        weights = fine_pop[members] / fine_pop[members].sum()
-        row = weights @ c_fine[members, :]
-        for b in range(n_groups):
-            coarse[a, b] = row[group_map == b].sum()
-    return coarse
 
 
 def default_disease_params(psi: float = DEFAULT_EFFICACY,

@@ -208,9 +208,6 @@ class ContactStructure:
         """Intrinsic connectivity matrix for a rectangular demography."""
         return intrinsic_connectivity(self.contacts, self.reference_pop)
 
-    def gamma_is_positive_definite(self) -> bool:
-        return cholesky_factor(self.gamma) is not None
-
 
 @dataclass
 class EpidemicState:
@@ -349,18 +346,6 @@ def coupling_gram_kernel(net: NetworkInstance, params: DiseaseParams,
     if contacts is None or cholesky_factor(gamma := contacts.gamma) is None:
         return None
     return GramKernel(build_flow_matrix(net)[1], gamma)
-
-
-def project_contact_matrix(contacts: np.ndarray, from_pop: np.ndarray,
-                           to_pop: np.ndarray) -> np.ndarray:
-    """Transport a contact matrix measured on one demography to another:
-    C'[i,j] = C[i,j] * (N * N'_j) / (N_j * N')."""
-    contacts = np.asarray(contacts, dtype=float)
-    from_pop = np.asarray(from_pop, dtype=float)
-    to_pop = np.asarray(to_pop, dtype=float)
-    if np.any(from_pop <= 0) or np.any(to_pop <= 0):
-        raise ValueError("group populations must be positive")
-    return contacts * (from_pop.sum() / to_pop.sum()) * (to_pop / from_pop)[None, :]
 
 
 def build_demographic_coupling(net: NetworkInstance,

@@ -376,11 +376,11 @@ class TestDirectSearch:
                                       ("covid", 50), ("seir", 1.15),
                                       ("seir", 2.5)])
     def test_rate_root_takes_few_b1_calls(self, case):
-        # the root of b1(alpha) r* = 1 against a bisection of the same test
-        # to the same 1e-15 width, which took 55 b1 calls a solve; the SEIR
-        # b1 bends more over the bracket and takes up to 17
+        # the closed-form root of b1(alpha) r* = 1 against a bisection of the
+        # same test to 1e-15 width, which took 55 b1 calls a solve: one call
+        # checks the root, a few more step it down, and one sets the rate
         model_name, size = case
-        limit = 15 if model_name == "covid" else 17
+        limit = 4
         for seed in range(4):
             prob, population = (covid_problem(seed, size) if model_name ==
                                 "covid" else seir_problem(size, seed))
@@ -398,6 +398,34 @@ class TestDirectSearch:
                 lambda rate: radius * b1_at(rate) <= 1.0 or None, -2.0,
                 prob.max_rate - 1e-4, 1e-15)
             assert abs(alpha - bisected) <= 1e-15
+
+    @pytest.mark.parametrize("case", [("covid", seed) for seed in range(4)]
+                             + [("seir", r0) for r0 in (1.05, 1.15, 1.5, 2.5)])
+    def test_closed_form_roots(self, case):
+        # radii whose roots sweep the bracket, lie within 1e-12 of 0 and
+        # near its low end; one ulp of alpha moves r b1 by about ulp /
+        # (max_rate - alpha) relative, 2.8e-13 at the bracket top, so the
+        # residual is checked to 1e-3 below the top and the top by its root
+        model_name, key = case
+        prob = (covid_problem(key, 5) if model_name == "covid"
+                else seir_problem(key, 0))[0]
+        lo, hi = -2.0, prob.max_rate - 1e-4
+        near_zero = [sign * 10.0 ** -k for k in (12, 14, 16, 300)
+                     for sign in (1, -1)]
+        for target in [*np.linspace(lo, hi - 1e-3, 101), lo + 1e-12, 0.0,
+                       *near_zero]:
+            radius = 1.0 / prob.b1_at(target)
+            closed = prob.rate_at_radius(radius)
+            alpha = allocator._certified_rate(prob, radius, hi)
+            assert radius * prob.b1_at(alpha) <= 1.0
+            for rate in (closed, alpha):
+                assert abs(radius * prob.b1_at(rate) - 1.0) <= 1e-13
+            assert 0.0 <= closed - alpha <= 1e-15
+        for target in (hi - 1e-9, hi):
+            assert abs(prob.rate_at_radius(1.0 / prob.b1_at(target))
+                       - target) <= 4 * np.spacing(hi)
+        assert prob.rate_at_radius(0.0) == pytest.approx(prob.max_rate,
+                                                         rel=1e-15)
 
     @pytest.mark.parametrize("r0, seed, iterations", [
         (1.15, 0, (66, 53)), (1.15, 1, (69, 56)), (1.5, 2, (62, 48)),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -245,25 +246,30 @@ class TestStepBookkeeping:
                                  0.01, 0.1, 5)
 
 
-def crossing_system(name):
-    """rhs, clamp and an initial state of one model. The state lies outside
-    the clamp bounds in one entry that a step does not bring back, so the
-    first step clips it: s = 1.01 in a covid cell, or a protected count of
-    -1 person in an SEIR group, which has no dynamics."""
+def crossing_model(name):
+    """A model's `SimulationModel` and an initial state of it. The state
+    lies outside the clamp bounds in one entry that a step does not bring
+    back, so the first step clips it: s = 1.01 in a covid cell, or a
+    protected count of -1 person in an SEIR group, which has no dynamics."""
     if name == "seir":
         params, state0 = bubar.us_like_instance(1.15, seed=0)
         y0 = state0.compartments.copy()
         y0[bubar.COMPARTMENTS.index("Sv"), 0] = -1.0
-        return bubar.bubar_rhs_factory(params), (0.0, None), y0.reshape(-1)
+        return bubar.bubar_model(params, state0), y0.reshape(-1)
     inst = sv.synthetic_instance(0, n=5, groups=(name == "age-structured"))
     y0 = dynamics._state_to_flat(inst.state0)
     y0[0] = 1.01
-    rhs = dynamics.covid_rhs_factory(inst.net, inst.params, inst.contacts)
-    return rhs, (0.0, 1.0), y0
+    return dynamics.covid_model(inst), y0
+
+
+def crossing_system(name):
+    """rhs, clamp and the initial state of `crossing_model`."""
+    sim, y0 = crossing_model(name)
+    return sim.rhs, sim.clamp, y0
 
 
 class TestDayStepper:
-    """The RK4 stepper of run_days against the plain loop, a day at a time:
+    """The RK4 stepper of simulate against the plain loop, a day at a time:
     bit for bit, states and clamp events alike."""
 
     DAYS = 60
@@ -290,13 +296,30 @@ class TestDayStepper:
             states.append(y)
             total += events
         assert total[-1] > 0
-        # run_days, undosed, records the same states and counts the same
+        # simulate, undosed, records the same states and counts the same
+        # clamps as the plain loop; each of its columns starts at crossing
+        sim, crossing = crossing_model(name)
         recorded = []
-        clamps = dynamics.run_days(
-            rhs, y0, self.DAYS, step, sv.VaccinationSchedule(daily_rate=0.0),
-            1.0, [], None, lambda day, y: recorded.append(y.copy()), clamp)
-        assert np.array_equal(np.array(recorded), np.array(states))
-        assert np.array_equal(clamps, total)
+
+        def capture(ys, fields):
+            recorded.append(ys.copy())
+            return sim.columns(ys, fields)
+
+        trajs = dynamics.simulate(
+            dataclasses.replace(sim, y0=crossing, columns=capture),
+            [sv.PolicySpec("no-vaccine")] * columns,
+            sv.VaccinationSchedule(daily_rate=0.0), self.DAYS, step)
+        y = np.repeat(crossing[:, None], columns, axis=1)
+        states, total = [y], np.zeros(columns, dtype=int)
+        for day in range(self.DAYS):
+            ref, ref_events = reference_integrate(rhs, y, (day, day + 1),
+                                                  step, clamp)
+            y = ref[-1]
+            states.append(y)
+            total += ref_events
+        assert np.all(total > 0)
+        assert np.array_equal(recorded[0], np.array(states))
+        assert np.array_equal([traj.clamp_events for traj in trajs], total)
 
     def test_day_loop_never_calls_integrate(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -403,6 +426,20 @@ class TestSimulatePolicy:
         assert np.all(np.diff(new[10:]) <= 1e-9)
         total = traj.cum_cases.sum(axis=1)
         assert total[-1] - total[-50] < 0.05 * total[-1]
+
+    def test_rounding_of_cum_cases_is_no_new_case(self):
+        # the policies of a default `compare` on this instance: under the
+        # static optimal plan loc32 keeps its infected total on days 24-187,
+        # where its cum_cases rounds either way by one ulp (7.3e-12 persons)
+        inst = sv.synthetic_instance(2, n=50)
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
+        traj = dynamics.simulate(dynamics.covid_model(inst), DEFAULT_SPECS,
+                                 sched, 200)[0]
+        change = np.diff(traj.cum_cases, axis=0)
+        assert np.all(traj.new_cases[24:188, 32] == 0.0)
+        assert (change[23:187, 32] > 0).any()
+        real = change > 1e-9 * traj.cum_cases[1:]
+        assert np.array_equal(traj.new_cases[1:][real], change[real])
 
     def test_mass_conservation_with_dosing(self):
         inst = small_instance()

@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module (a stand-in
 for pyflakes' unused-import check), for the package and its tests; every
+name the package exports is read by the package or the benchmark; every
 parameter of a package function is read in its body; no package module
 imports a slow-loading module at import time; and none imports scipy at all,
 which only the tests use, as an oracle."""
@@ -74,6 +75,50 @@ def test_scan_finds_unused_and_respects_all():
               "print(sys.maxsize)\n")
     assert unused_imports(source) == ["line 2: os", "line 3: scipy"]
     assert unused_imports(source, reexport=True) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names source reads: loaded names, attributes, and strings that are
+    identifiers, which name what getattr reads (bench/tracing.py wraps the
+    package's functions by module and name)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            read.add(node.value)
+    return read
+
+
+# exports no package module or benchmark file reads, each with its reason
+UNREAD_EXPORTS = {
+    "two_node_case": "the paper's two-location fixture, on which "
+                     "tests/test_paper_claims.py checks the paper's claims",
+}
+
+
+def test_every_export_is_read():
+    init = ROOT / "src/stabvax/__init__.py"
+    exported = [alias.asname or alias.name
+                for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set().union(*(names_read(path.read_text()) for path in
+                         PACKAGE + sorted(ROOT.glob("bench/*.py"))
+                         if path != init))
+    assert [name for name in exported if name not in read] == sorted(
+        UNREAD_EXPORTS)
+    assert set(UNREAD_EXPORTS) <= set(exported)
+
+
+def test_scan_finds_names_read():
+    source = ("import numpy as np\n"
+              "def f(x):\n"
+              "    y = np.zeros(x)\n"
+              "    return getattr(y, 'shape'), 'not a name'\n")
+    assert names_read(source) == {"np", "zeros", "x", "getattr", "y", "shape"}
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ class TestBilinearRoute:
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.1556)
         assert res.certificate.satisfied
         assert res.stats.spectral_radius <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("r0", [1.05, 2.5])
+    def test_rate_at_radius_is_the_exact_smaller_root(self, r0):
+        # against the smaller root of (a - alpha)(b - alpha) = a r in 60-digit
+        # decimals; radii next to b put the root next to 0, where
+        # ((a + b) - sqrt((a - b)^2 + 4 a r)) / 2 loses every digit
+        params, _ = bubar.us_like_instance(r0, seed=0)
+        a, b = 1.0 / params.d_e, 1.0 / params.d_i
+        near_b = [b * (1.0 + sign * 10.0 ** -k) for k in (4, 8, 12, 15)
+                  for sign in (1, -1)]
+        for radius in [b, *near_b, *np.linspace(0.01, 50.0, 41) * b]:
+            alpha = bubar.bubar_rate_at_radius(params, radius)
+            assert alpha < min(a, b)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                da, db, dr = Decimal(a), Decimal(b), Decimal(float(radius))
+                exact = ((da + db) - ((da - db) ** 2
+                                      + 4 * da * dr).sqrt()) / 2
+                assert abs(Decimal(alpha) - exact) <= \
+                    Decimal(4 * np.spacing(abs(float(exact))))
+        assert bubar.bubar_rate_at_radius(params, b) == 0.0
 
 
 SEIR_POLICIES = [PolicySpec(kind) for kind in

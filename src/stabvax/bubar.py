@@ -14,15 +14,15 @@ of Bubar et al. (Science 371, 2021) are the age bands of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .allocator import (AllocationProblem, AllocationResult,
                         InfeasibleAllocationError, max_decay, solve_allocation)
-from .dynamics import (DEFAULT_STEP, SimulationModel, VaccinationSchedule,
-                       simulate)
+from .dynamics import (DEFAULT_STEP, SimulationModel, Trajectory,
+                       VaccinationSchedule, simulate)
 from .ingest import group_ifr
 from .model import (CERTIFICATE_TOL, GramKernel, StabilityCertificate,
                     cholesky_factor)
@@ -69,15 +69,10 @@ class BubarParams:
     def n_groups(self) -> int:
         return self.populations.shape[0]
 
-    def scaled_susceptibility(self, scale: float) -> "BubarParams":
-        from dataclasses import replace
-        return replace(self, susceptibility=self.susceptibility * scale)
-
 
 @dataclass
 class BubarState:
     compartments: np.ndarray  # shape (13, n_groups), persons
-    t: float = 0.0
 
     def __post_init__(self):
         self.compartments = np.asarray(self.compartments, dtype=float)
@@ -88,14 +83,6 @@ class BubarState:
         if name in COMPARTMENTS:
             return self.compartments[COMPARTMENTS.index(name)]
         raise AttributeError(name)
-
-    @property
-    def omega(self) -> np.ndarray:
-        """Cumulative dead per group."""
-        return self.compartments[COMPARTMENTS.index("D")]
-
-    def copy(self) -> "BubarState":
-        return BubarState(self.compartments.copy(), self.t)
 
 
 def initial_bubar_state(params: BubarParams, infected_frac: float = 0.001,
@@ -196,7 +183,8 @@ def calibrate_r0(params: BubarParams, target_r0: float) -> BubarParams:
     base = basic_reproduction_number(params)
     if base <= 0:
         raise ValueError("no transmission path; cannot calibrate")
-    return params.scaled_susceptibility(target_r0 / base)
+    return replace(params,
+                   susceptibility=params.susceptibility * (target_r0 / base))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +214,7 @@ def bubar_rate_at_radius(params: BubarParams, radius: float) -> float:
 
 def bubar_flow_matrix(state: BubarState, params: BubarParams) -> np.ndarray:
     """A = diag(u) C diag(1/(N - Omega))."""
-    alive = params.populations - state.omega
+    alive = params.populations - state.D
     return params.susceptibility[:, None] * params.contacts / alive[None, :]
 
 
@@ -279,7 +267,7 @@ def bubar_problem(state: BubarState, params: BubarParams,
     diag(susceptibility) L L', with the kernel L L' of one location.
     """
     g = params.n_groups
-    gram = params.contacts / (params.populations - state.omega)[None, :]
+    gram = params.contacts / (params.populations - state.D)[None, :]
     return AllocationProblem(
         flow=bubar_flow_matrix(state, params),
         kernel=(GramKernel(np.ones((1, 1)), gram)
@@ -312,32 +300,13 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BubarTrajectory:
-    times: np.ndarray
-    susceptible: np.ndarray      # (T+1, g) persons, unprotected S + Sx
-    infectious: np.ndarray       # (T+1, g)
-    cum_infected: np.ndarray     # (T+1, g)
-    deaths: np.ndarray           # (T+1, g)
-    doses: np.ndarray            # (T+1, g) cumulative
-    clamp_events: int = 0        # RK4 steps that clipped a compartment
-    labels: Sequence[str] = field(default_factory=list)
-
-    def final_cumulative_cases(self) -> float:
-        return float(self.cum_infected[-1].sum())
-
-    def final_cumulative_deaths(self) -> float:
-        return float(self.deaths[-1].sum())
-
-    def total_doses(self) -> float:
-        return float(self.doses[-1].sum())
-
-
 def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
     """The model as `dynamics.simulate` runs it: one cell per age group, the
-    state its flattened compartments. Each day's check raises
-    FloatingPointError once a group has died out, which would leave the
-    force of infection undefined."""
+    state its flattened compartments. Its trajectories hold, in persons per
+    group, the unprotected susceptibles S + Sx (susceptible), I + Ix + Iv
+    (infectious), everyone past S (cum_cases), D (cum_deaths) and the doses.
+    Each day's check raises FloatingPointError once a group has died out,
+    which would leave the force of infection undefined."""
     g, pops, rows = params.n_groups, params.populations, len(COMPARTMENTS)
 
     def check(y):
@@ -349,7 +318,7 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
         comp = ys.reshape(len(ys), rows, g, -1).transpose(1, 3, 0, 2)
         return dict(fields, susceptible=comp[0] + comp[1],
                     infectious=comp[6] + comp[7] + comp[8],
-                    cum_infected=comp[3:].sum(axis=0), deaths=comp[12])
+                    cum_cases=comp[3:].sum(axis=0), cum_deaths=comp[12])
 
     return SimulationModel(
         y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
@@ -362,15 +331,14 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
         vaccinate=lambda state, doses: _vaccinate(state, doses, params),
         allocate=lambda state, budget: solve_bubar_allocation(
             state, params, supply=budget)[1],
-        columns=columns, trajectory=BubarTrajectory, check=check,
-        age_ranges=DECADE_RANGES)
+        columns=columns, check=check, age_ranges=DECADE_RANGES)
 
 
 def simulate_bubar(params: BubarParams, state0: BubarState,
                    policy: PolicySpec, daily_rate: float, total_budget: float,
                    horizon: int, step: float = DEFAULT_STEP,
                    interval_days: int = 1,
-                   leftover_rule: str = "even-split") -> BubarTrajectory:
+                   leftover_rule: str = "even-split") -> Trajectory:
     """Run one dosing policy; see `dynamics.simulate`."""
     return simulate(bubar_model(params, state0), [policy], VaccinationSchedule(
         daily_rate, interval_days, total_budget, leftover_rule), horizon,

@@ -51,19 +51,20 @@ class InputError(ValueError):
 
 
 # every accepted config key per section ("" is the top level, and each entry
-# of policies is a section of its own) with the type a number is read as, or
-# None for a value used as given; a null value counts as absent
+# of policies is a section of its own) with the type a number is read as,
+# str or list for a value that must be a JSON string or list, or None for a
+# value used as given; a null value counts as absent
 CONFIG_KEYS = {
     "": {"seed": int, "horizon": int, "workers": int, "budget": float,
          "alpha": float, "target_rt": float, "psi": float, "alpha_hat": float,
-         "step": float, "model": None, "out": None, "axis": None,
-         "range": None, "policies": None, "instance": None, "files": None,
+         "step": float, "model": None, "out": str, "axis": None,
+         "range": None, "policies": list, "instance": str, "files": None,
          "synthetic": None, "schedule": None},
     "synthetic": {"seed": int, "n": int},
     "schedule": {"daily_rate": float, "interval_days": int, "budget": float,
                  "leftover_rule": None},
-    "files": {"trips": None, "dwell": None, "cases": None},
-    "policies": {"kind": None, "resolve_mode": None, "priority_groups": None},
+    "files": {"trips": str, "dwell": str, "cases": str},
+    "policies": {"kind": None, "resolve_mode": None, "priority_groups": list},
 }
 # keys of the covid instance and dose planner, which the SEIR model lacks
 COVID_ONLY = ("synthetic", "instance", "files", "alpha_hat", "resolve_mode")
@@ -88,7 +89,11 @@ def _check_section(name: str, section, seir: bool) -> None:
         kind = CONFIG_KEYS[name][key]
         if value is None:
             del section[key]
-        elif kind is not None:
+        elif kind in (str, list) and not isinstance(value, kind):
+            raise InputError(f"config key {where} must be a JSON "
+                             f"{'string' if kind is str else 'list'}, got "
+                             f"{value!r}")
+        elif kind not in (None, str, list):
             if isinstance(value, bool) or \
                     not isinstance(value, (int, float, str)):
                 raise InputError(f"config key {where} must be a number, "
@@ -124,8 +129,6 @@ def _load_config(args) -> dict:
                              f"{source}")
     for name in ("synthetic", "schedule", "files"):
         _check_section(name, config.get(name, {}), seir)
-    if not isinstance(config.get("policies", []), list):
-        raise InputError("config key policies must be a JSON list")
     for policy in config.get("policies", []):
         _check_section("policies", policy, seir)
     if config.setdefault("model", "covid") not in MODELS:

@@ -72,22 +72,22 @@ class VaccinationSchedule:
 
 @dataclass
 class Trajectory:
-    """Daily records of a simulated scenario. Compartment columns are
-    fractions; counter columns are persons (cumulative doses administered)."""
+    """Daily records of a simulated scenario: `fields` maps a name to its
+    (days, cells) array, as the model's `columns` builds them, and each field
+    reads as an attribute (traj.s, traj.cum_cases). Compartment fields of the
+    covid models are fractions; the SEIR model's are persons, and counter
+    fields are persons (cum_cases, cum_deaths, and doses administered)."""
 
     times: np.ndarray
-    s: np.ndarray
-    xa: np.ndarray
-    xs: np.ndarray
-    e: np.ndarray
-    h: np.ndarray
-    vax: np.ndarray
-    new_cases: np.ndarray
-    cum_cases: np.ndarray
-    cum_deaths: np.ndarray
-    doses: np.ndarray
+    fields: dict
     clamp_events: int = 0
     labels: Sequence[str] = field(default_factory=list)
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["fields"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def final_cumulative_cases(self) -> float:
         return float(self.cum_cases[-1].sum())
@@ -381,8 +381,7 @@ class SimulationModel:
     infected: Callable    # state -> persons ever infected, per cell
     vaccinate: Callable   # (state, doses per cell) -> None
     allocate: Callable    # (state, dose budget) -> certified AllocationResult
-    columns: Callable     # (day states, fields) -> fields with the model's
-    trajectory: type      # built from the fields, one policy's each
+    columns: Callable     # (day states, fields) -> every Trajectory field
     check: Optional[Callable] = None  # day's states -> raise if they fail
     age_ranges: tuple = ()  # (youngest, oldest) age per group, for age bands
 
@@ -390,8 +389,8 @@ class SimulationModel:
 def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
              schedule: VaccinationSchedule, horizon: int,
              step: float = DEFAULT_STEP) -> list:
-    """Run several policies on one model, one `model.trajectory` each; the
-    state array holds one policy per column.
+    """Run several policies on one model, one `Trajectory` each; the state
+    array holds one policy per column.
 
     The supply of an interval arrives at its start: each dosing column gets
     min(daily rate * population * interval, its budget left), and a budget
@@ -403,7 +402,13 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     `DosePlanner`). Each day's states are recorded after dosing, and one RK4
     stepper (`_RK4`), built before day 0, then advances all columns a day in
     place. model.columns gets the day states, of shape (days, state size,
-    K), and the fields with a leading policy axis."""
+    K), and the fields with a leading policy axis.
+
+    A policy's trajectory can differ in its last bits with the number of
+    policies run beside it (by 2-4e-16 of a field's largest value on
+    synthetic instances), likely because a stage's matmul over K columns
+    rounds differently for K = 1 and K = 4; its `trajectory_*.csv` can then
+    change in the last printed digit."""
     planners = [DosePlanner(policy, model, schedule) for policy in policies]
     cells, n_cols = len(model.populations), len(planners)
     administered = np.zeros((cells, n_cols))
@@ -452,10 +457,8 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
             clamps += stepper.advance(float(day), steps_per_day)
     fields = model.columns(ys, {"doses": dose_days.transpose(2, 0, 1)})
     times = np.arange(horizon + 1, dtype=float)
-    return [model.trajectory(times=times, clamp_events=int(clamps[k]),
-                             labels=model.labels,
-                             **{name: arr[k] for name, arr in fields.items()})
-            for k in range(n_cols)]
+    return [Trajectory(times, {name: arr[k] for name, arr in fields.items()},
+                       int(clamps[k]), model.labels) for k in range(n_cols)]
 
 
 def covid_model(instance: EpidemicInstance) -> SimulationModel:
@@ -494,7 +497,7 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
         vaccinate=lambda state, doses: _vaccinate(state.s, doses / pops, psi),
         allocate=lambda state, budget: allocator.max_decay_binary_search(
             state, inst.net, inst.params, inst.contacts, budget=budget)[1],
-        columns=columns, trajectory=Trajectory, age_ranges=(
+        columns=columns, age_ranges=(
             AGE_GROUP_RANGES if inst.net.n_groups == len(AGE_GROUP_RANGES)
             else ()))
 

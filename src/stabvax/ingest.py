@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -249,10 +249,6 @@ class EpidemicInstance:
         return self.net.cell_populations()
 
 
-def _expand_to_cells(values: np.ndarray, n_groups: int) -> np.ndarray:
-    return np.repeat(values, n_groups) if n_groups else values
-
-
 def synthetic_instance(seed: int, n: int, groups: bool = False,
                        target_rt: float = 1.2, alpha_hat: float = 0.5,
                        psi: float = DEFAULT_EFFICACY) -> EpidemicInstance:
@@ -273,7 +269,7 @@ def synthetic_instance(seed: int, n: int, groups: bool = False,
     attack = rng.uniform(0.01, 0.15, size=n)
     confirmed = attack * populations * REPORTING_FACTOR
     deaths = attack * populations * rng.uniform(0.002, 0.01, size=n)
-    state_loc = derive_initial_state(RawCases(confirmed, deaths), populations)
+    state = derive_initial_state(RawCases(confirmed, deaths), populations)
 
     contacts = None
     group_pop = None
@@ -282,12 +278,10 @@ def synthetic_instance(seed: int, n: int, groups: bool = False,
         shares = NY_GROUP_SHARES * rng.uniform(0.85, 1.15, size=(n, 6))
         shares /= shares.sum(axis=1, keepdims=True)
         group_pop = shares * populations[:, None]
+        # each group of a location starts in its location's state
+        state = EpidemicState(*np.repeat(state.compartments(), 6, axis=1))
     net = NetworkInstance(tau=tau, populations=populations,
                           group_populations=group_pop)
-
-    g = 6 if groups else 0
-    state = EpidemicState(*(_expand_to_cells(getattr(state_loc, name), g)
-                            for name in ("s", "xa", "xs", "e", "h")))
     template = default_disease_params(psi=psi, alpha_hat=alpha_hat,
                                       demographic=groups)
     params = calibrate_transmission(net, template, state, target_rt, contacts)
@@ -379,75 +373,37 @@ def load_instance_from_files(trips_path, dwell_path, cases_path) -> tuple[
     return net, state
 
 
+# the sections of an instance file, one per EpidemicInstance field in order;
+# only contacts may be absent
+SECTIONS = (("network", NetworkInstance), ("params", DiseaseParams),
+            ("state0", EpidemicState), ("contacts", ContactStructure))
+
+
 def instance_to_dict(inst: EpidemicInstance) -> dict:
-    params = inst.params
-    doc = {
-        "model": "covid-demographic" if inst.is_demographic else "covid",
-        "network": {
-            "tau": inst.net.tau.tolist(),
-            "populations": inst.net.populations.tolist(),
-        },
-        "params": {
-            "eps": params.eps, "r_a": params.r_a,
-            "r_s": np.asarray(params.r_s).tolist(),
-            "kappa": np.asarray(params.kappa).tolist(),
-            "psi": params.psi,
-        },
-        "state0": {name: getattr(inst.state0, name).tolist()
-                   for name in ("s", "xa", "xs", "e", "h", "vax")},
-    }
-    if inst.net.dwell_minutes is not None:
-        doc["network"]["dwell_minutes"] = inst.net.dwell_minutes.tolist()
-    if inst.net.group_populations is not None:
-        doc["network"]["group_populations"] = inst.net.group_populations.tolist()
-    if inst.is_demographic:
-        doc["params"].update({"beta": params.beta,
-                              "beta0": params.beta0.tolist(),
-                              "alpha_hat": params.alpha_hat})
-        doc["contacts"] = {"contacts": inst.contacts.contacts.tolist(),
-                           "reference_pop": inst.contacts.reference_pop.tolist()}
-    else:
-        doc["params"].update({"beta_a": params.beta_a, "beta_s": params.beta_s,
-                              "alpha_hat": params.alpha_hat})
+    """The "model" key, then a section per record: its fields in declaration
+    order as plain lists and numbers, None values left out."""
+    doc = {"model": "covid-demographic" if inst.is_demographic else "covid"}
+    for (section, _), f in zip(SECTIONS, fields(inst)):
+        record = getattr(inst, f.name)
+        if record is not None:
+            values = ((k.name, getattr(record, k.name)) for k in fields(record))
+            doc[section] = {name: np.asarray(value).tolist()
+                            for name, value in values if value is not None}
     return doc
 
 
 def instance_from_dict(doc: dict) -> EpidemicInstance:
-    netdoc = doc["network"]
-    net = NetworkInstance(
-        tau=np.asarray(netdoc["tau"], dtype=float),
-        populations=np.asarray(netdoc["populations"], dtype=float),
-        dwell_minutes=(np.asarray(netdoc["dwell_minutes"], dtype=float)
-                       if "dwell_minutes" in netdoc else None),
-        group_populations=(np.asarray(netdoc["group_populations"], dtype=float)
-                           if "group_populations" in netdoc else None))
-    p = doc["params"]
-    common = dict(eps=p["eps"], r_a=p["r_a"], psi=p["psi"],
-                  r_s=_scalar_or_array(p["r_s"]),
-                  kappa=_scalar_or_array(p["kappa"]))
-    if doc["model"] == "covid-demographic":
-        params = DiseaseParams(beta=p["beta"],
-                               beta0=np.asarray(p["beta0"], dtype=float),
-                               alpha_hat=p["alpha_hat"], **common)
-        cdoc = doc["contacts"]
-        contacts = ContactStructure(
-            contacts=np.asarray(cdoc["contacts"], dtype=float),
-            reference_pop=np.asarray(cdoc["reference_pop"], dtype=float))
-    else:
-        params = DiseaseParams(beta_a=p["beta_a"], beta_s=p["beta_s"],
-                               alpha_hat=p.get("alpha_hat"), **common)
-        contacts = None
-    sdoc = doc["state0"]
-    state = EpidemicState(**{name: np.asarray(sdoc[name], dtype=float)
-                             for name in ("s", "xa", "xs", "e", "h", "vax")})
-    return EpidemicInstance(net=net, params=params, state0=state,
-                            contacts=contacts)
-
-
-def _scalar_or_array(value):
-    if isinstance(value, list):
-        return np.asarray(value, dtype=float)
-    return float(value)
+    """Each record built from its section's fields, the records' own checks
+    applied; raises IngestError on a missing section or field, an unknown
+    field, or a section that is no JSON object."""
+    try:
+        return EpidemicInstance(*(
+            cls(**doc[section]) if section in doc or section != "contacts"
+            else None for section, cls in SECTIONS))
+    except KeyError as exc:
+        raise IngestError(f"instance file lacks section {exc}") from exc
+    except TypeError as exc:
+        raise IngestError(f"malformed instance file: {exc}") from exc
 
 
 def save_instance(inst: EpidemicInstance, path) -> None:

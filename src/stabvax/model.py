@@ -223,7 +223,6 @@ class EpidemicState:
     e: np.ndarray
     h: np.ndarray
     vax: Optional[np.ndarray] = None
-    t: float = 0.0
 
     def __post_init__(self):
         for name in ("s", "xa", "xs", "e", "h"):
@@ -250,7 +249,7 @@ class EpidemicState:
 
     def copy(self) -> "EpidemicState":
         return EpidemicState(self.s.copy(), self.xa.copy(), self.xs.copy(),
-                             self.e.copy(), self.h.copy(), self.vax.copy(), self.t)
+                             self.e.copy(), self.h.copy(), self.vax.copy())
 
 
 # a certificate holds when lambda_max <= -alpha + CERTIFICATE_TOL
@@ -272,7 +271,6 @@ class StabilityCertificate:
     lambda_max: float
     satisfied: bool
     spectral_radius: float = np.nan
-    tol: float = CERTIFICATE_TOL
 
 
 # ---------------------------------------------------------------------------

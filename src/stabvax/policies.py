@@ -88,8 +88,15 @@ def proportional_fill(weights: np.ndarray, caps: np.ndarray,
 
 
 def _named(priority_groups: Sequence) -> list[int]:
-    """Every group index a priority list names, in order."""
-    return [int(g) for tier in priority_groups for g in np.atleast_1d(tier)]
+    """Every group index a priority list names, in order. Raises ValueError
+    unless each entry is an int or a list or tuple of ints (not bools)."""
+    named = [g for tier in priority_groups for g in (
+        tier if isinstance(tier, (list, tuple)) else (tier,))]
+    if any(isinstance(g, bool) or not isinstance(g, (int, np.integer))
+           for g in named):
+        raise ValueError(f"priority_groups {list(priority_groups)} must hold "
+                         "group indices or lists of them")
+    return named
 
 
 def priority_tiers(policy: PolicySpec, model) -> tuple:

@@ -167,8 +167,8 @@ class TestBatchedSimulation:
             single = bubar.simulate_bubar(params, state0, spec,
                                           daily_rate=0.0033,
                                           total_budget=0.05, horizon=60)
-            for field in ("susceptible", "infectious", "cum_infected",
-                          "deaths", "doses"):
+            for field in ("susceptible", "infectious", "cum_cases",
+                          "cum_deaths", "doses"):
                 a, b = getattr(traj, field), getattr(single, field)
                 assert a.shape == b.shape == (61, params.n_groups)
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field

@@ -637,3 +637,69 @@ class TestAtomicWrite:
             cli._write_atomic(target, "\ud800")
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
         assert target.read_text() == "old\n"
+
+
+class TestConfigTypes:
+    """A config value of the wrong type exits 3 with a message naming its
+    key, not with a traceback or a run on a value it misreads."""
+
+    AGE = {"model": "covid-demographic", "synthetic": {"n": 3}}
+
+    @pytest.mark.parametrize("config, key", [
+        ({"out": 5}, "out"),
+        ({"instance": 7}, "instance"),
+        # 0 used to open file descriptor 0 (stdin) as the trips file
+        ({"files": {"trips": 0, "dwell": 0, "cases": 0}}, "files.trips"),
+        ({"policies": [{"kind": "age-priority", "priority_groups": 5}]},
+         "policies.priority_groups"),
+        # 1.5 used to dose group 1
+        ({**AGE, "policies": [{"kind": "age-priority",
+                               "priority_groups": [1.5, 0]}]},
+         "priority_groups"),
+        ({**AGE, "policies": [{"kind": "age-priority",
+                               "priority_groups": [[0, True]]}]},
+         "priority_groups"),
+        ({"policies": {"kind": "no-vaccine"}}, "policies"),
+    ], ids=["out-number", "instance-number", "files-numbers",
+            "priority-groups-number", "priority-group-float",
+            "priority-group-bool", "policies-object"])
+    def test_wrong_type_exits_input_error(self, tmp_path, monkeypatch, capsys,
+                                          config, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main(["--config", "config.json", "--horizon", "5",
+                         "compare"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("groups", [(1.5, 0), (True,), ((0, 1.0),),
+                                        ("0",)])
+    def test_policy_spec_rejects_entries_that_are_no_ints(self, groups):
+        with pytest.raises(ValueError, match="priority_groups"):
+            policies.PolicySpec("age-priority", priority_groups=groups)
+
+
+class TestInstanceFile:
+    """A malformed instance file exits 3, not with a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "state0": "s"},
+        lambda doc: {**doc, "params": {**doc["params"], "beta_x": 1.0}},
+        lambda doc: {**doc, "network": {"tau": doc["network"]["tau"]}},
+    ], ids=["top-level-list", "section-string", "unknown-key",
+            "missing-key"])
+    def test_malformed_file_exits_input_error(self, tmp_path, sources, capsys,
+                                              edit):
+        path = sources["instance"]["instance"]
+        with open(path) as fh:
+            doc = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(edit(doc), fh)
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"instance": path}))
+        assert cli.main(["--config", str(config), "--out", str(out),
+                         "--budget", "0.05", "allocate"]) == cli.EXIT_INPUT
+        assert "instance file" in capsys.readouterr().err
+        assert not (out / "allocation.json").exists()

@@ -16,7 +16,7 @@ def small_instance(seed=7, n=3, target_rt=1.3):
 def rhs_blocks(state, net, params, contacts=None):
     """Derivatives (ds, dxa, dxs, de, dh) of the covid models at one state."""
     rhs = dynamics.covid_rhs_factory(net, params, contacts)
-    return rhs(state.t, dynamics._state_to_flat(state)).reshape(5, -1)
+    return rhs(0.0, dynamics._state_to_flat(state)).reshape(5, -1)
 
 
 class TestCovidRhs:
@@ -555,6 +555,23 @@ class TestSimulatePolicy:
         assert rows[0]["s"] == pytest.approx(traj.s[0, 0], rel=1e-10)
         assert rows[-1]["cum_cases"] == pytest.approx(traj.cum_cases[-1, -1],
                                                       rel=1e-10)
+
+    def test_every_model_returns_a_trajectory(self):
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
+        spec = sv.PolicySpec(kind="population-weighted")
+        models = [dynamics.covid_model(sv.synthetic_instance(0, 2, groups))
+                  for groups in (False, True)]
+        models.append(bubar.bubar_model(*bubar.us_like_instance(1.15)))
+        for sim in models:
+            (traj,) = dynamics.simulate(sim, [spec], sched, 5)
+            assert type(traj) is dynamics.Trajectory
+            assert traj.cum_cases is traj.fields["cum_cases"]
+            assert traj.final_cumulative_cases() == \
+                traj.fields["cum_cases"][-1].sum()
+            assert traj.final_cumulative_deaths() == \
+                traj.fields["cum_deaths"][-1].sum()
+            assert traj.total_doses() == traj.fields["doses"][-1].sum() > 0
+            assert not hasattr(traj, "cum_infected")
 
 
 TRAJECTORY_FIELDS = ("s", "xa", "xs", "e", "h", "vax", "new_cases",

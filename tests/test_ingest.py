@@ -209,3 +209,40 @@ class TestFileIO(object):
             rt_b = sv.effective_reproduction_number(
                 loaded.state0, loaded.net, loaded.params, loaded.contacts)
             assert rt_a == pytest.approx(rt_b, abs=1e-12)
+
+    @pytest.mark.parametrize("groups", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_saving_a_loaded_instance_reproduces_the_file(self, tmp_path,
+                                                          seed, groups):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        sv.save_instance(sv.synthetic_instance(seed, n=3, groups=groups), first)
+        sv.save_instance(sv.load_instance(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_file_holds_every_record_field_but_none(self, tmp_path):
+        # only library-built beta_a params have no alpha_hat
+        inst = sv.synthetic_instance(0, n=2)
+        inst.params = sv.DiseaseParams(eps=0.1, r_a=0.1, r_s=0.1, kappa=0.01,
+                                       beta_a=0.2, beta_s=0.4)
+        doc = ingest.instance_to_dict(inst)
+        assert list(doc) == ["model", "network", "params", "state0"]
+        assert list(doc["network"]) == ["tau", "populations"]
+        assert list(doc["params"]) == ["eps", "r_a", "r_s", "kappa", "psi",
+                                       "beta_a", "beta_s"]
+        assert list(doc["state0"]) == ["s", "xa", "xs", "e", "h", "vax"]
+        assert ingest.instance_from_dict(doc).params == inst.params
+
+    def test_missing_vax_defaults_to_zeros(self):
+        doc = ingest.instance_to_dict(sv.synthetic_instance(0, n=2))
+        del doc["state0"]["vax"]
+        assert np.all(ingest.instance_from_dict(doc).state0.vax == 0.0)
+
+    # tests/test_cli.py::TestInstanceFile runs the other malformed files
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {key: doc[key] for key in doc if key != "params"},
+        lambda doc: {**doc, "params": {**doc["params"], "eps": "fast"}},
+    ], ids=["missing-section", "string-rate"])
+    def test_malformed_document_raises_ingest_error(self, edit):
+        doc = ingest.instance_to_dict(sv.synthetic_instance(0, n=2))
+        with pytest.raises(ingest.IngestError):
+            ingest.instance_from_dict(edit(doc))

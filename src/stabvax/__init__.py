@@ -7,8 +7,7 @@ a test oracle, so no command pays for importing it.
 
 from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     EpidemicState, GramKernel, InfeasibleRateError,
-                    NetworkInstance, StabilityCertificate,
-                    build_demographic_coupling, build_flow_matrix,
+                    NetworkInstance, StabilityCertificate, build_flow_matrix,
                     calibrate_transmission, check_decay_certificate,
                     cholesky_factor, compute_b1, coupling_gram_kernel,
                     effective_reproduction_number, intrinsic_connectivity)
@@ -20,10 +19,10 @@ from .allocator import (AllocationProblem, AllocationResult, CutPool,
                         spectral_box_minimize)
 from .dynamics import (Trajectory, VaccinationSchedule, integrate,
                        simulate_policy)
-from .ingest import (EpidemicInstance, RawCases, RawMobility,
-                     build_travel_rates, derive_disease_params,
-                     derive_initial_state, ifr_by_age, load_instance,
-                     save_instance, synthetic_instance, two_node_case)
+from .ingest import (EpidemicInstance, build_travel_rates,
+                     derive_disease_params, derive_initial_state, ifr_by_age,
+                     load_instance, save_instance, synthetic_instance,
+                     two_node_case)
 from .policies import PolicySpec, emit_doses
 
 __version__ = "0.1.0"

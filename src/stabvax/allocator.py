@@ -77,7 +77,6 @@ class SolverStats:
 
     iterations: int = 0
     cuts: int = 0
-    spectral_radius: float = np.nan
     gap: float = 0.0
     converged: bool = True
     method: str = ""
@@ -350,8 +349,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     rho0, d0 = _perron(p0[:, None] * K)
     if rho0 <= 1.0 + 1e-12:
         return (np.zeros(m), d0,
-                SolverStats(iterations=0, spectral_radius=rho0, converged=True,
-                            method="bilinear-slp"))
+                SolverStats(iterations=0, converged=True, method="bilinear-slp"))
     if radius(vmax) > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation leaves the system unstable")
@@ -407,11 +405,9 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                 break
     if not rho <= 1.0 + 1e-9:
         raise SolverError("bilinear scheme found no feasible iterate")
-    rho_final, d_final = _perron((p0 - p1 * v)[:, None] * K)
-    stats = SolverStats(iterations=it, spectral_radius=rho_final,
-                        converged=converged, method="bilinear-slp",
-                        lp_calls=lp_calls)
-    return v, d_final, stats
+    stats = SolverStats(iterations=it, converged=converged,
+                        method="bilinear-slp", lp_calls=lp_calls)
+    return v, _perron((p0 - p1 * v)[:, None] * K)[1], stats
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,17 @@ of Bubar et al. (Science 371, 2021) are the age bands of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .allocator import (AllocationProblem, AllocationResult,
-                        InfeasibleAllocationError, max_decay, solve_allocation)
+from .allocator import (AllocationProblem, AllocationResult, max_decay,
+                        solve_allocation)
 from .dynamics import (DEFAULT_STEP, SimulationModel, Trajectory,
                        VaccinationSchedule, simulate)
 from .ingest import group_ifr
-from .model import (CERTIFICATE_TOL, GramKernel, StabilityCertificate,
-                    cholesky_factor)
+from .model import (CERTIFICATE_TOL, GramKernel, InfeasibleRateError,
+                    StabilityCertificate, cholesky_factor)
 from .policies import PolicySpec
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
@@ -52,7 +52,6 @@ class BubarParams:
     contacts: np.ndarray
     populations: np.ndarray
     psi: float = DEFAULT_EFFICACY
-    labels: Sequence[str] = DECADE_LABELS
 
     def __post_init__(self):
         for name in ("ifr", "susceptibility", "populations"):
@@ -85,14 +84,13 @@ class BubarState:
         raise AttributeError(name)
 
 
-def initial_bubar_state(params: BubarParams, infected_frac: float = 0.001,
-                        exposed_frac: float = 0.001) -> BubarState:
+def initial_bubar_state(params: BubarParams, frac: float) -> BubarState:
+    """The share frac of each group infectious, as many exposed, the rest S."""
     comp = np.zeros((len(COMPARTMENTS), params.n_groups))
-    infected = infected_frac * params.populations
-    exposed = exposed_frac * params.populations
+    infected = frac * params.populations
     comp[COMPARTMENTS.index("I")] = infected
-    comp[COMPARTMENTS.index("E")] = exposed
-    comp[COMPARTMENTS.index("S")] = params.populations - infected - exposed
+    comp[COMPARTMENTS.index("E")] = infected
+    comp[COMPARTMENTS.index("S")] = params.populations - infected - infected
     return BubarState(comp)
 
 
@@ -199,8 +197,8 @@ def bubar_b1(params: BubarParams, alpha: float) -> float:
     """
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
     if alpha >= min(a, b):
-        raise InfeasibleAllocationError(
-            "decay rate must stay below min(1/d_e, 1/d_i)")
+        raise InfeasibleRateError(
+            f"decay rate {alpha} must stay below min(1/d_e, 1/d_i)")
     return a / ((a - alpha) * (b - alpha))
 
 
@@ -250,7 +248,7 @@ def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
         weight = (state.S + state.Sx - params.psi * np.asarray(v) * state.S)
         radius = float(np.max(np.abs(np.linalg.eigvals(
             b1 * weight[:, None] * bubar_flow_matrix(state, params)))))
-    except InfeasibleAllocationError:
+    except InfeasibleRateError:
         radius = np.inf
     return StabilityCertificate(
         alpha=alpha, lambda_max=lam, spectral_radius=radius,
@@ -322,7 +320,7 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
 
     return SimulationModel(
         y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
-        clamp=(0.0, None), labels=list(params.labels), populations=pops,
+        clamp=(0.0, None), labels=list(DECADE_LABELS), populations=pops,
         n_groups=g, state=lambda col: BubarState(col.reshape(rows, g)),
         headroom=lambda state: state.S,
         active=lambda state: float((state.E + state.Ex + state.Ev + state.I
@@ -354,13 +352,13 @@ US_DECADE_SHARES = np.array([0.122, 0.130, 0.139, 0.137, 0.122, 0.131,
 DECADE_IFR = group_ifr(DECADE_RANGES)
 
 
-def us_like_instance(r0: float, seed: int = 0, total_population: float = 1e6,
-                     psi: float = DEFAULT_EFFICACY, infected_frac: float = 0.001,
+def us_like_instance(r0: float, seed: int = 0, psi: float = DEFAULT_EFFICACY,
+                     infected_frac: float = 0.001,
                      ) -> tuple[BubarParams, BubarState]:
-    """Synthetic nine-decade fixture with an assortative, mildly
-    non-reciprocal contact matrix, calibrated to the target R0."""
+    """Synthetic nine-decade fixture of 1e6 people with an assortative,
+    mildly non-reciprocal contact matrix, calibrated to the target R0."""
     rng = np.random.default_rng(seed)
-    populations = US_DECADE_SHARES * total_population
+    populations = US_DECADE_SHARES * 1e6
     activity = np.array([5.0, 9.0, 8.5, 8.0, 7.5, 7.0, 5.5, 3.5, 2.5])
     mixing = np.outer(activity, activity * US_DECADE_SHARES) / activity.mean()
     mixing += np.diag(activity * 0.8)
@@ -371,5 +369,4 @@ def us_like_instance(r0: float, seed: int = 0, total_population: float = 1e6,
                          susceptibility=susceptibility, contacts=mixing,
                          populations=populations, psi=psi)
     params = calibrate_r0(params, r0)
-    return params, initial_bubar_state(params, infected_frac=infected_frac,
-                                       exposed_frac=infected_frac)
+    return params, initial_bubar_state(params, infected_frac)

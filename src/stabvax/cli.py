@@ -3,8 +3,8 @@ and compare policies, and run sensitivity sweeps.
 
 Configuration comes from a JSON file (--config) with flag overrides;
 CONFIG_KEYS lists every accepted key, and any other exits as an input error.
-Exit codes: 0 success, 2 infeasible allocation, 3 input error, 4 solver
-failure.
+Exit codes: 0 success, 2 infeasible allocation or decay rate, 3 input
+error, 4 solver failure.
 
 Every command runs on numpy alone (see the package docstring).
 """
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import allocator, bubar, dynamics, ingest, policies
 from .allocator import InfeasibleAllocationError, SolverError
-from .model import (CalibrationError, calibrate_transmission,
-                    effective_reproduction_number)
+from .model import (CalibrationError, InfeasibleRateError,
+                    calibrate_transmission, effective_reproduction_number)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -251,7 +251,7 @@ def cmd_allocate(config) -> int:
             supply = config["budget"] * float(params.populations.sum())
         alpha, result = bubar.solve_bubar_allocation(
             state0, params, alpha=config.get("alpha"), supply=supply)
-        labels = list(params.labels)
+        labels = list(bubar.DECADE_LABELS)
     else:
         inst = _build_instance(config)
         if "alpha" in config:
@@ -430,13 +430,13 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return COMMANDS[args.command](config)
+    except (InfeasibleAllocationError, InfeasibleRateError) as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (InputError, ingest.IngestError, FileNotFoundError, KeyError,
             ValueError, CalibrationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleAllocationError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

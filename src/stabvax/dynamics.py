@@ -26,7 +26,7 @@ or not finite.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,8 +80,8 @@ class Trajectory:
 
     times: np.ndarray
     fields: dict
-    clamp_events: int = 0
-    labels: Sequence[str] = field(default_factory=list)
+    clamp_events: int
+    labels: Sequence[str]
 
     def __getattr__(self, name):
         try:
@@ -106,14 +106,13 @@ class Trajectory:
         from . import _text  # its tables load with the first file written
 
         cells = self.s.shape[1]
-        labels = list(self.labels) or [str(i) for i in range(cells)]
-        if len(labels) != cells:
-            raise ValueError(f"{len(labels)} labels for {cells} cells")
+        if len(self.labels) != cells:
+            raise ValueError(f"{len(self.labels)} labels for {cells} cells")
         values = np.stack([self.s, self.xa, self.xs, self.e, self.h,
                            self.new_cases, self.cum_cases, self.cum_deaths,
                            self.doses], axis=-1)
         rows = _text.csv_rows(["%.6g" % t for t in self.times.tolist()],
-                              labels, values)
+                              self.labels, values)
         with open(path, "wb") as fh:
             fh.write(TRAJECTORY_HEADER)
             fh.write(rows)
@@ -515,7 +514,7 @@ def _state_to_flat(state: EpidemicState) -> np.ndarray:
 
 def _cell_labels(instance: EpidemicInstance) -> list[str]:
     n = instance.net.n
-    if not instance.is_demographic:
+    if not instance.params.is_demographic:
         return [f"loc{i}" for i in range(n)]
     g = instance.net.n_groups
     return [f"loc{i}:g{b}" for i in range(n) for b in range(g)]

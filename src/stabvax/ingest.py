@@ -71,82 +71,60 @@ class IngestError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw inputs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RawMobility:
-    """Daily trip counts and median home-dwell minutes per location."""
-
-    trips: np.ndarray
-    dwell_minutes: np.ndarray
-
-    def __post_init__(self):
-        self.trips = np.asarray(self.trips, dtype=float)
-        self.dwell_minutes = np.asarray(self.dwell_minutes, dtype=float)
-        if np.any(self.trips < 0):
-            raise IngestError("trip counts must be nonnegative")
-        if np.any(self.dwell_minutes < 0) or np.any(self.dwell_minutes > MINUTES_PER_DAY):
-            raise IngestError("dwell minutes must lie in [0, 1440]")
-
-
-@dataclass
-class RawCases:
-    """Cumulative confirmed cases and deaths per location."""
-
-    confirmed: np.ndarray
-    deaths: np.ndarray
-    reporting_factor: float = REPORTING_FACTOR
-    recovered_ratio: float = RECOVERED_RATIO
-
-    def __post_init__(self):
-        self.confirmed = np.asarray(self.confirmed, dtype=float)
-        self.deaths = np.asarray(self.deaths, dtype=float)
-        if np.any(self.confirmed < 0) or np.any(self.deaths < 0):
-            raise IngestError("case counts must be nonnegative")
-        if np.any(self.deaths > self.confirmed / self.reporting_factor + 1e-9):
-            raise IngestError("deaths exceed implied true infections")
-
-
-# ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
 
-def build_travel_rates(raw: RawMobility) -> np.ndarray:
-    """tau[i, j] = (1 - W_i/1440) * k_ij / sum_a k_ia.
+def build_travel_rates(trips, dwell_minutes) -> np.ndarray:
+    """tau[i, j] = (1 - W_i/1440) * k_ij / sum_a k_ia from the daily trip
+    counts k and the median home-dwell minutes W per location.
 
-    Locations with no outbound trips are treated as isolated (zero row).
+    Raises IngestError on a negative trip count or dwell minutes outside
+    [0, 1440]; a location with no outbound trips is isolated (zero row).
     """
-    totals = raw.trips.sum(axis=1)
+    trips = np.asarray(trips, dtype=float)
+    dwell_minutes = np.asarray(dwell_minutes, dtype=float)
+    if np.any(trips < 0):
+        raise IngestError("trip counts must be nonnegative")
+    if np.any(dwell_minutes < 0) or np.any(dwell_minutes > MINUTES_PER_DAY):
+        raise IngestError("dwell minutes must lie in [0, 1440]")
+    totals = trips.sum(axis=1)
     isolated = totals == 0
     if np.any(isolated):
         warnings.warn(f"{int(isolated.sum())} location(s) have no trips; "
                       "treating them as isolated", stacklevel=2)
-    away = 1.0 - raw.dwell_minutes / MINUTES_PER_DAY
+    away = 1.0 - dwell_minutes / MINUTES_PER_DAY
     safe_totals = np.where(isolated, 1.0, totals)
-    tau = away[:, None] * raw.trips / safe_totals[:, None]
+    tau = away[:, None] * trips / safe_totals[:, None]
     tau[isolated, :] = 0.0
     return tau
 
 
-def derive_initial_state(raw: RawCases, populations: np.ndarray) -> EpidemicState:
-    """Initial compartment fractions from cumulative counts.
+def derive_initial_state(confirmed, deaths, populations) -> EpidemicState:
+    """Initial fractions from cumulative confirmed cases and deaths.
 
-    True infections are confirmed / reporting_factor; the recovered share of
+    True infections are confirmed / REPORTING_FACTOR; the recovered share of
     surviving ever-infected follows the national ratio; active cases split
-    81/19 into the asymptomatic and symptomatic tracks.
+    81/19 into the asymptomatic and symptomatic tracks. Raises IngestError
+    on a negative case count, on deaths above the true infections, or on
+    true infections above the population.
     """
+    confirmed = np.asarray(confirmed, dtype=float)
+    deaths = np.asarray(deaths, dtype=float)
+    if np.any(confirmed < 0) or np.any(deaths < 0):
+        raise IngestError("case counts must be nonnegative")
+    true_cases = confirmed / REPORTING_FACTOR
+    if np.any(deaths > true_cases + 1e-9):
+        raise IngestError("deaths exceed implied true infections")
     populations = np.asarray(populations, dtype=float)
-    true_cases = raw.confirmed / raw.reporting_factor
     if np.any(true_cases > populations):
         raise IngestError("implied infections exceed population")
-    recovered = (true_cases - raw.deaths) * raw.recovered_ratio
-    active = true_cases - raw.deaths - recovered
+    recovered = (true_cases - deaths) * RECOVERED_RATIO
+    active = true_cases - deaths - recovered
     state = EpidemicState(
         s=1.0 - true_cases / populations,
         xa=SYMPTOMATIC_SHARE * active / populations,
         xs=(1.0 - SYMPTOMATIC_SHARE) * active / populations,
-        e=raw.deaths / populations,
+        e=deaths / populations,
         h=recovered / populations,
     )
     state.validate()
@@ -175,9 +153,9 @@ def group_ifr(ranges: Sequence[tuple[int, int]] = AGE_GROUP_RANGES) -> np.ndarra
     return np.array([mean_ifr(lo, hi) for lo, hi in ranges])
 
 
-def derive_disease_params(d_a: float, d_s: float, ifr_avg,
-                          symptomatic_share: float = SYMPTOMATIC_SHARE):
-    """Invert the four rate relations into (eps, r_a, r_s, kappa).
+def derive_disease_params(d_a: float, d_s: float, ifr_avg):
+    """Invert the four rate relations into (eps, r_a, r_s, kappa), with
+    share = SYMPTOMATIC_SHARE.
 
         eps + r_a = 1/d_a          eps / (eps + r_a) = (1 - share) / share
         r_s + kappa = 1/d_s        (1 - share)/share * kappa/(kappa + r_s) = IFR
@@ -187,10 +165,8 @@ def derive_disease_params(d_a: float, d_s: float, ifr_avg,
     """
     if d_a <= 0 or d_s <= 0:
         raise IngestError("infectious periods must be positive")
-    if not 0 < symptomatic_share < 1:
-        raise IngestError("symptomatic share must lie in (0, 1)")
     ifr_avg = np.asarray(ifr_avg, dtype=float)
-    progression_ratio = (1.0 - symptomatic_share) / symptomatic_share
+    progression_ratio = (1.0 - SYMPTOMATIC_SHARE) / SYMPTOMATIC_SHARE
     eps = progression_ratio / d_a
     r_a = 1.0 / d_a - eps
     kappa = ifr_avg / progression_ratio / d_s
@@ -204,18 +180,18 @@ def derive_disease_params(d_a: float, d_s: float, ifr_avg,
 
 def default_disease_params(psi: float = DEFAULT_EFFICACY,
                            alpha_hat: float = 0.5,
-                           demographic: bool = False,
-                           beta_scale: float = 1.0) -> DiseaseParams:
-    """Uncalibrated parameter template built from the canonical derivations."""
+                           demographic: bool = False) -> DiseaseParams:
+    """Uncalibrated parameter template built from the canonical derivations,
+    its transmission scalar 1."""
     eps, r_a, r_s, kappa = derive_disease_params(
         DEFAULT_ASYMPTOMATIC_PERIOD, DEFAULT_SYMPTOMATIC_PERIOD, DEFAULT_MEAN_IFR)
     if demographic:
         return DiseaseParams(eps=eps, r_a=r_a, r_s=R_S_BY_GROUP.copy(),
                              kappa=KAPPA_BY_GROUP.copy(), psi=psi,
-                             beta=beta_scale, beta0=NY_BETA0.copy(),
+                             beta=1.0, beta0=NY_BETA0.copy(),
                              alpha_hat=alpha_hat)
     return DiseaseParams(eps=eps, r_a=r_a, r_s=r_s, kappa=kappa, psi=psi,
-                         beta_s=beta_scale, alpha_hat=alpha_hat)
+                         beta_s=1.0, alpha_hat=alpha_hat)
 
 
 def ny_contact_structure() -> ContactStructure:
@@ -241,10 +217,6 @@ class EpidemicInstance:
     state0: EpidemicState
     contacts: Optional[ContactStructure] = None
 
-    @property
-    def is_demographic(self) -> bool:
-        return self.params.is_demographic
-
     def cell_populations(self) -> np.ndarray:
         return self.net.cell_populations()
 
@@ -269,7 +241,7 @@ def synthetic_instance(seed: int, n: int, groups: bool = False,
     attack = rng.uniform(0.01, 0.15, size=n)
     confirmed = attack * populations * REPORTING_FACTOR
     deaths = attack * populations * rng.uniform(0.002, 0.01, size=n)
-    state = derive_initial_state(RawCases(confirmed, deaths), populations)
+    state = derive_initial_state(confirmed, deaths, populations)
 
     contacts = None
     group_pop = None
@@ -300,14 +272,13 @@ TWO_NODE_CASES = {
 TWO_NODE_TARGET_RT = 1.0697
 
 
-def two_node_case(case: int, alpha_hat: float = 0.5,
-                  psi: float = DEFAULT_EFFICACY,
-                  target_rt: float = TWO_NODE_TARGET_RT) -> EpidemicInstance:
-    """One of the four two-location benchmark scenarios, calibrated."""
+def two_node_case(case: int) -> EpidemicInstance:
+    """One of the four two-location benchmark scenarios, calibrated to
+    TWO_NODE_TARGET_RT from the default parameter template."""
     if case not in TWO_NODE_CASES:
         raise IngestError(f"unknown two-node case {case}")
     populations, dwell, s0 = TWO_NODE_CASES[case]
-    tau = build_travel_rates(RawMobility(TWO_NODE_TRIPS, dwell))
+    tau = build_travel_rates(TWO_NODE_TRIPS, dwell)
     net = NetworkInstance(tau=tau, populations=populations, dwell_minutes=dwell)
     ever = 1.0 - s0
     recovered = ever * RECOVERED_RATIO
@@ -316,8 +287,8 @@ def two_node_case(case: int, alpha_hat: float = 0.5,
                           xs=(1 - SYMPTOMATIC_SHARE) * active,
                           e=np.zeros(2), h=recovered)
     state.validate()
-    template = default_disease_params(psi=psi, alpha_hat=alpha_hat)
-    params = calibrate_transmission(net, template, state, target_rt)
+    params = calibrate_transmission(net, default_disease_params(), state,
+                                    TWO_NODE_TARGET_RT)
     return EpidemicInstance(net=net, params=params, state0=state)
 
 
@@ -367,9 +338,9 @@ def load_instance_from_files(trips_path, dwell_path, cases_path) -> tuple[
         warnings.warn(f"locations without trips treated as isolated: {missing}",
                       stacklevel=2)
 
-    tau = build_travel_rates(RawMobility(trips, dwell))
+    tau = build_travel_rates(trips, dwell)
     net = NetworkInstance(tau=tau, populations=populations, dwell_minutes=dwell)
-    state = derive_initial_state(RawCases(confirmed, deaths), populations)
+    state = derive_initial_state(confirmed, deaths, populations)
     return net, state
 
 
@@ -382,7 +353,8 @@ SECTIONS = (("network", NetworkInstance), ("params", DiseaseParams),
 def instance_to_dict(inst: EpidemicInstance) -> dict:
     """The "model" key, then a section per record: its fields in declaration
     order as plain lists and numbers, None values left out."""
-    doc = {"model": "covid-demographic" if inst.is_demographic else "covid"}
+    doc = {"model": ("covid-demographic" if inst.params.is_demographic
+                     else "covid")}
     for (section, _), f in zip(SECTIONS, fields(inst)):
         record = getattr(inst, f.name)
         if record is not None:
@@ -395,15 +367,41 @@ def instance_to_dict(inst: EpidemicInstance) -> dict:
 def instance_from_dict(doc: dict) -> EpidemicInstance:
     """Each record built from its section's fields, the records' own checks
     applied; raises IngestError on a missing section or field, an unknown
-    field, or a section that is no JSON object."""
+    field, or a section that is no JSON object, and from `_check_sizes`."""
     try:
-        return EpidemicInstance(*(
+        inst = EpidemicInstance(*(
             cls(**doc[section]) if section in doc or section != "contacts"
             else None for section, cls in SECTIONS))
     except KeyError as exc:
         raise IngestError(f"instance file lacks section {exc}") from exc
     except TypeError as exc:
         raise IngestError(f"malformed instance file: {exc}") from exc
+    _check_sizes(inst)
+    return inst
+
+
+def _check_sizes(inst: EpidemicInstance) -> None:
+    """Raise IngestError naming the section and field of the first record
+    that disagrees with the network: a state0 field not of one entry per
+    cell, an age model's r_s, kappa or beta0 neither one number nor one
+    entry per age group or its contacts not g x g, or contacts under
+    homogeneous params, which read none."""
+    cells, g = inst.net.cell_populations().size, inst.net.n_groups
+    found = [(f"state0: {f.name}", np.shape(getattr(inst.state0, f.name)),
+              (cells,)) for f in fields(inst.state0)]
+    if inst.params.is_demographic:
+        found += [(f"params: {name}", np.shape(getattr(inst.params, name))
+                   or (g,), (g,)) for name in ("r_s", "kappa", "beta0")]
+        if inst.contacts is not None:
+            found.append(("contacts: contacts", inst.contacts.contacts.shape,
+                          (g, g)))
+    elif inst.contacts is not None:
+        raise IngestError("instance file section contacts has no effect "
+                          "with homogeneous params")
+    for where, shape, expected in found:
+        if shape != expected:
+            raise IngestError(f"instance file section {where} has shape "
+                              f"{shape}, but the network implies {expected}")
 
 
 def save_instance(inst: EpidemicInstance, path) -> None:

@@ -200,10 +200,6 @@ class ContactStructure:
             raise ValueError("contact matrix shape must match reference demography")
 
     @property
-    def n_groups(self) -> int:
-        return self.reference_pop.shape[0]
-
-    @property
     def gamma(self) -> np.ndarray:
         """Intrinsic connectivity matrix for a rectangular demography."""
         return intrinsic_connectivity(self.contacts, self.reference_pop)
@@ -232,24 +228,15 @@ class EpidemicState:
         else:
             self.vax = np.asarray(self.vax, dtype=float)
 
-    @property
-    def size(self) -> int:
-        return self.s.shape[0]
-
     def compartments(self) -> np.ndarray:
         return np.stack([self.s, self.xa, self.xs, self.e, self.h, self.vax])
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         comp = self.compartments()
-        if np.any(comp < -atol) or np.any(comp > 1 + atol):
+        if np.any(comp < -1e-9) or np.any(comp > 1 + 1e-9):
             raise ValueError("compartment fractions must lie in [0, 1]")
-        totals = comp.sum(axis=0)
-        if not np.allclose(totals, 1.0, rtol=0, atol=atol):
+        if not np.allclose(comp.sum(axis=0), 1.0, rtol=0, atol=1e-9):
             raise ValueError("compartments must sum to 1 per cell")
-
-    def copy(self) -> "EpidemicState":
-        return EpidemicState(self.s.copy(), self.xa.copy(), self.xs.copy(),
-                             self.e.copy(), self.h.copy(), self.vax.copy())
 
 
 # a certificate holds when lambda_max <= -alpha + CERTIFICATE_TOL
@@ -346,17 +333,6 @@ def coupling_gram_kernel(net: NetworkInstance, params: DiseaseParams,
     return GramKernel(build_flow_matrix(net)[1], gamma)
 
 
-def build_demographic_coupling(net: NetworkInstance,
-                               cs: ContactStructure) -> np.ndarray:
-    """Age-structured flow matrix A' = (Abar (x) Gamma) diag(group populations),
-    location-major ordering."""
-    if net.group_populations is None:
-        raise ValueError("network has no group populations")
-    _, abar = build_flow_matrix(net)
-    flat_pop = net.group_populations.reshape(-1)
-    return np.kron(abar, cs.gamma) * flat_pop[None, :]
-
-
 def _cell_rates(net: NetworkInstance, params: DiseaseParams):
     """Per-cell (beta_a, beta_s, r_s, kappa) tiled location-major."""
     shape = (net.n_groups if params.is_demographic else 1,)
@@ -369,12 +345,16 @@ def _cell_rates(net: NetworkInstance, params: DiseaseParams):
 
 def flow_for_model(net: NetworkInstance, params: DiseaseParams,
                    contacts: Optional[ContactStructure]) -> np.ndarray:
-    """The flow matrix the infection dynamics couple through: A or A'."""
-    if params.is_demographic:
-        if contacts is None:
-            raise ValueError("demographic parameters require a contact structure")
-        return build_demographic_coupling(net, contacts)
-    return build_flow_matrix(net)[0]
+    """The flow matrix the infection dynamics couple through: A, or for the
+    age model A' = (Abar (x) Gamma) diag(group populations), location-major."""
+    if not params.is_demographic:
+        return build_flow_matrix(net)[0]
+    if contacts is None:
+        raise ValueError("demographic parameters require a contact structure")
+    if net.group_populations is None:
+        raise ValueError("network has no group populations")
+    return (np.kron(build_flow_matrix(net)[1], contacts.gamma)
+            * net.group_populations.reshape(-1)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +562,6 @@ def _gram_certificate(kernel: GramKernel, weight: np.ndarray,
         rho, fz, x = _top_eig(kernel, weight * cell_b1(params, n, a), x)
 
 
-def spectral_radius(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-
 def discrete_stability_matrix(s: np.ndarray, net: NetworkInstance,
                               params: DiseaseParams,
                               contacts: Optional[ContactStructure],
@@ -697,8 +673,9 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
         # limit 0, where b1 has no finite value just below the limit)
         lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
         try:
-            radius = spectral_radius(
-                discrete_stability_matrix(s_post, net, params, contacts, alpha))
+            radius = float(np.max(np.abs(np.linalg.eigvals(
+                discrete_stability_matrix(s_post, net, params, contacts,
+                                          alpha)))))
         except InfeasibleRateError:
             radius = np.inf
     return StabilityCertificate(

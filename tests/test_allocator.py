@@ -835,7 +835,8 @@ class TestReducibility:
         args = (np.array(K), np.ones(2), np.ones(2), np.ones(2), np.ones(2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            v, _, stats = allocator.spectral_box_minimize(*args)
+            v = allocator.spectral_box_minimize(*args)[0]
         assert [("reducible" in str(w.message)) for w in caught] == \
             ([True] if reducible else [])
-        assert stats.spectral_radius <= 1.0 + 1e-9 and np.all(v > 0)
+        rho = allocator._perron((1.0 - v)[:, None] * np.array(K))[0]
+        assert rho <= 1.0 + 1e-9 and np.all(v > 0)

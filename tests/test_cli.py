@@ -57,6 +57,23 @@ class TestAllocate:
         alpha = model.max_certificate_rate(params) - 1e-3
         assert allocate(tmp_path, "--alpha", repr(alpha)) == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("model_name", cli.MODELS)
+    @pytest.mark.parametrize("excess", [0.0, 0.1])
+    def test_rate_at_or_above_the_limit_exits_infeasible(
+            self, tmp_path, capsys, model_name, excess):
+        # the same condition on every model: b1 has no value at the rate
+        if model_name == "bubar":
+            params, _ = bubar.us_like_instance(1.15, seed=0)
+            limit = min(1.0 / params.d_e, 1.0 / params.d_i)
+        else:
+            limit = model.max_certificate_rate(sv.synthetic_instance(
+                0, n=5, groups=model_name != "covid").params)
+        assert allocate(tmp_path, "--model", model_name, "--alpha",
+                        repr(limit + excess)) == cli.EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: decay rate") and "below" in err
+        assert not (tmp_path / "allocation.json").exists()
+
     def test_malformed_config_exits_input_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -703,3 +720,41 @@ class TestInstanceFile:
                          "--budget", "0.05", "allocate"]) == cli.EXIT_INPUT
         assert "instance file" in capsys.readouterr().err
         assert not (out / "allocation.json").exists()
+
+    @pytest.mark.parametrize("model_name, edit, where", [
+        ("covid", lambda doc: {**doc, "state0": {
+            name: values[:2] for name, values in doc["state0"].items()}},
+         "section state0: s has shape (2,)"),
+        ("covid", lambda doc: {**doc, "contacts": {
+            "contacts": [[1.0]], "reference_pop": [1.0]}},
+         "section contacts has no effect with homogeneous params"),
+        ("covid-demographic", lambda doc: {**doc, "params": {
+            **doc["params"], "r_s": doc["params"]["r_s"][:5]}},
+         "section params: r_s has shape (5,)"),
+        ("covid-demographic", lambda doc: {**doc, "params": {
+            **doc["params"], "kappa": doc["params"]["kappa"] + [0.0]}},
+         "section params: kappa has shape (7,)"),
+        ("covid-demographic", lambda doc: {**doc, "params": {
+            **doc["params"], "beta0": doc["params"]["beta0"][:1]}},
+         "section params: beta0 has shape (1,)"),
+        ("covid-demographic", lambda doc: {**doc, "contacts": {
+            "contacts": [[1.0]], "reference_pop": [1.0]}},
+         "section contacts: contacts has shape (1, 1)"),
+    ], ids=["state0-length", "contacts-homogeneous", "r_s-groups",
+            "kappa-groups", "beta0-groups", "contacts-groups"])
+    def test_records_that_disagree_exit_input_error(self, tmp_path, capsys,
+                                                   model_name, edit, where):
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",
+                         model_name, "calibrate"]) == cli.EXIT_OK
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"instance": str(path)}))
+        for command in ("allocate", "compare"):
+            assert cli.main(["--config", str(config), "--out", str(out),
+                             "--budget", "0.05", "--horizon", "5",
+                             command]) == cli.EXIT_INPUT
+            assert f"input error: instance file {where}" in \
+                capsys.readouterr().err
+        assert not list(out.glob("*"))

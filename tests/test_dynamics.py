@@ -376,7 +376,7 @@ class TestVaccinationEvent:
     @staticmethod
     def vaccinate(state, v, psi):
         """Dose a copy of state with fractions v; returns the copy."""
-        new = state.copy()
+        new = sv.EpidemicState(*state.compartments())
         new.vax += dynamics._vaccinate(new.s, v, psi)
         return new
 

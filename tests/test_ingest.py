@@ -7,52 +7,61 @@ from stabvax import ingest
 
 class TestTravelRates:
     def test_always_home_gives_zero_row(self):
-        raw = ingest.RawMobility(trips=[[5.0, 5.0], [5.0, 5.0]],
-                                 dwell_minutes=[1440.0, 700.0])
-        tau = ingest.build_travel_rates(raw)
+        tau = ingest.build_travel_rates(trips=[[5.0, 5.0], [5.0, 5.0]],
+                                        dwell_minutes=[1440.0, 700.0])
         assert np.all(tau[0] == 0.0)
         assert tau[1].sum() == pytest.approx(1 - 700 / 1440)
 
     def test_two_node_benchmark_values(self):
-        raw = ingest.RawMobility(trips=[[8000.0, 200.0], [200.0, 8000.0]],
-                                 dwell_minutes=[800.0, 800.0])
-        tau = ingest.build_travel_rates(raw)
+        tau = ingest.build_travel_rates(
+            trips=[[8000.0, 200.0], [200.0, 8000.0]],
+            dwell_minutes=[800.0, 800.0])
         assert tau[0, 0] == pytest.approx((640 / 1440) * (8000 / 8200), abs=1e-10)
         assert tau[0, 0] == pytest.approx(0.43360, abs=5e-6)
         assert tau.sum(axis=1) == pytest.approx([640 / 1440] * 2)
 
     def test_zero_trip_row_is_isolated_with_warning(self):
-        raw = ingest.RawMobility(trips=[[0.0, 0.0], [3.0, 1.0]],
-                                 dwell_minutes=[600.0, 600.0])
         with pytest.warns(UserWarning):
-            tau = ingest.build_travel_rates(raw)
+            tau = ingest.build_travel_rates(trips=[[0.0, 0.0], [3.0, 1.0]],
+                                            dwell_minutes=[600.0, 600.0])
         assert np.all(tau[0] == 0.0)
 
     def test_network_invariants_hold(self):
         rng = np.random.default_rng(1)
-        raw = ingest.RawMobility(trips=rng.uniform(10, 500, (4, 4)),
-                                 dwell_minutes=rng.uniform(100, 1400, 4))
-        tau = ingest.build_travel_rates(raw)
+        tau = ingest.build_travel_rates(
+            trips=rng.uniform(10, 500, (4, 4)),
+            dwell_minutes=rng.uniform(100, 1400, 4))
         net = sv.NetworkInstance(tau=tau, populations=np.full(4, 1e4))
         assert np.all(net.tau.sum(axis=1) <= 1 + 1e-12)
+
+    def test_negative_trips_rejected(self):
+        with pytest.raises(ingest.IngestError, match="trip counts"):
+            ingest.build_travel_rates(trips=[[5.0, -1.0], [1.0, 5.0]],
+                                      dwell_minutes=[600.0, 600.0])
+
+    @pytest.mark.parametrize("dwell", [-1.0, 1441.0])
+    def test_dwell_minutes_outside_a_day_rejected(self, dwell):
+        with pytest.raises(ingest.IngestError, match="dwell minutes"):
+            ingest.build_travel_rates(trips=[[5.0, 1.0], [1.0, 5.0]],
+                                      dwell_minutes=[600.0, dwell])
 
 
 class TestInitialState:
     def test_no_cases(self):
-        state = sv.derive_initial_state(
-            ingest.RawCases(confirmed=[0.0], deaths=[0.0]), [1000.0])
+        state = sv.derive_initial_state(confirmed=[0.0], deaths=[0.0],
+                                        populations=[1000.0])
         assert state.s == pytest.approx([1.0])
         assert state.xa == pytest.approx([0.0])
 
     def test_reporting_factor_inflation(self):
-        state = sv.derive_initial_state(
-            ingest.RawCases(confirmed=[217.0], deaths=[0.0]), [10_000.0])
+        state = sv.derive_initial_state(confirmed=[217.0], deaths=[0.0],
+                                        populations=[10_000.0])
         assert state.s == pytest.approx([0.9])
 
     def test_recovered_split_with_deaths(self):
         confirmed, deaths, pop = 217.0, 40.0, 10_000.0
-        state = sv.derive_initial_state(
-            ingest.RawCases(confirmed=[confirmed], deaths=[deaths]), [pop])
+        state = sv.derive_initial_state(confirmed=[confirmed],
+                                        deaths=[deaths], populations=[pop])
         true_cases = confirmed / 0.217
         expected_h = (true_cases - deaths) * ingest.RECOVERED_RATIO / pop
         assert state.h == pytest.approx([expected_h])
@@ -64,8 +73,20 @@ class TestInitialState:
 
     def test_excess_infections_rejected(self):
         with pytest.raises(ingest.IngestError):
-            sv.derive_initial_state(
-                ingest.RawCases(confirmed=[500.0], deaths=[0.0]), [1000.0])
+            sv.derive_initial_state(confirmed=[500.0], deaths=[0.0],
+                                    populations=[1000.0])
+
+    @pytest.mark.parametrize("confirmed, deaths", [(-1.0, 0.0), (10.0, -1.0)])
+    def test_negative_case_counts_rejected(self, confirmed, deaths):
+        with pytest.raises(ingest.IngestError, match="nonnegative"):
+            sv.derive_initial_state(confirmed=[confirmed], deaths=[deaths],
+                                    populations=[1000.0])
+
+    def test_deaths_above_true_infections_rejected(self):
+        # 217 confirmed imply 1000 true infections
+        with pytest.raises(ingest.IngestError, match="deaths exceed"):
+            sv.derive_initial_state(confirmed=[217.0], deaths=[1001.0],
+                                    populations=[10_000.0])
 
 
 class TestFatalityRegression:
@@ -106,11 +127,11 @@ class TestRateDerivation:
         assert kappa[0] == pytest.approx(4.7e-6, abs=5e-7)
 
     def test_forward_inversion_round_trip(self):
-        eps, r_a, r_s, kappa = sv.derive_disease_params(4.2, 7.3, 0.013, 0.77)
+        eps, r_a, r_s, kappa = sv.derive_disease_params(4.2, 7.3, 0.013)
         assert eps + r_a == pytest.approx(1 / 4.2, abs=1e-10)
         assert r_s + kappa == pytest.approx(1 / 7.3, abs=1e-10)
-        assert eps / (eps + r_a) == pytest.approx(0.23 / 0.77, abs=1e-10)
-        assert (0.23 / 0.77) * kappa / (kappa + r_s) == pytest.approx(0.013, abs=1e-10)
+        assert eps / (eps + r_a) == pytest.approx(0.19 / 0.81, abs=1e-10)
+        assert (0.19 / 0.81) * kappa / (kappa + r_s) == pytest.approx(0.013, abs=1e-10)
 
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ingest.IngestError):

@@ -98,10 +98,17 @@ class TestFlowMatrix:
 
 
 class TestDemographicCoupling:
+    @staticmethod
+    def coupling(net, cs):
+        """The age model's flow A' = (Abar (x) Gamma) diag(group populations)."""
+        params = replace(homogeneous_params(), beta_a=None, beta_s=None,
+                         beta=1.0, beta0=[1.0], alpha_hat=0.5)
+        return model.flow_for_model(net, params, cs)
+
     def test_worked_example(self):
         net = two_group_network()
         cs = toy_contacts([[20.0, 2.0], [2.0, 4.0]])
-        coupling = sv.build_demographic_coupling(net, cs)
+        coupling = self.coupling(net, cs)
         expected = np.array([[40, 1, 20, 2], [4, 2, 2, 4],
                              [16, 0.4, 35, 3.5], [1.6, 0.8, 3.5, 7]]) / 9.0
         assert np.abs(coupling - expected).max() < 1e-12
@@ -110,7 +117,7 @@ class TestDemographicCoupling:
         net = sv.NetworkInstance(tau=[[1.0]], populations=[30.0],
                                  group_populations=[[30.0]])
         cs = toy_contacts([[7.0]])
-        assert sv.build_demographic_coupling(net, cs) == pytest.approx(
+        assert self.coupling(net, cs) == pytest.approx(
             np.array([[7.0]]))
 
     def test_entrywise_kronecker_oracle(self):
@@ -121,7 +128,7 @@ class TestDemographicCoupling:
         gamma = rng.uniform(0.5, 3.0, (2, 2))
         gamma = 0.5 * (gamma + gamma.T)
         cs = toy_contacts(gamma)
-        coupling = sv.build_demographic_coupling(net, cs)
+        coupling = self.coupling(net, cs)
         _, abar = sv.build_flow_matrix(net)
         flat_pop = net.group_populations.reshape(-1)
         g = 2
@@ -135,7 +142,7 @@ class TestDemographicCoupling:
     def test_requires_group_populations(self):
         net = sv.NetworkInstance(tau=[[1.0]], populations=[10.0])
         with pytest.raises(ValueError):
-            sv.build_demographic_coupling(net, toy_contacts([[1.0]]))
+            self.coupling(net, toy_contacts([[1.0]]))
 
 
 class TestIntrinsicConnectivity:

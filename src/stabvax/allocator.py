@@ -24,10 +24,12 @@ the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass = scale s0.
   or asymmetric contact structure):
   min c'v  s.t.  rho(diag(p0 - p1*v) K) <= 1,  0 <= v <= vmax
   by sequential linear programming on the exact spectral-radius gradient
-  (left and right Perron vectors), with a restore step onto rho = 1, run
-  once from the least allocation the unvaccinated system's Perron direction
-  certifies. Each step's one-row LP is solved exactly in closed form, as a
-  fractional knapsack.
+  (left and right Perron vectors), run once from the least allocation the
+  unvaccinated system's Perron direction certifies. Each step's one-row LP
+  is solved exactly in closed form, as a fractional knapsack, and restored
+  onto rho = 1 by a bracketed root along the path max(t c, c_min) of its
+  diagonal c (no eigen-solve where nothing clips); the run stops once the
+  step LP's value shows that no later step can be accepted.
 
 ``solve_allocation`` takes the Gram route whenever the problem has a kernel.
 ``max_decay`` finds the largest alpha a budget buys. When b1 is one scalar
@@ -73,7 +75,10 @@ class SolverStats:
     stats by one rule: search is "direct" or "bisection"; cuts and lp_calls
     are the cut pool's totals on the Gram route and the sum over every solve
     on the bilinear route; iterations are the search's own (the min-radius
-    solve or the bilinear probes) plus the final solve's."""
+    solve or the bilinear probes) plus the final solve's. A "bilinear-slp"
+    run converged when no later step could be accepted: the trust region
+    fell below its floor, or a bound ruled every later step out (the step
+    LP's value at fixed alpha, Collatz-Wielandt in the min-radius solve)."""
 
     iterations: int = 0
     cuts: int = 0
@@ -327,8 +332,11 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     One SLP run starts from the least v with (diag(p0 - p1 v) K) d0 <= d0
     for the Perron direction d0 of diag(p0) K, or from vmax when the box
     holds no such v. Each step solves its one-row LP exactly by `_knapsack`;
-    lp_calls counts the steps. Returns (v, d, stats) where d is the Perron
-    direction certifying (diag(p0 - p1 v) K) d <= d at the solution.
+    lp_calls counts the steps. The run stops, converged, once the LP's value
+    alone misses the SLP_TOL decrease a step needs: while v stays the trust
+    boxes nest, so that value only rises, and restore only adds doses.
+    Returns (v, d, stats) where d is the Perron direction certifying
+    (diag(p0 - p1 v) K) d <= d at the solution.
     """
     K = np.asarray(K, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -343,27 +351,49 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         warnings.warn("coupling matrix is reducible; the bilinear scheme may "
                       "return a conservative allocation", stacklevel=2)
 
-    def radius(v: np.ndarray) -> float:
-        return _perron((p0 - p1 * v)[:, None] * K)[0]
+    def radius(c: np.ndarray) -> float:  # rho(diag(c) K)
+        return max(float(np.linalg.eigvals(c[:, None] * K).real.max()), 0.0)
 
     rho0, d0 = _perron(p0[:, None] * K)
     if rho0 <= 1.0 + 1e-12:
         return (np.zeros(m), d0,
                 SolverStats(iterations=0, converged=True, method="bilinear-slp"))
-    if radius(vmax) > 1.0 + 1e-9:
+    c_min = p0 - p1 * vmax
+    rho_max = radius(c_min)
+    if rho_max > 1.0 + 1e-9:
         raise InfeasibleAllocationError(
             "even the maximal allocation leaves the system unstable")
 
     def restore(v: np.ndarray) -> tuple[np.ndarray, float]:
-        """Scale the diagonal onto the rho = 1 surface (never decreases v);
-        returns v and its radius."""
-        rho = radius(v)
+        """The largest t <= 1 on the path max(t c, c_min), c = p0 - p1 v,
+        with rho <= 1, as (v, rho). rho rises with t from rho_max at t = 0:
+        the plain step t = 1/rho, then Illinois regula falsi on the bracket,
+        until rho is in [1 - 1e-12, 1 + 1e-13]; unclipped, rho = t rho(c)."""
+        c = p0 - p1 * v
+        rho = radius(c)
+        if rho <= 1.0 + 1e-13:
+            return v, rho
+        best = vmax, rho_max
+        if rho_max > 1.0:  # no root: only vmax is within the entry slack
+            return best
+        ends, last, t = [[0.0, rho_max - 1.0], [1.0, rho - 1.0]], None, 1 / rho
         for _ in range(60):
-            if rho <= 1.0 + 1e-13:
-                break
-            v = np.minimum((p0 - (p0 - p1 * v) / rho) / p1, vmax)
-            rho = radius(v)
-        return v, rho
+            ct = np.maximum(t * c, c_min)
+            f = t * rho if np.all(t * c >= c_min) else radius(ct)
+            if f <= 1.0 + 1e-13:
+                best = np.minimum((p0 - ct) / p1, vmax), f
+                if f >= 1.0 - 1e-12:
+                    break
+            side = int(f > 1.0)
+            ends[side] = [t, f - 1.0]
+            if side == last:  # Illinois: halve the residual of the kept end
+                ends[1 - side][1] *= 0.5
+            (lo, g_lo), (hi, g_hi) = ends
+            last = side
+            t = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+        return best
 
     # the start: the min-dose v with (diag(p0 - p1 v) K) d0 <= d0
     kd = K @ d0
@@ -391,11 +421,13 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         lp_calls += 1
         if step is None:
             break
+        target = doses - SLP_TOL * max(1.0, abs(doses))
+        if weights @ step >= target:  # no later step can be accepted
+            converged = True
+            break
         v_new, rho_new = restore(step)
         doses_new = float(weights @ v_new)
-        # a step restore could not bring back to rho <= 1 is no step
-        if (rho_new <= 1.0 + 1e-9
-                and doses_new < doses - SLP_TOL * max(1.0, abs(doses))):
+        if doses_new < target:
             v, rho, doses, grad = v_new, rho_new, doses_new, None
             trust = min(trust * 1.5, float(vmax.max()))
         else:
@@ -407,7 +439,9 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         raise SolverError("bilinear scheme found no feasible iterate")
     stats = SolverStats(iterations=it, converged=converged,
                         method="bilinear-slp", lp_calls=lp_calls)
-    return v, _perron((p0 - p1 * v)[:, None] * K)[1], stats
+    if grad is None:  # v moved since its last Perron pair
+        d = _perron((p0 - p1 * v)[:, None] * K)[1]
+    return v, d, stats
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -119,12 +120,45 @@ class TestBilinearRoute:
             1e-9 * max(golden_vec)
 
     def test_step_restore_cannot_certify_is_rejected(self):
-        # near this fixture's largest rate, restore gives up above rho = 1 on
-        # some SLP steps; accepting one used to end in "no feasible iterate"
+        # near this fixture's largest rate most cells clip at vmax, so a
+        # step's radius falls slowly along restore's path; restore must still
+        # return only points with rho <= 1 + 1e-13 (or vmax), or an accepted
+        # step ends in "no feasible iterate"
         params, state = bubar.us_like_instance(1.18, seed=42)
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.1556)
         assert res.certificate.satisfied
         assert res.certificate.spectral_radius <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("r0, seed, alpha", [(1.18, 42, 0.1556),
+                                                 (2.5, 0, 0.12)])
+    def test_clipped_restore_converges(self, r0, seed, alpha):
+        # restore's fixed point c <- max(c / rho, c_min) crawls once cells
+        # clip at vmax: these cases ran all SLP_MAX_ITER steps unconverged
+        params, state = bubar.us_like_instance(r0, seed=seed)
+        _, res = bubar.solve_bubar_allocation(state, params, alpha=alpha)
+        assert res.certificate.satisfied
+        assert res.stats.converged
+        assert res.stats.iterations <= 100 < allocator.SLP_MAX_ITER
+
+    def test_fixed_rate_grid_is_certified_or_infeasible(self):
+        for r0, alpha, seed in itertools.product(
+                (1.05, 1.15, 1.5, 2.5), (0.0, 0.06, 0.12, 0.15), range(3)):
+            params, state = bubar.us_like_instance(r0, seed=seed)
+            if alpha == 0.15 and r0 >= 1.5:
+                with pytest.raises(allocator.InfeasibleAllocationError):
+                    bubar.solve_bubar_allocation(state, params, alpha=alpha)
+                continue
+            _, res = bubar.solve_bubar_allocation(state, params, alpha=alpha)
+            assert res.stats.method == "bilinear-slp"
+            assert res.certificate.satisfied and res.stats.converged
+            a, b = 1.0 / params.d_e, 1.0 / params.d_i
+            unprotected = state.S + state.Sx - params.psi * res.v * state.S
+            flow = (params.susceptibility[:, None] * params.contacts
+                    / (params.populations - state.D)[None, :])
+            rho = np.abs(np.linalg.eigvals(
+                a / ((a - alpha) * (b - alpha)) * unprotected[:, None] * flow
+            )).max()
+            assert rho <= 1.0 + 1e-9, (r0, alpha, seed)
 
     @pytest.mark.parametrize("r0", [1.05, 2.5])
     def test_rate_at_radius_is_the_exact_smaller_root(self, r0):

@@ -278,12 +278,20 @@ def cmd_allocate(config) -> int:
     return EXIT_OK
 
 
-def _simulate(config) -> tuple[list, list]:
-    """Names and trajectories of the configured policies, for every model."""
+def _instance(config):
+    """The calibrated instance of the configured model: the SEIR fixture's
+    (params, state0), or a covid `EpidemicInstance`."""
+    return (_seir_fixture(config) if config["model"] == "bubar"
+            else _build_instance(config))
+
+
+def _simulate(config, instance=None) -> tuple[list, list]:
+    """Names and trajectories of the configured policies, for every model,
+    on instance, or on the config's own when it is None."""
     names, specs = _policy_specs(config)
-    model = (bubar.bubar_model(*_seir_fixture(config))
-             if config["model"] == "bubar"
-             else dynamics.covid_model(_build_instance(config)))
+    instance = _instance(config) if instance is None else instance
+    model = (bubar.bubar_model(*instance) if config["model"] == "bubar"
+             else dynamics.covid_model(instance))
     return names, dynamics.simulate(model, specs, _schedule(config),
                                     config["horizon"], config["step"])
 
@@ -338,7 +346,7 @@ def _parse_range(spec) -> np.ndarray:
 
 
 def _sweep_point(payload):
-    (config, axis, value) = payload
+    (config, axis, value, instance) = payload
     config = dict(config)
     if axis == "budget":
         config["budget"] = value
@@ -351,7 +359,7 @@ def _sweep_point(payload):
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
     return [{"axis": axis, "value": value, **row}
-            for row in _summary_rows(*_simulate(config))]
+            for row in _summary_rows(*_simulate(config, instance))]
 
 
 def cmd_sweep(config) -> int:
@@ -361,7 +369,9 @@ def cmd_sweep(config) -> int:
     values = _parse_range(config.get("range"))
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(config, axis, float(v)) for v in values]
+    # only the rt axis changes the instance, so the others build it once
+    instance = None if axis == "rt" else _instance(config)
+    payloads = [(config, axis, float(v), instance) for v in values]
     workers = int(config.get("workers", 0)) or min(len(payloads),
                                                    os.cpu_count() or 1)
     if workers > 1:

@@ -46,7 +46,14 @@ class CalibrationError(RuntimeError):
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    """A float copy of values that no one can write into."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class NetworkInstance:
     """Travel network with resident populations.
 
@@ -55,6 +62,10 @@ class NetworkInstance:
     captured by trips). populations holds long-term residents per location.
     group_populations, when present, is an (n, g) matrix of residents per
     age group whose rows must sum to populations exactly.
+
+    The record is frozen and its arrays are read-only copies, so the
+    coupling it determines (`build_flow_matrix`) is computed once, on first
+    use, and serves every caller of the record.
     """
 
     tau: np.ndarray
@@ -63,8 +74,9 @@ class NetworkInstance:
     group_populations: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
-        self.populations = np.asarray(self.populations, dtype=float)
+        for name in ("tau", "populations", "dwell_minutes", "group_populations"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
         n = self.populations.shape[0]
         if self.tau.shape != (n, n):
             raise ValueError(f"tau must be {n}x{n}, got {self.tau.shape}")
@@ -75,15 +87,16 @@ class NetworkInstance:
             raise ValueError("travel-rate rows must sum to at most 1")
         if np.any(self.populations <= 0):
             raise ValueError("populations must be positive")
-        if self.dwell_minutes is not None:
-            self.dwell_minutes = np.asarray(self.dwell_minutes, dtype=float)
         if self.group_populations is not None:
-            self.group_populations = np.asarray(self.group_populations, dtype=float)
             if self.group_populations.shape[0] != n:
                 raise ValueError("group_populations must have one row per location")
             if not np.allclose(self.group_populations.sum(axis=1),
                                self.populations, rtol=0, atol=1e-6):
                 raise ValueError("group populations must sum to the location totals")
+
+    @functools.cached_property
+    def _coupling(self) -> tuple[np.ndarray, np.ndarray]:
+        return _flow_pair(self.tau, self.populations)
 
     @property
     def n(self) -> int:
@@ -181,16 +194,19 @@ class DiseaseParams:
                        beta_a=self.beta_a * scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContactStructure:
-    """Empirical contact matrix plus the demography it was measured on."""
+    """Empirical contact matrix plus the demography it was measured on.
+
+    Frozen with read-only arrays like `NetworkInstance`: gamma and whether
+    it has a Cholesky factor are computed once, on first use."""
 
     contacts: np.ndarray
     reference_pop: np.ndarray
 
     def __post_init__(self):
-        self.contacts = np.asarray(self.contacts, dtype=float)
-        self.reference_pop = np.asarray(self.reference_pop, dtype=float)
+        object.__setattr__(self, "contacts", _read_only(self.contacts))
+        object.__setattr__(self, "reference_pop", _read_only(self.reference_pop))
         if np.any(self.contacts < 0):
             raise ValueError("contact matrix entries must be nonnegative")
         if np.any(self.reference_pop <= 0):
@@ -199,10 +215,17 @@ class ContactStructure:
         if self.contacts.shape != (g, g):
             raise ValueError("contact matrix shape must match reference demography")
 
-    @property
+    @functools.cached_property
     def gamma(self) -> np.ndarray:
         """Intrinsic connectivity matrix for a rectangular demography."""
-        return intrinsic_connectivity(self.contacts, self.reference_pop)
+        return _read_only(intrinsic_connectivity(self.contacts,
+                                                 self.reference_pop))
+
+    @functools.cached_property
+    def _gamma_is_gram(self) -> bool:
+        """Whether gamma has a Cholesky factor, so Abar (x) Gamma is a Gram
+        kernel."""
+        return cholesky_factor(self.gamma) is not None
 
 
 @dataclass
@@ -269,15 +292,22 @@ def build_flow_matrix(net: NetworkInstance) -> tuple[np.ndarray, np.ndarray]:
 
     Abar[i, j] = sum_l tau[i, l] tau[j, l] / m(l) with m(l) the person-time
     present at l; A = Abar @ diag(populations). Columns with m(l) = 0 carry
-    no one and contribute zero.
+    no one and contribute zero. Both are computed once per record, on the
+    first call, and returned read-only to every later caller: calibration,
+    `build_problem`, the certificate and `covid_rhs_factory` share them.
     """
-    tau = net.tau
-    mass = tau.T @ net.populations
+    return net._coupling
+
+
+def _flow_pair(tau: np.ndarray, populations: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    mass = tau.T @ populations
     inv_mass = np.zeros_like(mass)
     occupied = mass > 0
     inv_mass[occupied] = 1.0 / mass[occupied]
     abar = (tau * inv_mass[None, :]) @ tau.T
-    flow = abar * net.populations[None, :]
+    flow = abar * populations[None, :]
+    flow.flags.writeable = abar.flags.writeable = False
     return flow, abar
 
 
@@ -325,12 +355,13 @@ def coupling_gram_kernel(net: NetworkInstance, params: DiseaseParams,
                          ) -> Optional[GramKernel]:
     """The Gram kernel of the model's flow: Abar = tau diag(1/m) tau' (factor
     tau diag(m^-1/2)), or Abar (x) Gamma for the age model; None when that
-    has no contacts or a Gamma with no Cholesky factor."""
+    has no contacts or a Gamma with no Cholesky factor. Abar, Gamma and the
+    Cholesky verdict come from their records, which compute each once."""
     if not params.is_demographic:
         return GramKernel(build_flow_matrix(net)[1])
-    if contacts is None or cholesky_factor(gamma := contacts.gamma) is None:
+    if contacts is None or not contacts._gamma_is_gram:
         return None
-    return GramKernel(build_flow_matrix(net)[1], gamma)
+    return GramKernel(build_flow_matrix(net)[1], contacts.gamma)
 
 
 def _cell_rates(net: NetworkInstance, params: DiseaseParams):
@@ -588,6 +619,16 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     Abar (x) Gamma from `_top_eig`, or the top of dense `eigvals` of the
     reduced matrix when Gamma has no Cholesky factor.
     Raises ValueError if eps + r_a is 0, or r_s + kappa is 0 in some group."""
+    return _reproduction_number(state, net, params, contacts)[0]
+
+
+def _reproduction_number(state: EpidemicState, net: NetworkInstance,
+                         params: DiseaseParams,
+                         contacts: Optional[ContactStructure],
+                         start: Optional[np.ndarray] = None,
+                         ) -> tuple[float, Optional[np.ndarray]]:
+    """(Rt, x) for `effective_reproduction_number`: x is the Perron vector
+    of the Gram solve, started from start, or None on the dense path."""
     if params.eps + params.r_a <= 0:
         raise ValueError("Rt is undefined: eps + r_a is 0")
     stuck = np.flatnonzero(np.atleast_1d(params.outflow_symptomatic()) <= 0)
@@ -597,9 +638,10 @@ def effective_reproduction_number(state: EpidemicState, net: NetworkInstance,
     kernel = coupling_gram_kernel(net, params, contacts)
     if kernel is None:
         return max(_largest_real_eig(discrete_stability_matrix(
-            state.s, net, params, contacts, 0.0)), 0.0)
+            state.s, net, params, contacts, 0.0)), 0.0), None
     weight = net.cell_populations() * state.s * cell_b1(params, net.n, 0.0)
-    return max(_top_eig(kernel, weight)[0], 0.0)
+    rt, _, x = _top_eig(kernel, weight, start)
+    return max(rt, 0.0), x
 
 
 def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
@@ -609,7 +651,10 @@ def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
     """Scale the transmission scalar so the instance reproduces target_rt.
 
     Rt is linear in the scalar, so a single eigenvalue solve at a reference
-    scale pins the answer; the result is re-verified to CALIBRATION_TOL.
+    scale pins the answer; the result is re-verified to CALIBRATION_TOL by a
+    second solve to the full Collatz-Wielandt tolerance, started from the
+    reference solve's Perron vector, which the rescale leaves in place. Both
+    solves read the coupling the instance's records computed once.
     """
     if target_rt < 0:
         raise CalibrationError("target reproduction number must be nonnegative")
@@ -621,11 +666,11 @@ def calibrate_transmission(net: NetworkInstance, template: DiseaseParams,
         base = template.alpha_hat if template.alpha_hat is not None else (
             template.beta_a / template.beta_s if template.beta_s else 1.0)
         reference = replace(template, beta_s=1.0, beta_a=base)
-    rt_ref = effective_reproduction_number(state, net, reference, contacts)
+    rt_ref, x = _reproduction_number(state, net, reference, contacts)
     if rt_ref <= 0:
         raise CalibrationError("instance has no transmission path; target unreachable")
     calibrated = reference.with_transmission_scale(target_rt / rt_ref)
-    achieved = effective_reproduction_number(state, net, calibrated, contacts)
+    achieved = _reproduction_number(state, net, calibrated, contacts, x)[0]
     if abs(achieved - target_rt) > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibration missed target: {achieved} vs {target_rt}")

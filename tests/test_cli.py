@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stabvax as sv
-from stabvax import bubar, cli, dynamics, model, policies
+from stabvax import bubar, cli, dynamics, ingest, model, policies
 
 
 def allocate(tmp_path, *flags):
@@ -240,6 +240,21 @@ class TestSweepGolden:
             assert row[:3] == ["budget", value, policy]
             assert [float(x) for x in row[3:]] == pytest.approx(golden,
                                                                 rel=1e-9)
+
+    @pytest.mark.parametrize("axis, grid, calibrations", [
+        ("budget", "0.01:0.05:3", 1), ("interval", "1:7:3", 1),
+        ("rt", "1.0:1.2:3", 3)])
+    def test_instance_is_calibrated_once_unless_rt_moves(
+            self, tmp_path, monkeypatch, axis, grid, calibrations):
+        calls = []
+        calibrate = ingest.calibrate_transmission
+        monkeypatch.setattr(ingest, "calibrate_transmission",
+                            lambda *args: calls.append(1) or calibrate(*args))
+        assert cli.main(["--out", str(tmp_path), "--seed", "0", "--horizon",
+                         "10", "--axis", axis, "--range", grid,
+                         "--workers", "1", "--policy", "no-vaccine",
+                         "sweep"]) == cli.EXIT_OK
+        assert len(calls) == calibrations
 
 
 class TestRepeatedPolicyNames:

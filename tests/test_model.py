@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import stabvax as sv
-from stabvax import ingest, model
+from stabvax import allocator, dynamics, ingest, model
 
 
 def two_group_network():
@@ -48,6 +48,20 @@ class TestNetworkInstance:
         with pytest.raises(ValueError):
             sv.NetworkInstance(tau=[[0.5]], populations=[100.0],
                                group_populations=[[40.0, 40.0]])
+
+    def test_validated_record_is_read_only(self):
+        tau = np.array([[0.4, 0.1], [0.1, 0.4]])
+        net = sv.NetworkInstance(tau=tau, populations=[100.0, 200.0],
+                                 group_populations=[[80.0, 20.0], [100.0, 100.0]])
+        with pytest.raises(FrozenInstanceError):
+            net.tau = np.eye(2)
+        for arr in (net.tau, net.populations, net.group_populations,
+                    *sv.build_flow_matrix(net)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # the record holds its own copy: the caller's array stays writable
+        tau[0, 0] = 0.0
+        assert net.tau[0, 0] == 0.4
 
 
 class TestFlowMatrix:
@@ -95,6 +109,34 @@ class TestFlowMatrix:
             _, abar = sv.build_flow_matrix(net)
             assert abar == pytest.approx(abar.T)
             assert scipy.linalg.eigvalsh(abar)[0] >= -1e-10
+
+    def test_computed_once_for_every_caller(self, monkeypatch):
+        # calibration, the problem, the certificate and the simulation rhs
+        # of one instance share one Abar
+        calls = []
+        builder = model._flow_pair
+        monkeypatch.setattr(model, "_flow_pair",
+                            lambda *args: calls.append(1) or builder(*args))
+        inst = ingest.synthetic_instance(0, 50)
+        prob = allocator.build_problem(inst.state0, inst.net, inst.params,
+                                       inst.contacts, 0.0)
+        sv.check_decay_certificate(inst.state0, inst.net, inst.params, None,
+                                   np.zeros(50), 0.0)
+        dynamics.covid_rhs_factory(inst.net, inst.params)
+        assert len(calls) == 1
+        assert prob.kernel.abar is sv.build_flow_matrix(inst.net)[1]
+
+    def test_networks_keep_their_own_kernels(self):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, 6)
+        other = sv.NetworkInstance(tau=0.5 * net.tau, populations=net.populations)
+        params = homogeneous_params()
+        kernel = model.coupling_gram_kernel(net, params)
+        other_kernel = model.coupling_gram_kernel(other, params)
+        assert kernel.abar is model.coupling_gram_kernel(net, params).abar
+        assert kernel.abar is not other_kernel.abar
+        # half of tau is half the person-time m: Abar = tau diag(1/m) tau' halves
+        assert other_kernel.abar == pytest.approx(0.5 * kernel.abar, rel=1e-12)
 
 
 class TestDemographicCoupling:
@@ -159,6 +201,23 @@ class TestIntrinsicConnectivity:
         assert gamma[5, 5] == pytest.approx(15.2828, abs=1e-9)
         assert gamma == pytest.approx(ingest.NY_GAMMA, abs=1e-9)
         assert sv.cholesky_factor(gamma) is not None
+
+    def test_gamma_and_its_cholesky_verdict_are_computed_once(self, monkeypatch):
+        calls = []
+        factor = model.cholesky_factor
+        monkeypatch.setattr(model, "cholesky_factor",
+                            lambda mat: calls.append(1) or factor(mat))
+        inst = ingest.synthetic_instance(0, 3, groups=True)
+        cs = inst.contacts
+        assert cs.gamma is cs.gamma
+        kernel = model.coupling_gram_kernel(inst.net, inst.params, cs)
+        assert kernel.gamma is cs.gamma
+        assert model.coupling_gram_kernel(inst.net, inst.params, cs) is not None
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            cs.gamma[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            cs.contacts = cs.contacts
 
     def test_reciprocal_contacts_give_symmetric_gamma(self):
         rng = np.random.default_rng(12)
@@ -303,6 +362,19 @@ class TestCalibration:
         inst = ingest.two_node_case(1)
         with pytest.raises(sv.CalibrationError):
             sv.calibrate_transmission(inst.net, inst.params, inst.state0, -1.0)
+
+    @pytest.mark.parametrize("n, groups", [(5, False), (50, False),
+                                           (10, True)])
+    def test_missed_target_raises(self, monkeypatch, n, groups):
+        # the check solve, warm-started from the reference solve on 50
+        # locations or 60 age cells, still sees a rescale 1% off
+        inst = ingest.synthetic_instance(0, n, groups=groups)
+        scale = sv.DiseaseParams.with_transmission_scale
+        monkeypatch.setattr(sv.DiseaseParams, "with_transmission_scale",
+                            lambda self, factor: scale(self, 1.01 * factor))
+        with pytest.raises(sv.CalibrationError, match="missed target"):
+            sv.calibrate_transmission(inst.net, inst.params, inst.state0, 1.2,
+                                      inst.contacts)
 
     def test_unreachable_target(self):
         net = sv.NetworkInstance(tau=[[0.5]], populations=[100.0])

@@ -135,9 +135,9 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
 
         def evaluate():
             np.subtract(pops, dead, out=alive)
-            np.matmul(scaled_mix, latent_infectious, out=linear)
+            np.dot(scaled_mix, latent_infectious, out=linear)
             np.divide(infectious, alive, out=ratio)
-            np.matmul(force, ratio, out=ds)
+            np.dot(force, ratio, out=ds)
             np.multiply(ds, susceptible, out=ds)
             np.subtract(de, ds, out=de)
 

@@ -125,9 +125,13 @@ class Trajectory:
 # Cells from which a covid stage applies the flow through its factors, as
 # the stacked matrix's fewer calls win below. Per stage, stacked / factored
 # us on synthetic_instance(0, n), 4 columns (age: 5), one CPU of a 2-vCPU
-# Xeon, median of 3 runs: n = 5, 10, 20, 25, 30, 50: 1.8/2.7, 2.2/2.9,
-# 2.8/2.9, 3.2/3.0, 4.0/3.2, 7.1/3.7; age n = 2, 5, 8, 9, 10, 20 (6 cells
-# each): 2.3/7.0, 5.0/8.1, 9.2/9.3, 10.8/9.7, 13.0/10.3, 49.6/14.7
+# Xeon, least of 100 interleaved rounds of 300 calls, median of 3 runs:
+# n = 5, 10, 20, 25, 30, 50: 1.7/2.3, 2.0/2.3, 2.7/2.6, 3.8/2.9, 4.3/3.1,
+# 7.2/3.4; age n = 2, 5, 8, 9, 10, 20 (6 cells each): 2.2/6.7, 5.3/8.4,
+# 11.0/9.2, 13.1/9.7, 15.9/9.9, 58.3/14.1. Every stage product is np.dot
+# with out=, which has less call overhead than np.matmul for the same BLAS
+# call and bits; unlike np.matmul it does not check that out aliases no
+# input, so a stage's out buffer must never overlap what it reads.
 FACTORED_CELLS = 25
 FACTORED_AGE_CELLS = 54
 
@@ -163,7 +167,7 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
         s, xa_xs, ds, dxa = y[:m], y[m:3 * m], k[:m], k[m:2 * m]
 
         def evaluate():
-            np.matmul(scaled_mix, xa_xs, out=k)
+            np.dot(scaled_mix, xa_xs, out=k)
             np.multiply(ds, s, out=ds)
             np.subtract(dxa, ds, out=dxa)
 
@@ -180,15 +184,15 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
             spread, mixed = np.empty((3, m, cols)), np.empty((n, m // n * cols))
 
         def evaluate():
-            np.matmul(scaled_rates, pairs, out=rows)
+            np.dot(scaled_rates, pairs, out=rows)
             if demographic:
                 np.multiply(scaled_xs, xs, out=spread)
                 np.add(xs_rows, spread, out=xs_rows)
                 np.multiply(ds, pops, out=force)
-                np.matmul(abar, force.reshape(n, -1), out=mixed)
-                np.matmul(mixed, gamma_k, out=force.reshape(n, -1))
+                np.dot(abar, force.reshape(n, -1), out=mixed)
+                np.dot(mixed, gamma_k, out=force.reshape(n, -1))
             else:
-                np.matmul(flow, ds, out=force)
+                np.dot(flow, ds, out=force)
             np.multiply(force, s, out=ds)
             np.subtract(dxa, ds, out=dxa)
 
@@ -365,8 +369,9 @@ def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
 @dataclass(frozen=True)
 class SimulationModel:
     """A model as `simulate` runs it. Per-cell counts are persons; a state
-    is the model's own state object over one column of the state array, a
-    view that vaccinate doses in place."""
+    is the model's own state object over one column of the state array:
+    `simulate` builds one per column, once, as a live view of the stepper's
+    state that vaccinate doses in place."""
 
     y0: np.ndarray        # the initial state, flat
     rhs: Callable         # right-hand side with `bind` (covid_rhs_factory)
@@ -400,12 +405,14 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     nothing). A static optimal plan can leave doses unspent for long (see
     `DosePlanner`). Each day's states are recorded after dosing, and one RK4
     stepper (`_RK4`), built before day 0, then advances all columns a day in
-    place. model.columns gets the day states, of shape (days, state size,
+    place. Each column's model state is built once, over the stepper's live
+    state, so every dose and every policy reads the current day through it.
+    model.columns gets the day states, of shape (days, state size,
     K), and the fields with a leading policy axis.
 
     A policy's trajectory can differ in its last bits with the number of
     policies run beside it (by 2-4e-16 of a field's largest value on
-    synthetic instances), likely because a stage's matmul over K columns
+    synthetic instances), likely because a stage's product over K columns
     rounds differently for K = 1 and K = 4; its `trajectory_*.csv` can then
     change in the last printed digit."""
     planners = [DosePlanner(policy, model, schedule) for policy in policies]
@@ -414,8 +421,7 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     ys = np.empty((horizon + 1, len(model.y0), n_cols))
     dose_days = np.empty((horizon + 1, cells, n_cols))
 
-    def dose(k, col, supply, budget_left):
-        state = model.state(col)
+    def dose(k, state, supply, budget_left):
         headroom = model.headroom(state)
         if model.active(state) >= EXTINCTION_THRESHOLD:
             doses = planners[k].epoch_doses(state, supply, budget_left)
@@ -439,6 +445,7 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     stepper = _RK4(model.rhs, np.repeat(model.y0[:, None], n_cols, axis=1),
                    step, model.clamp)
     y = stepper.y
+    states = [model.state(y[:, k]) for k in range(n_cols)]
     budget = schedule.total_budget * total_pop
     budget_left = np.full(n_cols, budget)
     epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
@@ -448,7 +455,8 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
             for k in dosing:
                 supply = min(epoch_supply, budget_left[k])
                 if supply > 0 and budget_left[k] > 1e-12 * budget:
-                    budget_left[k] -= dose(k, y[:, k], supply, budget_left[k])
+                    budget_left[k] -= dose(k, states[k], supply,
+                                           budget_left[k])
         if model.check is not None:
             model.check(y)
         ys[day], dose_days[day] = y, administered

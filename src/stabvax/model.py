@@ -53,6 +53,17 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def _read_only_state(record, state: dict) -> None:
+    """`__setstate__` of the frozen records: numpy unpickles arrays as
+    writable, so each array field and cached value (an array or a tuple of
+    them) is made read-only again; the cache travels with the record."""
+    for value in state.values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+    record.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     """Travel network with resident populations.
@@ -93,6 +104,8 @@ class NetworkInstance:
             if not np.allclose(self.group_populations.sum(axis=1),
                                self.populations, rtol=0, atol=1e-6):
                 raise ValueError("group populations must sum to the location totals")
+
+    __setstate__ = _read_only_state
 
     @functools.cached_property
     def _coupling(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +227,8 @@ class ContactStructure:
         g = self.reference_pop.shape[0]
         if self.contacts.shape != (g, g):
             raise ValueError("contact matrix shape must match reference demography")
+
+    __setstate__ = _read_only_state
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:

@@ -147,6 +147,32 @@ ALLOCATE_GOLDEN = {
 }
 
 
+class TestParser:
+    """One parser serves every call in a process; no parse leaves a trace
+    on the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parses_do_not_leak(self, capsys):
+        parser = cli.build_parser()
+        argv = ["--policy", "no-vaccine", "--policy", "population-weighted",
+                "compare"]
+        first = parser.parse_args(argv)
+        assert parser.parse_args(argv) == first
+        assert first.policy == ["no-vaccine", "population-weighted"]
+        assert parser.parse_args(["compare"]).policy is None
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--model", "sir", "compare"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: stabvax")
+        assert "invalid choice: 'sir'" in errors[0]
+
+
 class TestAllocateGolden:
     @pytest.mark.parametrize("case", list(ALLOCATE_GOLDEN), ids=[
         "bubar-budget", "bubar-alpha0", "covid-budget", "age-budget"])

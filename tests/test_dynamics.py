@@ -808,6 +808,76 @@ class TestFusedRhs:
         assert np.abs(k - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+class TestStageBuffers:
+    """np.dot, unlike np.matmul, does not check its out buffer against its
+    inputs, so the stages' derivative buffers must alias neither the stage
+    inputs nor each other."""
+
+    @staticmethod
+    def rhs_and_state(name, n):
+        if name == "seir":
+            params, state0 = bubar.us_like_instance(1.15, seed=0)
+            return bubar.bubar_rhs_factory(params), state0.compartments.ravel()
+        inst = sv.synthetic_instance(0, n=n, groups=name == "age")
+        return (dynamics.covid_rhs_factory(inst.net, inst.params,
+                                           inst.contacts),
+                dynamics._state_to_flat(inst.state0))
+
+    @pytest.mark.parametrize("name, n", [
+        ("covid", 5), ("covid", 40), ("age", 5), ("age", 10), ("seir", None)],
+        ids=["covid-stacked", "covid-factored", "age-stacked", "age-factored",
+             "seir"])
+    def test_stage_outputs_alias_no_input(self, name, n):
+        rhs, y = self.rhs_and_state(name, n)
+        ys = np.stack([y[:, None] * (1.0 - 0.1 * np.arange(4))] * 4)
+        ks, stages = rhs.bind(ys, (1.0, 2.0, 2.0, 1.0))
+        for evaluate in stages:
+            evaluate()
+        assert not np.shares_memory(ks, ys)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert not np.shares_memory(ks[i], ks[j]), (i, j)
+        # the stages read inputs that no stage overwrote
+        assert np.array_equal(ks[3], rhs(0.0, ys[3]))
+
+
+class TestColumnStates:
+    """simulate builds each column's model state once, over the stepper's
+    live state array, and doses through it."""
+
+    @pytest.mark.parametrize("name", ["covid", "seir"])
+    def test_states_built_once_per_column(self, name):
+        if name == "seir":
+            sim = bubar.bubar_model(*bubar.us_like_instance(1.15, seed=0))
+            field = "susceptible"
+            susceptible = lambda state: state.S + state.Sx  # noqa: E731
+        else:
+            sim = dynamics.covid_model(sv.synthetic_instance(0, n=5))
+            field, susceptible = "s", lambda state: state.s  # noqa: E731
+        calls = []
+        counting = dataclasses.replace(
+            sim, state=lambda col: calls.append(1) or sim.state(col))
+        specs = [sv.PolicySpec("no-vaccine"),
+                 sv.PolicySpec("population-weighted"),
+                 sv.PolicySpec("infection-weighted")]
+        trajs = dynamics.simulate(counting, specs, sv.VaccinationSchedule(
+            daily_rate=0.0033, total_budget=0.05), 10)
+        assert len(calls) == len(specs)
+        # day 0's doses land in the state recorded after them
+        for traj in trajs:
+            expected = sim.state(sim.y0.copy())
+            if traj.doses[0].sum() > 0:
+                sim.vaccinate(expected, traj.doses[0])
+            assert np.array_equal(getattr(traj, field)[0],
+                                  susceptible(expected))
+        assert np.all(np.diff(trajs[1].doses.sum(axis=1))[:-1] > 0)
+        if name == "covid":
+            # every day: the doses moved out of s are the vaccinated pool
+            for traj in trajs:
+                total = traj.s + traj.xa + traj.xs + traj.e + traj.h + traj.vax
+                assert np.abs(total - 1.0).max() < 1e-12
+
+
 def test_age_model_at_400_locations_forms_no_dense_flow():
     # one stacked (5m x 2m) matrix of this model's m = 2400 cells takes
     # 461 MB and one (m x m) array 46 MB; advancing two policies a day took

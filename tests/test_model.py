@@ -64,6 +64,40 @@ class TestNetworkInstance:
         assert net.tau[0, 0] == 0.4
 
 
+class TestPickledRecords:
+    """A record that crosses a process pool arrives read-only, cache and
+    all, so a worker neither rebuilds nor can stale the coupling."""
+
+    @pytest.mark.parametrize("groups", [False, True], ids=["covid", "age"])
+    def test_round_trip_stays_read_only(self, groups, monkeypatch):
+        import pickle
+
+        inst = ingest.synthetic_instance(0, 5, groups=groups)
+        flow, abar = sv.build_flow_matrix(inst.net)
+        if groups:
+            assert inst.contacts._gamma_is_gram
+        copy = pickle.loads(pickle.dumps(inst))
+        calls = []
+        monkeypatch.setattr(model, "_flow_pair",
+                            lambda *args: calls.append(1))
+        copied_flow, copied_abar = sv.build_flow_matrix(copy.net)
+        assert calls == []
+        assert np.array_equal(copied_flow, flow)
+        assert np.array_equal(copied_abar, abar)
+        arrays = [copy.net.tau, copy.net.populations, copied_flow, copied_abar]
+        if groups:
+            arrays += [copy.net.group_populations, copy.contacts.contacts,
+                       copy.contacts.reference_pop]
+            assert "gamma" in vars(copy.contacts)
+            arrays.append(copy.contacts.gamma)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            copy.net.tau = copy.net.tau
+
+
 class TestFlowMatrix:
     def test_single_closed_location(self):
         net = sv.NetworkInstance(tau=[[1.0]], populations=[50.0])

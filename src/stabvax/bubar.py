@@ -10,6 +10,10 @@ Only model definitions live here: `bubar_problem` states the model's
 Its policies are `PolicySpec`s as on the covid models. The age strategies
 of Bubar et al. (Science 371, 2021) are the age bands of
 `policies.AGE_BANDS`, which the adapter resolves against `DECADE_RANGES`.
+
+Summed over the vaccine strata, the linearized infection chain reduces
+exactly to the radius of W = diag(S + Sx - psi v S) A, as the homogeneous
+covid chain does, so `bubar_certificate` takes one g x g eigensolve.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .allocator import (AllocationProblem, AllocationResult, max_decay,
 from .dynamics import (DEFAULT_STEP, SimulationModel, Trajectory,
                        VaccinationSchedule, simulate)
 from .ingest import group_ifr
-from .model import (CERTIFICATE_TOL, GramKernel, InfeasibleRateError,
-                    StabilityCertificate, cholesky_factor)
+from .model import (GramKernel, InfeasibleRateError, StabilityCertificate,
+                    chain_certificate, cholesky_factor)
 from .policies import PolicySpec
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
@@ -216,43 +220,24 @@ def bubar_flow_matrix(state: BubarState, params: BubarParams) -> np.ndarray:
     return params.susceptibility[:, None] * params.contacts / alive[None, :]
 
 
-def bubar_infection_submatrix(state: BubarState, params: BubarParams,
-                              v: np.ndarray) -> np.ndarray:
-    """Linearized (E*, I*) block after dosing with v."""
-    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
-    flow = bubar_flow_matrix(state, params)
-    s_tilde = (1 - v) * state.S
-    sx_tilde = state.Sx + (1 - params.psi) * v * state.S
-    a, b = 1.0 / params.d_e, 1.0 / params.d_i
-    g = params.n_groups
-    eye = np.eye(g)
-    zero = np.zeros((g, g))
-    top = s_tilde[:, None] * flow
-    mid = sx_tilde[:, None] * flow
-    return np.block([
-        [-a * eye, zero, zero, top, top, top],
-        [zero, -a * eye, zero, mid, mid, mid],
-        [zero, zero, -a * eye, zero, zero, zero],
-        [a * eye, zero, zero, -b * eye, zero, zero],
-        [zero, a * eye, zero, zero, -b * eye, zero],
-        [zero, zero, a * eye, zero, zero, -b * eye],
-    ])
-
-
 def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
                       alpha: float) -> StabilityCertificate:
-    lam = float(np.max(np.linalg.eigvals(
-        bubar_infection_submatrix(state, params, v)).real))
-    try:
-        b1 = bubar_b1(params, alpha)
-        weight = (state.S + state.Sx - params.psi * np.asarray(v) * state.S)
-        radius = float(np.max(np.abs(np.linalg.eigvals(
-            b1 * weight[:, None] * bubar_flow_matrix(state, params)))))
-    except InfeasibleRateError:
-        radius = np.inf
-    return StabilityCertificate(
-        alpha=alpha, lambda_max=lam, spectral_radius=radius,
-        satisfied=bool(lam <= -alpha + CERTIFICATE_TOL))
+    """The certificate of allocation v, clipped to [0, 1], at rate alpha.
+
+    Summed over the vaccine strata, the linearized (E*, I*) chain reads
+    E' = -a E + W I, I' = a E - b I (E = E + Ex + Ev, I = I + Ix + Iv, W =
+    diag(S + Sx - psi v S) A); the rows left over add only the eigenvalues
+    -a and -b. An eigenvalue mu of W gives (lambda + a)(lambda + b) = a mu,
+    whose top root rises with mu, so by Perron-Frobenius lambda_max is minus
+    the smaller root of (a - alpha)(b - alpha) = a rho(W),
+    `bubar_rate_at_radius`, by the rule of `model.chain_certificate`."""
+    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    weight = state.S + state.Sx - params.psi * v * state.S
+    w = float(np.max(np.abs(np.linalg.eigvals(
+        weight[:, None] * bubar_flow_matrix(state, params)))))
+    return chain_certificate(
+        w, alpha, lambda rate: bubar_b1(params, rate),
+        lambda radius: bubar_rate_at_radius(params, radius))
 
 
 def bubar_problem(state: BubarState, params: BubarParams,
@@ -333,14 +318,11 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
 
 
 def simulate_bubar(params: BubarParams, state0: BubarState,
-                   policy: PolicySpec, daily_rate: float, total_budget: float,
-                   horizon: int, step: float = DEFAULT_STEP,
-                   interval_days: int = 1,
-                   leftover_rule: str = "even-split") -> Trajectory:
+                   policy: PolicySpec, schedule: VaccinationSchedule,
+                   horizon: int, step: float = DEFAULT_STEP) -> Trajectory:
     """Run one dosing policy; see `dynamics.simulate`."""
-    return simulate(bubar_model(params, state0), [policy], VaccinationSchedule(
-        daily_rate, interval_days, total_budget, leftover_rule), horizon,
-        step)[0]
+    return simulate(bubar_model(params, state0), [policy], schedule, horizon,
+                    step)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -114,15 +115,17 @@ def _load_config(args) -> dict:
             raise InputError(f"cannot read config: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError("config must be a JSON object")
-    for key in ("out", "seed", "model", "budget", "alpha", "axis",
-                "range", "horizon", "target_rt", "workers", "step"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "policy", None):
+    # --policy fills policies below; config and command are no config keys
+    config.update((key, value) for key, value in vars(args).items()
+                  if value is not None
+                  and key not in ("config", "policy", "command"))
+    if args.policy:
         config["policies"] = [{"kind": kind} for kind in args.policy]
     seir = config.get("model") == "bubar"
     _check_section("", config, seir)
+    for key in ("horizon", "workers"):  # 0 workers: one per CPU
+        if config.get(key, 0) < 0:
+            raise InputError(f"{key} must be nonnegative, got {config[key]!r}")
     for source, ignored in SOURCE_IGNORES.items():
         unread = [key for key in ignored if source in config and key in config]
         if unread:
@@ -233,7 +236,7 @@ def cmd_calibrate(config) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instance.json"
-    ingest.save_instance(inst, path)
+    _write_atomic(path, json.dumps(ingest.instance_to_dict(inst), indent=2))
     rt = effective_reproduction_number(inst.state0, inst.net, inst.params,
                                        inst.contacts)
     print(f"calibrated instance written to {path}; Rt = {rt:.6f}")
@@ -268,11 +271,11 @@ def cmd_allocate(config) -> int:
     doc = allocator.result_to_dict(result)
     doc["achieved_alpha"] = alpha
     _write_atomic(out / "allocation.json", json.dumps(doc, indent=2))
-    with open(out / "allocation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "v", "doses"])
-        for label, v, d in zip(labels, result.v, result.dose_vector):
-            writer.writerow([label, f"{v:.10g}", f"{d:.10g}"])
+    rows = io.StringIO()
+    csv.writer(rows).writerows([["cell", "v", "doses"]] + [
+        [label, f"{v:.10g}", f"{d:.10g}"]
+        for label, v, d in zip(labels, result.v, result.dose_vector)])
+    _write_atomic(out / "allocation.csv", rows.getvalue())
     print(f"alpha = {alpha:.6f}; doses = {result.doses:.1f}; "
           f"certificate lambda_max = {result.certificate.lambda_max:.6f} "
           f"(satisfied={result.certificate.satisfied})")
@@ -368,6 +371,8 @@ def cmd_sweep(config) -> int:
     if axis not in ("budget", "rt", "interval"):
         raise InputError("sweep needs --axis budget|rt|interval")
     values = _parse_range(config.get("range"))
+    if not values.size:
+        raise InputError(f"range must hold a point, got {config['range']!r}")
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     # only the rt axis changes the instance, so the others build it once

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -277,7 +277,6 @@ class EpidemicState:
             raise ValueError("compartments must sum to 1 per cell")
 
 
-# a certificate holds when lambda_max <= -alpha + CERTIFICATE_TOL
 CERTIFICATE_TOL = 1e-8
 # calibrate_transmission verifies Rt to this absolute tolerance
 CALIBRATION_TOL = 1e-6
@@ -290,12 +289,16 @@ class StabilityCertificate:
     lambda_max is the top eigenvalue (largest real part) of the infection
     submatrix M(t0); spectral_radius is the radius of the reduced
     discrete-time matrix b1 * diag(s - psi v) * A at the same decay rate.
+    satisfied is derived: lambda_max <= -alpha + CERTIFICATE_TOL.
     """
 
     alpha: float
     lambda_max: float
-    satisfied: bool
     spectral_radius: float = np.nan
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.lambda_max <= -self.alpha + CERTIFICATE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +470,6 @@ def infection_submatrix(s: np.ndarray, net: NetworkInstance, params: DiseasePara
                      [params.eps * eye, -np.diag(r_s + kappa)]])
 
 
-def _largest_real_eig(mat: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(mat).real))
-
-
 def _top_block_root(params: DiseaseParams, w: float) -> float:
     """Top eigenvalue of [[beta_a w - c1, beta_s w], [eps, -d2]]. Its
     discriminant (beta_a w - c1 + d2)^2 + 4 beta_s eps w is a sum of squares
@@ -484,6 +483,19 @@ def _top_block_root(params: DiseaseParams, w: float) -> float:
     if trace >= 0:
         return 0.5 * (trace + root)
     return 2.0 * det / (trace - root)
+
+
+def chain_certificate(w: float, alpha: float, b1_at: Callable,
+                      rate_at_radius: Callable) -> StabilityCertificate:
+    """The certificate of a scalar-chain model (homogeneous covid, SEIR) from
+    w = rho(diag(s_post) A): lambda_max = -rate_at_radius(w) in closed form,
+    and the radius b1_at(alpha) w, or inf where b1_at raises at the limit."""
+    try:
+        radius = b1_at(alpha) * w
+    except InfeasibleRateError:
+        radius = np.inf
+    return StabilityCertificate(alpha=alpha, lambda_max=-rate_at_radius(w),
+                                spectral_radius=radius)
 
 
 # _gram_certificate stops once a Newton step in alpha is at most this fraction
@@ -652,8 +664,8 @@ def _reproduction_number(state: EpidemicState, net: NetworkInstance,
         raise ValueError(f"Rt is undefined: r_s + kappa is 0{where}")
     kernel = coupling_gram_kernel(net, params, contacts)
     if kernel is None:
-        return max(_largest_real_eig(discrete_stability_matrix(
-            state.s, net, params, contacts, 0.0)), 0.0), None
+        return max(float(np.linalg.eigvals(discrete_stability_matrix(
+            state.s, net, params, contacts, 0.0)).real.max()), 0.0), None
     weight = net.cell_populations() * state.s * cell_b1(params, net.n, 0.0)
     rt, _, x = _top_eig(kernel, weight, start)
     return max(rt, 0.0), x
@@ -705,12 +717,12 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
     radius is inf when alpha is at or above `max_certificate_rate`.
 
     For the homogeneous model both come from the top eigenvalue w of
-    W = diag(s_post) A (`_top_eig` on `coupling_gram_kernel`): lambda_max
-    is the top root of the 2 x 2 block [[beta_a w - c1, beta_s w], [eps,
-    -d2]] and the radius is b1(alpha) w. For the age-structured model with
-    a Cholesky factor of Gamma, the radius is rho(alpha) = lambda_max(F'
-    diag(N b1(alpha) s_post) F), and lambda_max is -alpha* at rho(alpha*) =
-    1, found by a bracketed Newton search started at alpha
+    W = diag(s_post) A (`_top_eig`) by the shared `chain_certificate`:
+    lambda_max is the top root of the block [[beta_a w - c1, beta_s w],
+    [eps, -d2]] and the radius is b1(alpha) w. For the age-structured model
+    with a Cholesky factor of Gamma, the radius is rho(alpha) =
+    lambda_max(F' diag(N b1(alpha) s_post) F), and lambda_max is -alpha* at
+    rho(alpha*) = 1, found by a bracketed Newton search started at alpha
     (`_gram_certificate`), usually one or two warm-started solves.
     Otherwise it takes dense `eigvals` of M and of the reduced matrix.
     """
@@ -720,24 +732,22 @@ def check_decay_certificate(state: EpidemicState, net: NetworkInstance,
     s_post = np.clip(state.s - params.psi * v, 0.0, None)
     kernel = coupling_gram_kernel(net, params, contacts)
     if not params.is_demographic:
-        w = max(_top_eig(kernel, s_post * net.populations)[0], 0.0)
-        lam = _top_block_root(params, w)
-        try:
-            radius = compute_b1(params, alpha) * w
-        except InfeasibleRateError:
-            radius = np.inf
-    elif kernel is not None and max_certificate_rate(params) > 0:
+        return chain_certificate(
+            max(_top_eig(kernel, s_post * net.populations)[0], 0.0), alpha,
+            lambda rate: compute_b1(params, rate),
+            lambda w: -_top_block_root(params, w))
+    if kernel is not None and max_certificate_rate(params) > 0:
         lam, radius = _gram_certificate(kernel, net.cell_populations() * s_post,
                                         params, net.n, alpha)
     else:  # no Gram kernel, or a group that never leaves infection (rate
         # limit 0, where b1 has no finite value just below the limit)
-        lam = _largest_real_eig(infection_submatrix(s_post, net, params, contacts))
+        lam = float(np.linalg.eigvals(infection_submatrix(
+            s_post, net, params, contacts)).real.max())
         try:
             radius = float(np.max(np.abs(np.linalg.eigvals(
                 discrete_stability_matrix(s_post, net, params, contacts,
                                           alpha)))))
         except InfeasibleRateError:
             radius = np.inf
-    return StabilityCertificate(
-        alpha=alpha, lambda_max=lam, spectral_radius=radius,
-        satisfied=bool(lam <= -alpha + CERTIFICATE_TOL))
+    return StabilityCertificate(alpha=alpha, lambda_max=lam,
+                                spectral_radius=radius)

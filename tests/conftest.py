@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stabvax import allocator
+from stabvax import allocator, bubar
 
 
 @pytest.fixture
@@ -15,3 +15,27 @@ def nudged_gram_route(monkeypatch):
         return np.minimum(1.001 * u, upper), stats
 
     monkeypatch.setattr(allocator, "lmi_box_maximize", nudged)
+
+
+def _seir_chain_matrix(state, params, v):
+    """The linearized SEIR (E*, I*) block after dosing with v, dense over the
+    6 g compartments: the oracle of `bubar.bubar_certificate`'s reduction."""
+    v = np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
+    flow = bubar.bubar_flow_matrix(state, params)
+    top = ((1 - v) * state.S)[:, None] * flow
+    mid = (state.Sx + (1 - params.psi) * v * state.S)[:, None] * flow
+    a, b = 1.0 / params.d_e, 1.0 / params.d_i
+    eye, zero = np.eye(params.n_groups), np.zeros_like(flow)
+    return np.block([
+        [-a * eye, zero, zero, top, top, top],
+        [zero, -a * eye, zero, mid, mid, mid],
+        [zero, zero, -a * eye, zero, zero, zero],
+        [a * eye, zero, zero, -b * eye, zero, zero],
+        [zero, a * eye, zero, zero, -b * eye, zero],
+        [zero, zero, a * eye, zero, zero, -b * eye],
+    ])
+
+
+@pytest.fixture
+def seir_chain_matrix():
+    return _seir_chain_matrix

@@ -449,12 +449,13 @@ class TestDirectSearch:
         self.assert_within_cold_bracket(prob,
                                         0.9 * float(prob.weights @ prob.vmax))
 
-    def test_zero_budget_gives_unvaccinated_eigenvalue(self):
+    def test_zero_budget_gives_unvaccinated_eigenvalue(self,
+                                                        seir_chain_matrix):
         inst = sv.synthetic_instance(23, n=3, target_rt=1.2)
         covid_lam = np.max(np.linalg.eigvals(model.infection_submatrix(
             inst.state0.s, inst.net, inst.params)).real)
         params, state = bubar.us_like_instance(1.15, seed=0)
-        seir_lam = np.max(np.linalg.eigvals(bubar.bubar_infection_submatrix(
+        seir_lam = np.max(np.linalg.eigvals(seir_chain_matrix(
             state, params, np.zeros(params.n_groups))).real)
         for prob, lam in ((covid_problem(23, 3, target_rt=1.2)[0], covid_lam),
                           (seir_problem(1.15, 0)[0], seir_lam)):

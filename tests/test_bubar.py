@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from stabvax import _lp, allocator, bubar
+from stabvax import _lp, allocator, bubar, model
 from stabvax.dynamics import (EXTINCTION_THRESHOLD, VaccinationSchedule,
                               simulate)
 from stabvax.policies import AGE_BANDS, PolicySpec, priority_tiers
@@ -182,6 +182,74 @@ class TestBilinearRoute:
         assert bubar.bubar_rate_at_radius(params, b) == 0.0
 
 
+CERT_R0 = [0.8, 1.05, 1.15, 1.5, 2.5, 5.0]
+# the fixture's rate limit is min(1/d_e, 1/d_i) = 1/5
+CERT_LIMIT = 0.2
+CERT_ALPHAS = [-0.5, 0.0, 0.06, 0.12, CERT_LIMIT - 1e-9, CERT_LIMIT,
+               CERT_LIMIT + 0.1]
+
+
+def draw_doses(params, seed, kind):
+    """v of one kind: none, a seeded uniform draw on [0, 1], or all."""
+    if kind == "draw":
+        return np.random.default_rng(seed).uniform(0.0, 1.0, params.n_groups)
+    return np.full(params.n_groups, {"zero": 0.0, "one": 1.0}[kind])
+
+
+class TestCertificate:
+    """`bubar_certificate` reads lambda_max and the radius off w = rho(W);
+    the dense 6 g x 6 g chain is the oracle."""
+
+    @pytest.mark.parametrize("kind", ["zero", "draw", "one"])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r0", CERT_R0)
+    def test_matches_the_dense_chain(self, seir_chain_matrix, r0, seed, kind):
+        params, state = bubar.us_like_instance(r0, seed=seed)
+        v = draw_doses(params, seed, kind)
+        lam = float(np.max(np.linalg.eigvals(
+            seir_chain_matrix(state, params, v)).real))
+        weight = state.S + state.Sx - params.psi * v * state.S
+        unit = weight[:, None] * bubar.bubar_flow_matrix(state, params)
+        for alpha in CERT_ALPHAS:
+            cert = bubar.bubar_certificate(state, params, v, alpha)
+            assert abs(cert.lambda_max - lam) <= 1e-14 * max(1.0, abs(lam))
+            if alpha < CERT_LIMIT:
+                radius = np.abs(np.linalg.eigvals(
+                    bubar.bubar_b1(params, alpha) * unit)).max()
+                assert cert.spectral_radius == pytest.approx(radius,
+                                                              rel=1e-13)
+            else:
+                assert cert.spectral_radius == np.inf
+            assert cert.satisfied == (lam <= -alpha + model.CERTIFICATE_TOL)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.06, CERT_LIMIT])
+    def test_doses_outside_unit_interval_read_as_clipped(self, alpha):
+        params, state = bubar.us_like_instance(1.5, seed=1)
+        v = np.random.default_rng(1).uniform(-0.5, 1.5, params.n_groups)
+        assert v.min() < 0.0 and v.max() > 1.0
+        assert bubar.bubar_certificate(state, params, v, alpha) == \
+            bubar.bubar_certificate(state, params, np.clip(v, 0.0, 1.0), alpha)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.06, 0.12])
+    def test_satisfied_flips_at_the_tolerance(self, alpha):
+        edge = -alpha + model.CERTIFICATE_TOL
+        assert model.StabilityCertificate(alpha, edge).satisfied
+        assert not model.StabilityCertificate(
+            alpha, float(np.nextafter(edge, np.inf))).satisfied
+
+    def test_one_group_sized_eigensolve(self, monkeypatch):
+        params, state = bubar.us_like_instance(1.15, seed=0)
+        shapes, real = [], np.linalg.eigvals
+
+        def recording(mat):
+            shapes.append(np.shape(mat))
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        bubar.bubar_certificate(state, params, np.full(9, 0.3), 0.06)
+        assert shapes == [(9, 9)]
+
+
 SEIR_POLICIES = [PolicySpec(kind) for kind in
                  ("optimal-stabilizing", *AGE_BANDS)]
 
@@ -198,9 +266,8 @@ class TestBatchedSimulation:
         batch = simulate_seir(params, state0, SEIR_POLICIES, sched, 60)
         assert len(batch) == len(SEIR_POLICIES) == 6
         for spec, traj in zip(SEIR_POLICIES, batch):
-            single = bubar.simulate_bubar(params, state0, spec,
-                                          daily_rate=0.0033,
-                                          total_budget=0.05, horizon=60)
+            single = bubar.simulate_bubar(params, state0, spec, sched,
+                                          horizon=60)
             for field in ("susceptible", "infectious", "cum_cases",
                           "cum_deaths", "doses"):
                 a, b = getattr(traj, field), getattr(single, field)
@@ -272,11 +339,10 @@ class TestBatchedSimulation:
         # 5% of the population is dosed at 0.33% a day
         params, state0 = bubar.us_like_instance(0.5, seed=0,
                                                 infected_frac=1e-6)
-        none, even = (bubar.simulate_bubar(params, state0,
-                                           PolicySpec("under-20"),
-                                           0.0033, 0.05, 60,
-                                           leftover_rule=rule)
-                      for rule in ("none", "even-split"))
+        none, even = (bubar.simulate_bubar(
+            params, state0, PolicySpec("under-20"),
+            VaccinationSchedule(0.0033, total_budget=0.05, leftover_rule=rule),
+            60) for rule in ("none", "even-split"))
         doses_none, doses_even = (t.doses.sum(axis=1) for t in (none, even))
         stop = int(np.flatnonzero(np.diff(doses_none) == 0)[0]) + 1
         assert stop == 10

@@ -678,7 +678,7 @@ class TestAtomicWrite:
     def test_outputs_take_the_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
-            for command in ("allocate", "compare", "sweep"):
+            for command in ("calibrate", "allocate", "compare", "sweep"):
                 assert cli.main([
                     "--out", str(tmp_path), "--seed", "0", "--horizon", "5",
                     "--policy", "no-vaccine", "--axis", "budget", "--range",
@@ -686,10 +686,31 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         names = {p.name for p in tmp_path.iterdir()}
-        assert {"allocation.json", "allocation.csv", "summary.csv",
-                "sweep.csv", "trajectory_no-vaccine.csv"} <= names
+        assert {"instance.json", "allocation.json", "allocation.csv",
+                "summary.csv", "sweep.csv", "trajectory_no-vaccine.csv"} <= names
         for path in tmp_path.iterdir():
             assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
+        # csv.writer's rows, as a plain open with newline="" wrote them
+        assert (tmp_path / "allocation.csv").read_bytes().startswith(
+            b"cell,v,doses\r\n")
+
+    def test_failed_allocation_csv_leaves_old_file(self, tmp_path,
+                                                   monkeypatch):
+        target = tmp_path / "allocation.csv"
+        target.write_text("old\n")
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == target.name:
+                raise OSError("no space left on device")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="no space"):
+            allocate(tmp_path, "--budget", "0.05")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "allocation.csv", "allocation.json"]
+        assert target.read_text() == "old\n"
 
     def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
         target = tmp_path / "summary.csv"
@@ -698,6 +719,49 @@ class TestAtomicWrite:
             cli._write_atomic(target, "\ud800")
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
         assert target.read_text() == "old\n"
+
+
+class TestMeaninglessNumbers:
+    """A negative horizon or worker count, or a sweep range of no points,
+    exits 3 naming its key, from a flag or a config file alike; nothing is
+    written."""
+
+    SWEEP = ("--axis", "budget", "--horizon", "3", "sweep")
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("horizon", -1, ("compare",)),
+        ("horizon", -3, ("compare",)),
+        ("workers", -2, ("--range", "0.01:0.02:2", *SWEEP)),
+        ("range", "0.01:0.02:0", SWEEP),
+    ], ids=["horizon-1", "horizon-3", "workers-2", "range-no-points"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_exits_input_error(self, tmp_path, capsys, key, value, command,
+                               form):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value} if form == "config" else {}))
+        flags = (f"--{key}", str(value)) if form == "flag" else ()
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), *flags,
+                         *command]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {key} must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_zero_horizon_and_workers_stay_valid(self, tmp_path, form):
+        values = {"horizon": 0, "workers": 0, "range": "0.01:0.01:1"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values if form == "config" else {}))
+        flags = [item for key, value in values.items()
+                 for item in (f"--{key}", str(value))] if form == "flag" else []
+        for command in ("compare", "sweep"):
+            assert cli.main(["--config", str(path), "--out", str(tmp_path),
+                             "--axis", "budget", "--policy", "no-vaccine",
+                             *flags, command]) == cli.EXIT_OK
+        assert len(read_rows(tmp_path / "sweep.csv")) == 1
+        # day 0 alone
+        assert {row[0] for row in read_rows(
+            tmp_path / "trajectory_no-vaccine.csv")} == {"0"}
 
 
 class TestConfigTypes:

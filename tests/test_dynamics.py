@@ -243,7 +243,8 @@ class TestStepBookkeeping:
         state0.compartments[12, 3] = params.populations[3]
         with pytest.raises(FloatingPointError, match="fully depleted"):
             bubar.simulate_bubar(params, state0, sv.PolicySpec("all-ages"),
-                                 0.01, 0.1, 5)
+                                 sv.VaccinationSchedule(0.01, total_budget=0.1),
+                                 5)
 
 
 def crossing_model(name):

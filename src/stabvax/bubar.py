@@ -296,6 +296,10 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
         if np.any(y[12 * g:] >= pops[:, None]):
             raise FloatingPointError("a group has been fully depleted")
 
+    def compartments(y):
+        """Every column's compartments, (K, 13, groups), C-ordered."""
+        return np.ascontiguousarray(y.T).reshape(-1, rows, g)
+
     def columns(ys, fields):
         # (compartment, column, day, group)
         comp = ys.reshape(len(ys), rows, g, -1).transpose(1, 3, 0, 2)
@@ -307,11 +311,12 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
         y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
         clamp=(0.0, None), labels=list(DECADE_LABELS), populations=pops,
         n_groups=g, state=lambda col: BubarState(col.reshape(rows, g)),
-        headroom=lambda state: state.S,
-        active=lambda state: float((state.E + state.Ex + state.Ev + state.I
-                                    + state.Ix + state.Iv).sum()),
-        infected=lambda state: state.compartments[3:].sum(axis=0),
-        vaccinate=lambda state, doses: _vaccinate(state, doses, params),
+        headroom=lambda y: np.ascontiguousarray(y[:g].T),
+        # E ... Iv, then the groups
+        active=lambda y: compartments(y)[:, 3:9].sum(axis=1).sum(axis=1),
+        infected=lambda y: compartments(y)[:, 3:].sum(axis=1),
+        vaccinate=lambda y, doses: _vaccinate(
+            BubarState(y.reshape(rows, g, -1)), doses.T, params),
         allocate=lambda state, budget: solve_bubar_allocation(
             state, params, supply=budget)[1],
         columns=columns, check=check, age_ranges=DECADE_RANGES)

@@ -18,13 +18,13 @@ import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import allocator, bubar, dynamics, ingest, policies
 from .allocator import InfeasibleAllocationError, SolverError
+from .ingest import write_atomic as _write_atomic
 from .model import (CalibrationError, InfeasibleRateError,
                     calibrate_transmission, effective_reproduction_number)
 
@@ -208,21 +208,6 @@ def _policy_specs(config) -> tuple[list, list[policies.PolicySpec]]:
                               for t in policy.get("priority_groups", ())))
         for policy in config.get("policies", default)]
     return _distinct([spec.name for spec in specs]), specs
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file, with the mode a plain open gives."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

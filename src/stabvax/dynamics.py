@@ -31,12 +31,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import allocator
-from .ingest import AGE_GROUP_RANGES, EpidemicInstance
+from . import allocator, policies
+from .ingest import AGE_GROUP_RANGES, EpidemicInstance, write_atomic
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
                     NetworkInstance, build_flow_matrix, flow_for_model,
                     _cell_rates)
-from .policies import DosePlanner, PolicySpec, proportional_fill
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +101,8 @@ class Trajectory:
         """One row per day and cell, the bytes csv.writer writes for them
         (cell labels hold no comma, quote, line break or NUL): t as '%.6g',
         then every value as exactly the bytes of '%.12g' (see the module
-        docstring). Raises ValueError if labels are not one per cell."""
+        docstring), through `ingest.write_atomic`. Raises ValueError if
+        labels are not one per cell."""
         from . import _text  # its tables load with the first file written
 
         cells = self.s.shape[1]
@@ -111,11 +111,8 @@ class Trajectory:
         values = np.stack([self.s, self.xa, self.xs, self.e, self.h,
                            self.new_cases, self.cum_cases, self.cum_deaths,
                            self.doses], axis=-1)
-        rows = _text.csv_rows(["%.6g" % t for t in self.times.tolist()],
-                              self.labels, values)
-        with open(path, "wb") as fh:
-            fh.write(TRAJECTORY_HEADER)
-            fh.write(rows)
+        write_atomic(path, TRAJECTORY_HEADER, _text.csv_rows(
+            ["%.6g" % t for t in self.times.tolist()], self.labels, values))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,7 @@ def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
     v is the vaccinated fraction per cell and must not exceed s. Returns the
     fractions moved into the vaccinated-immune pool."""
     v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12) or np.any(v > s + 1e-9):
+    if (v < -1e-12).any() or (v > s + 1e-9).any():
         raise ValueError("vaccination fractions must satisfy 0 <= v_i <= s_i")
     moved = psi * np.clip(v, 0.0, s)
     np.clip(s - moved, 0.0, None, out=s)
@@ -368,10 +365,10 @@ def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationModel:
-    """A model as `simulate` runs it. Per-cell counts are persons; a state
-    is the model's own state object over one column of the state array:
-    `simulate` builds one per column, once, as a live view of the stepper's
-    state that vaccinate doses in place."""
+    """A model as `simulate` runs it. Per-cell counts are persons; headroom,
+    active, infected and vaccinate read or dose, in place, the whole state
+    array y (state size, K), C-ordered (K, cells) arrays going in and out. A
+    state, the model's object over one column, is built only to allocate."""
 
     y0: np.ndarray        # the initial state, flat
     rhs: Callable         # right-hand side with `bind` (covid_rhs_factory)
@@ -380,17 +377,17 @@ class SimulationModel:
     populations: np.ndarray  # residents per cell
     n_groups: int         # age groups; cell c is group c % n_groups
     state: Callable       # column -> state
-    headroom: Callable    # state -> susceptible persons per cell
-    active: Callable      # state -> active infected persons
-    infected: Callable    # state -> persons ever infected, per cell
-    vaccinate: Callable   # (state, doses per cell) -> None
+    headroom: Callable    # y -> susceptible persons, (K, cells)
+    active: Callable      # y -> active infected persons, (K,)
+    infected: Callable    # y -> persons ever infected, (K, cells)
+    vaccinate: Callable   # (y, doses (K, cells)) -> None
     allocate: Callable    # (state, dose budget) -> certified AllocationResult
     columns: Callable     # (day states, fields) -> every Trajectory field
     check: Optional[Callable] = None  # day's states -> raise if they fail
     age_ranges: tuple = ()  # (youngest, oldest) age per group, for age bands
 
 
-def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
+def simulate(model: SimulationModel, specs: Sequence[policies.PolicySpec],
              schedule: VaccinationSchedule, horizon: int,
              step: float = DEFAULT_STEP) -> list:
     """Run several policies on one model, one `Trajectory` each; the state
@@ -399,15 +396,15 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     The supply of an interval arrives at its start: each dosing column gets
     min(daily rate * population * interval, its budget left), and a budget
     left of at most 1e-12 of the total is a rounding residual that counts as
-    spent. Its policy's `DosePlanner` doses the column; once the column's
-    active infected persons drop below `EXTINCTION_THRESHOLD`, the schedule's
-    leftover rule doses it instead (an even split capped by headroom, or
-    nothing). A static optimal plan can leave doses unspent for long (see
+    spent. One dosing pass an epoch, `policies.emit_doses`, doses all
+    columns with supply, each by its policy or, once its active infected
+    persons drop below `EXTINCTION_THRESHOLD`, by the schedule's leftover
+    rule (an even split capped by headroom, or nothing), and vaccinates them
+    in one call.
+    A static optimal plan can leave doses unspent for long (see
     `DosePlanner`). Each day's states are recorded after dosing, and one RK4
     stepper (`_RK4`), built before day 0, then advances all columns a day in
-    place. Each column's model state is built once, over the stepper's live
-    state, so every dose and every policy reads the current day through it.
-    model.columns gets the day states, of shape (days, state size,
+    place. model.columns gets the day states, of shape (days, state size,
     K), and the fields with a leading policy axis.
 
     A policy's trajectory can differ in its last bits with the number of
@@ -415,54 +412,49 @@ def simulate(model: SimulationModel, policies: Sequence[PolicySpec],
     synthetic instances), likely because a stage's product over K columns
     rounds differently for K = 1 and K = 4; its `trajectory_*.csv` can then
     change in the last printed digit."""
-    planners = [DosePlanner(policy, model, schedule) for policy in policies]
-    cells, n_cols = len(model.populations), len(planners)
-    administered = np.zeros((cells, n_cols))
+    planner = policies.DosePlanner(specs, model, schedule)
+    n_cols = len(specs)
+    administered = np.zeros((n_cols, len(model.populations)))
     ys = np.empty((horizon + 1, len(model.y0), n_cols))
-    dose_days = np.empty((horizon + 1, cells, n_cols))
-
-    def dose(k, state, supply, budget_left):
-        headroom = model.headroom(state)
-        if model.active(state) >= EXTINCTION_THRESHOLD:
-            doses = planners[k].epoch_doses(state, supply, budget_left)
-        elif schedule.leftover_rule == "none":
-            doses = np.zeros_like(headroom)
-        else:
-            doses = proportional_fill(np.ones_like(headroom), headroom, supply)
-        doses = np.minimum(doses, headroom)
-        total = float(doses.sum())
-        if total > supply * (1 + 1e-9):
-            raise RuntimeError("policy emitted more doses than supplied")
-        if total > 0:
-            model.vaccinate(state, doses)
-            administered[:, k] += doses
-        return total
-
-    dosing = [k for k, policy in enumerate(policies)
-              if policy.kind != "no-vaccine"]
+    dose_days = np.empty((horizon + 1,) + administered.shape)
+    dosing = np.array([spec.kind != "no-vaccine" for spec in specs])
+    even = schedule.leftover_rule == "even-split"
     total_pop = float(model.populations.sum())
     steps_per_day = _whole_steps(0.0, 1.0, step)
     stepper = _RK4(model.rhs, np.repeat(model.y0[:, None], n_cols, axis=1),
                    step, model.clamp)
     y = stepper.y
-    states = [model.state(y[:, k]) for k in range(n_cols)]
     budget = schedule.total_budget * total_pop
     budget_left = np.full(n_cols, budget)
     epoch_supply = schedule.daily_rate * total_pop * schedule.interval_days
     clamps = np.zeros(n_cols, dtype=int)
+    supply = np.minimum(epoch_supply, budget_left)
+    due = dosing & (supply > 0) & (budget_left > 1e-12 * budget)
     for day in range(horizon + 1):
-        if day % schedule.interval_days == 0 and day < horizon:
-            for k in dosing:
-                supply = min(epoch_supply, budget_left[k])
-                if supply > 0 and budget_left[k] > 1e-12 * budget:
-                    budget_left[k] -= dose(k, states[k], supply,
-                                           budget_left[k])
+        if day % schedule.interval_days == 0 and day < horizon and due.any():
+            extinct = model.active(y) < EXTINCTION_THRESHOLD
+            planned = due & ~(extinct | planner.spent)
+            spread = due & extinct & even
+            if (planned | spread).any():
+                headroom = model.headroom(y)
+                doses = np.minimum(policies.emit_doses(
+                    planner, y, headroom, supply, budget_left, planned,
+                    spread), headroom)
+                totals = doses.sum(axis=1)
+                if (due & (totals > supply * (1 + 1e-9))).any():
+                    raise RuntimeError("policy emitted more doses than "
+                                       "supplied")
+                model.vaccinate(y, doses)  # zero doses change no bit
+                administered += doses
+                budget_left -= totals
+                supply = np.minimum(epoch_supply, budget_left)
+                due &= (supply > 0) & (budget_left > 1e-12 * budget)
         if model.check is not None:
             model.check(y)
         ys[day], dose_days[day] = y, administered
         if day < horizon:
             clamps += stepper.advance(float(day), steps_per_day)
-    fields = model.columns(ys, {"doses": dose_days.transpose(2, 0, 1)})
+    fields = model.columns(ys, {"doses": dose_days.transpose(1, 0, 2)})
     times = np.arange(horizon + 1, dtype=float)
     return [Trajectory(times, {name: arr[k] for name, arr in fields.items()},
                        int(clamps[k]), model.labels) for k in range(n_cols)]
@@ -475,6 +467,7 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
     cases per day are the inflow into the infected chain scaled by
     residents."""
     inst, pops, psi = instance, instance.cell_populations(), instance.params.psi
+    m = len(pops)
 
     def columns(ys, fields):
         # (block, column, day, cell)
@@ -498,10 +491,13 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
         clamp=(0.0, 1.0), labels=_cell_labels(inst), populations=pops,
         n_groups=inst.net.n_groups,
         state=lambda col: EpidemicState(*col.reshape(5, -1)),
-        headroom=lambda state: state.s * pops,
-        active=lambda state: float(((state.xa + state.xs) * pops).sum()),
-        infected=lambda state: (state.xa + state.xs + state.e + state.h) * pops,
-        vaccinate=lambda state, doses: _vaccinate(state.s, doses / pops, psi),
+        headroom=lambda y: np.multiply(y[:m].T, pops, order="C"),
+        active=lambda y: np.multiply((y[m:2 * m] + y[2 * m:3 * m]).T, pops,
+                                     order="C").sum(axis=1),
+        infected=lambda y: np.multiply((y[m:2 * m] + y[2 * m:3 * m] + y[
+            3 * m:4 * m] + y[4 * m:]).T, pops, order="C"),
+        vaccinate=lambda y, doses: _vaccinate(y[:m], doses.T / pops[:, None],
+                                              psi),
         allocate=lambda state, budget: allocator.max_decay_binary_search(
             state, inst.net, inst.params, inst.contacts, budget=budget)[1],
         columns=columns, age_ranges=(
@@ -509,7 +505,7 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
             else ()))
 
 
-def simulate_policy(instance: EpidemicInstance, policy: PolicySpec,
+def simulate_policy(instance: EpidemicInstance, policy: policies.PolicySpec,
                     schedule: VaccinationSchedule, horizon: int,
                     step: float = DEFAULT_STEP) -> Trajectory:
     """Run one policy on a covid instance; see `simulate`."""

@@ -1,5 +1,5 @@
-"""Dosing policies: convert an epoch's vaccine supply into per-cell dose
-vectors during simulation, on any model `dynamics.simulate` runs.
+"""Dosing policies: convert an epoch's vaccine supply into per-cell doses
+for every policy column `dynamics.simulate` runs, on any model, in one pass.
 
 `emit_doses` reads a model only through its `dynamics.SimulationModel`
 adapter, so a `PolicySpec` means the same on every model. Static optimal
@@ -13,7 +13,7 @@ kinds, on every model. This module imports no other module of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,26 +64,32 @@ class PolicySpec:
 
 
 def proportional_fill(weights: np.ndarray, caps: np.ndarray,
-                      amount: float) -> np.ndarray:
-    """Distribute amount proportionally to weights, water-filling against the
-    per-cell caps: saturated cells keep their cap and the residual is
-    re-split among the rest."""
-    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    caps = np.maximum(np.asarray(caps, dtype=float), 0.0)
-    doses = np.zeros_like(caps)
-    remaining = min(float(amount), float(caps.sum()))
-    active = (weights > 0) & (caps > 0)
-    while remaining > 1e-12 and active.any():
-        share = np.where(active, weights, 0.0)
-        alloc = remaining * share / share.sum()
-        room = caps - doses
-        overflow = active & (alloc >= room - 1e-15)
-        if not overflow.any():
+                      amounts) -> np.ndarray:
+    """Distribute each row's amount proportionally to its weights,
+    water-filling against its per-cell caps: saturated cells keep their cap
+    and the residual is re-split among the rest. weights and caps are
+    C-ordered (rows, cells), amounts one per row. Every sum reduces one row,
+    whole or compressed, so a row gets the bits it would get alone."""
+    weights, caps = np.maximum(weights, 0.0), np.maximum(caps, 0.0)
+    limit, doses = caps - 1e-15, np.zeros(caps.shape)  # room of a live cell
+    remaining = np.minimum(amounts, caps.sum(axis=1))
+    active = (weights > 0) & (caps > 0) & (remaining > 1e-12)[:, None]
+    live = active.any(axis=1)
+    while live.any():
+        share = np.where(active, weights, 0.0)  # a dead row gets 0 / 1
+        alloc = remaining[:, None] * share / np.where(
+            live, share.sum(axis=1), 1.0)[:, None]
+        overflow = active & (alloc >= limit)
+        spill = overflow.any(axis=1)
+        if not spill.any():
             doses += alloc
             break
-        remaining -= float(room[overflow].sum())
-        doses[overflow] = caps[overflow]
-        active &= ~overflow
+        np.add(doses, alloc, out=doses, where=~spill[:, None])
+        for row in spill.nonzero()[0]:
+            remaining[row] -= caps[row, overflow[row]].sum()
+        np.copyto(doses, caps, where=overflow)
+        active &= ~overflow & (spill & (remaining > 1e-12))[:, None]
+        live = active.any(axis=1)
     return doses
 
 
@@ -114,109 +120,105 @@ def priority_tiers(policy: PolicySpec, model) -> tuple:
     return (groups,)
 
 
-def _priority_fill(priority_groups: Sequence, headroom: np.ndarray,
-                   amount: float, n_groups: int) -> np.ndarray:
-    """Fill tiers in order, splitting within a tier proportionally to headroom.
-
-    An entry may be a single group index or a tuple of indices dosed together;
-    cell c belongs to group c % n_groups.
-    """
-    doses = np.zeros_like(headroom)
-    left = float(amount)
-    for tier in priority_groups:
+def _priority_fill(tiers: Sequence[np.ndarray], headroom: np.ndarray,
+                   amount: float) -> np.ndarray:
+    """Fill tiers of cell indices in order, each in proportion to headroom."""
+    doses, left = np.zeros_like(headroom), float(amount)
+    for idx in tiers:
         if left <= 1e-12:
             break
-        groups = np.atleast_1d(np.asarray(tier, dtype=int))
-        idx = np.concatenate([np.arange(g, headroom.size, n_groups)
-                              for g in groups])
-        filled = proportional_fill(headroom[idx], headroom[idx], left)
+        room = headroom[idx][None]
+        filled = proportional_fill(room, room, [left])[0]
         doses[idx] += filled
         left -= float(filled.sum())
     return doses
 
 
-def emit_doses(policy: PolicySpec, state, model, epoch_supply: float,
-               remaining_budget: float,
-               plan_remaining: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dose vector (persons per cell) for one supply epoch of a model's state.
-
-    The emitted total never exceeds min(epoch supply, remaining budget,
-    susceptible headroom). Static optimal dosing pro-rates a precomputed
-    plan (passed as plan_remaining); daily-resolve re-solves the allocation
-    problem on the current state and fills the highest allocation fractions
-    first.
-    """
-    if epoch_supply < 0:
-        raise ValueError("epoch supply must be nonnegative")
-    headroom = model.headroom(state)
-    amount = min(epoch_supply, remaining_budget)
-    if amount <= 0 or policy.kind == "no-vaccine":
-        return np.zeros_like(headroom)
-
-    if policy.kind == "population-weighted":
-        return proportional_fill(model.populations, headroom, amount)
-
-    if policy.kind == "infection-weighted":
-        cumulative = model.infected(state)
-        if cumulative.sum() <= 0:
-            cumulative = headroom
-        return proportional_fill(cumulative, headroom, amount)
-
-    if policy.kind == "age-priority" or policy.kind in AGE_BANDS:
-        return _priority_fill(priority_tiers(policy, model), headroom, amount,
-                              model.n_groups)
-
-    # optimal-stabilizing
-    if policy.resolve_mode == "static":
-        if plan_remaining is None:
-            raise ValueError("static optimal dosing needs the precomputed plan")
-        caps = np.minimum(headroom, np.maximum(plan_remaining, 0.0))
-        if caps.sum() <= 1e-12:  # caps >= 0: proportional_fill gives zeros
-            return np.zeros_like(headroom)
-        return proportional_fill(np.maximum(plan_remaining, 0.0), caps, amount)
-
-    result = model.allocate(state, remaining_budget)
-    targets = np.minimum(result.dose_vector, headroom)
-    doses = np.zeros_like(headroom)
-    left = amount
-    for idx in np.argsort(-result.v):
-        if left <= 1e-12:
-            break
-        give = min(targets[idx], left)
-        doses[idx] = give
-        left -= give
+def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
+               supply: np.ndarray, budget_left: np.ndarray,
+               planned: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Doses (persons per cell) of one supply epoch for every column of the
+    state array y, a C-ordered (K, cells) array: a column in planned doses
+    by its policy, one in spread splits its supply evenly under headroom
+    (the leftover rule), any other gets none. headroom is model.headroom(y).
+    The water-fills run as one `proportional_fill` per row length; a
+    daily-resolve column re-solves the allocation on its current state. A
+    planned static plan is drawn down by its doses; one with at most 1e-12
+    doses under headroom gets none and is marked in planner.spent."""
+    model, doses = planner.model, np.zeros(headroom.shape)
+    batches: dict = {}  # row length -> (column, cells, weights, caps) rows
+    for k in (planned | spread).nonzero()[0].tolist():
+        name, tiers = planner.names[k], planner.tiers[k]
+        h, cells = headroom[k], slice(None)
+        if spread[k]:
+            weights, caps = np.ones_like(h), h
+        elif name == "population-weighted":
+            weights, caps = model.populations, h
+        elif name == "infection-weighted":
+            infected = model.infected(y)[k]
+            weights, caps = (infected if infected.sum() > 0 else h), h
+        elif name == "optimal-stabilizing":
+            weights = planner.plans[k]
+            caps = np.minimum(h, weights)
+            if caps.sum() <= 1e-12:  # the fill would give the same zeros
+                planner.spent[k] = True
+                continue
+        elif name == "optimal-daily":  # highest allocation fraction first
+            result = model.allocate(model.state(y[:, k]), budget_left[k])
+            targets, left = np.minimum(result.dose_vector, h), supply[k]
+            for idx in np.argsort(-result.v):
+                if left <= 1e-12:
+                    break
+                doses[k, idx] = give = min(targets[idx], left)
+                left -= give
+            continue
+        elif len(tiers) == 1:
+            cells = tiers[0]
+            weights = caps = h[cells]
+        else:  # multi-tier age-priority; no-vaccine has no tiers
+            doses[k] = _priority_fill(tiers, h, supply[k])
+            continue
+        batches.setdefault(len(caps), []).append((k, cells, weights, caps))
+    for rows in batches.values():
+        ks, cells, weights, caps = zip(*rows)
+        filled = proportional_fill(np.array(weights), np.array(caps),
+                                   supply[list(ks)])
+        for k, at, row in zip(ks, cells, filled):
+            doses[k, at] = row
+    drawn = planned & planner.static
+    planner.plans[drawn] = np.maximum(planner.plans[drawn] - doses[drawn], 0.0)
     return doses
 
 
 class DosePlanner:
-    """Per-simulation wrapper around emit_doses that owns the static plan:
-    the model's allocation of the whole budget at its initial state, drawn
-    down by the doses each epoch emits. Raises ValueError if an age policy
-    names a group the model lacks or an age band holds none. Doses the plan
-    keeps for cells with no susceptibles left wait unspent: 420 of 15,859
-    (2.6%) until extinction on homogeneous n=5 instance 0, 5% budget."""
+    """The policies of one simulation, one per column, resolved against the
+    model once: age tiers as cell index arrays, static optimal plans as one
+    (K, cells) array. spent marks the static columns with no plan left under
+    headroom; neither grows, so only the leftover rule doses them again.
+    Raises ValueError if an age policy names a group the model lacks or an
+    age band holds none. Doses the plan keeps for cells with no susceptibles
+    left wait unspent: 420 of 15,859 (2.6%) until extinction on homogeneous
+    n=5 instance 0, 5% budget."""
 
-    def __init__(self, policy: PolicySpec, model, schedule) -> None:
-        self.policy = policy
-        self.model = model
-        self.plan_remaining: Optional[np.ndarray] = None
-        # only an age policy has tiers
-        outside = [g for g in _named(priority_tiers(policy, model))
-                   if not 0 <= g < model.n_groups]
-        if outside:
-            raise ValueError(f"priority groups {outside} lie outside "
-                             f"[0, {model.n_groups}), the model's groups")
-        # without a budget, emit_doses returns before it reads a plan
-        if policy.kind == "optimal-stabilizing" and \
-                policy.resolve_mode == "static" and schedule.total_budget > 0:
+    def __init__(self, policies: Sequence[PolicySpec], model,
+                 schedule) -> None:
+        self.model, self.names = model, [policy.name for policy in policies]
+        cells, groups = len(model.populations), model.n_groups
+        self.tiers = []
+        for policy in policies:
+            tiers = priority_tiers(policy, model)  # only an age policy has any
+            outside = [g for g in _named(tiers) if not 0 <= g < groups]
+            if outside:
+                raise ValueError(f"priority groups {outside} lie outside "
+                                 f"[0, {groups}), the model's groups")
+            self.tiers.append([np.concatenate([
+                np.arange(g, cells, groups) for g in np.atleast_1d(tier)])
+                for tier in tiers])
+        self.static = np.array([name == "optimal-stabilizing"
+                                for name in self.names], dtype=bool)
+        self.plans = np.zeros((len(self.names), cells))
+        self.spent = np.zeros(len(self.names), dtype=bool)
+        if self.static.any() and schedule.total_budget > 0:
             budget = schedule.total_budget * float(model.populations.sum())
-            self.plan_remaining = model.allocate(
-                model.state(model.y0), budget).dose_vector.copy()
-
-    def epoch_doses(self, state, epoch_supply: float,
-                    remaining_budget: float) -> np.ndarray:
-        doses = emit_doses(self.policy, state, self.model, epoch_supply,
-                           remaining_budget, plan_remaining=self.plan_remaining)
-        if self.plan_remaining is not None:
-            self.plan_remaining = np.maximum(self.plan_remaining - doses, 0.0)
-        return doses
+            plan = model.allocate(model.state(model.y0), budget).dose_vector
+            self.plans[self.static] = np.maximum(plan, 0.0)

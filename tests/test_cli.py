@@ -219,6 +219,20 @@ SEIR_COMPARE_30 = {
     "seniors-60-plus": (10904.119927, 52.637394, 50000.0),
     "all-ages": (10461.864290, 55.344529, 50000.0),
 }
+# the policies of the benchmark's compare-age-n5 on the age-structured model,
+# six-tier age-priority included, pinned before a day's policies were dosed
+# in one batched pass
+AGE_POLICIES = [{"kind": kind} for kind in (
+    "optimal-stabilizing", "population-weighted", "infection-weighted",
+    "no-vaccine")] + [{"kind": "age-priority",
+                       "priority_groups": [5, 4, 3, 2, 1, 0]}]
+AGE_COMPARE_30 = {
+    "optimal-stabilizing": (85943.378058, 726.843656, 15503.164125),
+    "population-weighted": (90080.075157, 728.109063, 15858.7),
+    "infection-weighted": (89524.106790, 727.272944, 15858.7),
+    "no-vaccine": (96348.884714, 753.884942, 0.0),
+    "age-priority": (93805.993140, 674.645305, 15858.7),
+}
 SWEEP_BUDGET_30 = [
     ("0.01", "population-weighted", (99252.578189, 1698.270349, 3171.74)),
     ("0.01", "optimal-stabilizing", (98279.446508, 1685.428766, 3171.74)),
@@ -243,6 +257,18 @@ class TestCompareGolden:
         for name, *values in rows:
             assert [float(x) for x in values] == pytest.approx(
                 golden[name], rel=1e-9)
+
+    def test_age_summary_matches_pinned_values(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"policies": AGE_POLICIES}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                         "--seed", "0", "--model", "covid-demographic",
+                         "--horizon", "30", "compare"]) == cli.EXIT_OK
+        rows = read_rows(tmp_path / "summary.csv")
+        assert [row[0] for row in rows] == list(AGE_COMPARE_30)
+        for name, *values in rows:
+            assert [float(x) for x in values] == pytest.approx(
+                AGE_COMPARE_30[name], rel=1e-9)
 
     def test_covid_writes_one_trajectory_per_policy(self, tmp_path):
         assert cli.main(["--out", str(tmp_path), "--seed", "0", "--horizon",

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import stabvax as sv
 from stabvax import bubar, dynamics, ingest, model, policies
+from test_policies import reference_fill
 
 
 def small_instance(seed=7, n=3, target_rt=1.3):
@@ -468,8 +471,9 @@ class TestSimulatePolicy:
         assert traj.total_doses() == pytest.approx(budget, abs=1.0)
 
     def test_spent_budget_stops_dosing(self, monkeypatch):
-        # 5% of the population at 0.33% a day is spent in 16 epochs; the
-        # rounding residual left in the budget must not keep the policy on
+        # 5% of the population at 0.33% a day is spent in 16 epochs, one
+        # emit_doses call each; the rounding residual left in the budget must
+        # not keep the policy on
         real = policies.emit_doses
         calls = []
 
@@ -557,6 +561,25 @@ class TestSimulatePolicy:
         assert rows[-1]["cum_cases"] == pytest.approx(traj.cum_cases[-1, -1],
                                                       rel=1e-10)
 
+    def test_csv_write_is_atomic(self, tmp_path, monkeypatch):
+        from stabvax import _text
+
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
+        traj = sv.simulate_policy(small_instance(), sv.PolicySpec(
+            kind="population-weighted"), sched, horizon=3)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        path.write_bytes(b"old\n")
+        # rows that are no bytes: the write fails after the header
+        monkeypatch.setattr(_text, "csv_rows", lambda *args: "rows")
+        with pytest.raises(TypeError):
+            traj.to_csv(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+        assert path.read_bytes() == b"old\n"
+
     def test_every_model_returns_a_trajectory(self):
         sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
         spec = sv.PolicySpec(kind="population-weighted")
@@ -585,8 +608,10 @@ DEFAULT_SPECS = [sv.PolicySpec(kind=kind) for kind in
 class TestSpentStaticPlan:
     """The static optimal plan keeps doses for cells whose susceptibles are
     gone; once the plan capped by headroom holds at most 1e-12 doses,
-    emit_doses returns zeros without calling proportional_fill, which would
-    return the same zeros."""
+    emit_doses gives the column zeros without calling proportional_fill,
+    which would return the same zeros, and marks the plan spent. Neither
+    headroom nor plan grows, so no later epoch runs a dosing pass for the
+    column on its plan."""
 
     def test_spent_plan_skips_fill_and_changes_nothing(self, monkeypatch):
         inst = sv.synthetic_instance(0, n=5)
@@ -594,33 +619,43 @@ class TestSpentStaticPlan:
         sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.05)
         specs = [sv.PolicySpec(kind="optimal-stabilizing")]
         fill = policies.proportional_fill
-        epoch_doses = policies.DosePlanner.epoch_doses
+        emit_doses = policies.emit_doses
         fills, epochs = [], []  # epochs: (spendable plan, reached the fill)
 
         def counted_fill(*args):
             fills.append(args)
             return fill(*args)
 
-        def recorded_epoch(planner, state, supply, budget_left):
-            plan = np.maximum(planner.plan_remaining, 0.0)
+        def recorded_epoch(planner, y, headroom, *args):
+            spendable = np.minimum(headroom[0], planner.plans[0]).sum()
             before = len(fills)
-            doses = epoch_doses(planner, state, supply, budget_left)
-            epochs.append((np.minimum(covid.headroom(state), plan).sum(),
-                           len(fills) > before))
+            doses = emit_doses(planner, y, headroom, *args)
+            if args[-2][0]:  # on its plan, not on the leftover rule
+                epochs.append((spendable, len(fills) > before))
             return doses
 
         monkeypatch.setattr(policies, "proportional_fill", counted_fill)
-        monkeypatch.setattr(policies.DosePlanner, "epoch_doses", recorded_epoch)
+        monkeypatch.setattr(policies, "emit_doses", recorded_epoch)
         fast = dynamics.simulate(covid, specs, sched, 300)[0]
         spendable, filled = np.array(epochs).T
         assert np.array_equal(filled.astype(bool), spendable > 1e-12)
-        assert (spendable <= 1e-12).sum() > 100 and filled.sum() > 10
+        assert (spendable <= 1e-12).sum() == 1 and filled.sum() > 10
+        # then the spent plan idles with budget left, days without doses
+        assert (np.diff(fast.doses.sum(axis=1)) == 0).sum() > 100
 
-        def unshortened(policy, state, model, supply, budget_left,
-                        plan_remaining=None):
-            plan = np.maximum(plan_remaining, 0.0)
-            return fill(plan, np.minimum(model.headroom(state), plan),
-                        min(supply, budget_left))
+        def unshortened(planner, y, headroom, supply, budget_left, planned,
+                        spread):
+            # the one-column fill, with no early return for a spent plan
+            doses = np.zeros_like(headroom)
+            for k in np.flatnonzero(planned):
+                plan = planner.plans[k]
+                doses[k] = reference_fill(plan, np.minimum(headroom[k], plan),
+                                          supply[k])[0]
+                planner.plans[k] = np.maximum(plan - doses[k], 0.0)
+            for k in np.flatnonzero(spread):
+                doses[k] = reference_fill(np.ones_like(headroom[k]),
+                                          headroom[k], supply[k])[0]
+            return doses
 
         monkeypatch.setattr(policies, "emit_doses", unshortened)
         slow = dynamics.simulate(covid, specs, sched, 300)[0]
@@ -843,11 +878,11 @@ class TestStageBuffers:
 
 
 class TestColumnStates:
-    """simulate builds each column's model state once, over the stepper's
-    live state array, and doses through it."""
+    """simulate builds a column's model state only to allocate; the dosing
+    pass reads and doses the stepper's live state array directly."""
 
     @pytest.mark.parametrize("name", ["covid", "seir"])
-    def test_states_built_once_per_column(self, name):
+    def test_states_built_only_to_allocate(self, name):
         if name == "seir":
             sim = bubar.bubar_model(*bubar.us_like_instance(1.15, seed=0))
             field = "susceptible"
@@ -863,14 +898,13 @@ class TestColumnStates:
                  sv.PolicySpec("infection-weighted")]
         trajs = dynamics.simulate(counting, specs, sv.VaccinationSchedule(
             daily_rate=0.0033, total_budget=0.05), 10)
-        assert len(calls) == len(specs)
+        assert calls == []
         # day 0's doses land in the state recorded after them
         for traj in trajs:
-            expected = sim.state(sim.y0.copy())
-            if traj.doses[0].sum() > 0:
-                sim.vaccinate(expected, traj.doses[0])
+            y = sim.y0[:, None].copy()
+            sim.vaccinate(y, traj.doses[:1])
             assert np.array_equal(getattr(traj, field)[0],
-                                  susceptible(expected))
+                                  susceptible(sim.state(y[:, 0])))
         assert np.all(np.diff(trajs[1].doses.sum(axis=1))[:-1] > 0)
         if name == "covid":
             # every day: the doses moved out of s are the vaccinated pool

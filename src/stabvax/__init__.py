@@ -12,10 +12,9 @@ from .model import (CalibrationError, ContactStructure, DiseaseParams,
                     cholesky_factor, compute_b1, coupling_gram_kernel,
                     effective_reproduction_number, intrinsic_connectivity)
 from .allocator import (AllocationProblem, AllocationResult, CutPool,
-                        InfeasibleAllocationError, NoGramFactorError,
-                        SolverError, build_problem, lmi_box_maximize,
-                        max_decay_binary_search, solve_allocation,
-                        solve_bilinear, solve_diagonal_lmi,
+                        InfeasibleAllocationError, SolverError, build_problem,
+                        lmi_box_maximize, max_decay_binary_search,
+                        solve_allocation, solve_bilinear,
                         spectral_box_minimize)
 from .dynamics import (Trajectory, VaccinationSchedule, integrate,
                        simulate_policy)

@@ -65,10 +65,6 @@ class InfeasibleAllocationError(RuntimeError):
     """No allocation in the box certifies the requested decay rate."""
 
 
-class NoGramFactorError(ValueError):
-    """Coupling matrix has no Gram factor; use the bilinear path."""
-
-
 @dataclass
 class SolverStats:
     """What one solve did. `max_decay` gives its answer the final solve's
@@ -499,9 +495,6 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
     within it (see lmi_box_maximize). The LMI variable u = b1 (s0 - q v) / s0
     keeps its mass scale s0 free of alpha, and its objective weights make the
     shortfall from the box top equal the doses."""
-    if prob.kernel is None:
-        raise NoGramFactorError(
-            "coupling matrix has no Gram factor; use solve_bilinear")
     # a cell without susceptibles has zero mass and stays undosed
     reach = np.divide(prob.vmax, prob.s0, out=np.ones_like(prob.s0),
                       where=prob.s0 > 0)
@@ -510,12 +503,6 @@ def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
         prob.weights * prob.s0 / (prob.b1 * prob.q), prob.scale * prob.s0,
         pool=pool, max_shortfall=max_doses)
     return prob.s0 * (1 - u / prob.b1) / prob.q, stats
-
-
-def solve_diagonal_lmi(prob: AllocationProblem,
-                       pool: Optional[CutPool] = None) -> AllocationResult:
-    """Gram route: the diagonal LMI on the problem's kernel."""
-    return _finish(prob, *_gram_solve(prob, pool))
 
 
 def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
@@ -529,10 +516,10 @@ def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
 
 def solve_allocation(prob: AllocationProblem,
                      pool: Optional[CutPool] = None) -> AllocationResult:
-    """Route by structure: the Gram route when the problem has a kernel,
-    otherwise the bilinear path."""
+    """Route by structure: the diagonal LMI on the problem's kernel (the
+    Gram route) when it has one, otherwise the bilinear path."""
     if prob.kernel is not None:
-        return solve_diagonal_lmi(prob, pool)
+        return _finish(prob, *_gram_solve(prob, pool))
     return solve_bilinear(prob)
 
 

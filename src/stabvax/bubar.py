@@ -310,15 +310,14 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
     return SimulationModel(
         y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
         clamp=(0.0, None), labels=list(DECADE_LABELS), populations=pops,
-        n_groups=g, state=lambda col: BubarState(col.reshape(rows, g)),
-        headroom=lambda y: np.ascontiguousarray(y[:g].T),
+        n_groups=g, headroom=lambda y: np.ascontiguousarray(y[:g].T),
         # E ... Iv, then the groups
         active=lambda y: compartments(y)[:, 3:9].sum(axis=1).sum(axis=1),
         infected=lambda y: compartments(y)[:, 3:].sum(axis=1),
         vaccinate=lambda y, doses: _vaccinate(
             BubarState(y.reshape(rows, g, -1)), doses.T, params),
-        allocate=lambda state, budget: solve_bubar_allocation(
-            state, params, supply=budget)[1],
+        allocate=lambda col, budget: solve_bubar_allocation(
+            BubarState(col.reshape(rows, g)), params, supply=budget)[1],
         columns=columns, check=check, age_ranges=DECADE_RANGES)
 
 

@@ -78,7 +78,8 @@ SOURCE_IGNORES = {"instance": ("psi", "seed", "alpha_hat", "synthetic",
 def _check_section(name: str, section, seir: bool) -> None:
     """Drop the null values of one config section and read its numbers as
     their CONFIG_KEYS type, in place; raise InputError on an unknown key, a
-    value of the wrong type, or a covid-only key with the SEIR model."""
+    value of the wrong type, a non-finite float or a covid-only key with the
+    SEIR model."""
     if not isinstance(section, dict):
         raise InputError(f"config section {name} must be a JSON object")
     for key, value in list(section.items()):
@@ -102,8 +103,10 @@ def _check_section(name: str, section, seir: bool) -> None:
                                  f"got {value!r}")
             try:
                 section[key] = kind(value)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int of inf overflows
                 raise InputError(f"config key {where}: {exc}") from exc
+            if kind is float and not np.isfinite(section[key]):
+                raise InputError(f"{where} must be finite, got {value!r}")
 
 
 def _load_config(args) -> dict:
@@ -221,7 +224,7 @@ def cmd_calibrate(config) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "instance.json"
-    _write_atomic(path, json.dumps(ingest.instance_to_dict(inst), indent=2))
+    ingest.save_instance(inst, path)
     rt = effective_reproduction_number(inst.state0, inst.net, inst.params,
                                        inst.contacts)
     print(f"calibrated instance written to {path}; Rt = {rt:.6f}")
@@ -235,9 +238,8 @@ def cmd_allocate(config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if config["model"] == "bubar":
         params, state0 = _seir_fixture(config)
-        supply = None
-        if "budget" in config:
-            supply = config["budget"] * float(params.populations.sum())
+        supply = None if "alpha" in config else config.get(
+            "budget", 0.0) * float(params.populations.sum())
         alpha, result = bubar.solve_bubar_allocation(
             state0, params, alpha=config.get("alpha"), supply=supply)
         labels = list(bubar.DECADE_LABELS)
@@ -316,22 +318,33 @@ def cmd_simulate(config) -> int:
     return EXIT_OK
 
 
-def _write_summary(path: Path, rows) -> None:
-    lines = ["policy,final_cum_cases,final_cum_deaths,total_doses"]
-    for row in rows:
-        lines.append(f"{row['policy']},{row['final_cum_cases']:.6f},"
-                     f"{row['final_cum_deaths']:.6f},{row['total_doses']:.6f}")
+# summary.csv's columns and their formats; sweep.csv puts axis and value first
+SUMMARY_COLUMNS = {"policy": "", "final_cum_cases": ".6f",
+                   "final_cum_deaths": ".6f", "total_doses": ".6f"}
+
+
+def _write_summary(path: Path, rows, columns=SUMMARY_COLUMNS) -> None:
+    """A line of column names, then a line of each row's values, formatted."""
+    lines = [",".join(columns)] + [",".join(
+        format(row[key], spec) for key, spec in columns.items())
+        for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_range(spec) -> np.ndarray:
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
+    """The sweep grid of a flat list of numbers or a 'lo:hi:steps' string."""
     try:
-        lo, hi, steps = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
-    except (ValueError, AttributeError) as exc:
+        if isinstance(spec, (list, tuple)):  # a non-number, bools too, is nan
+            values = np.array([v if type(v) in (int, float) else np.nan
+                               for v in spec], dtype=float)
+        else:
+            lo, hi, steps = spec.split(":")
+            values = np.linspace(float(lo), float(hi), int(steps))
+    except (ValueError, AttributeError, OverflowError) as exc:
         raise InputError(f"range must be lo:hi:steps, got {spec!r}") from exc
+    if not np.isfinite(values).all():
+        raise InputError(f"range must hold finite numbers only, got {spec!r}")
+    return values
 
 
 def _sweep_point(payload):
@@ -345,8 +358,6 @@ def _sweep_point(payload):
         schedule = dict(config.get("schedule", DEFAULT_SCHEDULE))
         schedule["interval_days"] = int(round(value))
         config["schedule"] = schedule
-    else:
-        raise InputError(f"unknown sweep axis {axis!r}")
     return [{"axis": axis, "value": value, **row}
             for row in _summary_rows(*_simulate(config, instance))]
 
@@ -371,14 +382,8 @@ def cmd_sweep(config) -> int:
             chunks = list(pool.map(_sweep_point, payloads))
     else:
         chunks = [_sweep_point(p) for p in payloads]
-    lines = ["axis,value,policy,final_cum_cases,final_cum_deaths,total_doses"]
-    for chunk in chunks:
-        for row in chunk:
-            lines.append(f"{row['axis']},{row['value']:.6g},{row['policy']},"
-                         f"{row['final_cum_cases']:.6f},"
-                         f"{row['final_cum_deaths']:.6f},"
-                         f"{row['total_doses']:.6f}")
-    _write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
+    _write_summary(out / "sweep.csv", sum(chunks, []),
+                   {"axis": "", "value": ".6g", **SUMMARY_COLUMNS})
     print(f"sweep written to {out / 'sweep.csv'} ({len(values)} points)")
     return EXIT_OK
 

@@ -367,8 +367,8 @@ def _vaccinate(s: np.ndarray, v, psi: float) -> np.ndarray:
 class SimulationModel:
     """A model as `simulate` runs it. Per-cell counts are persons; headroom,
     active, infected and vaccinate read or dose, in place, the whole state
-    array y (state size, K), C-ordered (K, cells) arrays going in and out. A
-    state, the model's object over one column, is built only to allocate."""
+    array y (state size, K), C-ordered (K, cells) arrays going in and out.
+    allocate takes one column and builds the model's own state from it."""
 
     y0: np.ndarray        # the initial state, flat
     rhs: Callable         # right-hand side with `bind` (covid_rhs_factory)
@@ -376,12 +376,11 @@ class SimulationModel:
     labels: list          # one per cell
     populations: np.ndarray  # residents per cell
     n_groups: int         # age groups; cell c is group c % n_groups
-    state: Callable       # column -> state
     headroom: Callable    # y -> susceptible persons, (K, cells)
     active: Callable      # y -> active infected persons, (K,)
     infected: Callable    # y -> persons ever infected, (K, cells)
     vaccinate: Callable   # (y, doses (K, cells)) -> None
-    allocate: Callable    # (state, dose budget) -> certified AllocationResult
+    allocate: Callable    # (column, dose budget) -> certified AllocationResult
     columns: Callable     # (day states, fields) -> every Trajectory field
     check: Optional[Callable] = None  # day's states -> raise if they fail
     age_ranges: tuple = ()  # (youngest, oldest) age per group, for age bands
@@ -490,7 +489,6 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
         rhs=covid_rhs_factory(inst.net, inst.params, inst.contacts),
         clamp=(0.0, 1.0), labels=_cell_labels(inst), populations=pops,
         n_groups=inst.net.n_groups,
-        state=lambda col: EpidemicState(*col.reshape(5, -1)),
         headroom=lambda y: np.multiply(y[:m].T, pops, order="C"),
         active=lambda y: np.multiply((y[m:2 * m] + y[2 * m:3 * m]).T, pops,
                                      order="C").sum(axis=1),
@@ -498,8 +496,9 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
             3 * m:4 * m] + y[4 * m:]).T, pops, order="C"),
         vaccinate=lambda y, doses: _vaccinate(y[:m], doses.T / pops[:, None],
                                               psi),
-        allocate=lambda state, budget: allocator.max_decay_binary_search(
-            state, inst.net, inst.params, inst.contacts, budget=budget)[1],
+        allocate=lambda col, budget: allocator.max_decay_binary_search(
+            EpidemicState(*col.reshape(5, -1)), inst.net, inst.params,
+            inst.contacts, budget=budget)[1],
         columns=columns, age_ranges=(
             AGE_GROUP_RANGES if inst.net.n_groups == len(AGE_GROUP_RANGES)
             else ()))

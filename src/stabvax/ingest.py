@@ -437,7 +437,7 @@ def write_atomic(path, *chunks) -> None:
 
 
 def save_instance(inst: EpidemicInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2))
+    write_atomic(path, json.dumps(instance_to_dict(inst), indent=2))
 
 
 def load_instance(path) -> EpidemicInstance:

@@ -31,10 +31,10 @@ POLICY_KINDS = ("optimal-stabilizing", "population-weighted",
 class PolicySpec:
     """A dosing policy. priority_groups orders the groups an age-priority
     policy doses; an entry is a group index or a tuple of indices dosed
-    together. No group may be named twice: `_priority_fill` would dose it
-    once per mention. Only age-priority reads priority_groups and only
-    optimal-stabilizing reads resolve_mode, so either on another kind
-    raises."""
+    together. No tier may be empty and no group named twice: `emit_doses`
+    fills each tier once, in order. Only age-priority reads priority_groups
+    and only optimal-stabilizing reads resolve_mode, so either on another
+    kind raises."""
 
     kind: str
     resolve_mode: str = "static"
@@ -94,14 +94,14 @@ def proportional_fill(weights: np.ndarray, caps: np.ndarray,
 
 
 def _named(priority_groups: Sequence) -> list[int]:
-    """Every group index a priority list names, in order. Raises ValueError
-    unless each entry is an int or a list or tuple of ints (not bools)."""
+    """Every group index a priority list names, in order, None for an empty
+    tier. Raises ValueError unless each is an int (not a bool)."""
     named = [g for tier in priority_groups for g in (
-        tier if isinstance(tier, (list, tuple)) else (tier,))]
+        tier or [None] if isinstance(tier, (list, tuple)) else (tier,))]
     if any(isinstance(g, bool) or not isinstance(g, (int, np.integer))
            for g in named):
         raise ValueError(f"priority_groups {list(priority_groups)} must hold "
-                         "group indices or lists of them")
+                         "group indices or nonempty lists of them")
     return named
 
 
@@ -120,20 +120,6 @@ def priority_tiers(policy: PolicySpec, model) -> tuple:
     return (groups,)
 
 
-def _priority_fill(tiers: Sequence[np.ndarray], headroom: np.ndarray,
-                   amount: float) -> np.ndarray:
-    """Fill tiers of cell indices in order, each in proportion to headroom."""
-    doses, left = np.zeros_like(headroom), float(amount)
-    for idx in tiers:
-        if left <= 1e-12:
-            break
-        room = headroom[idx][None]
-        filled = proportional_fill(room, room, [left])[0]
-        doses[idx] += filled
-        left -= float(filled.sum())
-    return doses
-
-
 def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
                supply: np.ndarray, budget_left: np.ndarray,
                planned: np.ndarray, spread: np.ndarray) -> np.ndarray:
@@ -141,12 +127,15 @@ def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
     state array y, a C-ordered (K, cells) array: a column in planned doses
     by its policy, one in spread splits its supply evenly under headroom
     (the leftover rule), any other gets none. headroom is model.headroom(y).
-    The water-fills run as one `proportional_fill` per row length; a
-    daily-resolve column re-solves the allocation on its current state. A
-    planned static plan is drawn down by its doses; one with at most 1e-12
-    doses under headroom gets none and is marked in planner.spent."""
+    The water-fills run as one `proportional_fill` per row length and
+    round, an age policy's later tiers in later rounds while more than 1e-12
+    of its supply is left; a daily-resolve column re-solves the allocation
+    on its current state. A planned static plan is drawn down by its doses;
+    one with at most 1e-12 doses under headroom gets none and is marked in
+    planner.spent."""
     model, doses = planner.model, np.zeros(headroom.shape)
-    batches: dict = {}  # row length -> (column, cells, weights, caps) rows
+    batches: dict = {}  # row length -> (column, cells, weights, caps, amount)
+    later: dict = {}  # age column -> the tiers it has yet to fill
     for k in (planned | spread).nonzero()[0].tolist():
         name, tiers = planner.names[k], planner.tiers[k]
         h, cells = headroom[k], slice(None)
@@ -164,7 +153,7 @@ def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
                 planner.spent[k] = True
                 continue
         elif name == "optimal-daily":  # highest allocation fraction first
-            result = model.allocate(model.state(y[:, k]), budget_left[k])
+            result = model.allocate(y[:, k], budget_left[k])
             targets, left = np.minimum(result.dose_vector, h), supply[k]
             for idx in np.argsort(-result.v):
                 if left <= 1e-12:
@@ -172,19 +161,25 @@ def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
                 doses[k, idx] = give = min(targets[idx], left)
                 left -= give
             continue
-        elif len(tiers) == 1:
-            cells = tiers[0]
+        elif tiers:  # an age policy
+            cells, *later[k] = tiers
             weights = caps = h[cells]
-        else:  # multi-tier age-priority; no-vaccine has no tiers
-            doses[k] = _priority_fill(tiers, h, supply[k])
+        else:  # no-vaccine
             continue
-        batches.setdefault(len(caps), []).append((k, cells, weights, caps))
-    for rows in batches.values():
-        ks, cells, weights, caps = zip(*rows)
-        filled = proportional_fill(np.array(weights), np.array(caps),
-                                   supply[list(ks)])
-        for k, at, row in zip(ks, cells, filled):
-            doses[k, at] = row
+        batches.setdefault(len(caps), []).append(
+            (k, cells, weights, caps, supply[k]))
+    while batches:
+        rounds, batches = batches.values(), {}
+        for rows in rounds:
+            ks, cells, weights, caps, amounts = zip(*rows)
+            filled = proportional_fill(np.array(weights), np.array(caps),
+                                       amounts)
+            for k, at, row, amount in zip(ks, cells, filled, amounts):
+                doses[k, at] = row
+                if later.get(k) and (left := amount - row.sum()) > 1e-12:
+                    at = later[k].pop(0)
+                    batches.setdefault(len(at), []).append(
+                        (k, at, headroom[k, at], headroom[k, at], left))
     drawn = planned & planner.static
     planner.plans[drawn] = np.maximum(planner.plans[drawn] - doses[drawn], 0.0)
     return doses
@@ -193,12 +188,12 @@ def emit_doses(planner: "DosePlanner", y: np.ndarray, headroom: np.ndarray,
 class DosePlanner:
     """The policies of one simulation, one per column, resolved against the
     model once: age tiers as cell index arrays, static optimal plans as one
-    (K, cells) array. spent marks the static columns with no plan left under
-    headroom; neither grows, so only the leftover rule doses them again.
-    Raises ValueError if an age policy names a group the model lacks or an
-    age band holds none. Doses the plan keeps for cells with no susceptibles
-    left wait unspent: 420 of 15,859 (2.6%) until extinction on homogeneous
-    n=5 instance 0, 5% budget."""
+    (K, cells) array allocated from the initial column. spent marks the
+    static columns with no plan left under headroom; neither grows, so only
+    the leftover rule doses them again. Raises ValueError if an age policy
+    names a group the model lacks or an age band holds none. Doses the plan
+    keeps for cells with no susceptibles left wait unspent: 420 of 15,859
+    (2.6%) until extinction on homogeneous n=5 instance 0, 5% budget."""
 
     def __init__(self, policies: Sequence[PolicySpec], model,
                  schedule) -> None:
@@ -220,5 +215,5 @@ class DosePlanner:
         self.spent = np.zeros(len(self.names), dtype=bool)
         if self.static.any() and schedule.total_budget > 0:
             budget = schedule.total_budget * float(model.populations.sum())
-            plan = model.allocate(model.state(model.y0), budget).dose_vector
+            plan = model.allocate(model.y0, budget).dose_vector
             self.plans[self.static] = np.maximum(plan, 0.0)

@@ -16,11 +16,12 @@ from stabvax import _lp, allocator, bubar, ingest, model
 def solve_via(inst, alpha, path="auto"):
     prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                    inst.contacts, alpha)
-    if path == "lmi":
-        return allocator.solve_diagonal_lmi(prob)
     if path == "bilinear":
         return allocator.solve_bilinear(prob)
-    return allocator.solve_allocation(prob)
+    result = allocator.solve_allocation(prob)
+    # "lmi": the problem has a kernel, so the Gram route solved it
+    assert path != "lmi" or result.stats.method == "lmi-cutting-plane"
+    return result
 
 
 def indefinite_two_group_instance(target_rt=1.25, psi=0.95):
@@ -96,12 +97,12 @@ class TestLmiEngine:
             for inst in (sv.synthetic_instance(0, n=3),
                          sv.synthetic_instance(1, n=50)))
         pool = allocator.CutPool()
-        allocator.solve_diagonal_lmi(small, pool)
+        allocator.solve_allocation(small, pool)
         assert pool.vector.shape == (3,)
         pool.rows, pool.basis = [], None  # the cut rows are per problem
-        reused = allocator.solve_diagonal_lmi(large, pool)
+        reused = allocator.solve_allocation(large, pool)
         assert pool.vector.shape == (50,)
-        fresh = allocator.solve_diagonal_lmi(large)
+        fresh = allocator.solve_allocation(large)
         assert np.array_equal(reused.v, fresh.v)
 
     def test_top_eig_handles_zero_and_rank_deficient_grams(self):
@@ -138,8 +139,6 @@ class TestSolvePaths:
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                        inst.contacts, 0.0)
         assert prob.kernel is None  # Gamma has no Cholesky factor
-        with pytest.raises(sv.NoGramFactorError):
-            allocator.solve_diagonal_lmi(prob)
         res = allocator.solve_allocation(prob)
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied
@@ -176,7 +175,8 @@ class TestSolvePaths:
         inst = sv.synthetic_instance(13, n=1, target_rt=1.2)
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
                                        inst.contacts, 0.0)
-        res = allocator.solve_diagonal_lmi(prob)
+        res = allocator.solve_allocation(prob)
+        assert res.stats.method == "lmi-cutting-plane"
         _, abar = sv.build_flow_matrix(inst.net)
         cap = prob.scale[0] * prob.s0[0] * prob.b1[0]
         assert res.u[0] == pytest.approx(min(cap, 1 / abar[0, 0]), rel=1e-6)
@@ -586,8 +586,9 @@ class TestAllocationProperties:
         inst = sv.synthetic_instance(50, n=2, target_rt=4.0)
         params = replace(inst.params, psi=0.5)
         prob = allocator.build_problem(inst.state0, inst.net, params, None, 0.0)
+        assert prob.kernel is not None  # solve_allocation takes the LMI
         with pytest.raises(sv.InfeasibleAllocationError):
-            allocator.solve_diagonal_lmi(prob)
+            allocator.solve_allocation(prob)
         with pytest.raises(sv.InfeasibleAllocationError):
             allocator.solve_bilinear(prob)
 

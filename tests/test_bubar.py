@@ -25,7 +25,7 @@ class TestAllocationRoutes:
     def test_lmi_and_bilinear_agree_on_symmetric_contacts(self, alpha):
         params, state = symmetric_fixture()
         prob = bubar.bubar_problem(state, params, alpha)
-        lmi = allocator.solve_diagonal_lmi(prob)
+        lmi = allocator.solve_allocation(prob)
         bil = allocator.solve_bilinear(prob)
         assert lmi.stats.method == "lmi-cutting-plane"
         assert bil.stats.method == "bilinear-slp"

@@ -57,6 +57,21 @@ class TestAllocate:
         alpha = model.max_certificate_rate(params) - 1e-3
         assert allocate(tmp_path, "--alpha", repr(alpha)) == cli.EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("model_name, alpha", [
+        ("covid", -0.027134), ("covid-demographic", -0.027142),
+        ("bubar", -0.017864)])
+    def test_no_alpha_or_budget_solves_at_budget_zero(self, tmp_path,
+                                                      model_name, alpha):
+        # the SEIR model used to exit 3: "give exactly one of alpha or supply"
+        docs = []
+        for flags in ((), ("--budget", "0")):
+            assert allocate(tmp_path, "--model", model_name,
+                            *flags) == cli.EXIT_OK
+            docs.append((tmp_path / "allocation.json").read_text())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["achieved_alpha"] == pytest.approx(
+            alpha, abs=5e-7)
+
     @pytest.mark.parametrize("model_name", cli.MODELS)
     @pytest.mark.parametrize("excess", [0.0, 0.1])
     def test_rate_at_or_above_the_limit_exits_infeasible(
@@ -748,8 +763,9 @@ class TestAtomicWrite:
 
 
 class TestMeaninglessNumbers:
-    """A negative horizon or worker count, or a sweep range of no points,
-    exits 3 naming its key, from a flag or a config file alike; nothing is
+    """A negative horizon or worker count, a number that is not finite, or a
+    sweep range of no points or that is no flat list of numbers, exits 3
+    naming its key, from a flag or a config file alike; nothing is
     written."""
 
     SWEEP = ("--axis", "budget", "--horizon", "3", "sweep")
@@ -759,13 +775,30 @@ class TestMeaninglessNumbers:
         ("horizon", -3, ("compare",)),
         ("workers", -2, ("--range", "0.01:0.02:2", *SWEEP)),
         ("range", "0.01:0.02:0", SWEEP),
-    ], ids=["horizon-1", "horizon-3", "workers-2", "range-no-points"])
+        # a TypeError traceback, exit 1
+        ("range", [[0.01, 0.02]], SWEEP),
+        ("range", [[0.01]], SWEEP),
+        ("range", [True], SWEEP),  # ran as budget 1.0
+        ("range", [0.01, "0.02"], SWEEP),
+        ("range", [0.01, float("nan")], SWEEP),
+        # these reached the solvers: exit 4, "the LP is infeasible"
+        ("budget", "nan", ("allocate",)),
+        ("budget", float("inf"), ("allocate",)),
+        # numpy's "Eigenvalues did not converge"
+        ("target_rt", float("nan"), ("allocate",)),
+        # "Array must not contain infs or NaNs"
+        ("alpha", float("nan"), ("--model", "bubar", "allocate")),
+    ], ids=["horizon-1", "horizon-3", "workers-2", "range-no-points",
+            "range-nested", "range-nested-one", "range-bool",
+            "range-string-entry", "range-nan", "budget-nan", "budget-inf",
+            "target-rt-nan", "seir-alpha-nan"])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_exits_input_error(self, tmp_path, capsys, key, value, command,
                                form):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({key: value} if form == "config" else {}))
-        flags = (f"--{key}", str(value)) if form == "flag" else ()
+        flags = ((f"--{key.replace('_', '-')}", str(value)) if form == "flag"
+                 else ())
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out), *flags,
                          *command]) == cli.EXIT_INPUT
@@ -811,9 +844,21 @@ class TestConfigTypes:
                                "priority_groups": [[0, True]]}]},
          "priority_groups"),
         ({"policies": {"kind": "no-vaccine"}}, "policies"),
+        # numpy's "need at least one array to concatenate"
+        ({**AGE, "policies": [{"kind": "age-priority",
+                               "priority_groups": [[]]}]},
+         "priority_groups"),
+        ({**AGE, "policies": [{"kind": "age-priority",
+                               "priority_groups": [4, [], 5]}]},
+         "priority_groups"),
+        ({"seed": float("inf")}, "seed"),  # int() overflows
+        ({"schedule": {"daily_rate": float("nan")}}, "schedule.daily_rate"),
+        ({"synthetic": {"n": float("-inf")}}, "synthetic.n"),
     ], ids=["out-number", "instance-number", "files-numbers",
             "priority-groups-number", "priority-group-float",
-            "priority-group-bool", "policies-object"])
+            "priority-group-bool", "policies-object", "priority-tier-empty",
+            "priority-tier-empty-between", "seed-inf", "daily-rate-nan",
+            "synthetic-n-minus-inf"])
     def test_wrong_type_exits_input_error(self, tmp_path, monkeypatch, capsys,
                                           config, key):
         monkeypatch.chdir(tmp_path)
@@ -825,7 +870,7 @@ class TestConfigTypes:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("groups", [(1.5, 0), (True,), ((0, 1.0),),
-                                        ("0",)])
+                                        ("0",), ((),), (0, [])])
     def test_policy_spec_rejects_entries_that_are_no_ints(self, groups):
         with pytest.raises(ValueError, match="priority_groups"):
             policies.PolicySpec("age-priority", priority_groups=groups)

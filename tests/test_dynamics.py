@@ -492,7 +492,7 @@ class TestSimulatePolicy:
 
     @pytest.mark.parametrize("groups", [(2, 2), ((0, 1), 1), ((3, 3),)])
     def test_priority_list_naming_a_group_twice_raises(self, groups):
-        # _priority_fill would dose the group once per mention
+        # emit_doses fills each tier once, so a repeat has no meaning
         with pytest.raises(ValueError, match="more than once"):
             sv.PolicySpec(kind="age-priority", priority_groups=groups)
 
@@ -878,33 +878,42 @@ class TestStageBuffers:
 
 
 class TestColumnStates:
-    """simulate builds a column's model state only to allocate; the dosing
-    pass reads and doses the stepper's live state array directly."""
+    """simulate builds a column's model state only to allocate, which
+    builds it from the column; the dosing pass reads and doses the
+    stepper's live state array directly."""
 
     @pytest.mark.parametrize("name", ["covid", "seir"])
     def test_states_built_only_to_allocate(self, name):
+        def susceptible(col):  # of the model's own state over a column
+            if name == "covid":
+                return sv.EpidemicState(*col.reshape(5, -1)).s
+            state = bubar.BubarState(col.reshape(len(bubar.COMPARTMENTS), -1))
+            return state.S + state.Sx
+
         if name == "seir":
             sim = bubar.bubar_model(*bubar.us_like_instance(1.15, seed=0))
             field = "susceptible"
-            susceptible = lambda state: state.S + state.Sx  # noqa: E731
         else:
             sim = dynamics.covid_model(sv.synthetic_instance(0, n=5))
-            field, susceptible = "s", lambda state: state.s  # noqa: E731
+            field = "s"
         calls = []
         counting = dataclasses.replace(
-            sim, state=lambda col: calls.append(1) or sim.state(col))
+            sim, allocate=lambda col, budget: calls.append(budget) or
+            sim.allocate(col, budget))
         specs = [sv.PolicySpec("no-vaccine"),
                  sv.PolicySpec("population-weighted"),
-                 sv.PolicySpec("infection-weighted")]
+                 sv.PolicySpec("infection-weighted"),
+                 sv.PolicySpec("optimal-stabilizing")]
         trajs = dynamics.simulate(counting, specs, sv.VaccinationSchedule(
             daily_rate=0.0033, total_budget=0.05), 10)
-        assert calls == []
+        # one call for the static plan, of the whole budget; none per day
+        assert calls == [0.05 * float(sim.populations.sum())]
         # day 0's doses land in the state recorded after them
         for traj in trajs:
             y = sim.y0[:, None].copy()
             sim.vaccinate(y, traj.doses[:1])
             assert np.array_equal(getattr(traj, field)[0],
-                                  susceptible(sim.state(y[:, 0])))
+                                  susceptible(y[:, 0]))
         assert np.all(np.diff(trajs[1].doses.sum(axis=1))[:-1] > 0)
         if name == "covid":
             # every day: the doses moved out of s are the vaccinated pool

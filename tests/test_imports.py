@@ -97,9 +97,6 @@ def names_read(source: str) -> set[str]:
 UNREAD_EXPORTS = {
     "two_node_case": "the paper's two-location fixture, on which "
                      "tests/test_paper_claims.py checks the paper's claims",
-    "save_instance": "the library's instance writer, the inverse of "
-                     "load_instance; `calibrate` writes the same JSON through "
-                     "its atomic write instead",
 }
 
 

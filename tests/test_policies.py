@@ -111,8 +111,16 @@ class TestDosingPass:
     @pytest.mark.parametrize("share", [0.0033, 0.3])
     def test_columns_match_each_policy_alone(self, name, share):
         model = pass_models()[name]
-        specs = FILL_SPECS + [sv.PolicySpec(
-            "age-priority", priority_groups=tuple(range(model.n_groups))[::-1])]
+        # two more age-priority columns whose later tiers are as long as the
+        # seniors band's row, and as each other's
+        seniors = policies.priority_tiers(sv.PolicySpec("seniors-60-plus"),
+                                          model)[0]
+        rest = [g for g in range(model.n_groups) if g not in seniors]
+        tiered = [tuple(range(model.n_groups))[::-1], (rest[0], seniors),
+                  (rest[1], tuple(rest[2:2 + len(seniors)]),
+                   tuple(rest[2 + len(seniors):]))]
+        specs = FILL_SPECS + [sv.PolicySpec("age-priority", priority_groups=p)
+                              for p in tiered]
         k = len(specs)
         y = np.repeat(model.y0[:, None], k, axis=1)
         # a supply beyond some bands' headroom makes their fills overflow
@@ -137,6 +145,10 @@ class TestDosingPass:
             expected = reference_doses(spec, model, headroom[col],
                                        infected[col], plan, supply[col])
             assert np.array_equal(doses[col], expected), spec.name
+        if share > 0.1:  # the first tiers overflow into later rounds
+            for col in range(len(FILL_SPECS), k):
+                first = planner.tiers[col][0]
+                assert doses[col].sum() > doses[col, first].sum(), col
         # the static plan is drawn down by what its column emitted
         assert np.array_equal(planner.plans[0],
                               np.maximum(plan - doses[0], 0.0))

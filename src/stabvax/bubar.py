@@ -26,7 +26,7 @@ import numpy as np
 from .allocator import (AllocationProblem, AllocationResult, max_decay,
                         solve_allocation)
 from .dynamics import (DEFAULT_STEP, SimulationModel, Trajectory,
-                       VaccinationSchedule, simulate)
+                       VaccinationSchedule, bound_rhs, simulate)
 from .ingest import group_ifr
 from .model import (GramKernel, InfeasibleRateError, StabilityCertificate,
                     chain_certificate, cholesky_factor)
@@ -113,8 +113,8 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     them, I + Ix + Iv; -diag(u) C stacked twice times (I + Ix + Iv) / (N - D)
     gives minus the force in the S and Sx rows, and times (S, Sx) the
     infections, which move into E and Ex. As in `dynamics.covid_rhs_factory`,
-    rhs.bind(ys, weights) serves the RK4 stepper: a stage writes its weight
-    times its derivative in six numpy calls on contiguous 2-D arrays."""
+    it is the `bound_rhs` of bind(ys, weights), which the RK4 stepper runs: a
+    stage writes its weight times its derivative in six numpy calls."""
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
     eye3, zero3, infectious = np.eye(3), np.zeros((3, 3)), [[0, 0, 0, 1, 1, 1]]
@@ -147,13 +147,7 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
 
         return evaluate
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ks, (evaluate,) = bind(y.reshape(1, 13 * g, -1), (1.0,))
-        evaluate()
-        return ks[0].reshape(y.shape)
-
-    rhs.bind = bind
-    return rhs
+    return bound_rhs(bind)
 
 
 def _vaccinate(state: BubarState, doses: np.ndarray,
@@ -309,8 +303,8 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
 
     return SimulationModel(
         y0=state0.compartments.reshape(-1), rhs=bubar_rhs_factory(params),
-        clamp=(0.0, None), labels=list(DECADE_LABELS), populations=pops,
-        n_groups=g, headroom=lambda y: np.ascontiguousarray(y[:g].T),
+        clamp=(0.0, np.finfo(float).max), labels=list(DECADE_LABELS),
+        populations=pops, headroom=lambda y: np.ascontiguousarray(y[:g].T),
         # E ... Iv, then the groups
         active=lambda y: compartments(y)[:, 3:9].sum(axis=1).sum(axis=1),
         infected=lambda y: compartments(y)[:, 3:].sum(axis=1),
@@ -318,7 +312,7 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
             BubarState(y.reshape(rows, g, -1)), doses.T, params),
         allocate=lambda col, budget: solve_bubar_allocation(
             BubarState(col.reshape(rows, g)), params, supply=budget)[1],
-        columns=columns, check=check, age_ranges=DECADE_RANGES)
+        columns=columns, check=check, age_ranges=DECADE_RANGES, n_groups=g)
 
 
 def simulate_bubar(params: BubarParams, state0: BubarState,

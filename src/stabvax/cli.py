@@ -2,9 +2,9 @@
 and compare policies, and run sensitivity sweeps.
 
 Configuration comes from a JSON file (--config) with flag overrides;
-CONFIG_KEYS lists every accepted key, and any other exits as an input error.
-Exit codes: 0 success, 2 infeasible allocation or decay rate, 3 input
-error, 4 solver failure.
+CONFIG_KEYS lists every accepted key and the type a number in either is read
+as; any other key exits as an input error. Exit codes: 0 success, 2
+infeasible (or an unknown flag or choice), 3 input error, 4 solver failure.
 
 Every command runs on numpy alone (see the package docstring).
 """
@@ -78,8 +78,8 @@ SOURCE_IGNORES = {"instance": ("psi", "seed", "alpha_hat", "synthetic",
 def _check_section(name: str, section, seir: bool) -> None:
     """Drop the null values of one config section and read its numbers as
     their CONFIG_KEYS type, in place; raise InputError on an unknown key, a
-    value of the wrong type, a non-finite float or a covid-only key with the
-    SEIR model."""
+    value of the wrong type, a fraction for an int, a non-finite float or a
+    covid-only key with the SEIR model."""
     if not isinstance(section, dict):
         raise InputError(f"config section {name} must be a JSON object")
     for key, value in list(section.items()):
@@ -101,12 +101,16 @@ def _check_section(name: str, section, seir: bool) -> None:
                     not isinstance(value, (int, float, str)):
                 raise InputError(f"config key {where} must be a number, "
                                  f"got {value!r}")
-            try:
-                section[key] = kind(value)
-            except (ValueError, OverflowError) as exc:  # int of inf overflows
+            try:  # an int, or a flag's digits, reads exactly
+                number = (int(value) if kind is int and str(value).isdigit()
+                          else float(value))
+            except (ValueError, OverflowError) as exc:  # float of a huge int
                 raise InputError(f"config key {where}: {exc}") from exc
-            if kind is float and not np.isfinite(section[key]):
+            if kind is float and not np.isfinite(number):
                 raise InputError(f"{where} must be finite, got {value!r}")
+            if kind is int and number % 1:  # a fraction, inf or nan
+                raise InputError(f"{where} must be an integer, got {value!r}")
+            section[key] = kind(number)
 
 
 def _load_config(args) -> dict:
@@ -395,21 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="stabilizing vaccine allocation for networked epidemics")
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed")
     parser.add_argument("--model", choices=MODELS)
-    parser.add_argument("--budget", type=float,
+    parser.add_argument("--budget",
                         help="total budget as a fraction of the population")
-    parser.add_argument("--alpha", type=float, help="target decay rate (1/day)")
-    parser.add_argument("--target-rt", dest="target_rt", type=float,
+    parser.add_argument("--alpha", help="target decay rate (1/day)")
+    parser.add_argument("--target-rt", dest="target_rt",
                         help="reproduction number to calibrate to: Rt for "
                              "the covid models, R0 for bubar")
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--step", type=float,
+    parser.add_argument("--horizon")
+    parser.add_argument("--step",
                         help="RK4 step in days, dividing one day (default "
                              f"{dynamics.DEFAULT_STEP}: final cases and deaths "
                              "within 1e-10 relative of a quarter step for "
                              "the covid models, 1e-9 for bubar)")
-    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workers")
     parser.add_argument("--policy", action="append",
                         help="policy kind (repeatable) on every model: "
                              + ", ".join(policies.POLICY_KINDS) + "; an age "

@@ -137,9 +137,9 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
                       contacts: Optional[ContactStructure] = None,
                       ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Right-hand side over y = [s | xa | xs | e | h], of shape (5m,) or,
-    for K scenarios side by side, (5m, K). It carries `bind`: bind(ys,
-    weights) evaluates RK4 stage i into its own buffer as weights[i] times
-    the derivative at ys[i].
+    for K scenarios side by side, (5m, K): the `bound_rhs` of its `bind`.
+    bind(ys, weights) evaluates RK4 stage i into its own buffer as
+    weights[i] times the derivative at ys[i]; `_RK4` runs only that.
 
     Below `FACTORED_CELLS` cells (`FACTORED_AGE_CELLS` in the age model) a
     stage is one matmul of a stacked (5m x 2m) matrix over (xa, xs), times
@@ -217,8 +217,14 @@ def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
         ks = np.empty(ys.shape)
         return ks, [stage(y, k, w) for y, k, w in zip(ys, ks, weights)]
 
+    return bound_rhs(bind)
+
+
+def bound_rhs(bind: Callable) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The derivative rhs(t, y) at y of shape (d,) or (d, K), one stage of
+    weight 1 of `bind`, which it carries for `_RK4`; models are autonomous."""
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ks, (evaluate,) = bind(y.reshape(1, 5 * m, -1), (1.0,))
+        ks, (evaluate,) = bind(y.reshape(1, len(y), -1), (1.0,))
         evaluate()
         return ks[0].reshape(y.shape)
 
@@ -247,40 +253,26 @@ class _RK4:
 
     It owns the stage inputs `ys` (ys[0] is the state) and the stage
     derivatives `ks` times their weights 1, 2, 2, 1 (exact: powers of two),
-    both of shape (4,) + state shape. A rhs that carries `bind` (the model
-    factories' do) evaluates stage i straight into ks[i]: bind(ys, weights)
-    takes the (4, d, K) stage inputs and returns ks and one evaluator per
-    stage, its views bound once. Any other rhs(t, y) is called and its result
-    times the weight written into ks[i]. With k2 and k3 doubled, the step is
+    both of shape (4,) + state shape. The rhs comes from a model factory, and
+    its `bind` evaluates stage i straight into ks[i]: bind(ys, weights) takes
+    the (4, d, K) stage inputs and returns ks and one evaluator per stage,
+    its views bound once. With k2 and k3 doubled, the step is
     y + h/6 (k1 + k2 + k3 + k4) in that order, one add.reduce over ks. One
-    minimum.reduce and one maximum.reduce show whether the new state is finite
-    and inside the bounds; only a step where it is not checks k4 and clips.
+    minimum.reduce and one maximum.reduce show whether the new state lies in
+    the model's clamp bounds, finite so that +-inf and nan never do; only a
+    step where it does not checks k4 and clips.
     """
 
     def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
-                 y0: np.ndarray, step: float,
-                 clamp: Optional[tuple[float, Optional[float]]]):
+                 y0: np.ndarray, step: float, clamp: tuple[float, float]):
         y0 = np.asarray(y0, dtype=float)
         self.ys = np.empty((4,) + y0.shape)
         self.ys[0] = y0
-        self.y, self.step, self.clamp, self.t = self.ys[0], step, clamp, 0.0
-        bind, weights = getattr(rhs, "bind", None), (1.0, 2.0, 2.0, 1.0)
-        if bind is None:
-            self.ks = np.empty_like(self.ys)
-            self.stages = [self._calling(rhs, *args) for args in zip(
-                self.ys, self.ks, (0.0, 0.5 * step, 0.5 * step, step), weights)]
-        else:
-            ks, self.stages = bind(self.ys.reshape(4, len(y0), -1), weights)
-            self.ks = ks.reshape(self.ys.shape)  # a view: drops a unit axis
+        self.y, self.step, self.clamp = self.ys[0], step, clamp
+        ks, self.stages = rhs.bind(self.ys.reshape(4, len(y0), -1),
+                                   (1.0, 2.0, 2.0, 1.0))
+        self.ks = ks.reshape(self.ys.shape)  # a view: drops a unit axis
         self.acc = np.empty(y0.shape)
-        # bounds a state must meet to skip the clamp; +-inf and nan never do
-        big = np.finfo(float).max
-        self.lower = -big if clamp is None else clamp[0]
-        self.upper = big if clamp is None or clamp[1] is None else clamp[1]
-
-    def _calling(self, rhs, y, k, dt, weight):
-        """The stage of a plain rhs(t, y) that starts dt into the step."""
-        return lambda: np.multiply(rhs(self.t + dt, y), weight, out=k)
 
     def advance(self, t0: float, n_steps: int) -> np.ndarray:
         """Take n_steps steps from time t0. Returns the clamp events per
@@ -290,11 +282,10 @@ class _RK4:
         k1, k2, k3, _ = ks = self.ks
         e1, e2, e3, e4 = self.stages
         step, half, quarter = self.step, 0.5 * self.step, 0.25 * self.step
-        lower, upper, sixth, acc = self.lower, self.upper, step / 6.0, self.acc
+        (lower, upper), sixth, acc = self.clamp, step / 6.0, self.acc
         least, most = np.minimum.reduce, np.maximum.reduce
         events = np.zeros(y.shape[1:], dtype=int)
         for k in range(n_steps):
-            self.t = t = t0 + k * step
             e1()
             np.add(y, np.multiply(half, k1, out=y2), out=y2)
             e2()
@@ -306,26 +297,25 @@ class _RK4:
             acc *= sixth
             y += acc
             if not lower <= least(y, None) <= most(y, None) <= upper:
+                t = t0 + k * step + step
                 if not np.all(np.isfinite(ks[3])):
-                    raise FloatingPointError(
-                        f"non-finite derivative at t={t + step}")
-                if self.clamp is not None:
-                    clipped = np.clip(y, *self.clamp)
-                    drift = np.abs(clipped - y).max(axis=0, initial=0.0)
-                    if (drift > 1e-12).any():
-                        events += drift > 1e-12
-                        log.debug("clamped state by %.3g at t=%.4f",
-                                  drift.max(), t + step)
-                    y[...] = clipped
+                    raise FloatingPointError(f"non-finite derivative at t={t}")
+                clipped = np.clip(y, lower, upper)
+                drift = np.abs(clipped - y).max(axis=0, initial=0.0)
+                if (drift > 1e-12).any():
+                    events += drift > 1e-12
+                    log.debug("clamped state by %.3g at t=%.4f", drift.max(), t)
+                y[...] = clipped
         return events
 
 
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: np.ndarray, t_span: tuple[float, float], step: float,
-              clamp: Optional[tuple[float, Optional[float]]] = (0.0, 1.0),
+              clamp: tuple[float, float] = (0.0, 1.0),
               ) -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
     """Classical fixed-step fourth-order Runge-Kutta integration of y0 of
-    shape (d,) or, for K systems side by side, (d, K).
+    shape (d,) or, for K systems side by side, (d, K), of a model factory's
+    rhs through its `bind` (`covid_rhs_factory`, `bubar.bubar_rhs_factory`).
 
     Returns (times, states, clamp_events) where states[k] is the state at
     times[k]. States are clamped into the given bounds after every step; a
@@ -371,8 +361,8 @@ class SimulationModel:
     allocate takes one column and builds the model's own state from it."""
 
     y0: np.ndarray        # the initial state, flat
-    rhs: Callable         # right-hand side with `bind` (covid_rhs_factory)
-    clamp: tuple          # the bounds RK4 steps are clipped into
+    rhs: Callable         # a model factory's right-hand side (`bound_rhs`)
+    clamp: tuple          # finite (lower, upper) RK4 steps are clipped into
     labels: list          # one per cell
     populations: np.ndarray  # residents per cell
     n_groups: int         # age groups; cell c is group c % n_groups

@@ -369,7 +369,13 @@ def instance_to_dict(inst: EpidemicInstance) -> dict:
 def instance_from_dict(doc: dict) -> EpidemicInstance:
     """Each record built from its section's fields, the records' own checks
     applied; raises IngestError on a missing section or field, an unknown
-    field, or a section that is no JSON object, and from `_check_sizes`."""
+    field, a section that is no JSON object, a number that is not finite,
+    from `_check_sizes` and from `EpidemicState.validate` of state0."""
+    for section, values in (doc.items() if isinstance(doc, dict) else ()):
+        for name, value in (values.items() if isinstance(values, dict) else ()):
+            if np.asarray(value).dtype.kind == "f" and not np.isfinite(value).all():
+                raise IngestError(f"instance file section {section}: {name} "
+                                  "must be finite")
     try:
         inst = EpidemicInstance(*(
             cls(**doc[section]) if section in doc or section != "contacts"
@@ -379,6 +385,10 @@ def instance_from_dict(doc: dict) -> EpidemicInstance:
     except TypeError as exc:
         raise IngestError(f"malformed instance file: {exc}") from exc
     _check_sizes(inst)
+    try:
+        inst.state0.validate()
+    except ValueError as exc:
+        raise IngestError(f"instance file section state0: {exc}") from exc
     return inst
 
 

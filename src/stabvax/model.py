@@ -271,8 +271,9 @@ class EpidemicState:
 
     def validate(self) -> None:
         comp = self.compartments()
-        if np.any(comp < -1e-9) or np.any(comp > 1 + 1e-9):
-            raise ValueError("compartment fractions must lie in [0, 1]")
+        for name, row in zip(("s", "xa", "xs", "e", "h", "vax"), comp):
+            if np.any(row < -1e-9) or np.any(row > 1 + 1e-9):
+                raise ValueError(f"{name} fractions must lie in [0, 1]")
         if not np.allclose(comp.sum(axis=0), 1.0, rtol=0, atol=1e-9):
             raise ValueError("compartments must sum to 1 per cell")
 

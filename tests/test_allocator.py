@@ -593,6 +593,41 @@ class TestAllocationProperties:
             allocator.solve_bilinear(prob)
 
 
+class TestSearchEnds:
+    """The ends of the rate search: an affordable bracket top, and a final
+    solve that lands above the budget."""
+
+    def test_bisect_rate_returns_an_affordable_top(self):
+        tried = []
+        rate, found = allocator.bisect_rate(
+            lambda rate: tried.append(rate) or ("fits", rate), -2.0, 0.5, 1e-5)
+        assert (rate, found) == (0.5, ("fits", 0.5))
+        assert tried == [-2.0, 0.5]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_final_solve_over_budget_takes_the_search_point(self, seed,
+                                                           monkeypatch):
+        # a bisected covid problem; its final solve is made to overshoot
+        prob, population = covid_problem(seed, 5)
+        prob = replace(prob, rate_at_radius=None)
+        budget = 0.05 * population
+        cap = budget + 1e-9 * (1.0 + budget)
+        solve, final = allocator.solve_allocation, []
+
+        def overshooting(at_alpha, pool=None):
+            result = solve(at_alpha, pool)
+            final.append(result)
+            return replace(result, v=2.0 * result.v, doses=2.0 * cap)
+
+        monkeypatch.setattr(allocator, "solve_allocation", overshooting)
+        alpha, res = allocator.max_decay(prob, budget)
+        assert len(final) == 1 and res.stats.search == "bisection"
+        assert res.doses <= cap
+        assert res.certificate.satisfied
+        assert np.all(res.v <= prob.vmax)
+        assert res.alpha == alpha
+
+
 def cold_problem_bisection(prob, budget, width=1e-5):
     """Reference bisection: a full, certified solve at every probe."""
     cap = budget + 1e-9 * (1.0 + budget)

@@ -763,10 +763,10 @@ class TestAtomicWrite:
 
 
 class TestMeaninglessNumbers:
-    """A negative horizon or worker count, a number that is not finite, or a
-    sweep range of no points or that is no flat list of numbers, exits 3
-    naming its key, from a flag or a config file alike; nothing is
-    written."""
+    """A negative horizon or worker count, a fraction for an int key, a
+    number that is not finite, or a sweep range of no points or that is no
+    flat list of numbers, exits 3 naming its key, from a flag or a config
+    file alike; nothing is written."""
 
     SWEEP = ("--axis", "budget", "--horizon", "3", "sweep")
 
@@ -788,10 +788,14 @@ class TestMeaninglessNumbers:
         ("target_rt", float("nan"), ("allocate",)),
         # "Array must not contain infs or NaNs"
         ("alpha", float("nan"), ("--model", "bubar", "allocate")),
+        # a config file truncated these and ran 3 days; a flag exited 2
+        ("horizon", 3.7, ("compare",)),
+        ("seed", 0.5, ("compare",)),
     ], ids=["horizon-1", "horizon-3", "workers-2", "range-no-points",
             "range-nested", "range-nested-one", "range-bool",
             "range-string-entry", "range-nan", "budget-nan", "budget-inf",
-            "target-rt-nan", "seir-alpha-nan"])
+            "target-rt-nan", "seir-alpha-nan", "horizon-fraction",
+            "seed-fraction"])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_exits_input_error(self, tmp_path, capsys, key, value, command,
                                form):
@@ -805,6 +809,59 @@ class TestMeaninglessNumbers:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {key} must")
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("synthetic", "n", 2.9), ("schedule", "interval_days", 1.5)])
+    def test_fraction_for_a_section_int_exits_input_error(
+            self, tmp_path, capsys, section, key, value):
+        # keys of no flag; n = 2.9 ran on 2 locations
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--horizon", "3", "compare"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input error: {section}.{key} must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "horizon", "budget"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_text_of_no_number_exits_input_error(self, tmp_path, capsys, key,
+                                                 form):
+        # a flag exited 2, argparse's usage error
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps({key: "abc"} if form == "config" else {}))
+        flags = (f"--{key}", "abc") if form == "flag" else ()
+        assert cli.main(["--config", str(path), "--out", str(out), *flags,
+                         "compare"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input error: config key {key}:")
+        assert not out.exists()
+
+    def test_whole_numbers_read_alike(self, tmp_path):
+        # ints and whole floats, in a file or as flag text, give the same
+        # files byte for byte
+        ints = {"horizon": 3, "seed": 1, "workers": 1,
+                "synthetic": {"n": 2}, "schedule": {"interval_days": 2}}
+        floats = {"horizon": 3.0, "seed": 1.0, "workers": 1.0,
+                  "synthetic": {"n": 2.0}, "schedule": {"interval_days": 2.0}}
+        nested = {key: ints[key] for key in ("synthetic", "schedule")}
+        runs = {"ints": (ints, []), "floats": (floats, []),
+                "int-flags": (nested, ["--horizon", "3", "--seed", "1",
+                                       "--workers", "1"]),
+                "float-flags": (nested, ["--horizon", "3.0", "--seed", "1e0",
+                                         "--workers", "1.0"])}
+        outputs = {}
+        for name, (config, flags) in runs.items():
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            path.write_text(json.dumps(config))
+            assert cli.main(["--config", str(path), "--out", str(out), *flags,
+                             "compare"]) == cli.EXIT_OK
+            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outputs["ints"]) == 5
+        assert len(read_rows(tmp_path / "ints" / "trajectory_no-vaccine.csv")
+                   ) == 4 * 2
+        for name in runs:
+            assert outputs[name] == outputs["ints"], name
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_zero_horizon_and_workers_stay_valid(self, tmp_path, form):
@@ -821,6 +878,37 @@ class TestMeaninglessNumbers:
         # day 0 alone
         assert {row[0] for row in read_rows(
             tmp_path / "trajectory_no-vaccine.csv")} == {"0"}
+
+
+class TestScheduleChecks:
+    """A schedule that `VaccinationSchedule` refuses, and a sweep without an
+    axis, exit 3 with the check's own message; nothing is written."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"budget": 1.5}, "budget must be a fraction of the population"),
+        ({"schedule": {"daily_rate": -0.001}}, "daily rate must be nonnegative"),
+        ({"schedule": {"interval_days": 0}},
+         "supply interval must be at least one day"),
+        ({"schedule": {"leftover_rule": "bogus"}},
+         "leftover rule must be 'even-split' or 'none'"),
+    ], ids=["budget-above-one", "daily-rate-negative", "interval-zero",
+            "leftover-rule-unknown"])
+    def test_schedule_out_of_range_exits_input_error(self, tmp_path, capsys,
+                                                     config, message):
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(path), "--out", str(out),
+                         "--horizon", "3", "compare"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_without_axis_exits_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--horizon", "3", "--range",
+                         "0.01:0.02:2", "sweep"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "input error: sweep needs --axis budget|rt|interval\n"
+        assert not out.exists()
 
 
 class TestConfigTypes:
@@ -919,8 +1007,25 @@ class TestInstanceFile:
         ("covid-demographic", lambda doc: {**doc, "contacts": {
             "contacts": [[1.0]], "reference_pop": [1.0]}},
          "section contacts: contacts has shape (1, 1)"),
+        # compare ended in a FloatingPointError traceback, exit 1, and
+        # allocate in numpy's "Eigenvalues did not converge"
+        ("covid", lambda doc: {**doc, "state0": {
+            **doc["state0"], "s": [float("nan"), *doc["state0"]["s"][1:]]}},
+         "section state0: s must be finite"),
+        # both ran, exit 0; allocate printed satisfied=True
+        ("covid", lambda doc: {**doc, "state0": {
+            **doc["state0"], "s": [1.7, *doc["state0"]["s"][1:]]}},
+         "section state0: s fractions must lie in [0, 1]"),
+        ("covid", lambda doc: {**doc, "params": {
+            **doc["params"], "eps": float("nan")}},
+         "section params: eps must be finite"),
+        ("covid", lambda doc: {**doc, "network": {
+            **doc["network"], "tau": [[float("inf"), *doc["network"]["tau"][0][
+                1:]], *doc["network"]["tau"][1:]]}},
+         "section network: tau must be finite"),
     ], ids=["state0-length", "contacts-homogeneous", "r_s-groups",
-            "kappa-groups", "beta0-groups", "contacts-groups"])
+            "kappa-groups", "beta0-groups", "contacts-groups", "state0-nan",
+            "state0-above-one", "params-nan", "network-infinity"])
     def test_records_that_disagree_exit_input_error(self, tmp_path, capsys,
                                                    model_name, edit, where):
         assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",

@@ -150,7 +150,7 @@ def unread_parameters(source: str) -> list[str]:
 
 
 # parameters a caller's interface requires: integrate's rhs(t, y)
-CALLBACK_PARAMETERS = {"covid_rhs_factory.rhs: t", "bubar_rhs_factory.rhs: t"}
+CALLBACK_PARAMETERS = {"bound_rhs.rhs: t"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import SolverError
+
 FEAS_TOL = 1e-9  # how far a basic column may lie outside its bounds
 DUAL_TOL = 1e-9  # reduced costs this close to zero count as zero
 PIVOT_TOL = 1e-9  # smallest pivot-row entry the ratio test accepts
 MAX_PIVOTS = 5000  # per solve
 BLAND_AFTER = 200  # degenerate test LPs stall for at most about 130 pivots
-
-
-class SolverError(RuntimeError):
-    """The solver failed to converge or to certify its answer; distinct from
-    provable infeasibility."""
 
 
 @dataclass

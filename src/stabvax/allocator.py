@@ -53,16 +53,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _lp
-from ._lp import SolverError
 from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    GramKernel, NetworkInstance, StabilityCertificate,
-                    _top_block_root, _top_eig, cell_b1,
-                    check_decay_certificate, compute_b1,
+                    GramKernel, InfeasibleAllocationError, NetworkInstance,
+                    SolverError, StabilityCertificate, _top_block_root,
+                    _top_eig, cell_b1, check_decay_certificate, compute_b1,
                     coupling_gram_kernel, flow_for_model, max_certificate_rate)
-
-
-class InfeasibleAllocationError(RuntimeError):
-    """No allocation in the box certifies the requested decay rate."""
 
 
 @dataclass

@@ -10,6 +10,8 @@ Only model definitions live here: `bubar_problem` states the model's
 Its policies are `PolicySpec`s as on the covid models. The age strategies
 of Bubar et al. (Science 371, 2021) are the age bands of
 `policies.AGE_BANDS`, which the adapter resolves against `DECADE_RANGES`.
+The module loads only `model` and `ingest`, so the fixture builds without
+the solvers and the simulator; each function loads what it uses.
 
 Summed over the vaccine strata, the linearized infection chain reduces
 exactly to the radius of W = diag(S + Sx - psi v S) A, as the homogeneous
@@ -19,18 +21,18 @@ covid chain does, so `bubar_certificate` takes one g x g eigensolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .allocator import (AllocationProblem, AllocationResult, max_decay,
-                        solve_allocation)
-from .dynamics import (DEFAULT_STEP, SimulationModel, Trajectory,
-                       VaccinationSchedule, bound_rhs, simulate)
 from .ingest import group_ifr
-from .model import (GramKernel, InfeasibleRateError, StabilityCertificate,
-                    chain_certificate, cholesky_factor)
-from .policies import PolicySpec
+from .model import (DEFAULT_STEP, GramKernel, InfeasibleRateError,
+                    StabilityCertificate, chain_certificate, cholesky_factor)
+
+if TYPE_CHECKING:  # loaded by the functions that use them
+    from .allocator import AllocationProblem, AllocationResult
+    from .dynamics import SimulationModel, Trajectory, VaccinationSchedule
+    from .policies import PolicySpec
 
 COMPARTMENTS = ("S", "Sx", "Sv", "E", "Ex", "Ev", "I", "Ix", "Iv",
                 "R", "Rx", "Rv", "D")
@@ -115,6 +117,7 @@ def bubar_rhs_factory(params: BubarParams) -> Callable[[float, np.ndarray], np.n
     infections, which move into E and Ex. As in `dynamics.covid_rhs_factory`,
     it is the `bound_rhs` of bind(ys, weights), which the RK4 stepper runs: a
     stage writes its weight times its derivative in six numpy calls."""
+    from .dynamics import bound_rhs
     g = params.n_groups
     a, b = 1.0 / params.d_e, 1.0 / params.d_i
     eye3, zero3, infectious = np.eye(3), np.zeros((3, 3)), [[0, 0, 0, 1, 1, 1]]
@@ -243,6 +246,7 @@ def bubar_problem(state: BubarState, params: BubarParams,
     C diag(1/(N - Omega)) has a Cholesky factor L: the flow is then
     diag(susceptibility) L L', with the kernel L L' of one location.
     """
+    from .allocator import AllocationProblem
     g = params.n_groups
     gram = params.contacts / (params.populations - state.D)[None, :]
     return AllocationProblem(
@@ -266,6 +270,7 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
     """Minimum-dose allocation at a fixed decay rate, or (given a dose supply
     in persons) the largest affordable decay rate; b1 is one scalar here, so
     `max_decay` searches directly."""
+    from .allocator import max_decay, solve_allocation
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
     if alpha is not None:
@@ -284,6 +289,7 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
     (infectious), everyone past S (cum_cases), D (cum_deaths) and the doses.
     Each day's check raises FloatingPointError once a group has died out,
     which would leave the force of infection undefined."""
+    from .dynamics import SimulationModel
     g, pops, rows = params.n_groups, params.populations, len(COMPARTMENTS)
 
     def check(y):
@@ -319,6 +325,7 @@ def simulate_bubar(params: BubarParams, state0: BubarState,
                    policy: PolicySpec, schedule: VaccinationSchedule,
                    horizon: int, step: float = DEFAULT_STEP) -> Trajectory:
     """Run one dosing policy; see `dynamics.simulate`."""
+    from .dynamics import simulate
     return simulate(bubar_model(params, state0), [policy], schedule, horizon,
                     step)[0]
 

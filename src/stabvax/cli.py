@@ -6,7 +6,12 @@ CONFIG_KEYS lists every accepted key and the type a number in either is read
 as; any other key exits as an input error. Exit codes: 0 success, 2
 infeasible (or an unknown flag or choice), 3 input error, 4 solver failure.
 
-Every command runs on numpy alone (see the package docstring).
+Every command runs on numpy alone (see the package docstring). Loading this
+module loads `model`, `ingest` and `bubar`, which build every instance; the
+rest loads as a command needs it: the parser `policies` (for its help text),
+`allocate` the solvers (`allocator`, `_lp`), and `simulate`, `compare` and
+`sweep` the simulator (`dynamics`, with the solvers). `calibrate` loads
+neither solvers nor simulator.
 """
 
 from __future__ import annotations
@@ -14,19 +19,24 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import io
 import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import allocator, bubar, dynamics, ingest, policies
-from .allocator import InfeasibleAllocationError, SolverError
+from . import bubar, ingest
 from .ingest import write_atomic as _write_atomic
-from .model import (CalibrationError, InfeasibleRateError,
-                    calibrate_transmission, effective_reproduction_number)
+from .model import (DEFAULT_STEP, CalibrationError, InfeasibleAllocationError,
+                    InfeasibleRateError, SolverError, calibrate_transmission,
+                    effective_reproduction_number)
+
+if TYPE_CHECKING:  # loaded by the commands that use them
+    from . import dynamics, policies
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -44,8 +54,6 @@ DEFAULT_POLICIES = [
     {"kind": "infection-weighted"},
     {"kind": "no-vaccine"},
 ]
-SEIR_POLICIES = [{"kind": kind}
-                 for kind in ("optimal-stabilizing", *policies.AGE_BANDS)]
 
 
 class InputError(ValueError):
@@ -146,7 +154,7 @@ def _load_config(args) -> dict:
         raise InputError(f"model must be one of {MODELS}")
     config.setdefault("out", ".")
     config.setdefault("horizon", 500)
-    step = config.setdefault("step", dynamics.DEFAULT_STEP)
+    step = config.setdefault("step", DEFAULT_STEP)
     per_day = 1.0 / step if step > 0 else 0.0
     if per_day < 1 or abs(per_day - round(per_day)) > 1e-9:
         raise InputError(f"step must be positive and divide one day, got {step!r}")
@@ -193,6 +201,7 @@ def _seir_fixture(config) -> tuple[bubar.BubarParams, bubar.BubarState]:
 
 
 def _schedule(config) -> dynamics.VaccinationSchedule:
+    from . import dynamics
     schedule = dict(DEFAULT_SCHEDULE)
     schedule.update(config.get("schedule", {}))
     if "budget" in config:
@@ -207,7 +216,9 @@ def _schedule(config) -> dynamics.VaccinationSchedule:
 def _policy_specs(config) -> tuple[list, list[policies.PolicySpec]]:
     """Names and specs of the configured policies, each named by its spec's
     name, on every model."""
-    default = SEIR_POLICIES if config["model"] == "bubar" else DEFAULT_POLICIES
+    from . import policies
+    default = DEFAULT_POLICIES if config["model"] != "bubar" else [
+        {"kind": k} for k in ("optimal-stabilizing", *policies.AGE_BANDS)]
     specs = [policies.PolicySpec(
         kind=policy["kind"],
         resolve_mode=policy.get("resolve_mode", "static"),
@@ -238,8 +249,7 @@ def cmd_calibrate(config) -> int:
 def cmd_allocate(config) -> int:
     if "alpha" in config and "budget" in config:
         raise InputError("give alpha or budget, not both")
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    from . import allocator
     if config["model"] == "bubar":
         params, state0 = _seir_fixture(config)
         supply = None if "alpha" in config else config.get(
@@ -258,9 +268,11 @@ def cmd_allocate(config) -> int:
             budget = config.get("budget", 0.0) * inst.net.total_population
             alpha, result = allocator.max_decay_binary_search(
                 inst.state0, inst.net, inst.params, inst.contacts, budget)
-        labels = dynamics._cell_labels(inst)
+        labels = inst.cell_labels()
     doc = allocator.result_to_dict(result)
     doc["achieved_alpha"] = alpha
+    out = Path(config["out"])
+    out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "allocation.json", json.dumps(doc, indent=2))
     rows = io.StringIO()
     csv.writer(rows).writerows([["cell", "v", "doses"]] + [
@@ -283,6 +295,7 @@ def _instance(config):
 def _simulate(config, instance=None) -> tuple[list, list]:
     """Names and trajectories of the configured policies, for every model,
     on instance, or on the config's own when it is None."""
+    from . import dynamics
     names, specs = _policy_specs(config)
     instance = _instance(config) if instance is None else instance
     model = (bubar.bubar_model(*instance) if config["model"] == "bubar"
@@ -382,6 +395,8 @@ def cmd_sweep(config) -> int:
                                                    os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        # fork with the simulator loaded, so that no worker compiles it again
+        importlib.import_module(".dynamics", __package__)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, payloads))
     else:
@@ -394,6 +409,7 @@ def cmd_sweep(config) -> int:
 
 @functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    from . import policies
     parser = argparse.ArgumentParser(
         prog="stabvax",
         description="stabilizing vaccine allocation for networked epidemics")
@@ -410,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon")
     parser.add_argument("--step",
                         help="RK4 step in days, dividing one day (default "
-                             f"{dynamics.DEFAULT_STEP}: final cases and deaths "
+                             f"{DEFAULT_STEP}: final cases and deaths "
                              "within 1e-10 relative of a quarter step for "
                              "the covid models, 1e-9 for bubar)")
     parser.add_argument("--workers")

@@ -33,13 +33,12 @@ import numpy as np
 
 from . import allocator, policies
 from .ingest import AGE_GROUP_RANGES, EpidemicInstance, write_atomic
-from .model import (ContactStructure, DiseaseParams, EpidemicState,
-                    NetworkInstance, build_flow_matrix, flow_for_model,
-                    _cell_rates)
+from .model import (DEFAULT_STEP, ContactStructure, DiseaseParams,
+                    EpidemicState, NetworkInstance, build_flow_matrix,
+                    flow_for_model, _cell_rates)
 
 log = logging.getLogger(__name__)
 
-DEFAULT_STEP = 0.25
 # persons: a policy whose active infections (xa + xs; E and I in SEIR) fall
 # below this doses by the schedule's leftover rule
 EXTINCTION_THRESHOLD = 1.0
@@ -477,7 +476,7 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
     return SimulationModel(
         y0=_state_to_flat(inst.state0),
         rhs=covid_rhs_factory(inst.net, inst.params, inst.contacts),
-        clamp=(0.0, 1.0), labels=_cell_labels(inst), populations=pops,
+        clamp=(0.0, 1.0), labels=inst.cell_labels(), populations=pops,
         n_groups=inst.net.n_groups,
         headroom=lambda y: np.multiply(y[:m].T, pops, order="C"),
         active=lambda y: np.multiply((y[m:2 * m] + y[2 * m:3 * m]).T, pops,
@@ -503,11 +502,3 @@ def simulate_policy(instance: EpidemicInstance, policy: policies.PolicySpec,
 
 def _state_to_flat(state: EpidemicState) -> np.ndarray:
     return np.concatenate([state.s, state.xa, state.xs, state.e, state.h])
-
-
-def _cell_labels(instance: EpidemicInstance) -> list[str]:
-    n = instance.net.n
-    if not instance.params.is_demographic:
-        return [f"loc{i}" for i in range(n)]
-    g = instance.net.n_groups
-    return [f"loc{i}:g{b}" for i in range(n) for b in range(g)]

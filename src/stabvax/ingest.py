@@ -222,6 +222,12 @@ class EpidemicInstance:
     def cell_populations(self) -> np.ndarray:
         return self.net.cell_populations()
 
+    def cell_labels(self) -> list[str]:
+        n, g = self.net.n, self.net.n_groups
+        if not self.params.is_demographic:
+            return [f"loc{i}" for i in range(n)]
+        return [f"loc{i}:g{b}" for i in range(n) for b in range(g)]
+
 
 def synthetic_instance(seed: int, n: int, groups: bool = False,
                        target_rt: float = 1.2, alpha_hat: float = 0.5,
@@ -369,11 +375,17 @@ def instance_to_dict(inst: EpidemicInstance) -> dict:
 def instance_from_dict(doc: dict) -> EpidemicInstance:
     """Each record built from its section's fields, the records' own checks
     applied; raises IngestError on a missing section or field, an unknown
-    field, a section that is no JSON object, a number that is not finite,
-    from `_check_sizes` and from `EpidemicState.validate` of state0."""
+    field, a section that is no JSON object, a ragged list, a number that is
+    not finite, from `_check_sizes` and from `EpidemicState.validate` of
+    state0."""
     for section, values in (doc.items() if isinstance(doc, dict) else ()):
         for name, value in (values.items() if isinstance(values, dict) else ()):
-            if np.asarray(value).dtype.kind == "f" and not np.isfinite(value).all():
+            try:
+                kind = np.asarray(value).dtype.kind
+            except ValueError as exc:  # a ragged list
+                raise IngestError(f"instance file section {section}: {name} "
+                                  "is not a regular array") from exc
+            if kind == "f" and not np.isfinite(value).all():
                 raise IngestError(f"instance file section {section}: {name} "
                                   "must be finite")
     try:

@@ -42,6 +42,18 @@ class CalibrationError(RuntimeError):
     """Transmission calibration could not reach the target."""
 
 
+class InfeasibleAllocationError(RuntimeError):
+    """No allocation in the box certifies the requested decay rate."""
+
+
+class SolverError(RuntimeError):
+    """The solver failed to converge or to certify its answer; distinct from
+    provable infeasibility."""
+
+
+DEFAULT_STEP = 0.25  # RK4 step in days; `dynamics` states its accuracy
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

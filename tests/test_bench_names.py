@@ -90,10 +90,10 @@ def test_expected_policy_rows_are_the_cli_defaults():
     # the benchmark's checks fail an op whose summary.csv rows differ from
     # these names, so a renamed preset would show only as wrong outputs
     tree = parse("workloads.py")
-    assert constant(tree, "SEIR_POLICIES") == tuple(
-        policy["kind"] for policy in cli.SEIR_POLICIES)
-    assert constant(tree, "COVID_POLICIES") == tuple(
-        policy["kind"] for policy in cli.DEFAULT_POLICIES)
+    for name, model in (("SEIR_POLICIES", "bubar"),
+                        ("COVID_POLICIES", "covid")):
+        assert constant(tree, name) == tuple(
+            cli._policy_specs({"model": model})[0])
 
 
 def test_bisection_budget_stays_fifth_positional():

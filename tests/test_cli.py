@@ -1023,9 +1023,15 @@ class TestInstanceFile:
             **doc["network"], "tau": [[float("inf"), *doc["network"]["tau"][0][
                 1:]], *doc["network"]["tau"][1:]]}},
          "section network: tau must be finite"),
+        # numpy's bare "inhomogeneous shape" ValueError named no section
+        ("covid", lambda doc: {**doc, "network": {
+            **doc["network"], "tau": [doc["network"]["tau"][0][:-2],
+                                      *doc["network"]["tau"][1:]]}},
+         "section network: tau is not a regular array"),
     ], ids=["state0-length", "contacts-homogeneous", "r_s-groups",
             "kappa-groups", "beta0-groups", "contacts-groups", "state0-nan",
-            "state0-above-one", "params-nan", "network-infinity"])
+            "state0-above-one", "params-nan", "network-infinity",
+            "network-ragged"])
     def test_records_that_disagree_exit_input_error(self, tmp_path, capsys,
                                                    model_name, edit, where):
         assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",
@@ -1041,4 +1047,4 @@ class TestInstanceFile:
                              command]) == cli.EXIT_INPUT
             assert f"input error: instance file {where}" in \
                 capsys.readouterr().err
-        assert not list(out.glob("*"))
+        assert not out.exists()

@@ -2,10 +2,13 @@
 
 Each model states an ``AllocationProblem``: allocation 0 <= v <= vmax, which
 costs weights'v doses, certifies decay at rate alpha when
-rho(diag(b1 (s0 - q v)) K) <= 1, b1 = b1_at(alpha). With an alpha-free Gram
-kernel B = F F' (`model.GramKernel`) and scale such that rho(diag(p) K) =
-lambda_max(F' diag(scale p) F), the condition on u = b1 (s0 - q v) / s0 is
-the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass = scale s0.
+rho(diag(b1 (s0 - q v)) K) <= 1, b1 = b1_at(alpha) >= 0. The problem holds
+data alone and every solve takes alpha as an argument, so one problem serves
+every rate; a cell with b1 = 0 transmits nothing and gets v = 0. With an
+alpha-free Gram kernel B = F F' (`model.GramKernel`) and scale such that
+rho(diag(p) K) = lambda_max(F' diag(scale p) F), the condition on u = b1 (s0
+- q v) / s0 is the diagonal LMI lambda_max(F' diag(mass u) F) <= 1, mass =
+scale s0.
 
 * ``lmi_box_maximize`` solves  max w'u  s.t.  lambda_max(F' diag(mass u) F)
   <= 1, l <= u <= h  by Kelley cuts: `model._top_eig` at the LP point gives
@@ -45,7 +48,6 @@ unsatisfied certificate raises ``SolverError``.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -92,10 +94,10 @@ class CutPool:
     vector: Optional[np.ndarray] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationProblem:
-    """One model's stabilizing-allocation problem at decay rate alpha (see
-    the module docstring); b1 = b1_at(alpha) per cell.
+    """One model's stabilizing-allocation problem at no decay rate (see the
+    module docstring); b1_at(alpha) is b1 per cell, or one scalar for all.
 
     kernel is None when the flow has no Gram form (the bilinear route). Only
     the bilinear route reads the dense flow; None stands for B diag(scale),
@@ -114,31 +116,17 @@ class AllocationProblem:
     vmax: np.ndarray
     weights: np.ndarray
     max_rate: float
-    b1_at: Callable[[float], np.ndarray]
+    b1_at: Callable[[float], float | np.ndarray]
     certify: Callable[[np.ndarray, float], StabilityCertificate]
-    alpha: float
     rate_at_radius: Optional[Callable[[float], float]] = None
-    b1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("scale", "s0", "q", "vmax", "weights"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self._set_rate(self.alpha)
         if np.any(self.q <= 0):
             raise ValueError("a zero-efficacy vaccine cannot stabilize anything")
 
-    def _set_rate(self, alpha: float) -> None:
-        self.alpha = alpha
-        # b1_at may return one scalar for all cells
-        self.b1 = np.broadcast_to(self.b1_at(alpha), self.s0.shape).astype(float)
-        if np.any(self.b1 <= 0):
-            raise ValueError("b1 must be positive (no transmission path?)")
-
-    def at_rate(self, alpha: float) -> "AllocationProblem":
-        """The same problem at another decay rate, sharing all but b1."""
-        other = copy.copy(self)
-        other._set_rate(alpha)
-        return other
+    def b1_per_cell(self, alpha: float) -> np.ndarray:
+        """b1 at decay rate alpha, one entry per cell."""
+        return np.broadcast_to(self.b1_at(alpha), self.s0.shape)
 
 
 @dataclass
@@ -335,12 +323,6 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     weights = np.asarray(weights, dtype=float)
     vmax = np.asarray(vmax, dtype=float)
     m = K.shape[0]
-    if np.any(K < 0):
-        warnings.warn("coupling matrix has negative entries; Perron certificates "
-                      "may be invalid", stacklevel=2)
-    if not _strongly_connected(K > 0):
-        warnings.warn("coupling matrix is reducible; the bilinear scheme may "
-                      "return a conservative allocation", stacklevel=2)
 
     def radius(c: np.ndarray) -> float:  # rho(diag(c) K)
         return max(float(np.linalg.eigvals(c[:, None] * K).real.max()), 0.0)
@@ -349,6 +331,12 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     if rho0 <= 1.0 + 1e-12:
         return (np.zeros(m), d0,
                 SolverStats(iterations=0, converged=True, method="bilinear-slp"))
+    if np.any(K < 0):
+        warnings.warn("coupling matrix has negative entries; Perron certificates "
+                      "may be invalid", stacklevel=2)
+    if not _strongly_connected(K > 0):
+        warnings.warn("coupling matrix is reducible; the bilinear scheme may "
+                      "return a conservative allocation", stacklevel=2)
     c_min = p0 - p1 * vmax
     rho_max = radius(c_min)
     if rho_max > 1.0 + 1e-9:
@@ -441,10 +429,9 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
 
 def build_problem(state: EpidemicState, net: NetworkInstance,
                   params: DiseaseParams,
-                  contacts: Optional[ContactStructure],
-                  alpha: float) -> AllocationProblem:
-    """The covid model's problem at decay rate alpha from the current
-    susceptible profile: v is the vaccinated fraction of each cell, and the
+                  contacts: Optional[ContactStructure]) -> AllocationProblem:
+    """The covid model's problem from the current susceptible profile: v is
+    the vaccinated fraction of each cell, and the
     flow A = Abar diag(N) (or (Abar (x) Gamma) diag(N)) has the Gram kernel
     Abar (or Abar (x) Gamma) with scale N."""
     populations = net.cell_populations().copy()
@@ -460,62 +447,75 @@ def build_problem(state: EpidemicState, net: NetworkInstance,
                (lambda rate: compute_b1(params, rate))),
         certify=lambda v, rate: check_decay_certificate(
             state, net, params, contacts, v, rate),
-        alpha=alpha,
         # b1(alpha) r = 1 where -alpha is the top eigenvalue of the 2 x 2 block
         rate_at_radius=(None if params.is_demographic else
                         (lambda radius: -_top_block_root(params, radius))))
 
 
-def _finish(prob: AllocationProblem, v: np.ndarray, stats: SolverStats,
-            direction: Optional[np.ndarray] = None) -> AllocationResult:
-    """Certify v through the model; raise SolverError if it fails."""
+def _finish(prob: AllocationProblem, alpha: float, v: np.ndarray,
+            stats: SolverStats, direction: Optional[np.ndarray] = None,
+            ) -> AllocationResult:
+    """Certify v at alpha through the model; raise SolverError if it fails."""
     v = np.clip(v, 0.0, prob.vmax)
-    cert = prob.certify(v, prob.alpha)
+    cert = prob.certify(v, alpha)
     if not cert.satisfied:
         raise SolverError(
             f"{stats.method} allocation fails its certificate at alpha="
-            f"{prob.alpha:.6g}: lambda_max={cert.lambda_max:.6g}, "
+            f"{alpha:.6g}: lambda_max={cert.lambda_max:.6g}, "
             f"rho={cert.spectral_radius:.9f}")
-    u = prob.scale * prob.b1 * (prob.s0 - prob.q * v)
+    u = prob.scale * prob.b1_per_cell(alpha) * (prob.s0 - prob.q * v)
     dose_vec = prob.weights * v
     return AllocationResult(v=v, u=u, doses=float(dose_vec.sum()),
                             dose_vector=dose_vec, certificate=cert,
-                            stats=stats, alpha=prob.alpha, direction=direction)
+                            stats=stats, alpha=alpha, direction=direction)
 
 
-def _gram_solve(prob: AllocationProblem, pool: Optional[CutPool] = None,
+def _gram_solve(prob: AllocationProblem, alpha: float,
+                pool: Optional[CutPool] = None,
                 max_doses: Optional[float] = None,
                 ) -> tuple[np.ndarray, SolverStats]:
-    """Minimum-dose v on the Gram route, or with max_doses the first v found
-    within it (see lmi_box_maximize). The LMI variable u = b1 (s0 - q v) / s0
-    keeps its mass scale s0 free of alpha, and its objective weights make the
-    shortfall from the box top equal the doses."""
-    # a cell without susceptibles has zero mass and stays undosed
+    """Minimum-dose v at alpha on the Gram route, or with max_doses the first
+    v found within it (see lmi_box_maximize). The LMI variable u = b1 (s0 -
+    q v) / s0 keeps its mass scale s0 free of alpha, and its objective
+    weights make the shortfall from the box top equal the doses."""
+    b1 = prob.b1_per_cell(alpha)
+    # a cell without susceptibles has zero mass, and one with b1 = 0 a fixed
+    # u = 0 and no weight: both stay undosed
     reach = np.divide(prob.vmax, prob.s0, out=np.ones_like(prob.s0),
                       where=prob.s0 > 0)
     u, stats = lmi_box_maximize(
-        prob.kernel, prob.b1 * (1 - prob.q * reach), prob.b1,
-        prob.weights * prob.s0 / (prob.b1 * prob.q), prob.scale * prob.s0,
-        pool=pool, max_shortfall=max_doses)
-    return prob.s0 * (1 - u / prob.b1) / prob.q, stats
+        prob.kernel, b1 * (1 - prob.q * reach), b1,
+        np.divide(prob.weights * prob.s0, b1 * prob.q,
+                  out=np.zeros_like(prob.s0), where=b1 > 0),
+        prob.scale * prob.s0, pool=pool, max_shortfall=max_doses)
+    return prob.s0 * (1 - np.divide(u, b1, out=np.ones_like(u), where=b1 > 0)
+                      ) / prob.q, stats
 
 
-def solve_bilinear(prob: AllocationProblem) -> AllocationResult:
-    """Perron-direction route; works for any nonnegative flow matrix."""
-    flow = prob.kernel.dense * prob.scale if prob.flow is None else prob.flow
-    v, d, stats = spectral_box_minimize(flow, prob.b1 * prob.s0,
-                                        prob.b1 * prob.q, prob.weights,
-                                        prob.vmax)
-    return _finish(prob, v, stats, direction=d)
+def solve_bilinear(prob: AllocationProblem, alpha: float) -> AllocationResult:
+    """Perron-direction route at alpha; works for any nonnegative flow
+    matrix. Cells with b1 = 0 are zero rows of diag(b1 (s0 - q v)) K, so the
+    SLP runs on the other cells' block, and they get v = 0 and direction 0."""
+    b1 = prob.b1_per_cell(alpha)
+    live = b1 > 0
+    v, d = np.zeros_like(prob.s0), np.zeros_like(prob.s0)
+    stats = SolverStats(method="bilinear-slp")
+    if live.any():
+        flow = prob.kernel.dense * prob.scale if prob.flow is None else prob.flow
+        v[live], d[live], stats = spectral_box_minimize(
+            flow[np.ix_(live, live)], (b1 * prob.s0)[live],
+            (b1 * prob.q)[live], prob.weights[live], prob.vmax[live])
+    return _finish(prob, alpha, v, stats, direction=d)
 
 
-def solve_allocation(prob: AllocationProblem,
+def solve_allocation(prob: AllocationProblem, alpha: float,
                      pool: Optional[CutPool] = None) -> AllocationResult:
-    """Route by structure: the diagonal LMI on the problem's kernel (the
-    Gram route) when it has one, otherwise the bilinear path."""
+    """Minimum-dose allocation at decay rate alpha, routed by structure: the
+    diagonal LMI on the problem's kernel (the Gram route) when it has one,
+    otherwise the bilinear path."""
     if prob.kernel is not None:
-        return _finish(prob, *_gram_solve(prob, pool))
-    return solve_bilinear(prob)
+        return _finish(prob, alpha, *_gram_solve(prob, alpha, pool))
+    return solve_bilinear(prob, alpha)
 
 
 def bisect_rate(attempt: Callable[[float], object], lo: float, hi: float,
@@ -675,15 +675,15 @@ def max_decay(prob: AllocationProblem,
             raise InfeasibleAllocationError(
                 f"budget insufficient even at the bracket low end alpha={lo}")
         if alpha < hi:
-            return alpha, _finish(prob.at_rate(alpha), v, work, direction=d)
+            return alpha, _finish(prob, alpha, v, work, direction=d)
     else:
         work = SolverStats(search="bisection")
 
         def probe(alpha: float) -> Optional[tuple]:
             try:
                 if pool is not None:
-                    return _gram_solve(prob.at_rate(alpha), pool, cap)[0], None
-                result = solve_allocation(prob.at_rate(alpha))
+                    return _gram_solve(prob, alpha, pool, cap)[0], None
+                result = solve_allocation(prob, alpha)
             except InfeasibleAllocationError:
                 return None
             work.iterations += result.stats.iterations
@@ -692,10 +692,9 @@ def max_decay(prob: AllocationProblem,
 
         alpha, (v, d) = bisect_rate(probe, lo, hi, RATE_WIDTH)
     # the bracket top or a bisected rate: spend only what that rate needs
-    at_alpha = prob.at_rate(alpha)
-    result = solve_allocation(at_alpha, pool)
+    result = solve_allocation(prob, alpha, pool)
     if result.doses > cap:  # solved to a gap; the search's point fits
-        result = _finish(at_alpha, v, result.stats, direction=d)
+        result = _finish(prob, alpha, v, result.stats, direction=d)
     own = result.stats
     cuts, lp_calls = ((len(pool.rows), pool.lp_calls) if pool is not None else
                       (work.cuts + own.cuts, work.lp_calls + own.lp_calls))
@@ -711,7 +710,7 @@ def max_decay_binary_search(state: EpidemicState, net: NetworkInstance,
                             budget: float) -> tuple[float, AllocationResult]:
     """Largest decay rate of the covid model that the budget buys; see
     `max_decay`."""
-    return max_decay(build_problem(state, net, params, contacts, -2.0), budget)
+    return max_decay(build_problem(state, net, params, contacts), budget)
 
 
 # ---------------------------------------------------------------------------

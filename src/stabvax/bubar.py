@@ -237,9 +237,8 @@ def bubar_certificate(state: BubarState, params: BubarParams, v: np.ndarray,
         lambda radius: bubar_rate_at_radius(params, radius))
 
 
-def bubar_problem(state: BubarState, params: BubarParams,
-                  alpha: float) -> AllocationProblem:
-    """The model's allocation problem at decay rate alpha.
+def bubar_problem(state: BubarState, params: BubarParams) -> AllocationProblem:
+    """The model's allocation problem; each solve gives the decay rate.
 
     v is doses over (S + I + R) and moves v S out of S, so the unprotected
     susceptibles are S + Sx - psi v S. The Gram route applies when
@@ -259,7 +258,6 @@ def bubar_problem(state: BubarState, params: BubarParams,
         max_rate=min(1.0 / params.d_e, 1.0 / params.d_i),
         b1_at=lambda rate: bubar_b1(params, rate),
         certify=lambda v, rate: bubar_certificate(state, params, v, rate),
-        alpha=alpha,
         rate_at_radius=lambda radius: bubar_rate_at_radius(params, radius))
 
 
@@ -274,8 +272,8 @@ def solve_bubar_allocation(state: BubarState, params: BubarParams,
     if (alpha is None) == (supply is None):
         raise ValueError("give exactly one of alpha or supply")
     if alpha is not None:
-        return alpha, solve_allocation(bubar_problem(state, params, alpha))
-    return max_decay(bubar_problem(state, params, -2.0), supply)
+        return alpha, solve_allocation(bubar_problem(state, params), alpha)
+    return max_decay(bubar_problem(state, params), supply)
 
 
 # ---------------------------------------------------------------------------

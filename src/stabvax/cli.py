@@ -8,10 +8,9 @@ infeasible (or an unknown flag or choice), 3 input error, 4 solver failure.
 
 Every command runs on numpy alone (see the package docstring). Loading this
 module loads `model`, `ingest` and `bubar`, which build every instance; the
-rest loads as a command needs it: the parser `policies` (for its help text),
-`allocate` the solvers (`allocator`, `_lp`), and `simulate`, `compare` and
-`sweep` the simulator (`dynamics`, with the solvers). `calibrate` loads
-neither solvers nor simulator.
+rest loads as a command needs it: `allocate` the solvers (`allocator`,
+`_lp`), and `simulate`, `compare` and `sweep` the simulator (`dynamics`, with
+the solvers and `policies`). `calibrate` loads nothing more.
 """
 
 from __future__ import annotations
@@ -261,9 +260,8 @@ def cmd_allocate(config) -> int:
         inst = _build_instance(config)
         if "alpha" in config:
             alpha = config["alpha"]
-            prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                           inst.contacts, alpha)
-            result = allocator.solve_allocation(prob)
+            result = allocator.solve_allocation(allocator.build_problem(
+                inst.state0, inst.net, inst.params, inst.contacts), alpha)
         else:
             budget = config.get("budget", 0.0) * inst.net.total_population
             alpha, result = allocator.max_decay_binary_search(
@@ -409,7 +407,6 @@ def cmd_sweep(config) -> int:
 
 @functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    from . import policies
     parser = argparse.ArgumentParser(
         prog="stabvax",
         description="stabilizing vaccine allocation for networked epidemics")
@@ -431,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "the covid models, 1e-9 for bubar)")
     parser.add_argument("--workers")
     parser.add_argument("--policy", action="append",
-                        help="policy kind (repeatable) on every model: "
-                             + ", ".join(policies.POLICY_KINDS) + "; an age "
-                             "band needs age groups, age-priority a config's "
+                        help="policy kind (repeatable) on every model (an "
+                             "unknown kind's error lists them); an age band "
+                             "needs age groups, age-priority a config's "
                              "priority_groups")
     parser.add_argument("--axis", choices=["budget", "rt", "interval"])
     parser.add_argument("--range", help="sweep grid lo:hi:steps")

@@ -376,8 +376,8 @@ def instance_from_dict(doc: dict) -> EpidemicInstance:
     """Each record built from its section's fields, the records' own checks
     applied; raises IngestError on a missing section or field, an unknown
     field, a section that is no JSON object, a ragged list, a number that is
-    not finite, from `_check_sizes` and from `EpidemicState.validate` of
-    state0."""
+    not finite, from a record's own checks (naming its section), from
+    `_check_sizes` and from `EpidemicState.validate` of state0."""
     for section, values in (doc.items() if isinstance(doc, dict) else ()):
         for name, value in (values.items() if isinstance(values, dict) else ()):
             try:
@@ -388,14 +388,18 @@ def instance_from_dict(doc: dict) -> EpidemicInstance:
             if kind == "f" and not np.isfinite(value).all():
                 raise IngestError(f"instance file section {section}: {name} "
                                   "must be finite")
+    records = []
     try:
-        inst = EpidemicInstance(*(
-            cls(**doc[section]) if section in doc or section != "contacts"
-            else None for section, cls in SECTIONS))
+        for section, cls in SECTIONS:
+            records.append(cls(**doc[section]) if section in doc
+                           or section != "contacts" else None)
     except KeyError as exc:
         raise IngestError(f"instance file lacks section {exc}") from exc
     except TypeError as exc:
         raise IngestError(f"malformed instance file: {exc}") from exc
+    except ValueError as exc:
+        raise IngestError(f"instance file section {section}: {exc}") from exc
+    inst = EpidemicInstance(*records)
     _check_sizes(inst)
     try:
         inst.state0.validate()

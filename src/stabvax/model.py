@@ -186,11 +186,11 @@ class DiseaseParams:
             raise ValueError("efficacy psi must lie in [0, 1]")
         if self.alpha_hat is not None and not 0.0 < self.alpha_hat <= 1.0:
             raise ValueError("alpha_hat must lie in (0, 1]")
-        for name in ("eps", "r_a"):
-            if getattr(self, name) < 0:
+        for name in ("eps", "r_a", "r_s", "kappa", "beta_s", "beta_a", "beta",
+                     "beta0"):
+            value = getattr(self, name)
+            if value is not None and np.any(value < 0):
                 raise ValueError(f"{name} must be nonnegative")
-        if np.any(np.asarray(self.r_s) < 0) or np.any(np.asarray(self.kappa) < 0):
-            raise ValueError("recovery and mortality rates must be nonnegative")
 
     @property
     def is_demographic(self) -> bool:

@@ -42,7 +42,8 @@ class PolicySpec:
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise ValueError(f"unknown policy kind {self.kind!r}; the kinds "
+                             f"are {', '.join(POLICY_KINDS)}")
         if self.resolve_mode not in ("static", "daily-resolve"):
             raise ValueError("resolve_mode must be 'static' or 'daily-resolve'")
         if self.kind == "age-priority" and not self.priority_groups:

@@ -1,7 +1,7 @@
 import importlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +15,10 @@ from stabvax import _lp, allocator, bubar, ingest, model
 
 def solve_via(inst, alpha, path="auto"):
     prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                   inst.contacts, alpha)
+                                   inst.contacts)
     if path == "bilinear":
-        return allocator.solve_bilinear(prob)
-    result = allocator.solve_allocation(prob)
+        return allocator.solve_bilinear(prob, alpha)
+    result = allocator.solve_allocation(prob, alpha)
     # "lmi": the problem has a kernel, so the Gram route solved it
     assert path != "lmi" or result.stats.method == "lmi-cutting-plane"
     return result
@@ -93,16 +93,16 @@ class TestLmiEngine:
         # top eigenvector, of shape (3,); the second solve (above the dense
         # cutoff) must start afresh rather than broadcast it
         small, large = (allocator.build_problem(
-            inst.state0, inst.net, inst.params, None, 0.0)
+            inst.state0, inst.net, inst.params, None)
             for inst in (sv.synthetic_instance(0, n=3),
                          sv.synthetic_instance(1, n=50)))
         pool = allocator.CutPool()
-        allocator.solve_allocation(small, pool)
+        allocator.solve_allocation(small, 0.0, pool)
         assert pool.vector.shape == (3,)
         pool.rows, pool.basis = [], None  # the cut rows are per problem
-        reused = allocator.solve_allocation(large, pool)
+        reused = allocator.solve_allocation(large, 0.0, pool)
         assert pool.vector.shape == (50,)
-        fresh = allocator.solve_allocation(large)
+        fresh = allocator.solve_allocation(large, 0.0)
         assert np.array_equal(reused.v, fresh.v)
 
     def test_top_eig_handles_zero_and_rank_deficient_grams(self):
@@ -137,24 +137,24 @@ class TestSolvePaths:
     def test_indefinite_routes_to_bilinear(self):
         inst = indefinite_two_group_instance()
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                       inst.contacts, 0.0)
+                                       inst.contacts)
         assert prob.kernel is None  # Gamma has no Cholesky factor
-        res = allocator.solve_allocation(prob)
+        res = allocator.solve_allocation(prob, 0.0)
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied
 
     def test_indefinite_two_group_matches_grid_oracle(self):
         inst = indefinite_two_group_instance()
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                       inst.contacts, 0.0)
-        res = allocator.solve_bilinear(prob)
+                                       inst.contacts)
+        res = allocator.solve_bilinear(prob, 0.0)
         # brute-force v grid at 1e-3 with exact 2x2 spectral radius
-        flow = prob.flow
+        flow, b1 = prob.flow, prob.b1_per_cell(0.0)
         v1 = np.arange(0.0, prob.s0[0] + 1e-12, 1e-3)
         v2 = np.arange(0.0, prob.s0[1] + 1e-12, 1e-3)
         V1, V2 = np.meshgrid(v1, v2, indexing="ij")
-        w1 = prob.b1[0] * (prob.s0[0] - prob.q[0] * V1)
-        w2 = prob.b1[1] * (prob.s0[1] - prob.q[1] * V2)
+        w1 = b1[0] * (prob.s0[0] - prob.q[0] * V1)
+        w2 = b1[1] * (prob.s0[1] - prob.q[1] * V2)
         a = w1 * flow[0, 0]
         d = w2 * flow[1, 1]
         bc = w1 * flow[0, 1] * w2 * flow[1, 0]
@@ -174,11 +174,11 @@ class TestSolvePaths:
     def test_one_node_closed_form(self):
         inst = sv.synthetic_instance(13, n=1, target_rt=1.2)
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                       inst.contacts, 0.0)
-        res = allocator.solve_allocation(prob)
+                                       inst.contacts)
+        res = allocator.solve_allocation(prob, 0.0)
         assert res.stats.method == "lmi-cutting-plane"
         _, abar = sv.build_flow_matrix(inst.net)
-        cap = prob.scale[0] * prob.s0[0] * prob.b1[0]
+        cap = prob.scale[0] * prob.s0[0] * prob.b1_per_cell(0.0)[0]
         assert res.u[0] == pytest.approx(min(cap, 1 / abar[0, 0]), rel=1e-6)
 
     def test_certificate_postcondition_random(self):
@@ -210,7 +210,7 @@ class TestProblemAssembly:
         state = sv.EpidemicState(s=np.full(4, 0.9), xa=np.full(4, 0.05),
                                  xs=np.zeros(4), e=np.zeros(4),
                                  h=np.full(4, 0.05))
-        prob = allocator.build_problem(state, net, params, cs, 0.0)
+        prob = allocator.build_problem(state, net, params, cs)
         expected_aprime = np.array([[40, 1, 20, 2], [4, 2, 2, 4],
                                     [16, 0.4, 35, 3.5], [1.6, 0.8, 3.5, 7]]) / 9
         # Gamma is positive definite: the Gram route, which forms no flow
@@ -232,11 +232,65 @@ class TestProblemAssembly:
                                                 contacts=inst.contacts), 0.0)
         assert np.all(res.v <= later.s + 1e-12)
 
-    def test_zero_transmission_rejected(self):
+    @pytest.mark.parametrize("route", ["gram", "bilinear"])
+    def test_zero_transmission_needs_no_doses(self, route):
+        # b1 = 0 in every cell: nothing transmits, so v = 0 at every rate
+        # and the whole budget buys the bracket top
         inst = sv.synthetic_instance(3, n=2, target_rt=1.1)
         params = replace(inst.params, beta_s=0.0, beta_a=0.0)
-        with pytest.raises(ValueError):
-            allocator.build_problem(inst.state0, inst.net, params, None, 0.0)
+        prob = allocator.build_problem(inst.state0, inst.net, params, None)
+        solve = (allocator.solve_allocation if route == "gram"
+                 else allocator.solve_bilinear)
+        for alpha in (0.0, prob.max_rate - 1e-4):
+            res = solve(prob, alpha)
+            assert res.stats.method == ("lmi-cutting-plane" if route == "gram"
+                                        else "bilinear-slp")
+            assert res.certificate.satisfied
+            assert np.all(res.v == 0) and res.doses == 0
+        if route == "bilinear":
+            prob = replace(prob, kernel=None,
+                           flow=model.flow_for_model(inst.net, params, None))
+        alpha, res = allocator.max_decay(prob, 0.05 * inst.net.total_population)
+        assert alpha == prob.max_rate - 1e-4
+        assert res.doses == 0 and res.certificate.satisfied
+
+    def test_silent_group_gets_no_doses_on_either_route(self):
+        # one age group with beta0 = 0 holds zero rows of the coupling; the
+        # other groups' doses agree across the routes
+        inst = sv.synthetic_instance(0, n=3, groups=True)
+        beta0 = inst.params.beta0.copy()
+        beta0[2] = 0.0
+        params = replace(inst.params, beta0=beta0)
+        prob = allocator.build_problem(inst.state0, inst.net, params,
+                                       inst.contacts)
+        g = inst.net.n_groups
+        for alpha in (0.01, 0.015):
+            gram = allocator.solve_allocation(prob, alpha)
+            bil = allocator.solve_bilinear(prob, alpha)
+            assert gram.stats.method == "lmi-cutting-plane"
+            assert gram.certificate.satisfied and bil.certificate.satisfied
+            assert np.all(gram.v[2::g] == 0) and np.all(bil.v[2::g] == 0)
+            assert np.all(bil.direction[2::g] == 0)
+            assert gram.doses > 0
+            assert bil.doses == pytest.approx(gram.doses, rel=1e-6)
+        _, res = allocator.max_decay(prob, 0.05 * inst.net.total_population)
+        assert res.certificate.satisfied and np.all(res.v[2::g] == 0)
+
+    def test_silent_group_closed_form_on_the_bilinear_route(self):
+        # one location, two groups, the second silent: the first group's
+        # condition is the scalar b1 (s0 - q v) K_00 <= 1
+        inst = indefinite_two_group_instance(target_rt=4.0)
+        params = replace(inst.params,
+                         beta0=np.array([inst.params.beta0[0], 0.0]))
+        prob = allocator.build_problem(inst.state0, inst.net, params,
+                                       inst.contacts)
+        assert prob.kernel is None
+        res = allocator.solve_allocation(prob, 0.0)
+        b1 = prob.b1_per_cell(0.0)[0]
+        expected = (prob.s0[0] - 1.0 / (b1 * prob.flow[0, 0])) / prob.q[0]
+        assert expected > 0 and res.v[1] == 0
+        assert res.v[0] == pytest.approx(expected, rel=1e-9)
+        assert res.certificate.satisfied
 
 
 class TestBinarySearch:
@@ -309,13 +363,13 @@ class TestBinarySearch:
 def covid_problem(seed, n, **kwargs):
     inst = sv.synthetic_instance(seed, n=n, **kwargs)
     return (allocator.build_problem(inst.state0, inst.net, inst.params,
-                                    inst.contacts, -2.0),
+                                    inst.contacts),
             inst.net.total_population)
 
 
 def seir_problem(r0, seed):
     params, state = bubar.us_like_instance(r0, seed=seed)
-    return (bubar.bubar_problem(state, params, -2.0),
+    return (bubar.bubar_problem(state, params),
             float(params.populations.sum()))
 
 
@@ -389,7 +443,8 @@ class TestDirectSearch:
                       if prob.kernel is None else allocator._gram_min_radius(
                           prob, budget, allocator.CutPool()))[1]
             calls, b1_at = [], prob.b1_at
-            prob.b1_at = lambda rate: calls.append(rate) or b1_at(rate)
+            prob = replace(prob,
+                           b1_at=lambda rate: calls.append(rate) or b1_at(rate))
             alpha, res = allocator.max_decay(prob, budget)
             assert len(calls) <= limit
             assert res.certificate.satisfied
@@ -515,13 +570,12 @@ class TestDirectSearch:
         if route == "gram":
             inst = sv.synthetic_instance(23, n=2, target_rt=1.1)
             prob = allocator.build_problem(
-                inst.state0, inst.net, replace(inst.params, psi=1.0), None,
-                -2.0)
+                inst.state0, inst.net, replace(inst.params, psi=1.0), None)
             budget = float(prob.weights @ prob.vmax)
             names = ("_gram_min_radius", "lmi_box_maximize")
         else:
             params, state = bubar.us_like_instance(1.15, seed=0, psi=1.0)
-            prob = bubar.bubar_problem(state, params, -2.0)
+            prob = bubar.bubar_problem(state, params)
             budget = float(params.populations.sum())
             names = ("_slp_min_radius", "spectral_box_minimize")
         stats = {name: [] for name in names}
@@ -585,12 +639,12 @@ class TestAllocationProperties:
     def test_infeasible_rate_reported_distinctly(self):
         inst = sv.synthetic_instance(50, n=2, target_rt=4.0)
         params = replace(inst.params, psi=0.5)
-        prob = allocator.build_problem(inst.state0, inst.net, params, None, 0.0)
+        prob = allocator.build_problem(inst.state0, inst.net, params, None)
         assert prob.kernel is not None  # solve_allocation takes the LMI
         with pytest.raises(sv.InfeasibleAllocationError):
-            allocator.solve_allocation(prob)
+            allocator.solve_allocation(prob, 0.0)
         with pytest.raises(sv.InfeasibleAllocationError):
-            allocator.solve_bilinear(prob)
+            allocator.solve_bilinear(prob, 0.0)
 
 
 class TestSearchEnds:
@@ -614,8 +668,8 @@ class TestSearchEnds:
         cap = budget + 1e-9 * (1.0 + budget)
         solve, final = allocator.solve_allocation, []
 
-        def overshooting(at_alpha, pool=None):
-            result = solve(at_alpha, pool)
+        def overshooting(prob, alpha, pool=None):
+            result = solve(prob, alpha, pool)
             final.append(result)
             return replace(result, v=2.0 * result.v, doses=2.0 * cap)
 
@@ -628,13 +682,55 @@ class TestSearchEnds:
         assert res.alpha == alpha
 
 
+def indefinite_problem():
+    inst = indefinite_two_group_instance()
+    return (allocator.build_problem(inst.state0, inst.net, inst.params,
+                                    inst.contacts), inst.net.total_population)
+
+
+class TestRateFreeProblem:
+    """A problem holds no rate: one problem solved at several rates and then
+    searched gives answers bit-equal to fresh problems', and keeps every field
+    as it was."""
+
+    CASES = {"gram": lambda: covid_problem(0, 5),
+             "gram-age": lambda: covid_problem(0, 2, groups=True),
+             "bilinear-indefinite": indefinite_problem,
+             "seir": lambda: seir_problem(1.15, 0)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_solves_leave_the_problem_as_fresh(self, case):
+        make = self.CASES[case]
+        prob, population = make()
+        before = {f.name: getattr(prob, f.name) for f in fields(prob)}
+        values = {name: value.copy() for name, value in before.items()
+                  if isinstance(value, np.ndarray)}
+        budget = 0.05 * population
+        rates = (0.0, -0.01, 0.005)
+
+        def answers(problem):
+            docs = [allocator.result_to_dict(
+                allocator.solve_allocation(problem(), alpha))
+                for alpha in rates]
+            alpha, res = allocator.max_decay(problem(), budget)
+            return docs + [alpha, allocator.result_to_dict(res)]
+
+        reused = answers(lambda: prob)
+        fresh = answers(lambda: make()[0])
+        assert reused == fresh
+        assert all(getattr(prob, name) is value
+                   for name, value in before.items())
+        assert all(np.array_equal(getattr(prob, name), value)
+                   for name, value in values.items())
+
+
 def cold_problem_bisection(prob, budget, width=1e-5):
     """Reference bisection: a full, certified solve at every probe."""
     cap = budget + 1e-9 * (1.0 + budget)
 
     def attempt(alpha):
         try:
-            res = allocator.solve_allocation(prob.at_rate(alpha))
+            res = allocator.solve_allocation(prob, alpha)
         except sv.InfeasibleAllocationError:
             return None
         return res if res.doses <= cap else None
@@ -645,7 +741,7 @@ def cold_problem_bisection(prob, budget, width=1e-5):
 def cold_bisection(inst, budget, width=1e-5):
     return cold_problem_bisection(
         allocator.build_problem(inst.state0, inst.net, inst.params,
-                                inst.contacts, -2.0), budget, width)
+                                inst.contacts), budget, width)
 
 
 class TestCertifiedOrRaise:
@@ -674,7 +770,7 @@ class TestCertifiedOrRaise:
         if budget is None:
             alpha = 0.0
             result = allocator.solve_allocation(allocator.build_problem(
-                inst.state0, inst.net, inst.params, inst.contacts, alpha))
+                inst.state0, inst.net, inst.params, inst.contacts), alpha)
         else:
             alpha, result = sv.max_decay_binary_search(
                 inst.state0, inst.net, inst.params, inst.contacts,
@@ -760,7 +856,7 @@ class TestGramRoute:
             group_populations=10 * inst.net.group_populations)
         for net, cs in ((inst.net, inst.contacts), (scaled_net, inst.contacts),
                         (inst.net, scaled_cs)):
-            prob = allocator.build_problem(inst.state0, net, inst.params, cs, 0.0)
+            prob = allocator.build_problem(inst.state0, net, inst.params, cs)
             assert prob.kernel is not None and prob.flow is None
             flow = model.flow_for_model(net, inst.params, cs)
             gram = prob.kernel.dense * prob.scale[None, :]
@@ -777,8 +873,8 @@ class TestSerialization:
     def test_result_round_trip_json(self):
         inst = sv.synthetic_instance(60, n=2, target_rt=1.2)
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                       None, 0.0)
-        res = allocator.solve_allocation(prob)
+                                       None)
+        res = allocator.solve_allocation(prob, 0.0)
         rd = json.loads(json.dumps(allocator.result_to_dict(res)))
         assert np.asarray(rd["v"]) == pytest.approx(res.v)
         assert rd["certificate"]["satisfied"] is True

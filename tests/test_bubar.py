@@ -24,9 +24,9 @@ class TestAllocationRoutes:
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
     def test_lmi_and_bilinear_agree_on_symmetric_contacts(self, alpha):
         params, state = symmetric_fixture()
-        prob = bubar.bubar_problem(state, params, alpha)
-        lmi = allocator.solve_allocation(prob)
-        bil = allocator.solve_bilinear(prob)
+        prob = bubar.bubar_problem(state, params)
+        lmi = allocator.solve_allocation(prob, alpha)
+        bil = allocator.solve_bilinear(prob, alpha)
         assert lmi.stats.method == "lmi-cutting-plane"
         assert bil.stats.method == "bilinear-slp"
         assert lmi.certificate.satisfied and bil.certificate.satisfied
@@ -36,7 +36,7 @@ class TestAllocationRoutes:
 
     def test_default_fixture_routes_to_bilinear(self):
         params, state = bubar.us_like_instance(1.15, seed=0)
-        assert bubar.bubar_problem(state, params, 0.0).kernel is None
+        assert bubar.bubar_problem(state, params).kernel is None
         _, res = bubar.solve_bubar_allocation(state, params, alpha=0.0)
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied

@@ -89,6 +89,36 @@ class TestAllocate:
         assert err.startswith("infeasible: decay rate") and "below" in err
         assert not (tmp_path / "allocation.json").exists()
 
+    @pytest.mark.parametrize("model_name", cli.MODELS)
+    def test_zero_transmission_needs_no_doses(self, tmp_path, capsys,
+                                              model_name):
+        # the covid models exited 3, "b1 must be positive (no transmission
+        # path?)", and the SEIR model warned that its coupling was reducible
+        assert allocate(tmp_path, "--model", model_name, "--target-rt", "0",
+                        "--budget", "0.05") == cli.EXIT_OK
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        assert doc["doses"] == 0 and doc["certificate"]["satisfied"]
+        assert cli.main(["--out", str(tmp_path / "compare"), "--model",
+                         model_name, "--target-rt", "0", "--horizon", "3",
+                         "compare"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_silent_age_group_gets_no_doses(self, tmp_path):
+        # an instance file with a zero beta0 group exited 3 as well
+        assert cli.main(["--out", str(tmp_path), "--model",
+                         "covid-demographic", "calibrate"]) == cli.EXIT_OK
+        path = tmp_path / "instance.json"
+        inst = json.loads(path.read_text())
+        inst["params"]["beta0"][2] = 0.0
+        path.write_text(json.dumps(inst))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instance": str(path)}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                         "--budget", "0.05", "allocate"]) == cli.EXIT_OK
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        assert doc["certificate"]["satisfied"] and doc["doses"] > 0
+        assert not any(doc["v"][2::len(inst["params"]["beta0"])])
+
     def test_malformed_config_exits_input_error(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")
@@ -186,6 +216,15 @@ class TestParser:
         assert errors[0] == errors[1]
         assert errors[0].startswith("usage: stabvax")
         assert "invalid choice: 'sir'" in errors[0]
+
+    def test_unknown_policy_kind_lists_the_kinds(self, tmp_path, capsys):
+        # the --policy help does not list the kinds, so that the parser
+        # loads no policy module; the error lists them
+        assert cli.main(["--out", str(tmp_path), "--policy", "bogus",
+                         "--horizon", "3", "compare"]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: unknown policy kind 'bogus'")
+        assert all(kind in err for kind in policies.POLICY_KINDS)
 
 
 class TestAllocateGolden:
@@ -1028,10 +1067,24 @@ class TestInstanceFile:
             **doc["network"], "tau": [doc["network"]["tau"][0][:-2],
                                       *doc["network"]["tau"][1:]]}},
          "section network: tau is not a regular array"),
+        # compare ran, exit 0, with susceptibles rising; allocate said "b1
+        # must be positive (no transmission path?)"
+        ("covid", lambda doc: {**doc, "params": {
+            **doc["params"], "beta_s": -doc["params"]["beta_s"],
+            "beta_a": -doc["params"]["beta_a"]}},
+         "section params: beta_s must be nonnegative"),
+        ("covid-demographic", lambda doc: {**doc, "params": {
+            **doc["params"], "beta": -doc["params"]["beta"]}},
+         "section params: beta must be nonnegative"),
+        ("covid-demographic", lambda doc: {**doc, "params": {
+            **doc["params"], "beta0": [-doc["params"]["beta0"][0],
+                                       *doc["params"]["beta0"][1:]]}},
+         "section params: beta0 must be nonnegative"),
     ], ids=["state0-length", "contacts-homogeneous", "r_s-groups",
             "kappa-groups", "beta0-groups", "contacts-groups", "state0-nan",
             "state0-above-one", "params-nan", "network-infinity",
-            "network-ragged"])
+            "network-ragged", "beta-negated", "age-beta-negative",
+            "age-beta0-negative"])
     def test_records_that_disagree_exit_input_error(self, tmp_path, capsys,
                                                    model_name, edit, where):
         assert cli.main(["--out", str(tmp_path), "--seed", "0", "--model",

@@ -3,8 +3,8 @@ any command, the solving ones and a forked sweep among them, load no scipy
 module, and the CSV formatter's tables (`stabvax._text`) load only with the
 first file written. Each entry point loads only the package modules it needs:
 importing the CLI and building instances (the benchmark's set-up) loads no
-solver, simulator or policy module, and `calibrate` and `allocate` load no
-simulator. Each case runs in a fresh interpreter, since this test process has
+solver, simulator or policy module, `calibrate` loads nothing more, and
+`allocate` only the solvers. Each case runs in a fresh interpreter, since this test process has
 scipy and every package module loaded already."""
 
 import json
@@ -126,14 +126,13 @@ def test_set_up_loads_no_solver_simulator_or_policies(tmp_path):
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["calibrate"], ["policies"]),
-    (["--model", "covid-demographic", "calibrate"], ["policies"]),
-    (["--budget", "0.05", "allocate"], ["_lp", "allocator", "policies"]),
-    (["--model", "bubar", "--alpha", "0", "allocate"],
-     ["_lp", "allocator", "policies"]),
+    (["calibrate"], []),
+    (["--model", "covid-demographic", "calibrate"], []),
+    (["--budget", "0.05", "allocate"], ["_lp", "allocator"]),
+    (["--model", "bubar", "--alpha", "0", "allocate"], ["_lp", "allocator"]),
 ], ids=["calibrate", "calibrate-age", "allocate", "allocate-seir"])
 def test_commands_load_no_simulator(tmp_path, argv, loads):
-    # the parser loads policies for its help text; only allocate solves
+    # only allocate solves, and neither command loads the policy layer
     report = run_fresh(f"""
         import contextlib, io
         import stabvax.cli as cli

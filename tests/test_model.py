@@ -153,7 +153,7 @@ class TestFlowMatrix:
                             lambda *args: calls.append(1) or builder(*args))
         inst = ingest.synthetic_instance(0, 50)
         prob = allocator.build_problem(inst.state0, inst.net, inst.params,
-                                       inst.contacts, 0.0)
+                                       inst.contacts)
         sv.check_decay_certificate(inst.state0, inst.net, inst.params, None,
                                    np.zeros(50), 0.0)
         dynamics.covid_rhs_factory(inst.net, inst.params)

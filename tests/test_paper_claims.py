@@ -26,9 +26,8 @@ from stabvax import allocator, cli, dynamics, ingest
 def test_two_node_doses_go_to_one_location(case, dosed):
     # case 2: s = 0.7 vs 0.9; case 3: 1,000 vs 800 minutes at home
     inst = sv.two_node_case(case)
-    prob = allocator.build_problem(inst.state0, inst.net, inst.params, None,
-                                   0.0)
-    res = sv.solve_allocation(prob)
+    prob = allocator.build_problem(inst.state0, inst.net, inst.params, None)
+    res = sv.solve_allocation(prob, 0.0)
     assert res.certificate.satisfied
     assert res.v == pytest.approx([0.0, dosed], abs=5e-5)
 

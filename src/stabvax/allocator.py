@@ -121,8 +121,8 @@ class AllocationProblem:
     rate_at_radius: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if np.any(self.q <= 0):
-            raise ValueError("a zero-efficacy vaccine cannot stabilize anything")
+        if np.any(self.q < 0):
+            raise ValueError("q must be nonnegative")
 
     def b1_per_cell(self, alpha: float) -> np.ndarray:
         """b1 at decay rate alpha, one entry per cell."""
@@ -315,13 +315,14 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     alone misses the SLP_TOL decrease a step needs: while v stays the trust
     boxes nest, so that value only rises, and restore only adds doses.
     Returns (v, d, stats) where d is the Perron direction certifying
-    (diag(p0 - p1 v) K) d <= d at the solution.
+    (diag(p0 - p1 v) K) d <= d at the solution. A cell with p1 = 0, which
+    doses do not move, has the box [0, 0].
     """
     K = np.asarray(K, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    vmax = np.asarray(vmax, dtype=float)
+    vmax = np.where(p1 > 0, np.asarray(vmax, dtype=float), 0.0)
     m = K.shape[0]
 
     def radius(c: np.ndarray) -> float:  # rho(diag(c) K)
@@ -360,7 +361,8 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
             ct = np.maximum(t * c, c_min)
             f = t * rho if np.all(t * c >= c_min) else radius(ct)
             if f <= 1.0 + 1e-13:
-                best = np.minimum((p0 - ct) / p1, vmax), f
+                best = np.minimum(np.divide(p0 - ct, p1, out=np.zeros(m),
+                                            where=p1 > 0), vmax), f
                 if f >= 1.0 - 1e-12:
                     break
             side = int(f > 1.0)
@@ -377,7 +379,7 @@ def spectral_box_minimize(K: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     # the start: the min-dose v with (diag(p0 - p1 v) K) d0 <= d0
     kd = K @ d0
     v = np.zeros(m)
-    pos = kd > 0
+    pos = (kd > 0) & (p1 > 0)
     v[pos] = (p0[pos] - d0[pos] / kd[pos]) / p1[pos]
     v, rho = restore(vmax.copy() if np.any(v > vmax + 1e-12)
                      else np.clip(v, 0.0, vmax))
@@ -478,24 +480,26 @@ def _gram_solve(prob: AllocationProblem, alpha: float,
     v found within it (see lmi_box_maximize). The LMI variable u = b1 (s0 -
     q v) / s0 keeps its mass scale s0 free of alpha, and its objective
     weights make the shortfall from the box top equal the doses."""
-    b1 = prob.b1_per_cell(alpha)
-    # a cell without susceptibles has zero mass, and one with b1 = 0 a fixed
-    # u = 0 and no weight: both stay undosed
+    b1, q = prob.b1_per_cell(alpha), prob.q
+    # a cell without susceptibles has zero mass, and one with b1 = 0 or q = 0
+    # a fixed u and no weight: all stay undosed
     reach = np.divide(prob.vmax, prob.s0, out=np.ones_like(prob.s0),
                       where=prob.s0 > 0)
     u, stats = lmi_box_maximize(
-        prob.kernel, b1 * (1 - prob.q * reach), b1,
-        np.divide(prob.weights * prob.s0, b1 * prob.q,
-                  out=np.zeros_like(prob.s0), where=b1 > 0),
+        prob.kernel, b1 * (1 - q * reach), b1,
+        np.divide(prob.weights * prob.s0, b1 * q,
+                  out=np.zeros_like(prob.s0), where=b1 * q > 0),
         prob.scale * prob.s0, pool=pool, max_shortfall=max_doses)
-    return prob.s0 * (1 - np.divide(u, b1, out=np.ones_like(u), where=b1 > 0)
-                      ) / prob.q, stats
+    return np.divide(prob.s0 * (1 - np.divide(u, b1, out=np.ones_like(u),
+                                              where=b1 > 0)), q,
+                     out=np.zeros_like(u), where=q > 0), stats
 
 
 def solve_bilinear(prob: AllocationProblem, alpha: float) -> AllocationResult:
     """Perron-direction route at alpha; works for any nonnegative flow
     matrix. Cells with b1 = 0 are zero rows of diag(b1 (s0 - q v)) K, so the
-    SLP runs on the other cells' block, and they get v = 0 and direction 0."""
+    SLP runs on the other cells' block, and they get v = 0 and direction 0;
+    cells with q = 0 stay in it, undosed (see `spectral_box_minimize`)."""
     b1 = prob.b1_per_cell(alpha)
     live = b1 > 0
     v, d = np.zeros_like(prob.s0), np.zeros_like(prob.s0)
@@ -561,11 +565,13 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
     bound, as (v, r, None, stats) like `_slp_min_radius`, with no direction.
     The budget is the LP's first row, so that new cuts append rows and the
     LP basis carries over."""
-    mass = prob.scale * prob.s0
-    cost = prob.weights * prob.s0 / prob.q  # doses per unit of 1 - y
+    mass, q = prob.scale * prob.s0, prob.q
+    # doses per unit of 1 - y; a cell with q = 0 has y = 1 fixed
+    cost = np.divide(prob.weights * prob.s0, q, out=np.zeros_like(q),
+                     where=q > 0)
     total, m = max(float(cost.sum()), 1e-300), cost.size
     reach = np.divide(prob.vmax, prob.s0, out=np.ones(m), where=prob.s0 > 0)
-    lower = np.concatenate([1 - prob.q * reach, [0.0]])
+    lower = np.concatenate([1 - q * reach, [0.0]])
     upper = np.concatenate([np.ones(m), [np.inf]])
     r, fz, pool.vector = _top_eig(prob.kernel, mass, pool.vector)
     best_v, best_r, bound, unit = np.zeros(m), r, 0.0, r
@@ -592,7 +598,9 @@ def _gram_min_radius(prob: AllocationProblem, budget: float, pool: CutPool,
         r, fz, pool.vector = _top_eig(prob.kernel, mass * (1 - spent),
                                       pool.vector)
         if r < best_r:
-            best_v, best_r = prob.s0 * spent / prob.q, r
+            best_v = np.divide(prob.s0 * spent, q, out=np.zeros(m),
+                               where=q > 0)
+            best_r = r
     else:
         raise SolverError(
             f"cutting-plane loop did not converge in {KELLEY_MAX_ITER} "
@@ -611,13 +619,14 @@ def _slp_min_radius(prob: AllocationProblem, budget: float,
     weights'x <= budget in the trust box: a fractional knapsack on the
     complement hi - x. Returns (v, r, Perron direction, stats)."""
     K, s0, q, weights = prob.flow, prob.s0, prob.q, prob.weights
-    top = float(prob.vmax.max())
+    vmax = np.where(q > 0, prob.vmax, 0.0)  # a cell with q = 0 stays undosed
+    top = float(vmax.max())
     v, trust, settled = np.zeros_like(s0), 0.5 * max(top, 1e-6), False
     rho, d, w = _perron_pair(s0[:, None] * K)
     for it in range(1, SLP_MAX_ITER + 1):
         if float(w @ d) < 1e-14:
             break
-        lo, hi = np.maximum(0.0, v - trust), np.minimum(prob.vmax, v + trust)
+        lo, hi = np.maximum(0.0, v - trust), np.minimum(vmax, v + trust)
         spare = _knapsack(q * w * (K @ d) / float(w @ d), weights,
                           float(weights @ hi) - budget, np.zeros_like(v),
                           hi - lo)

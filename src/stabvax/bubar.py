@@ -67,8 +67,8 @@ class BubarParams:
             raise ValueError("latent and infectious periods must be positive")
         if np.any(self.populations <= 0):
             raise ValueError("group populations must be positive")
-        if not 0.0 <= self.psi <= 1.0:
-            raise ValueError("efficacy psi must lie in [0, 1]")
+        if not 0.0 < self.psi <= 1.0:  # a zero-efficacy vaccine moves no one
+            raise ValueError("efficacy psi must lie in (0, 1]")
 
     @property
     def n_groups(self) -> int:

@@ -15,18 +15,21 @@ a quarter step for the covid models and 1e-9 for SEIR (TestDefaultStepAccuracy
 in tests/test_dynamics.py); daily xa and xs err more, up to 3e-8 of their peak.
 
 `Trajectory.to_csv` writes every value as exactly the bytes of '%.12g'. A
-numpy kernel (`_text`) formats all of them at once: it builds each value's
-text left-aligned in an 18-byte slot from table rows keyed by exponent and
-last nonzero digit, and one `translate` deletes the NUL padding. Python's %
-formats the few values it cannot prove: those within 1e-3 of a rounding tie
-(about 0.2% of a trajectory's values), outside [1e-99, 1e12), negative, -0.0
-or not finite.
+numpy kernel (`_text`) formats a block of days at a time and writes it
+before the next: it builds each value's text left-aligned in an 18-byte slot
+from table rows keyed by exponent and last nonzero digit, and one
+`translate` deletes the NUL padding. Python's % formats the few values it
+cannot prove: those within 1e-3 of a rounding tie (about 0.2% of a
+trajectory's values), outside [1e-99, 1e12), negative, -0.0 or not finite.
+The trajectories of one `simulate` share the row heads and the block
+buffers, so a comparison builds them once.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +46,9 @@ log = logging.getLogger(__name__)
 # below this doses by the schedule's leftover rule
 EXTINCTION_THRESHOLD = 1.0
 
-TRAJECTORY_HEADER = (b"t,cell,s,xa,xs,e,h,new_cases,cum_cases,cum_deaths,"
-                     b"doses\r\n")
+CSV_FIELDS = ("s", "xa", "xs", "e", "h", "new_cases", "cum_cases",
+              "cum_deaths", "doses")
+TRAJECTORY_HEADER = ",".join(("t", "cell") + CSV_FIELDS).encode() + b"\r\n"
 
 
 @dataclass
@@ -80,6 +84,9 @@ class Trajectory:
     fields: dict
     clamp_events: int
     labels: Sequence[str]
+    # the CSV rows (`_text.Rows`) by times and labels, built by the first
+    # to_csv; the trajectories of one `simulate` share one dict
+    csv_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getattr__(self, name):
         try:
@@ -100,18 +107,20 @@ class Trajectory:
         """One row per day and cell, the bytes csv.writer writes for them
         (cell labels hold no comma, quote, line break or NUL): t as '%.6g',
         then every value as exactly the bytes of '%.12g' (see the module
-        docstring), through `ingest.write_atomic`. Raises ValueError if
-        labels are not one per cell."""
+        docstring), a block of days at a time as `ingest.write_atomic`
+        takes them. Raises ValueError if labels are not one per cell."""
         from . import _text  # its tables load with the first file written
 
         cells = self.s.shape[1]
         if len(self.labels) != cells:
             raise ValueError(f"{len(self.labels)} labels for {cells} cells")
-        values = np.stack([self.s, self.xa, self.xs, self.e, self.h,
-                           self.new_cases, self.cum_cases, self.cum_deaths,
-                           self.doses], axis=-1)
-        write_atomic(path, TRAJECTORY_HEADER, _text.csv_rows(
-            ["%.6g" % t for t in self.times.tolist()], self.labels, values))
+        key = (self.times.tobytes(), tuple(self.labels))
+        rows = self.csv_rows.get(key) or self.csv_rows.setdefault(
+            key, _text.Rows(["%.6g" % t for t in self.times.tolist()],
+                            self.labels, len(CSV_FIELDS)))
+        write_atomic(path, itertools.chain((TRAJECTORY_HEADER,), rows.blocks(
+            [self.fields[name] for name in CSV_FIELDS])),
+            len(TRAJECTORY_HEADER) + rows.bound())
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +132,15 @@ class Trajectory:
 # us on synthetic_instance(0, n), 4 columns (age: 5), one CPU of a 2-vCPU
 # Xeon, least of 100 interleaved rounds of 300 calls, median of 3 runs:
 # n = 5, 10, 20, 25, 30, 50: 1.7/2.3, 2.0/2.3, 2.7/2.6, 3.8/2.9, 4.3/3.1,
-# 7.2/3.4; age n = 2, 5, 8, 9, 10, 20 (6 cells each): 2.2/6.7, 5.3/8.4,
-# 11.0/9.2, 13.1/9.7, 15.9/9.9, 58.3/14.1. Every stage product is np.dot
-# with out=, which has less call overhead than np.matmul for the same BLAS
-# call and bits; unlike np.matmul it does not check that out aliases no
-# input, so a stage's out buffer must never overlap what it reads.
+# 7.2/3.4; age n = 2, 5, 7, 8, 9, 10, 20 (6 cells each): 2.2/6.7, 5.3/8.4,
+# 11.0/12.9, 13.7/13.2, 16.4/14.0, 19.7/14.2, 58.3/14.1 (n = 7 to 10
+# re-measured; n = 8 read 8.3/7.5 in the CPU's faster state). Every stage
+# product is np.dot with out=, which has less call overhead than np.matmul
+# for the same BLAS call and bits; unlike np.matmul it does not check that
+# out aliases no input, so a stage's out buffer must never overlap what it
+# reads.
 FACTORED_CELLS = 25
-FACTORED_AGE_CELLS = 54
+FACTORED_AGE_CELLS = 48
 
 
 def covid_rhs_factory(net: NetworkInstance, params: DiseaseParams,
@@ -443,9 +454,10 @@ def simulate(model: SimulationModel, specs: Sequence[policies.PolicySpec],
         if day < horizon:
             clamps += stepper.advance(float(day), steps_per_day)
     fields = model.columns(ys, {"doses": dose_days.transpose(1, 0, 2)})
-    times = np.arange(horizon + 1, dtype=float)
+    times, csv_rows = np.arange(horizon + 1, dtype=float), {}
     return [Trajectory(times, {name: arr[k] for name, arr in fields.items()},
-                       int(clamps[k]), model.labels) for k in range(n_cols)]
+                       int(clamps[k]), model.labels, csv_rows)
+            for k in range(n_cols)]
 
 
 def covid_model(instance: EpidemicInstance) -> SimulationModel:
@@ -463,13 +475,21 @@ def covid_model(instance: EpidemicInstance) -> SimulationModel:
             1, 3, 0, 2)
         # a sum of four nonnegative terms times N rounds within 2 eps of its
         # value, so a daily change within 4 eps of the larger day is rounding
-        cum_cases = (xa + xs + e + h) * pops
-        change, new_cases = np.diff(cum_cases, axis=1), np.zeros_like(cum_cases)
-        noise = 4 * np.finfo(float).eps * np.maximum(cum_cases[:, 1:],
-                                                     cum_cases[:, :-1])
-        new_cases[:, 1:] = np.where(change > noise, change, 0.0)
-        return dict(fields, s=s, xa=xa, xs=xs, e=e, h=h,
-                    vax=inst.state0.vax + psi * fields["doses"] / pops,
+        cum_cases = np.add(xa, xs)
+        cum_cases += e
+        cum_cases += h
+        cum_cases *= pops
+        new_cases = np.zeros_like(cum_cases)
+        change = np.subtract(cum_cases[:, 1:], cum_cases[:, :-1],
+                             out=new_cases[:, 1:])
+        noise = np.maximum(cum_cases[:, 1:], cum_cases[:, :-1])
+        noise *= 4 * np.finfo(float).eps
+        np.copyto(change, 0.0, where=~(change > noise))
+        del noise  # freed before the fields below are made
+        vax = np.multiply(psi, fields["doses"])
+        vax /= pops
+        vax += inst.state0.vax
+        return dict(fields, s=s, xa=xa, xs=xs, e=e, h=h, vax=vax,
                     new_cases=new_cases, cum_cases=cum_cases,
                     cum_deaths=e * pops)
 

@@ -432,30 +432,36 @@ def _check_sizes(inst: EpidemicInstance) -> None:
                               f"{shape}, but the network implies {expected}")
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the chunks, all text or all bytes, to path through a temporary
-    file in its directory, renamed into place, with the mode a plain open
-    gives; a write that fails leaves the old file and no temporary one.
+def write_atomic(path, data, bound: int = 0) -> None:
+    """Write data, a text, bytes or an iterable of byte blocks written as
+    they come, to path through a temporary file in its directory, renamed
+    into place, with the mode a plain open gives; a write that fails leaves
+    the old file and no temporary one.
 
-    Bytes are preallocated where the platform can: ext4 then has no delayed
-    blocks to flush when the rename replaces a file. Writing a 1.4 MB
-    trajectory over an old one took 0.78 ms so, 1.96 ms without, and 1.60 ms
-    by a plain truncating open (one CPU of a 2-vCPU Xeon, medians of 21
-    rounds of four files)."""
-    path, text = Path(path), isinstance(chunks[0], str)
+    Bytes are preallocated where the platform can, blocks by `bound`, an
+    upper bound on their bytes, and the file is then cut to what was
+    written: ext4 then has no delayed blocks to flush when the rename
+    replaces a file. Writing a 1.4 MB trajectory over an old one took
+    0.78 ms so, 1.96 ms without, and 1.60 ms by a plain truncating open (one
+    CPU of a 2-vCPU Xeon, medians of 21 rounds of four files)."""
+    path, text = Path(path), isinstance(data, str)
+    whole = text or isinstance(data, bytes)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
         with os.fdopen(fd, "w" if text else "wb") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            if not text and hasattr(os, "posix_fallocate"):
+            size = len(data) if whole else bound
+            if not text and size and hasattr(os, "posix_fallocate"):
                 try:
-                    os.posix_fallocate(fd, 0, sum(map(len, chunks)))
+                    os.posix_fallocate(fd, 0, size)
                 except OSError:  # a file system without it
                     pass
-            for chunk in chunks:
-                fh.write(chunk)
+            for block in (data,) if whole else data:
+                fh.write(block)
+            if not whole:
+                fh.truncate()
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -41,6 +41,24 @@ class TestAllocationRoutes:
         assert res.stats.method == "bilinear-slp"
         assert res.certificate.satisfied
 
+    @pytest.mark.parametrize("fixture", ["us-like", "symmetric"])
+    @pytest.mark.parametrize("ask", ["alpha", "supply"])
+    def test_group_without_susceptibles_gets_no_doses(self, fixture, ask):
+        # q = psi S = 0: a dose there moves no one (Sx > 0 keeps its row)
+        params, state = (bubar.us_like_instance(1.15, seed=0)
+                         if fixture == "us-like" else symmetric_fixture())
+        c = state.compartments.copy()
+        c[9, 0], c[0, 0] = c[9, 0] + c[0, 0] - 50.0, 0.0  # S to R
+        c[1, 0] = 50.0  # Sx
+        state = bubar.BubarState(c)
+        prob = bubar.bubar_problem(state, params)
+        assert prob.q[0] == 0 and (prob.kernel is None) == (fixture == "us-like")
+        kw = ({"alpha": 0.0} if ask == "alpha"
+              else {"supply": 0.05 * params.populations.sum()})
+        _, res = bubar.solve_bubar_allocation(state, params, **kw)
+        assert res.certificate.satisfied
+        assert res.v[0] == 0 and res.doses > 0
+
     def test_budgeted_bisection_shares_one_cut_pool(self, monkeypatch):
         params, state = symmetric_fixture()
         supply = 0.05 * params.populations.sum()
@@ -397,6 +415,11 @@ class TestInputChecks:
         params, _ = bubar.us_like_instance(1.15, seed=0)
         with pytest.raises(ValueError, match="psi"):
             replace(params, psi=psi)
+
+    def test_zero_efficacy_raises(self):
+        params, _ = bubar.us_like_instance(1.15, seed=0)
+        with pytest.raises(ValueError, match="psi"):
+            replace(params, psi=0.0)
 
     def test_negative_r0_raises(self):
         params, _ = bubar.us_like_instance(1.15, seed=0)

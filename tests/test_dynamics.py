@@ -561,6 +561,7 @@ class TestSimulatePolicy:
         from stabvax import _text
 
         sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
+        monkeypatch.setattr(_text, "CHUNK", 1)  # one day a block
         traj = sv.simulate_policy(small_instance(), sv.PolicySpec(
             kind="population-weighted"), sched, horizon=3)
         path = tmp_path / "traj.csv"
@@ -569,10 +570,20 @@ class TestSimulatePolicy:
         os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         path.write_bytes(b"old\n")
-        # rows that are no bytes: the write fails after the header
-        monkeypatch.setattr(_text, "csv_rows", lambda *args: "rows")
-        with pytest.raises(TypeError):
+        blocks, written = _text.Rows.blocks, []
+
+        def fail_after_first_block(rows, fields):
+            for block in blocks(rows, fields):
+                written.append(block)
+                yield block
+                # the header and the block went to a temporary file
+                assert len(list(tmp_path.iterdir())) == 2
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(_text.Rows, "blocks", fail_after_first_block)
+        with pytest.raises(OSError, match="no space"):
             traj.to_csv(path)
+        assert len(written) == 1 and written[0].startswith(b"0,")
         assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
         assert path.read_bytes() == b"old\n"
 
@@ -1075,6 +1086,66 @@ class TestTrajectoryCsv:
         assert (values == 0).any() and (values >= 1e4).any()
         assert (positive < 1e-4).any() and (positive < 1e-11).any()
 
+    @pytest.mark.parametrize("days, cells, chunk, blocks", [
+        (10, 4, 3 * 4 * 9, 4),  # three days a block, the last one day
+        (3, 4, 20, 3),  # a day of 36 values is wider than a block
+        (1, 3, 16384, 1),  # one day
+    ])
+    def test_block_boundaries_match_csv_writer(self, tmp_path, monkeypatch,
+                                               days, cells, chunk, blocks):
+        from stabvax import _text
+
+        monkeypatch.setattr(_text, "CHUNK", chunk)
+        traj = seeded_trajectory(days, cells)
+        slow = [0.1234567890125, -1.23456789012e-100]  # near a tie; 20 bytes
+        assert _text.split(np.array(slow))[-1].all()
+        if days > 1:  # both past the first block
+            traj.s[-1, 0], traj.doses[-1, -1] = slow
+        written = []
+        blocks_of = _text.Rows.blocks
+
+        def counted(rows, fields):
+            for block in blocks_of(rows, fields):
+                written.append(block)
+                yield block
+
+        monkeypatch.setattr(_text.Rows, "blocks", counted)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert len(written) == blocks
+        assert (tmp_path / "traj.csv").read_bytes() == csv_writer_bytes(traj)
+        assert b",-1.23456789012e-100\r\n" in written[-1] or days == 1
+
+    def test_one_simulation_shares_its_rows(self, tmp_path, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from stabvax import _text
+
+        monkeypatch.setattr(_text, "CHUNK", 50)  # many blocks a file
+        sched = sv.VaccinationSchedule(daily_rate=0.0033, total_budget=0.02)
+        trajs = dynamics.simulate(dynamics.covid_model(small_instance()),
+                                  DEFAULT_SPECS, sched, 30)
+        rows_type, built = _text.Rows, []
+
+        def counted_rows(*args):
+            built.append(rows_type(*args))
+            return built[-1]
+
+        monkeypatch.setattr(_text, "Rows", counted_rows)
+        # two threads at once each take their own buffers
+        with ThreadPoolExecutor(2) as pool:
+            list(pool.map(lambda k: trajs[k].to_csv(tmp_path / f"{k}.csv"),
+                          range(len(trajs))))
+        assert len(built) == 1 and len(built[0].idle) in (1, 2)
+        for k, traj in enumerate(trajs):
+            assert (tmp_path / f"{k}.csv").read_bytes() == \
+                csv_writer_bytes(traj)
+        # rows follow the labels they were built from
+        trajs[0].labels = [label + "x" for label in trajs[0].labels]
+        trajs[0].to_csv(tmp_path / "relabelled.csv")
+        assert len(built) == 2
+        assert (tmp_path / "relabelled.csv").read_bytes() == \
+            csv_writer_bytes(trajs[0])
+
     def test_few_values_fall_back_to_python(self, csv_trajectories):
         from stabvax import _text
 
@@ -1090,6 +1161,17 @@ def csv_values(trajs) -> np.ndarray:
     """Every value the CSV files of trajs hold."""
     return np.concatenate([np.stack([getattr(t, name) for name in
                                      CSV_COLUMNS]).ravel() for t in trajs])
+
+
+def seeded_trajectory(days: int, cells: int, seed: int = 0):
+    """A trajectory of seeded values spanning '%.12g''s notations, without
+    simulating."""
+    rng = np.random.default_rng(seed)
+    fields = {name: 10 ** rng.uniform(-12, 8, (days, cells)) for name in
+              CSV_COLUMNS}
+    fields["new_cases"][rng.random((days, cells)) < 0.3] = 0.0
+    return dynamics.Trajectory(np.arange(days, dtype=float), fields, 0,
+                               [f"cell-{i}" for i in range(cells)])
 
 
 def csv_writer_bytes(traj) -> bytes:

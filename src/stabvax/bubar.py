@@ -289,9 +289,10 @@ def bubar_model(params: BubarParams, state0: BubarState) -> SimulationModel:
     which would leave the force of infection undefined."""
     from .dynamics import SimulationModel
     g, pops, rows = params.n_groups, params.populations, len(COMPARTMENTS)
+    group_sizes = pops[:, None]
 
     def check(y):
-        if np.any(y[12 * g:] >= pops[:, None]):
+        if (y[12 * g:] >= group_sizes).any():
             raise FloatingPointError("a group has been fully depleted")
 
     def compartments(y):

@@ -262,58 +262,66 @@ class _RK4:
     (d, K), advanced in place; built once per simulation.
 
     It owns the stage inputs `ys` (ys[0] is the state) and the stage
-    derivatives `ks` times their weights 1, 2, 2, 1 (exact: powers of two),
-    both of shape (4,) + state shape. The rhs comes from a model factory, and
-    its `bind` evaluates stage i straight into ks[i]: bind(ys, weights) takes
-    the (4, d, K) stage inputs and returns ks and one evaluator per stage,
-    its views bound once. With k2 and k3 doubled, the step is
-    y + h/6 (k1 + k2 + k3 + k4) in that order, one add.reduce over ks. One
-    minimum.reduce and one maximum.reduce show whether the new state lies in
-    the model's clamp bounds, finite so that +-inf and nan never do; only a
-    step where it does not checks k4 and clips.
+    derivatives `ks` times their weights h/2, h, h, h/2, both of shape (4,)
+    + state shape. The rhs comes from a model factory, and its `bind`
+    evaluates stage i straight into ks[i]: bind(ys, weights) takes the
+    (4, d, K) stage inputs and returns ks and one evaluator per stage, its
+    views bound once. A step is then four stages and nine ufunc calls:
+    y2 = y + k1, y3 = y + k2 / 2, y4 = y + k3, and y + c (((k1 + k2) + k3)
+    + k4) with c = (h/6) / (h/2), summed by three in-place adds. Scaling by
+    a power of two commutes with rounding, so whenever h/2 is one (h = 0.25,
+    the default, among them) the step is bit for bit the plain loop's
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), barring underflow. One minimum.reduce
+    and one maximum.reduce show whether the new state lies in the model's
+    clamp bounds, finite so that +-inf and nan never do; only a step where it
+    does not checks k4 and clips.
     """
 
     def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
                  y0: np.ndarray, step: float, clamp: tuple[float, float]):
         y0 = np.asarray(y0, dtype=float)
-        self.ys = np.empty((4,) + y0.shape)
-        self.ys[0] = y0
-        self.y, self.step, self.clamp = self.ys[0], step, clamp
-        ks, self.stages = rhs.bind(self.ys.reshape(4, len(y0), -1),
-                                   (1.0, 2.0, 2.0, 1.0))
-        self.ks = ks.reshape(self.ys.shape)  # a view: drops a unit axis
-        self.acc = np.empty(y0.shape)
+        ys = np.empty((4,) + y0.shape)
+        ys[0] = y0
+        self.y, self.step, self.clamp = ys[0], step, clamp
+        half = 0.5 * step
+        ks, stages = rhs.bind(ys.reshape(4, len(y0), -1),
+                              (half, step, step, half))
+        self.no_events = np.zeros(y0.shape[1:], dtype=int)
+        self.no_events.flags.writeable = False
+        # ks.reshape is a view that drops the unit axis of a 1-D state
+        self.views = (*ys, *ks.reshape(ys.shape), *stages, np.empty(y0.shape),
+                      step / 6.0 / half)
 
     def advance(self, t0: float, n_steps: int) -> np.ndarray:
         """Take n_steps steps from time t0. Returns the clamp events per
-        column: a step whose clamp moves an entry of a column by more than
-        1e-12 is one event of that column."""
-        y, y2, y3, y4 = self.ys
-        k1, k2, k3, _ = ks = self.ks
-        e1, e2, e3, e4 = self.stages
-        step, half, quarter = self.step, 0.5 * self.step, 0.25 * self.step
-        (lower, upper), sixth, acc = self.clamp, step / 6.0, self.acc
-        least, most = np.minimum.reduce, np.maximum.reduce
-        events = np.zeros(y.shape[1:], dtype=int)
+        column (read-only zeros when there are none): a step whose clamp
+        moves an entry of a column by more than 1e-12 is one event of that
+        column."""
+        y, y2, y3, y4, k1, k2, k3, k4, e1, e2, e3, e4, acc, c = self.views
+        add, least, most = np.add, np.minimum.reduce, np.maximum.reduce
+        lower, upper = self.clamp
+        events = self.no_events
         for k in range(n_steps):
             e1()
-            np.add(y, np.multiply(half, k1, out=y2), out=y2)
+            add(y, k1, out=y2)
             e2()
-            np.add(y, np.multiply(quarter, k2, out=y3), out=y3)
+            add(y, np.multiply(0.5, k2, out=y3), out=y3)
             e3()
-            np.add(y, np.multiply(half, k3, out=y4), out=y4)
+            add(y, k3, out=y4)
             e4()
-            np.add.reduce(ks, axis=0, out=acc)
-            acc *= sixth
+            add(k1, k2, out=acc)
+            acc += k3
+            acc += k4
+            acc *= c
             y += acc
             if not lower <= least(y, None) <= most(y, None) <= upper:
-                t = t0 + k * step + step
-                if not np.all(np.isfinite(ks[3])):
+                t = t0 + k * self.step + self.step
+                if not np.all(np.isfinite(k4)):
                     raise FloatingPointError(f"non-finite derivative at t={t}")
                 clipped = np.clip(y, lower, upper)
                 drift = np.abs(clipped - y).max(axis=0, initial=0.0)
                 if (drift > 1e-12).any():
-                    events += drift > 1e-12
+                    events = events + (drift > 1e-12)
                     log.debug("clamped state by %.3g at t=%.4f", drift.max(), t)
                 y[...] = clipped
         return events
@@ -429,8 +437,9 @@ def simulate(model: SimulationModel, specs: Sequence[policies.PolicySpec],
     clamps = np.zeros(n_cols, dtype=int)
     supply = np.minimum(epoch_supply, budget_left)
     due = dosing & (supply > 0) & (budget_left > 1e-12 * budget)
+    any_due = bool(due.any())
     for day in range(horizon + 1):
-        if day % schedule.interval_days == 0 and day < horizon and due.any():
+        if any_due and day % schedule.interval_days == 0 and day < horizon:
             extinct = model.active(y) < EXTINCTION_THRESHOLD
             planned = due & ~(extinct | planner.spent)
             spread = due & extinct & even
@@ -448,6 +457,7 @@ def simulate(model: SimulationModel, specs: Sequence[policies.PolicySpec],
                 budget_left -= totals
                 supply = np.minimum(epoch_supply, budget_left)
                 due &= (supply > 0) & (budget_left > 1e-12 * budget)
+                any_due = bool(due.any())
         if model.check is not None:
             model.check(y)
         ys[day], dose_days[day] = y, administered

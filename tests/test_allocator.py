@@ -973,3 +973,34 @@ class TestReducibility:
             ([True] if reducible else [])
         rho = allocator._perron((1.0 - v)[:, None] * np.array(K))[0]
         assert rho <= 1.0 + 1e-9 and np.all(v > 0)
+
+
+class TestScaleInvariance:
+    """Calibration to Rt (R0) scales b1 alone in the scalar-chain models, so
+    the largest decay rate a budget buys is the least radius of diag(s -
+    psi v) A under the budget, whatever the rates: the budgeted plan's dose
+    shares are the same, bit for bit, at every Rt."""
+
+    SHARE = 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_homogeneous_plan_does_not_depend_on_rt(self, seed):
+        shares = []
+        for rt in (1.1, 1.5, 2.5):
+            inst = sv.synthetic_instance(seed, n=5, target_rt=rt)
+            _, result = allocator.max_decay_binary_search(
+                inst.state0, inst.net, inst.params, inst.contacts,
+                self.SHARE * inst.net.total_population)
+            shares.append(result.dose_vector / result.doses)
+        for other in shares[1:]:
+            assert np.array_equal(other, shares[0])
+
+    def test_seir_plan_does_not_depend_on_r0(self):
+        shares = []
+        for r0 in (1.05, 1.5, 2.5):
+            params, state0 = bubar.us_like_instance(r0)
+            _, result = bubar.solve_bubar_allocation(
+                state0, params, supply=self.SHARE * params.populations.sum())
+            shares.append(result.dose_vector / result.doses)
+        for other in shares[1:]:
+            assert np.array_equal(other, shares[0])
